@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, isqrt
+from operator import add
 
 
 def divisors(n: int) -> tuple[int, ...]:
@@ -65,6 +67,14 @@ def sigma_k(k: int, m: int) -> int:
     if m <= 0:
         return 0
     return sum(d ** k for d in divisors(m))
+
+
+def sigma_table(k: int, limit: int) -> list[int]:
+    """sigma_k(m) for m = 0..limit (0 at m = 0) by a divisor sieve."""
+    table = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        table[d::d] = map(add, table[d::d], repeat(d ** k))
+    return table
 
 
 def sigma_k_frac(k: int, n: int, delta: int) -> int:

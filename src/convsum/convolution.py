@@ -3,19 +3,22 @@
 The convolution sum of a pair (alpha, beta) at n adds sigma(l) * sigma(m)
 over all non-negative l, m with alpha*l + beta*m = n; terms with a zero
 part vanish because sigma(0) = 0.  ``w_oracle`` evaluates this directly,
-``w_series_oracle`` through a product of dilated sigma series, and
-``w_closed`` through the exact closed forms for the four pairs with
-alpha * beta in {44, 52}.  Closed-form output is always checked for
-integrality and non-negativity before being returned.
+``w_series_oracle`` tabulates the same double sum for every n at once, and
+``w_closed`` / ``w_closed_table`` evaluate the exact closed forms for the
+four pairs with alpha * beta in {44, 52}.  Closed-form output is always
+checked for integrality and non-negativity before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
+from operator import add, attrgetter, mod, mul
 
 from . import eta, tables
-from .arith import sigma_k, sigma_k_frac
+from .arith import sigma_k, sigma_k_frac, sigma_table
 from .eisenstein import EisensteinPair
 from .qseries import QSeries
 from .spaces import CoefficientSolution
@@ -42,10 +45,19 @@ def w_oracle(alpha: int, beta: int, n: int) -> int:
 
 
 def w_series_oracle(alpha: int, beta: int, precision: int) -> list[int]:
-    """Convolution sums for n = 0..precision via a dilated series product."""
-    s = QSeries(precision, [0] + [sigma_k(1, n) for n in range(1, precision + 1)])
-    prod = s.dilate(alpha) * s.dilate(beta)
-    return [int(c) for c in prod.coeffs]
+    """Convolution sums for n = 0..precision as the literal double sum of
+    sigma(l) * sigma(m) over alpha*l + beta*m = n, one slice of l per m."""
+    if alpha < 1 or beta < 1:
+        raise ValueError("alpha and beta must be positive")
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
+    sig = [sigma_k(1, l) for l in range(precision // alpha + 1)]
+    out = [0] * (precision + 1)
+    for m in range(1, (precision - alpha) // beta + 1):
+        start = alpha + beta * m
+        out[start::alpha] = map(add, out[start::alpha],
+                                map(mul, sig[1:], repeat(sigma_k(1, m))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -63,6 +75,13 @@ class ConvolutionFormula:
     @property
     def sigma3_map(self) -> dict[int, Fraction]:
         return dict(self.sigma3_terms)
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        """Every rational weight of the formula."""
+        return (tuple(c for _, c in self.sigma3_terms)
+                + tuple(c for _, c0, c1 in self.sigma1_terms for c in (c0, c1))
+                + self.cusp_terms)
 
     def evaluate(self, n: int, cusp_values) -> Fraction:
         """Raw rational value at n; cusp_values[j][n] supplies the j-th
@@ -177,12 +196,38 @@ def w_closed(pair: tuple[int, int], n: int,
 
 def w_closed_table(pair: tuple[int, int], max_n: int,
                    formula: ConvolutionFormula | None = None) -> list[int]:
-    """Closed-form values for n = 0..max_n (index 0 is 0 by convention)."""
+    """Closed-form values for n = 0..max_n (index 0 is 0 by convention).
+
+    The formula is scaled once by the common denominator of its weights, so
+    every term is an integer: the sigma_3 and sigma tables spread over the
+    multiples of each divisor, plus the cusp expansions.  Each scaled value
+    must then be a non-negative multiple of the denominator.
+    """
     if max_n < 1:
         closed_form(pair)  # still validate the pair
         return [0][:max_n + 1]
     if formula is None:
         formula = closed_form(pair)
-    coeffs = cusp_values(formula, max_n)
-    return [0] + [w_closed(pair, n, coeffs, formula)
-                  for n in range(1, max_n + 1)]
+    cusp = cusp_values(formula, max_n)
+    den = lcm(*(c.denominator for c in formula.weights))
+    acc = [0] * (max_n + 1)
+    s3 = sigma_table(3, max_n)
+    for d, c in formula.sigma3_terms:
+        acc[d::d] = map(add, acc[d::d], map(mul, s3[1:], repeat(int(c * den))))
+    s1 = sigma_table(1, max_n)
+    for d, c0, c1 in formula.sigma1_terms:
+        # (c0 + c1 n) sigma(n / d) at n = d m
+        a0, a1 = int(c0 * den), int(c1 * den) * d
+        acc[d::d] = map(add, acc[d::d], [(a0 + a1 * m) * s1[m]
+                                         for m in range(1, max_n // d + 1)])
+    for c, series in zip(formula.cusp_terms, cusp):
+        acc = list(map(add, acc, map(mul, map(attrgetter("numerator"),
+                                               series.coeffs),
+                                      repeat(int(c * den)))))
+    acc[0] = 0
+    if any(map(mod, acc, repeat(den))) or min(acc) < 0:
+        n = next(n for n, v in enumerate(acc) if v % den or v < 0)
+        raise IntegralityError(
+            f"closed form for {pair} evaluates to {Fraction(acc[n], den)} "
+            f"at n = {n}")
+    return [v // den for v in acc]

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isqrt
+from operator import add, mul, sub
 
 from . import tables
 from .arith import divisors, prime_factors
@@ -116,10 +118,11 @@ def check_ligozat(eq: EtaQuotient) -> LigozatReport:
 # expansion machinery
 #
 # F(q^delta) has O(sqrt(P/delta)) nonzero terms with coefficients +-1 by the
-# pentagonal-number expansion, so multiplying or dividing a dense integer
-# series by it costs only additions.  The full product is therefore cheap
-# even at precision 1000; the literal product is kept in the test suite as
-# an independent oracle.
+# pentagonal-number expansion, and Jacobi's identity gives the cube
+# F(q^delta)^3 = sum (-1)^k (2k+1) q^(delta k(k+1)/2) just as sparsely, so a
+# dense integer series is multiplied or divided by either with one slice
+# update per term instead of a convolution.  The literal product and the
+# per-element kernels are kept in the test suite as independent oracles.
 
 def _pentagonal_terms(delta: int, limit: int) -> list[tuple[int, int]]:
     """Nonzero terms (exponent, sign) of F(q^delta) up to the limit."""
@@ -140,32 +143,70 @@ def _pentagonal_terms(delta: int, limit: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _mul_pentagonal(dense: list[int], terms, limit: int) -> list[int]:
+def _jacobi_cube_terms(delta: int, limit: int) -> list[tuple[int, int]]:
+    """Nonzero terms (exponent, coefficient) of F(q^delta)^3 up to the
+    limit, by Jacobi's identity."""
+    terms = []
+    k = 0
+    while delta * k * (k + 1) // 2 <= limit:
+        terms.append((delta * k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
+        k += 1
+    return terms
+
+
+def _add_scaled(acc, src, c: int):
+    """acc + c * src elementwise, stopping at the shorter operand."""
+    if c == 1:
+        return map(add, acc, src)
+    if c == -1:
+        return map(sub, acc, src)
+    return map(add, acc, map(mul, src, repeat(c)))
+
+
+def _mul_sparse(dense: list[int], terms, limit: int) -> list[int]:
+    """dense times the sparse series of (exponent, coefficient) terms."""
+    size = min(len(dense), limit + 1)
+    while size and not dense[size - 1]:  # trailing zeros add nothing
+        size -= 1
     out = [0] * (limit + 1)
-    for e, s in terms:
-        if s == 1:
-            for i in range(limit + 1 - e):
-                out[i + e] += dense[i]
-        else:
-            for i in range(limit + 1 - e):
-                out[i + e] -= dense[i]
+    for e, c in terms:
+        if e <= limit:
+            out[e:e + size] = _add_scaled(out[e:e + size], dense, c)
     return out
 
 
-def _div_pentagonal(dense: list[int], terms, limit: int) -> list[int]:
-    out = [0] * (limit + 1)
-    for i in range(limit + 1):
-        acc = dense[i]
-        for e, s in terms:
-            if e == 0:
-                continue
-            if e > i:
+def _div_sparse(dense: list[int], terms, limit: int) -> list[int]:
+    """dense divided by the sparse series of (exponent, coefficient) terms,
+    whose constant term must be (0, 1).
+
+    The quotient is filled in blocks of length max(smallest exponent,
+    isqrt(limit + 1)).  A lag at least the block length reads only entries
+    of earlier blocks, which are final, so it updates the whole block with
+    one slice operation; only the shorter lags run element by element.
+    """
+    lags = [(e, c) for e, c in terms if 0 < e <= limit]
+    out = dense[:limit + 1]
+    if not lags:
+        return out
+    block = max(lags[0][0], isqrt(limit + 1))
+    short = [(e, c) for e, c in lags if e < block]
+    long = [(e, c) for e, c in lags if e >= block]
+    for lo in range(0, limit + 1, block):
+        hi = min(lo + block, limit + 1)
+        for e, c in long:
+            if e >= hi:
                 break
-            if s == 1:
-                acc -= out[i - e]
-            else:
-                acc += out[i - e]
-        out[i] = acc
+            start = max(lo, e)
+            out[start:hi] = _add_scaled(out[start:hi], out[start - e:hi - e],
+                                        -c)
+        if short:
+            for i in range(lo, hi):
+                acc = out[i]
+                for e, c in short:
+                    if e > i:
+                        break
+                    acc -= c * out[i - e]
+                out[i] = acc
     return out
 
 
@@ -194,15 +235,20 @@ def _expand_ints(eq: EtaQuotient, precision: int) -> list[int]:
     e = e24 // 24
     if e < 0:
         raise ValueError(f"negative leading exponent {e}")
-    dense = [0] * (precision + 1)
-    dense[0] = 1
-    for d, r in eq.exponents:
-        terms = _pentagonal_terms(d, precision)
-        step = _mul_pentagonal if r > 0 else _div_pentagonal
-        for _ in range(abs(r)):
-            dense = step(dense, terms, precision)
+    # positive powers first: a division applied early grows partition-like
+    # intermediates (432 bits at precision 5000), while this order keeps
+    # them within 32 bits.  |r| = 3a + b runs as a Jacobi cube steps and b
+    # pentagonal steps.
+    dense = [1] + [0] * precision
+    for d, r in sorted(eq.exponents, key=lambda dr: dr[1] < 0):
+        step = _mul_sparse if r > 0 else _div_sparse
+        cubes, singles = divmod(abs(r), 3)
+        for terms, count in ((_jacobi_cube_terms(d, precision), cubes),
+                             (_pentagonal_terms(d, precision), singles)):
+            for _ in range(count):
+                dense = step(dense, terms, precision)
     if e:
-        dense = [0] * e + dense[:precision + 1 - e]
+        dense = ([0] * e + dense)[:precision + 1]
     _EXPANSION_CACHE[eq] = (precision, dense)
     return dense[:]
 

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's fast paths: the eta
 oracle multiplies out the literal product factor by factor with Fraction
-arithmetic, and the divisor-sum oracles enumerate divisors directly.
+arithmetic, the sparse-series kernels run one coefficient at a time, and
+the divisor-sum oracles enumerate divisors directly.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+
+from convsum import eta
 
 
 def _mul_lists(a, b, precision):
@@ -62,6 +65,44 @@ def literal_eta_expansion(level, exponents, precision):
     return shifted
 
 
+def naive_mul_sparse(dense, terms, limit):
+    """dense * sum(c q^e for (e, c) in terms), one coefficient at a time."""
+    out = [0] * (limit + 1)
+    for e, c in terms:
+        for i in range(limit + 1 - e):
+            out[i + e] += c * dense[i]
+    return out
+
+
+def naive_div_sparse(dense, terms, limit):
+    """dense / sum(c q^e for (e, c) in terms) by the coefficient recurrence;
+    the terms must start with (0, 1)."""
+    out = [0] * (limit + 1)
+    for i in range(limit + 1):
+        acc = dense[i]
+        for e, c in terms:
+            if e == 0:
+                continue
+            if e > i:
+                break
+            acc -= c * out[i - e]
+        out[i] = acc
+    return out
+
+
+def naive_eta_expansion(eq, precision):
+    """Integer expansion of an eta quotient with the per-coefficient kernels,
+    one pentagonal step per unit of exponent, in divisor order."""
+    dense = [1] + [0] * precision
+    for d, r in eq.exponents:
+        terms = eta._pentagonal_terms(d, precision)
+        step = naive_mul_sparse if r > 0 else naive_div_sparse
+        for _ in range(abs(r)):
+            dense = step(dense, terms, precision)
+    shift = sum(d * r for d, r in eq.exponents) // 24
+    return ([0] * shift + dense)[:precision + 1]
+
+
 def sigma_by_full_scan(k, n):
     """Divisor power sum by scanning every candidate up to n."""
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
@@ -84,6 +125,13 @@ def partition_numbers(limit):
         for n in range(part, limit + 1):
             p[n] += p[n - part]
     return p
+
+
+@pytest.fixture
+def fresh_expansions(monkeypatch):
+    """An empty expansion cache for one test, so every expansion runs at the
+    precision requested instead of being cut from an earlier, longer one."""
+    monkeypatch.setattr(eta, "_EXPANSION_CACHE", {})
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from convsum.arith import (DivisorProfile, dim_spaces, divisors, euler_phi,
-                           genus, sigma_k, sigma_k_frac)
+                           genus, sigma_k, sigma_k_frac, sigma_table)
 from conftest import sigma_by_full_scan, sigma1_sieve
 
 
@@ -44,6 +44,14 @@ def test_sigma_against_sieve_to_10000():
     sieve = sigma1_sieve(10_000)
     for n in range(1, 10_001):
         assert sigma_k(1, n) == sieve[n]
+
+
+def test_sigma_table_against_full_scan():
+    for k in (0, 1, 3):
+        assert sigma_table(k, 400) == [0] + [sigma_by_full_scan(k, n)
+                                             for n in range(1, 401)]
+    assert sigma_table(1, 10_000) == sigma1_sieve(10_000)
+    assert sigma_table(3, 0) == [0]
 
 
 def test_sigma_multiplicative():

@@ -78,6 +78,25 @@ def test_integrality_enforced():
     with pytest.raises(IntegralityError):
         for n in range(1, 31):
             w_closed((1, 44), n, coeffs, broken)
+    with pytest.raises(IntegralityError, match="evaluates to"):
+        w_closed_table((1, 44), 30, broken)
+    # an integral shift of a cusp weight keeps every value integral but
+    # drives W(1,44)(1) = 0 down to -1 through the first row's leading q
+    negative = replace(
+        formula,
+        cusp_terms=(formula.cusp_terms[0] - 1,) + formula.cusp_terms[1:])
+    with pytest.raises(IntegralityError, match="-1 at n = 1"):
+        w_closed_table((1, 44), 30, negative)
+
+
+@pytest.mark.parametrize("pair", EVALUATED_PAIRS)
+def test_closed_form_below_leading_exponents(pair, fresh_expansions):
+    """Single values and tables at n smaller than some cusp row's leading
+    exponent."""
+    for n in range(1, 14):
+        assert w_closed(pair, n) == w_oracle(*pair, n)
+        assert w_closed_table(pair, n) == [w_oracle(*pair, m)
+                                           for m in range(n + 1)]
 
 
 def test_precision_guard():

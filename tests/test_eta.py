@@ -1,12 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convsum import tables
-from convsum.eta import (EtaQuotient, check_ligozat, euler_product, expand,
+from convsum import eta, tables
+from convsum.eta import (EtaQuotient, _div_sparse, _expand_ints,
+                         _jacobi_cube_terms, _mul_sparse, _pentagonal_terms,
+                         check_ligozat, euler_product, expand,
                          repaired_table_rows, table_rows)
 from convsum.qseries import QSeries
-from conftest import literal_eta_expansion, literal_euler_product
+from conftest import (literal_eta_expansion, literal_euler_product,
+                      naive_div_sparse, naive_eta_expansion, naive_mul_sparse)
 
 
 def test_euler_product_examples():
@@ -32,6 +37,67 @@ def test_jacobi_cube():
         {k * (k + 1) // 2: (-1) ** k * (2 * k + 1)
          for k in range(0, 20) if k * (k + 1) // 2 <= limit})
     assert cube == expected
+    for delta in (1, 2, 7, 44):
+        assert QSeries.from_terms(
+            limit, dict(_jacobi_cube_terms(delta, limit))) \
+            == euler_product(delta, limit) ** 3
+
+
+TERM_LISTS = {"pentagonal": _pentagonal_terms, "jacobi": _jacobi_cube_terms}
+
+
+@st.composite
+def kernel_case(draw):
+    limit = draw(st.integers(1, 400))
+    dense = draw(st.lists(st.integers(-2 ** 40, 2 ** 40),
+                          min_size=limit + 1, max_size=limit + 1))
+    delta = draw(st.integers(1, 60))
+    terms = TERM_LISTS[draw(st.sampled_from(sorted(TERM_LISTS)))](delta, limit)
+    return dense, terms, limit
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_case())
+def test_sparse_kernels_match_naive(case):
+    """Slice kernels against the per-coefficient oracles, across block
+    sizes and on both sides of the short/long-lag split."""
+    dense, terms, limit = case
+    assert _mul_sparse(dense, terms, limit) == naive_mul_sparse(
+        dense, terms, limit)
+    assert _div_sparse(dense, terms, limit) == naive_div_sparse(
+        dense, terms, limit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_case())
+def test_sparse_division_inverts_multiplication(case):
+    dense, terms, limit = case
+    assert _div_sparse(_mul_sparse(dense, terms, limit), terms,
+                       limit) == dense
+
+
+def test_expand_ints_against_naive_order(fresh_expansions):
+    """Positive-first order with Jacobi cubes against one pentagonal step
+    per unit of exponent in divisor order, on every table row and the
+    repaired row."""
+    precision = 400
+    rows = set(table_rows(44) + table_rows(52) + repaired_table_rows())
+    assert len(rows) == 34
+    for row in rows:
+        assert _expand_ints(row, precision) == naive_eta_expansion(
+            row, precision)
+
+
+def test_expand_below_leading_exponent(fresh_expansions):
+    """A precision below the leading exponent gives precision + 1 zeros,
+    and the cache never holds more coefficients than its precision."""
+    row = repaired_table_rows()[tables.REPAIRED_ROW_INDEX_52 - 1]
+    for precision in (1, 3, 6):
+        assert expand(row, precision).coeffs == (0,) * (precision + 1)
+        cached_precision, cached = eta._EXPANSION_CACHE[row]
+        assert (cached_precision, len(cached)) == (precision, precision + 1)
+    assert expand(row, 7)[7] == 1
+    assert expand(row, 3).coeffs == (0,) * 4
 
 
 def test_quotient_construction():

@@ -83,3 +83,11 @@ def test_substitution_identities(b):
         assert quarter_left == w_oracle(4, b, n)
         assert quarter_right == w_oracle(1, 4 * b, n)
         assert both_quarters == (w_oracle(1, b, n // 4) if n % 4 == 0 else 0)
+
+
+@pytest.mark.parametrize("b", [11, 13])
+def test_closed_counts_at_small_n(b, fresh_expansions):
+    """Default providers at n below the cusp rows' leading exponents."""
+    for n in range(14):
+        query = RepQuery(1, b, n)
+        assert rep_count_closed(query) == rep_count_enumerate(query)
