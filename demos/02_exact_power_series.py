@@ -1,49 +1,51 @@
 #!/usr/bin/env python3
-"""The exact power-series engine: Fraction coefficients, no rounding ever.
+"""The exact power-series engine: integer coefficients, no rounding ever.
 
-Shows the ring operations, series inversion (partition numbers fall out),
-dilation, and the JSON form that round-trips arbitrarily large integers.
+Every series in the pipeline is integral, so a QSeries holds Python ints of
+any size.  Shows the ring operations, dilation q -> q^t, and an eta-quotient
+expansion (Ramanujan's tau function falls out of eta^24).
 """
 
 from fractions import Fraction
 
-from convsum import QSeries, euler_product
+from convsum import EtaQuotient, QSeries, expand, sigma_k, w_oracle
 
 P = 24
 
-s = QSeries(P, [1, -1])
-print("s =", s.coeffs[:4], "...")
-geo = s.invert()
-print("1/s is the geometric series:", [int(c) for c in geo.coeffs[:8]], "...")
-assert s * geo == QSeries.one(P)
+a = QSeries(P, [1, -1])
+b = QSeries(P, [1, 1])
+print("(1 - q)(1 + q) =", (a * b).coeffs[:4], "...")
+assert a * b == QSeries(P, [1, 0, -1])
 
 print()
-print("Euler function F(q) = prod (1 - q^n), pentagonal-sparse:")
-F = euler_product(1, P)
-print(" ", [int(c) for c in F.coeffs])
-
-print("1/F generates the partition numbers:")
-partitions = F.invert()
-print(" ", [int(c) for c in partitions.coeffs])
-assert [int(c) for c in partitions.coeffs[:10]] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
-
-print()
-print("F(q)^3 has the alternating odd-number expansion "
-      "(exponents k(k+1)/2):")
-cube = F ** 3
-nonzero = [(n, int(c)) for n, c in enumerate(cube.coeffs) if c]
-print(" ", nonzero)
+print("squaring sum sigma(n) q^n gives the convolution sums W(1,1)(n):")
+sig = QSeries(P, [0] + [sigma_k(1, n) for n in range(1, P + 1)])
+square = sig * sig
+print(" ", list(square.coeffs[:12]), "...")
+assert all(square[n] == w_oracle(1, 1, n) for n in range(P + 1))
 
 print()
 print("dilation substitutes q -> q^t and is a ring homomorphism:")
-a = QSeries(P, [1, 2, 3])
-b = QSeries(P, [0, 1, Fraction(1, 2)])
-assert (a * b).dilate(3) == a.dilate(3) * b.dilate(3)
-print("  (a*b)(q^3) == a(q^3) * b(q^3)  ok")
+c = QSeries(P, [1, 2, 3])
+d = QSeries(P, [0, 1, -5])
+assert (c * d).dilate(3) == c.dilate(3) * d.dilate(3)
+print("  c(q^3) =", c.dilate(3).coeffs[:8], "...")
+print("  (c*d)(q^3) == c(q^3) * d(q^3)  ok")
 
 print()
-big = Fraction(10 ** 40 + 9, 7)
-series = QSeries(2, [1, big, 3])
-text = series.to_json()
-print("JSON round-trip with a 41-digit numerator:",
-      QSeries.from_json(text) == series)
+print("eta(z)^24 = q prod (1 - q^n)^24 expands to Ramanujan's tau(n):")
+delta = expand(EtaQuotient.of(1, {1: 24}), P)
+tau = delta.coeffs
+print(" ", list(tau[:11]), "...")
+assert tau[1:7] == (1, -24, 252, -1472, 4830, -6048)
+assert tau[6] == tau[2] * tau[3]  # multiplicative at coprime arguments
+print("  tau(6) = tau(2) tau(3):", tau[6] == tau[2] * tau[3])
+print("  eta(2z)^24 is its dilation:",
+      expand(EtaQuotient.of(2, {2: 24}), P) == delta.dilate(2))
+
+print()
+print("coefficients must be integers; a rational one is refused:")
+try:
+    QSeries(2, [1, Fraction(1, 2)])
+except TypeError as exc:
+    print("  TypeError:", exc)

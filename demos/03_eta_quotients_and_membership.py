@@ -15,7 +15,7 @@ print("level-44 rows and their expansions (first 8 coefficients):")
 for i, row in enumerate(table_rows(44)[:4], 1):
     series = expand(row, 12)
     print(f"  row {i}: {row.as_row()} ->",
-          [int(c) for c in series.coeffs[:9]], "...")
+          list(series.coeffs[:9]), "...")
 print()
 
 print("the second row is the fourth-power quotient at arguments z and 11z;")

@@ -1,22 +1,21 @@
 """Exact evaluation of divisor-function convolution sums.
 
-The library reconstructs, from first principles and in exact rational
-arithmetic, the closed forms for the convolution sums of the pairs
+The library reconstructs, from first principles and in exact integer and
+rational arithmetic, the closed forms for the convolution sums of the pairs
 (1,44), (4,11), (1,52), (4,13) and the representation counts of the
 octonary forms with coefficient pairs (1,11) and (1,13).  Every closed
 form is checked against an independent brute-force oracle.
 """
 
-from .arith import (DivisorProfile, dim_spaces, divisors, euler_phi, genus,
-                    sigma, sigma3, sigma_k, sigma_k_frac)
+from .arith import dim_spaces, divisors, euler_phi, genus, sigma_k, sigma_k_frac
 from .convolution import (EVALUATED_PAIRS, ConvolutionFormula,
                           IntegralityError, closed_form,
                           formula_from_solution, reported_closed_form,
                           w_closed, w_closed_table, w_oracle, w_series_oracle)
 from .eisenstein import EisensteinPair, lhs_square, rhs_identity, series_L, series_M
-from .eta import (EtaQuotient, LigozatReport, check_ligozat, euler_product,
-                  expand, repaired_table_rows, table_rows)
-from .qseries import QSeries, Rational
+from .eta import (EtaQuotient, LigozatReport, check_ligozat, expand,
+                  repaired_table_rows, table_rows)
+from .qseries import QSeries
 from .representations import (CLOSED_FORM_PAIRS, RepQuery, default_w_provider,
                               r4_enumerate, r4_jacobi, rep_count_closed,
                               rep_count_enumerate)
@@ -29,16 +28,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisError", "CLOSED_FORM_PAIRS", "CoefficientSolution",
-    "ConvolutionFormula", "DerivationError", "DivisorProfile",
-    "EVALUATED_PAIRS", "EisensteinPair", "EtaQuotient",
-    "InconsistentSystemError", "IndependenceCertificate", "IntegralityError",
-    "LigozatReport", "QSeries", "Rational", "RepQuery", "SingularSystemError",
-    "SpaceBasis", "build_basis", "check_ligozat", "closed_form",
-    "default_w_provider", "derive_coefficients", "dim_spaces", "divisors",
-    "euler_phi", "euler_product", "expand", "formula_from_solution", "genus",
-    "lhs_square", "r4_enumerate", "r4_jacobi", "rep_count_closed",
-    "rep_count_enumerate", "repaired_basis", "repaired_table_rows",
-    "reported_closed_form", "rhs_identity", "series_L", "series_M", "sigma",
-    "sigma3", "sigma_k", "sigma_k_frac", "table_rows", "verify_independence",
-    "w_closed", "w_closed_table", "w_oracle", "w_series_oracle",
+    "ConvolutionFormula", "DerivationError", "EVALUATED_PAIRS",
+    "EisensteinPair", "EtaQuotient", "InconsistentSystemError",
+    "IndependenceCertificate", "IntegralityError", "LigozatReport", "QSeries",
+    "RepQuery", "SingularSystemError", "SpaceBasis", "build_basis",
+    "check_ligozat", "closed_form", "default_w_provider",
+    "derive_coefficients", "dim_spaces", "divisors", "euler_phi", "expand",
+    "formula_from_solution", "genus", "lhs_square", "r4_enumerate",
+    "r4_jacobi", "rep_count_closed", "rep_count_enumerate", "repaired_basis",
+    "repaired_table_rows", "reported_closed_form", "rhs_identity", "series_L",
+    "series_M", "sigma_k", "sigma_k_frac", "table_rows",
+    "verify_independence", "w_closed", "w_closed_table", "w_oracle",
+    "w_series_oracle",
 ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -21,24 +20,6 @@ def divisors(n: int) -> tuple[int, ...]:
             if d * d != n:
                 large.append(n // d)
     return tuple(small + large[::-1])
-
-
-@dataclass(frozen=True)
-class DivisorProfile:
-    """A positive integer with its ascending divisor list."""
-
-    n: int
-    divisors: tuple[int, ...]
-
-    @classmethod
-    def of(cls, n: int) -> DivisorProfile:
-        return cls(n, divisors(n))
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if tuple(self.divisors) != divisors(self.n):
-            raise ValueError(f"invalid divisor list for {self.n}")
 
 
 @lru_cache(maxsize=None)
@@ -82,14 +63,6 @@ def sigma_k_frac(k: int, n: int, delta: int) -> int:
     if delta < 1:
         raise ValueError(f"sigma_k_frac: need delta >= 1, got {delta}")
     return sigma_k(k, n // delta) if n % delta == 0 else 0
-
-
-def sigma(m: int) -> int:
-    return sigma_k(1, m)
-
-
-def sigma3(m: int) -> int:
-    return sigma_k(3, m)
 
 
 def euler_phi(n: int) -> int:

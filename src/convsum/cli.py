@@ -18,7 +18,7 @@ from fractions import Fraction
 import click
 
 from . import convolution, eta, representations, spaces, tables
-from .arith import dim_spaces, divisors
+from .arith import dim_spaces, divisors, sigma_k, sigma_k_frac
 from .eisenstein import EisensteinPair, lhs_square, rhs_identity
 
 DEFAULT_PRECISION = 1000
@@ -76,9 +76,9 @@ def eval_w(cfg, alpha, beta, n, method):
     """Print the convolution sum of (alpha, beta) at n."""
     if n < 0:
         raise click.UsageError("n must be non-negative")
+    cfg.check_max_n(n)
     try:
         if method == "closed":
-            cfg.check_max_n(n)
             if (alpha, beta) not in convolution.EVALUATED_PAIRS:
                 raise click.UsageError(
                     f"closed form unavailable for ({alpha}, {beta}); "
@@ -104,16 +104,17 @@ def table_w(cfg, alpha, beta, max_n, method, fmt):
     """Tabulate convolution sums for n = 0..max-n."""
     if max_n < 0:
         raise click.UsageError("max-n must be non-negative")
+    cfg.check_max_n(max_n)
     try:
         if method == "closed":
-            cfg.check_max_n(max_n)
             if (alpha, beta) not in convolution.EVALUATED_PAIRS:
                 raise click.UsageError(
                     f"closed form unavailable for ({alpha}, {beta})")
             values = convolution.w_closed_table((alpha, beta), max_n)
         else:
-            values = [convolution.w_oracle(alpha, beta, n)
-                      for n in range(max_n + 1)]
+            # the series oracle needs precision >= 1; cut back for max-n 0
+            values = convolution.w_series_oracle(
+                alpha, beta, max(max_n, 1))[:max_n + 1]
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if fmt == "csv":
@@ -139,10 +140,10 @@ def table_w(cfg, alpha, beta, max_n, method, fmt):
 @click.pass_obj
 def rep_count(cfg, a, b, n, method):
     """Print the octonary representation count for (a, b) at n."""
+    cfg.check_max_n(n)
     try:
         query = representations.RepQuery(a, b, n)
         if method == "closed":
-            cfg.check_max_n(n)
             if (a, b) not in representations.CLOSED_FORM_PAIRS:
                 raise click.UsageError(
                     f"closed form unavailable for ({a}, {b}); "
@@ -435,7 +436,6 @@ def verify_reps(cfg, max_n, substitution_max_n):
                       f"{closed} vs {enum}")
         click.echo(f"octonary counts ({a},{b}): closed equals enumeration "
                    f"for n <= {max_n}")
-    from .arith import sigma_k, sigma_k_frac
     for b in (11, 13):
         for n in range(1, substitution_max_n + 1):
             lhs4 = sum(sigma_k_frac(1, l, 4) * sigma_k(1, (n - l) // b)

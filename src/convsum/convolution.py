@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from operator import add, attrgetter, mod, mul
+from operator import add, mod, mul
 
 from . import eta, tables
-from .arith import sigma_k, sigma_k_frac, sigma_table
+from .arith import divisors, sigma_k, sigma_k_frac, sigma_table
 from .eisenstein import EisensteinPair
 from .qseries import QSeries
 from .spaces import CoefficientSolution
@@ -73,10 +73,6 @@ class ConvolutionFormula:
     cusp_rows: tuple[eta.EtaQuotient, ...]
 
     @property
-    def sigma3_map(self) -> dict[int, Fraction]:
-        return dict(self.sigma3_terms)
-
-    @property
     def weights(self) -> tuple[Fraction, ...]:
         """Every rational weight of the formula."""
         return (tuple(c for _, c in self.sigma3_terms)
@@ -102,65 +98,57 @@ class ConvolutionFormula:
         return total
 
 
-def _cusp_rows_for(pair: tuple[int, int]) -> tuple[eta.EtaQuotient, ...]:
-    level = pair[0] * pair[1]
-    if level == 52:
-        return eta.repaired_table_rows()
-    return eta.table_rows(level)
+def _formula(pair: tuple[int, int], sigma3_coeffs, cusp_weights,
+             cusp_rows: tuple[eta.EtaQuotient, ...]) -> ConvolutionFormula:
+    """Rearrange the expansion of the squared Eisenstein combination of a
+    pair, given by its sigma_3 coefficients 240 * X_delta over the ascending
+    divisors of the level and its cusp weights Y_j, into the closed form for
+    the convolution sum of the pair."""
+    a, b = pair
+    denom = 1152 * a * b
+    # solving eisenstein.rhs_identity for W: its sigma_3 terms
+    # 240 a^2 sigma_3(n/a) + 240 b^2 sigma_3(n/b) less the expansion's,
+    # over 1152 a b
+    own = {a: 240 * a * a, b: 240 * b * b}
+    s3 = tuple((d, (own.get(d, 0) - c) / denom)
+               for d, c in zip(divisors(a * b), sigma3_coeffs))
+    lin = ((a, Fraction(1, 24), Fraction(-1, 4 * b)),
+           (b, Fraction(1, 24), Fraction(-1, 4 * a)))
+    return ConvolutionFormula(
+        pair=EisensteinPair(a, b),
+        sigma3_terms=s3,
+        sigma1_terms=lin,
+        cusp_terms=tuple(-y / denom for y in cusp_weights),
+        cusp_rows=cusp_rows,
+    )
 
 
 def closed_form(pair: tuple[int, int]) -> ConvolutionFormula:
-    """The canonical exact closed form for one of the four covered pairs."""
+    """The canonical exact closed form for one of the four covered pairs,
+    over the printed rows at level 44 and the repaired rows at level 52."""
     pair = tuple(pair)
-    if pair not in tables.CLOSED_FORMS:
+    if pair not in tables.EXPANSION_COEFFS:
         raise ValueError(f"closed form unavailable for {pair}")
-    s3, lin, cusp = tables.CLOSED_FORMS[pair]
-    return ConvolutionFormula(
-        pair=EisensteinPair(*pair),
-        sigma3_terms=tuple(sorted(s3.items())),
-        sigma1_terms=lin,
-        cusp_terms=cusp,
-        cusp_rows=_cusp_rows_for(pair),
-    )
+    level = pair[0] * pair[1]
+    rows = eta.repaired_table_rows() if level == 52 else eta.table_rows(level)
+    return _formula(pair, *tables.EXPANSION_COEFFS[pair], rows)
 
 
 def reported_closed_form(pair: tuple[int, int]) -> ConvolutionFormula:
-    """The previously reported variant, over the printed rows; retained for
-    comparison (the level-52 variants do not evaluate correctly)."""
+    """The closed form of the previously reported expansion, over the
+    printed rows; retained for comparison (the level-52 variants do not
+    evaluate correctly)."""
     pair = tuple(pair)
-    s3, lin, cusp = tables.REPORTED_CLOSED_FORMS[pair]
-    return ConvolutionFormula(
-        pair=EisensteinPair(*pair),
-        sigma3_terms=tuple(sorted(s3.items())),
-        sigma1_terms=lin,
-        cusp_terms=cusp,
-        cusp_rows=eta.table_rows(pair[0] * pair[1]),
-    )
+    return _formula(pair, *tables.REPORTED_EXPANSION_COEFFS[pair],
+                    eta.table_rows(pair[0] * pair[1]))
 
 
 def formula_from_solution(solution: CoefficientSolution) -> ConvolutionFormula:
-    """Rearrange an expansion of the squared Eisenstein combination into the
-    closed form for the convolution sum of its pair."""
-    a, b = solution.pair.alpha, solution.pair.beta
-    denom = 1152 * a * b
-    s3 = {}
-    for d, x in solution.eisenstein_weights.items():
-        c = -240 * x
-        if d == a:
-            c += 240 * a * a
-        if d == b:
-            c += 240 * b * b
-        s3[d] = c / denom
-    lin = ((a, Fraction(1, 24), Fraction(-1, 4 * b)),
-           (b, Fraction(1, 24), Fraction(-1, 4 * a)))
-    cusp = tuple(-y / denom for y in solution.cusp_weights)
-    return ConvolutionFormula(
-        pair=solution.pair,
-        sigma3_terms=tuple(sorted(s3.items())),
-        sigma1_terms=lin,
-        cusp_terms=cusp,
-        cusp_rows=solution.cusp_rows,
-    )
+    """The closed form for the convolution sum of a solved pair."""
+    s3 = solution.sigma3_presentation()
+    return _formula((solution.pair.alpha, solution.pair.beta),
+                    [s3[d] for d in sorted(s3)], solution.cusp_weights,
+                    solution.cusp_rows)
 
 
 def cusp_values(formula: ConvolutionFormula, precision: int) -> tuple[QSeries, ...]:
@@ -221,8 +209,7 @@ def w_closed_table(pair: tuple[int, int], max_n: int,
         acc[d::d] = map(add, acc[d::d], [(a0 + a1 * m) * s1[m]
                                          for m in range(1, max_n // d + 1)])
     for c, series in zip(formula.cusp_terms, cusp):
-        acc = list(map(add, acc, map(mul, map(attrgetter("numerator"),
-                                               series.coeffs),
+        acc = list(map(add, acc, map(mul, series.coeffs,
                                       repeat(int(c * den)))))
     acc[0] = 0
     if any(map(mod, acc, repeat(den))) or min(acc) < 0:

@@ -4,8 +4,8 @@ An eta quotient at level N is a finite product over the divisors of N of
 integer powers of the eta function evaluated at multiples of the argument.
 After substituting the nome it expands as ``q^e`` times a product of Euler
 functions ``F(q^delta) = prod (1 - q^{delta n})``, where 24e is the
-exponent-weighted divisor sum.  Negative powers go through series inversion,
-which is well defined because F has constant term 1.
+exponent-weighted divisor sum.  Negative powers divide by F, which is well
+defined because F has constant term 1.
 """
 
 from __future__ import annotations
@@ -208,14 +208,6 @@ def _div_sparse(dense: list[int], terms, limit: int) -> list[int]:
                     acc -= c * out[i - e]
                 out[i] = acc
     return out
-
-
-def euler_product(delta: int, precision: int) -> QSeries:
-    """F(q^delta) truncated at the precision."""
-    if delta < 1:
-        raise ValueError(f"delta must be >= 1, got {delta}")
-    return QSeries.from_terms(
-        precision, dict(_pentagonal_terms(delta, precision)))
 
 
 # best-precision integer expansion per quotient; truncated views are served

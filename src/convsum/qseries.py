@@ -1,74 +1,44 @@
-"""Truncated formal power series over exact rationals.
+"""Truncated formal power series with exact integer coefficients.
 
 A :class:`QSeries` holds the coefficients of ``sum c(n) q^n`` for
-``0 <= n <= precision``.  All arithmetic is exact: coefficients are
-:class:`fractions.Fraction` values and an operation never reports a
-coefficient beyond the smaller operand precision, so every coefficient
-returned is the true one.
+``0 <= n <= precision``.  Every series the library builds is integral (eta
+quotients, the Eisenstein series L and M, products and dilations of them),
+so coefficients are Python ints; rationals appear only inside the linear
+solve of :mod:`convsum.spaces`.  An operation never reports a coefficient
+beyond the smaller operand precision, so every coefficient returned is the
+true one.
 """
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
-from math import lcm
-from typing import Iterable, Mapping
-
-Rational = Fraction
-
-
-def _integerize(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Common-denominator form (numerators, denominator) of a coefficient list."""
-    den = 1
-    for c in coeffs:
-        if c.denominator != 1:
-            den = lcm(den, c.denominator)
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+from itertools import repeat
+from operator import add, index, mul
+from typing import Iterable
 
 
 class QSeries:
-    """Immutable truncated power series with Fraction coefficients."""
+    """Immutable truncated power series with int coefficients."""
 
     __slots__ = ("precision", "coeffs")
 
-    def __init__(self, precision: int, coeffs: Iterable = ()):
+    def __init__(self, precision: int, coeffs: Iterable[int] = ()):
         if precision < 1:
             raise ValueError(f"precision must be >= 1, got {precision}")
-        cs = [Fraction(c) for c in coeffs]
+        # operator.index rejects Fraction and float coefficients outright
+        cs = list(map(index, coeffs))
         if len(cs) > precision + 1:
             raise ValueError(
                 f"{len(cs)} coefficients exceed precision {precision}")
-        cs.extend([Fraction(0)] * (precision + 1 - len(cs)))
+        cs.extend([0] * (precision + 1 - len(cs)))
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, precision: int) -> QSeries:
-        return cls(precision)
-
-    @classmethod
-    def one(cls, precision: int) -> QSeries:
-        return cls(precision, (1,))
-
-    @classmethod
-    def from_terms(cls, precision: int, terms: Mapping[int, object]) -> QSeries:
-        coeffs = [Fraction(0)] * (precision + 1)
-        for n, c in terms.items():
-            if not 0 <= n <= precision:
-                raise ValueError(f"exponent {n} outside [0, {precision}]")
-            coeffs[n] = Fraction(c)
-        return cls(precision, coeffs)
-
     # -- basic protocol ----------------------------------------------------
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.precision:
             raise IndexError(f"coefficient index {n} outside [0, {self.precision}]")
         return self.coeffs[n]
@@ -86,16 +56,6 @@ class QSeries:
         tail = ", ..." if self.precision > 5 else ""
         return f"QSeries(P={self.precision}, [{head}{tail}])"
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def order(self) -> int | None:
-        """Index of the first nonzero coefficient, or None for the zero series."""
-        for n, c in enumerate(self.coeffs):
-            if c:
-                return n
-        return None
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: QSeries) -> QSeries:
@@ -108,108 +68,25 @@ class QSeries:
         return QSeries(p, [a - b for a, b in
                            zip(self.coeffs[:p + 1], other.coeffs[:p + 1])])
 
-    def __neg__(self) -> QSeries:
-        return QSeries(self.precision, [-c for c in self.coeffs])
-
-    def scale(self, c) -> QSeries:
-        c = Fraction(c)
+    def scale(self, c: int) -> QSeries:
         return QSeries(self.precision, [c * x for x in self.coeffs])
 
     def __mul__(self, other: QSeries) -> QSeries:
         p = min(self.precision, other.precision)
-        a, da = _integerize(self.coeffs[:p + 1])
-        b, db = _integerize(other.coeffs[:p + 1])
+        a, b = self.coeffs[:p + 1], other.coeffs[:p + 1]
         # iterate over the sparser operand in the outer loop
         if sum(1 for x in a if x) > sum(1 for x in b if x):
             a, b = b, a
         out = [0] * (p + 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b[:p + 1 - i]):
-                    if bj:
-                        out[i + j] += ai * bj
-        den = da * db
-        if den == 1:
-            return QSeries(p, out)
-        return QSeries(p, [Fraction(v, den) for v in out])
-
-    def invert(self) -> QSeries:
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError(
-                "series with zero constant term is not invertible")
-        p = self.precision
-        if c0 in (1, -1) and all(c.denominator == 1 for c in self.coeffs):
-            # integer recurrence: inverse coefficients stay integral
-            a = [c.numerator for c in self.coeffs]
-            s = a[0]
-            inv = [s] + [0] * p
-            for n in range(1, p + 1):
-                acc = 0
-                for k in range(1, n + 1):
-                    if a[k]:
-                        acc += a[k] * inv[n - k]
-                inv[n] = -s * acc
-            return QSeries(p, inv)
-        inv = [1 / c0] + [Fraction(0)] * p
-        for n in range(1, p + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    acc += self.coeffs[k] * inv[n - k]
-            inv[n] = -acc / c0
-        return QSeries(p, inv)
+                out[i:] = map(add, out[i:], map(mul, b, repeat(ai)))
+        return QSeries(p, out)
 
     def dilate(self, t: int) -> QSeries:
         """Substitute q -> q^t, keeping the precision."""
         if t < 1:
             raise ValueError(f"dilation factor must be >= 1, got {t}")
-        out = [Fraction(0)] * (self.precision + 1)
-        for n, c in enumerate(self.coeffs):
-            if c:
-                if n * t > self.precision:
-                    break
-                out[n * t] = c
+        out = [0] * (self.precision + 1)
+        out[::t] = self.coeffs[:self.precision // t + 1]
         return QSeries(self.precision, out)
-
-    def __pow__(self, e: int) -> QSeries:
-        if e == 0:
-            return QSeries.one(self.precision)
-        base = self.invert() if e < 0 else self
-        e = abs(e)
-        result = None
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def truncate(self, precision: int) -> QSeries:
-        if precision > self.precision:
-            raise ValueError(
-                f"cannot extend precision {self.precision} to {precision}")
-        return QSeries(precision, self.coeffs[:precision + 1])
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "coeffs": [[str(c.numerator), str(c.denominator)]
-                       for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> QSeries:
-        coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
-        return cls(data["precision"], coeffs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> QSeries:
-        return cls.from_json_dict(json.loads(text))

@@ -130,7 +130,7 @@ def verify_independence(basis: SpaceBasis) -> IndependenceCertificate:
     dim_s = len(basis.cusp_part)
     if basis.precision < dim_s:
         raise ValueError("precision below cusp dimension")
-    mat = [[int(s[n]) for n in range(1, dim_s + 1)] for s in basis.cusp_part]
+    mat = [list(s.coeffs[1:dim_s + 1]) for s in basis.cusp_part]
     det = _det_bareiss(mat)
     if det == 0:
         raise BasisError(
@@ -194,15 +194,17 @@ def derive_coefficients(pair: EisensteinPair, basis: SpaceBasis,
     lhs = lhs_square(pair, precision)
 
     def row(n: int) -> tuple[list[Fraction], Fraction]:
+        # the series are integral; Fraction entries keep the elimination
+        # exact, where int / int would silently give a float
         if n == 0:
             # constant terms: each Eisenstein series contributes 1, cusp
             # expansions nothing; for the squared combination the right side
             # is (alpha - beta)^2
             return ([Fraction(1)] * n_eis + [Fraction(0)] * (m - n_eis),
-                    lhs[0])
+                    Fraction(lhs[0]))
         r = [Fraction(240 * sigma_k_frac(3, n, d)) for d in basis.divisors]
-        r.extend(s[n] for s in basis.cusp_part)
-        return r, lhs[n]
+        r.extend(Fraction(s[n]) for s in basis.cusp_part)
+        return r, Fraction(lhs[n])
 
     pivots: list[tuple[int, list[Fraction], Fraction]] = []
     used: list[int] = []

@@ -8,16 +8,18 @@ Three kinds of data live here:
   minors, the one admissible replacement row that makes the level-52 set
   span the full space);
 
-* canonical coefficient data (``EXPANSION_COEFFS``, ``CLOSED_FORMS``):
-  the unique exact solutions derived by this library and cross-verified
-  against brute-force convolution sums, frozen as regression values;
+* canonical expansion coefficients (``EXPANSION_COEFFS``): the unique
+  exact solutions derived by this library and cross-verified against
+  brute-force convolution sums, frozen as regression values; the closed
+  forms for the convolution sums follow from them by a fixed rearrangement
+  (``convolution.closed_form``);
 
 * previously reported variants of the same coefficient lists
-  (``REPORTED_EXPANSION_COEFFS``, ``REPORTED_CLOSED_FORMS``), retained for
-  comparison.  The entries on which they disagree with the exact derivation
-  are recorded in ``REPORTED_DIVERGENCES``; the level-52 reported lists are
-  inconsistent as a whole (their sigma3 coefficients violate the forced
-  constant-term constraint), which the test suite demonstrates.
+  (``REPORTED_EXPANSION_COEFFS``), retained for comparison.  The entries
+  on which they disagree with the exact derivation are recorded in
+  ``REPORTED_DIVERGENCES``; the level-52 reported lists are inconsistent as
+  a whole (their sigma3 coefficients violate the forced constant-term
+  constraint), which the test suite demonstrates.
 """
 
 from __future__ import annotations
@@ -162,64 +164,6 @@ EXPANSION_COEFFS = {
 }
 
 # ---------------------------------------------------------------------------
-# canonical closed-form coefficients
-#
-# For each pair: (sigma3 weights per divisor, linear sigma terms
-# (delta, c0, c1) encoding (c0 + c1*n) * sigma(n/delta), cusp weights in
-# basis order).  These follow from EXPANSION_COEFFS by the weight-4 identity
-# rearrangement and evaluate to the exact convolution sums; the test suite
-# re-derives them and checks them against brute force for every n <= 1000.
-
-def _closed(s3, lin, cusp):
-    return (
-        {d: Fraction(c) for d, c in s3.items()},
-        tuple((d, Fraction(c0), Fraction(c1)) for d, c0, c1 in lin),
-        _fr(cusp),
-    )
-
-
-CLOSED_FORMS = {
-    (1, 44): _closed(
-        {1: "-13/366", 2: "12693/46360", 4: "-1361/5795", 11: "55/976",
-         22: "-19591/92720", 44: "9878/17385"},
-        ((1, "1/24", "-1/176"), (44, "1/24", "-1/4")),
-        ("-5/10736", "35993/127490", "3081061/1019920", "66147/11590",
-         "1217017/127490", "-3258143/254980", "527/38", "-917233/63745",
-         "25/38", "20807/2318", "-303/38", "601/190", "2586/95", "-69/209",
-         "497/190"),
-    ),
-    (4, 11): _closed(
-        {1: "35/976", 2: "-25291/92720", 4: "4178/17385", 11: "-11/732",
-         22: "15543/46360", 44: "539/5795"},
-        ((4, "1/24", "-1/44"), (11, "1/24", "-1/16")),
-        ("-35/976", "-75893/127490", "-4060511/1019920", "-917617/127490",
-         "-1313157/127490", "3047813/254980", "-527/38", "790313/63745",
-         "-25/38", "-288157/25498", "303/38", "-601/190", "-2586/95",
-         "69/209", "-497/190"),
-    ),
-    (1, 52): _closed(
-        {1: "1/8160", 2: "16103/1117920", 4: "-61/274", 13: "169/8160",
-         26: "53767/1117920", 52: "457/822"},
-        ((1, "1/24", "-1/208"), (52, "1/24", "-1/4")),
-        ("-3923/106080", "-288101/19377280", "-1781189/7266480",
-         "254993/1117920", "-39873/372640", "3903/4384", "297/274",
-         "-1219/274", "-1/8", "-20508023/1117920", "12749/3288",
-         "-611747/139740", "-4523/3288", "-27461/1096", "-2592191/19377280",
-         "-902441/1117920", "2617/69870", "19/274"),
-    ),
-    (4, 13): _closed(
-        {1: "1/8160", 2: "463/1117920", 4: "1/822", 13: "169/8160",
-         26: "69407/1117920", 52: "91/274"},
-        ((4, "1/24", "-1/52"), (13, "1/24", "-1/16")),
-        ("-1/8160", "299589/19377280", "431021/7266480", "1198579/14532960",
-         "1064861/4844320", "4237/56992", "199/3562", "-957/3562", "1/8",
-         "-844633/1117920", "29143/42744", "-24397/139740", "10079/42744",
-         "-91/1096", "-331361/19377280", "-88603/14532960", "917/69870",
-         "81/3562"),
-    ),
-}
-
-# ---------------------------------------------------------------------------
 # previously reported coefficient lists, verbatim
 
 REPORTED_EXPANSION_COEFFS = {
@@ -258,48 +202,6 @@ REPORTED_EXPANSION_COEFFS = {
              "-7488", "151016538432/147917", "-27456", "-8224832431680/6064597",
              "-17472", "-544896/41", "-11115614088/551327",
              "2056953609600/6064597", "-64745693328/6064597", "-2304/41")),
-    ),
-}
-
-REPORTED_CLOSED_FORMS = {
-    (1, 44): _closed(
-        {1: "-13/366", 2: "501443/1784860", 4: "-1361/5795", 11: "55/976",
-         22: "-19591/92720", 44: "9878/17385"},
-        ((1, "1/24", "-1/176"), (44, "1/24", "-1/4")),
-        ("-5/10736", "35993/127490", "3081061/1019920", "66147/11590",
-         "1217017/127490", "-3258143/254980", "527/38", "-917233/63745",
-         "25/38", "20807/2318", "-303/38", "601/190", "2586/95", "-69/209",
-         "497/190"),
-    ),
-    (4, 11): _closed(
-        {1: "35/976", 2: "-25291/92720", 4: "4178/17385", 11: "-11/732",
-         22: "15543/46360", 44: "539/5795"},
-        ((4, "1/24", "-1/44"), (11, "1/24", "-1/16")),
-        ("-35/976", "-75893/127490", "-4060511/1019920", "-917617/127490",
-         "-1313157/127490", "3047813/254980", "-1051/76", "790313/63745",
-         "-25/38", "-288157/25498", "303/38", "-601/190", "-2586/95",
-         "69/209", "-497/190"),
-    ),
-    (1, 52): _closed(
-        {1: "-97/1243", 2: "731577059/582201312", 4: "-17/164",
-         13: "5899/59664", 26: "7739629531/582201312", 52: "-81757/492"},
-        ((1, "1/24", "-1/208"), (52, "1/24", "-1/4")),
-        ("31939/775632", "-6918849709/5045744704", "-19319313973/7568617056",
-         "236419605/194067104", "4556844909/194067104", "1357064601/48516776",
-         "5549341/39776", "-139/328", "-1/8", "-65925667/1775004", "-11/24",
-         "2036496863/48516776", "-7/24", "-3139/164", "349537693/458704064",
-         "-556494635/48516776", "67534735/194067104", "-29/82"),
-    ),
-    (4, 13): _closed(
-        {1: "-31939/775632", 2: "5001275639/7568617056", 4: "47/6396",
-         13: "24049/387816", 26: "1123375663/7568617056", 52: "-17613/2132"},
-        ((4, "1/24", "-1/52"), (13, "1/24", "-1/16")),
-        ("31939/775632", "-2954664165/5045744704", "-5246851063/7568617056",
-         "8345021621/7568617056", "35780970975/2522872352",
-         "4695094021/315359044", "38120523/517088", "-261/4264", "1/8",
-         "-786544471/46150104", "11/24", "42837668915/1892154264", "7/24",
-         "473/2132", "154383529/458704064", "-5356650025/946077132",
-         "1348868611/7568617056", "1/1066"),
     ),
 }
 

@@ -15,7 +15,8 @@ import pytest
 from convsum import eta
 
 
-def _mul_lists(a, b, precision):
+def mul_lists(a, b, precision):
+    """Product of two coefficient lists, truncated at the precision."""
     out = [Fraction(0)] * (precision + 1)
     for i, ai in enumerate(a):
         if ai:
@@ -33,7 +34,7 @@ def literal_euler_product(delta, precision):
         binom = [Fraction(0)] * (precision + 1)
         binom[0] = Fraction(1)
         binom[delta * n] = Fraction(-1)
-        factor = _mul_lists(factor, binom, precision)
+        factor = mul_lists(factor, binom, precision)
     return factor
 
 
@@ -57,7 +58,7 @@ def literal_eta_expansion(level, exponents, precision):
         if r < 0:
             factor = invert(factor)
         for _ in range(abs(r)):
-            result = _mul_lists(result, factor, precision)
+            result = mul_lists(result, factor, precision)
     shift = sum(d * r for d, r in exponents.items()) // 24
     shifted = [Fraction(0)] * (precision + 1)
     for i in range(precision + 1 - shift):

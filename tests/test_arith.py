@@ -3,8 +3,8 @@ from math import gcd
 
 import pytest
 
-from convsum.arith import (DivisorProfile, dim_spaces, divisors, euler_phi,
-                           genus, sigma_k, sigma_k_frac, sigma_table)
+from convsum.arith import (dim_spaces, divisors, euler_phi, genus, sigma_k,
+                           sigma_k_frac, sigma_table)
 from conftest import sigma_by_full_scan, sigma1_sieve
 
 
@@ -14,15 +14,6 @@ def test_divisors_structure():
         assert ds[0] == 1 and ds[-1] == n
         assert all(n % d == 0 for d in ds)
         assert list(ds) == sorted(ds)
-
-
-def test_divisor_profile_validation():
-    prof = DivisorProfile.of(44)
-    assert prof.divisors == (1, 2, 4, 11, 22, 44)
-    with pytest.raises(ValueError):
-        DivisorProfile(6, (1, 2, 6))  # missing 3
-    with pytest.raises(ValueError):
-        DivisorProfile(6, (1, 3, 2, 6))  # not ascending
 
 
 def test_sigma_examples():

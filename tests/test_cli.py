@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from convsum import tables
 from convsum.cli import main
+from convsum.convolution import w_oracle
 
 
 @pytest.fixture()
@@ -44,6 +45,33 @@ def test_precision_env_guard(runner):
                     "--n", "45", env={"CONVSUM_PRECISION": "10"})
     assert result.exit_code == 2
     assert "exceeds the configured precision" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ("eval-w", "--alpha", "1", "--beta", "44", "--n", "51",
+     "--method", "oracle"),
+    ("table-w", "--alpha", "1", "--beta", "44", "--max-n", "51",
+     "--method", "oracle"),
+    ("rep-count", "--a", "1", "--b", "11", "--n", "51", "--method", "oracle"),
+])
+def test_oracle_paths_respect_precision(runner, args):
+    result = invoke(runner, "--precision", "50", *args)
+    assert result.exit_code == 2
+    assert "exceeds the configured precision" in result.output
+
+
+def test_table_w_oracle(runner):
+    result = invoke(runner, "table-w", "--alpha", "3", "--beta", "7",
+                    "--max-n", "40")
+    rows = list(csv.reader(io.StringIO(result.output)))[1:]
+    assert rows == [[str(n), str(w_oracle(3, 7, n)), "oracle"]
+                    for n in range(41)]
+    empty = invoke(runner, "table-w", "--alpha", "1", "--beta", "44",
+                   "--max-n", "0")
+    assert empty.output == "n,value,method\n0,0,oracle\n"
+    bad = invoke(runner, "table-w", "--alpha", "0", "--beta", "44",
+                 "--max-n", "0")
+    assert bad.exit_code == 2
 
 
 def test_table_w_csv(runner):

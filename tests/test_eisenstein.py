@@ -33,12 +33,15 @@ def test_series_M_coefficients():
     assert m[1] == 240
     assert m[2] == 2160  # sigma_3(2) = 9
     assert all(m[n] == 240 * sigma_k(3, n) for n in range(1, 11))
+    assert all(type(c) is int for c in m.coeffs)
 
 
 @pytest.mark.parametrize("pair,constant", [
     ((1, 44), 1849), ((4, 11), 49), ((1, 52), 2601), ((4, 13), 81)])
 def test_lhs_constants(pair, constant):
-    assert lhs_square(EisensteinPair(*pair), 8)[0] == constant
+    square = lhs_square(EisensteinPair(*pair), 8)
+    assert square[0] == constant
+    assert all(type(c) is int for c in square.coeffs)
 
 
 def test_rhs_first_coefficient():

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,40 +5,61 @@ from hypothesis import strategies as st
 from convsum import eta, tables
 from convsum.eta import (EtaQuotient, _div_sparse, _expand_ints,
                          _jacobi_cube_terms, _mul_sparse, _pentagonal_terms,
-                         check_ligozat, euler_product, expand,
-                         repaired_table_rows, table_rows)
+                         check_ligozat, expand, repaired_table_rows,
+                         table_rows)
 from convsum.qseries import QSeries
 from conftest import (literal_eta_expansion, literal_euler_product,
-                      naive_div_sparse, naive_eta_expansion, naive_mul_sparse)
+                      mul_lists, naive_div_sparse, naive_eta_expansion,
+                      naive_mul_sparse, partition_numbers)
+
+
+def dense(terms, limit):
+    """Coefficient list of a sparse (exponent, coefficient) series."""
+    out = [0] * (limit + 1)
+    for e, c in terms:
+        out[e] = c
+    return out
+
+
+def order(s):
+    """Index of the first nonzero coefficient of a nonzero series."""
+    return next(n for n, c in enumerate(s.coeffs) if c)
 
 
 def test_euler_product_examples():
-    assert euler_product(1, 12) == QSeries.from_terms(
-        12, {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1})
-    assert euler_product(2, 5) == QSeries.from_terms(5, {0: 1, 2: -1, 4: -1})
+    assert _pentagonal_terms(1, 12) == [(0, 1), (1, -1), (2, -1), (5, 1),
+                                        (7, 1), (12, -1)]
+    assert _pentagonal_terms(2, 5) == [(0, 1), (2, -1), (4, -1)]
     for delta in (1, 3, 44):
-        assert euler_product(delta, 30)[0] == 1
+        assert _pentagonal_terms(delta, 30)[0] == (0, 1)
 
 
 def test_euler_product_matches_literal_product():
     precision = 200
     for delta in range(1, 53):
         literal = literal_euler_product(delta, precision)
-        assert list(euler_product(delta, precision).coeffs) == literal
+        assert dense(_pentagonal_terms(delta, precision), precision) == literal
 
 
 def test_jacobi_cube():
     limit = 120
-    cube = euler_product(1, limit) ** 3
-    expected = QSeries.from_terms(
-        limit,
-        {k * (k + 1) // 2: (-1) ** k * (2 * k + 1)
-         for k in range(0, 20) if k * (k + 1) // 2 <= limit})
-    assert cube == expected
+    assert dense(_jacobi_cube_terms(1, limit), limit) == dense(
+        [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1))
+         for k in range(0, 20) if k * (k + 1) // 2 <= limit], limit)
     for delta in (1, 2, 7, 44):
-        assert QSeries.from_terms(
-            limit, dict(_jacobi_cube_terms(delta, limit))) \
-            == euler_product(delta, limit) ** 3
+        literal = literal_euler_product(delta, limit)
+        cube = mul_lists(mul_lists(literal, literal, limit), literal, limit)
+        assert dense(_jacobi_cube_terms(delta, limit), limit) == cube
+
+
+def test_division_gives_geometric_series():
+    assert _div_sparse([1] + [0] * 6, [(0, 1), (1, -1)], 6) == [1] * 7
+
+
+def test_division_gives_partition_numbers():
+    limit = 40
+    assert _div_sparse([1] + [0] * limit, _pentagonal_terms(1, limit),
+                       limit) == partition_numbers(limit)
 
 
 TERM_LISTS = {"pentagonal": _pentagonal_terms, "jacobi": _jacobi_cube_terms}
@@ -111,7 +130,7 @@ def test_quotient_construction():
 
 
 def test_expand_trivial_and_errors():
-    assert expand(EtaQuotient.of(6, {}), 8) == QSeries.one(8)
+    assert expand(EtaQuotient.of(6, {}), 8) == QSeries(8, [1])
     with pytest.raises(ValueError, match="not divisible by 24"):
         expand(EtaQuotient.of(1, {1: 1}), 8)
     with pytest.raises(ValueError, match="negative leading exponent"):
@@ -131,7 +150,7 @@ def test_expand_weight4_level11_square():
     # fourth powers at arguments z and 11z: leading exponent 2, then -4, 2, ...
     eq = EtaQuotient.of(44, (4, 0, 0, 4, 0, 0))
     s = expand(eq, 10)
-    assert [int(c) for c in s.coeffs[:7]] == [0, 0, 1, -4, 2, 8, -5]
+    assert list(s.coeffs[:7]) == [0, 0, 1, -4, 2, 8, -5]
 
 
 def test_leading_coefficients_are_one():
@@ -139,8 +158,13 @@ def test_leading_coefficients_are_one():
         for row in table_rows(level):
             e = int(row.leading_exponent)
             s = expand(row, 40)
-            assert s.order() == e
+            assert order(s) == e
             assert s[e] == 1
+
+
+def test_expansions_are_integral():
+    for row in table_rows(44) + repaired_table_rows():
+        assert all(type(c) is int for c in expand(row, 60).coeffs)
 
 
 def test_expansion_cache_consistency():

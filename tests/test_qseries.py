@@ -6,32 +6,37 @@ from hypothesis import strategies as st
 
 from convsum.arith import sigma_k
 from convsum.qseries import QSeries
-from conftest import partition_numbers
 
 
 def naive_product(s, t):
-    """Cauchy product straight from the definition, Fraction by Fraction."""
+    """Cauchy product straight from the definition."""
     p = min(s.precision, t.precision)
-    out = [Fraction(0)] * (p + 1)
-    for n in range(p + 1):
-        out[n] = sum((s.coeffs[i] * t.coeffs[n - i] for i in range(n + 1)),
-                     Fraction(0))
-    return QSeries(p, out)
+    return QSeries(p, [sum(s.coeffs[i] * t.coeffs[n - i] for i in range(n + 1))
+                       for n in range(p + 1)])
 
 
-coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+coefficients = st.integers(min_value=-2 ** 40, max_value=2 ** 40)
+
+
+def series_at(p):
+    return st.lists(coefficients, min_size=0, max_size=p + 1).map(
+        lambda cs: QSeries(p, cs))
 
 
 def series(max_precision=20):
+    return st.integers(1, max_precision).flatmap(series_at)
+
+
+def same_precision(count, max_precision):
+    """count series sharing one drawn precision."""
     return st.integers(1, max_precision).flatmap(
-        lambda p: st.lists(coefficients, min_size=0, max_size=p + 1).map(
-            lambda cs: QSeries(p, cs)))
+        lambda p: st.tuples(*[series_at(p)] * count))
 
 
 def test_construction_and_access():
-    s = QSeries(4, [1, Fraction(1, 2)])
-    assert s.coeffs == (1, Fraction(1, 2), 0, 0, 0)
-    assert s[1] == Fraction(1, 2)
+    s = QSeries(4, [1, -2])
+    assert s.coeffs == (1, -2, 0, 0, 0)
+    assert s[1] == -2
     with pytest.raises(IndexError):
         s[5]
     with pytest.raises(ValueError):
@@ -40,8 +45,18 @@ def test_construction_and_access():
         QSeries(1, [1, 2, 3])
 
 
+def test_coefficients_must_be_integers():
+    with pytest.raises(TypeError):
+        QSeries(3, [Fraction(1, 2)])
+    with pytest.raises(TypeError):
+        QSeries(3, [1, 0.5])
+    with pytest.raises(TypeError):
+        QSeries(3, [1, 2]).scale(Fraction(1, 3))
+    assert all(type(c) is int for c in QSeries(3, [True, 2]).coeffs)
+
+
 def test_immutability():
-    s = QSeries.one(3)
+    s = QSeries(3, [1])
     with pytest.raises(AttributeError):
         s.precision = 5
 
@@ -50,17 +65,19 @@ def test_add_sub_scale_examples():
     one_plus = QSeries(5, [1, 1])
     one_minus = QSeries(5, [1, -1])
     assert one_plus + one_minus == QSeries(5, [2])
-    assert one_plus.scale(0) == QSeries.zero(5)
-    s = QSeries(7, [3, Fraction(2, 5), 0, 1])
-    assert (s - s).is_zero()
+    assert one_plus.scale(0) == QSeries(5)
+    assert one_minus.scale(-3) == QSeries(5, [-3, 3])
+    s = QSeries(7, [3, 10 ** 30, 0, 1])
+    assert s - s == QSeries(7)
 
 
 def test_mul_examples():
     one_plus = QSeries(5, [1, 1])
     one_minus = QSeries(5, [1, -1])
     assert one_plus * one_minus == QSeries(5, [1, 0, -1])
-    s = QSeries(9, [2, 0, Fraction(7, 3), 1])
-    assert s * QSeries.one(9) == s
+    s = QSeries(9, [2, 0, 7, 1])
+    assert s * QSeries(9, [1]) == s
+    assert (s * QSeries(4, [0, 1])).coeffs == (0, 2, 0, 7, 1)
 
 
 def test_mul_gives_convolution_sums():
@@ -78,45 +95,13 @@ def test_mul_matches_naive_product(s, t):
 
 
 @settings(max_examples=40, deadline=None)
-@given(series(12), series(12), series(12))
-def test_ring_axioms(a, b, c):
-    p = min(a.precision, b.precision, c.precision)
-    a, b, c = a.truncate(p), b.truncate(p), c.truncate(p)
+@given(same_precision(3, 12))
+def test_ring_axioms(abc):
+    a, b, c = abc
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert (a + b) + c == a + (b + c)
-
-
-def test_invert_geometric():
-    geo = QSeries(6, [1, -1]).invert()
-    assert geo == QSeries(6, [1] * 7)
-
-
-def test_invert_partition_numbers():
-    limit = 40
-    euler = [0] * (limit + 1)
-    euler[0] = 1
-    k = 1
-    while k * (3 * k - 1) // 2 <= limit:
-        sign = -1 if k % 2 else 1
-        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if e <= limit:
-                euler[e] = sign
-        k += 1
-    inv = QSeries(limit, euler).invert()
-    expected = partition_numbers(limit)
-    assert [int(c) for c in inv.coeffs] == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(series())
-def test_invert_roundtrip(s):
-    if s.coeffs[0] == 0:
-        with pytest.raises(ZeroDivisionError):
-            s.invert()
-    else:
-        assert s * s.invert() == QSeries.one(s.precision)
 
 
 def test_dilate_examples():
@@ -125,46 +110,13 @@ def test_dilate_examples():
     assert s.dilate(1) == s
     t = QSeries(16, [1, 2, 3, 4])
     assert t.dilate(2).dilate(2) == t.dilate(4)
+    assert QSeries(5, [1, 2, 3]).dilate(3) == QSeries(5, [1, 0, 0, 2])
     with pytest.raises(ValueError):
         s.dilate(0)
 
 
 @settings(max_examples=40, deadline=None)
-@given(series(10), series(10), st.integers(1, 4))
-def test_dilate_is_ring_homomorphism(s, t, k):
-    p = min(s.precision, t.precision)
-    s, t = s.truncate(p), t.truncate(p)
+@given(same_precision(2, 10), st.integers(1, 4))
+def test_dilate_is_ring_homomorphism(st_pair, k):
+    s, t = st_pair
     assert (s * t).dilate(k) == s.dilate(k) * t.dilate(k)
-
-
-def test_pow():
-    s = QSeries(5, [1, 1])
-    assert s ** 2 == QSeries(5, [1, 2, 1])
-    assert s ** 0 == QSeries.one(5)
-    t = QSeries(6, [1, Fraction(1, 2), 3])
-    assert t ** -1 == t.invert()
-    assert t ** -2 == t.invert() * t.invert()
-
-
-def test_from_terms_and_order():
-    s = QSeries.from_terms(10, {3: 5, 7: Fraction(-1, 2)})
-    assert s.order() == 3
-    assert QSeries.zero(4).order() is None
-    with pytest.raises(ValueError):
-        QSeries.from_terms(4, {5: 1})
-
-
-def test_json_round_trip():
-    big = 10 ** 50 + 7
-    s = QSeries(3, [Fraction(big, 3), -2, 0, Fraction(5, 7)])
-    data = s.to_json_dict()
-    assert data["coeffs"][0] == [str(big), "3"]
-    assert QSeries.from_json_dict(data) == s
-    assert QSeries.from_json(s.to_json()) == s
-
-
-def test_truncate():
-    s = QSeries(9, range(10))
-    assert s.truncate(4).coeffs == (0, 1, 2, 3, 4)
-    with pytest.raises(ValueError):
-        s.truncate(12)

@@ -35,7 +35,8 @@ def test_basis_shapes(basis44, basis52):
     assert len(basis52.cusp_part) == 18
     for s in basis44.cusp_part + basis52.cusp_part:
         assert s[0] == 0
-    assert basis44.cusp_part[1].order() == 2  # fourth-power row starts at q^2
+    # the fourth-power row starts at q^2
+    assert basis44.cusp_part[1].coeffs[:3] == (0, 0, 1)
 
 
 def test_basis_precision_guard():
@@ -62,6 +63,15 @@ def test_derivation_level44(basis44, pair):
     assert solution.cusp_weights == expected_y
     assert solution.solving_indices == (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
                                         12, 13, 14, 15, 16, 17, 19, 20, 22)
+
+
+def test_derived_weights_are_fractions(basis44, basis52_repaired):
+    """The solve runs in Fraction arithmetic over integral series; a float
+    anywhere would show up as a non-Fraction weight."""
+    for pair, basis in (((4, 11), basis44), ((1, 52), basis52_repaired)):
+        sol = derive_coefficients(EisensteinPair(*pair), basis)
+        weights = tuple(sol.eisenstein_weights.values()) + sol.cusp_weights
+        assert all(type(w) is Fraction for w in weights)
 
 
 def test_derivation_spot_values(basis44):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from convsum import tables
+from convsum.convolution import closed_form, reported_closed_form
 
 
 def test_row_counts():
@@ -52,7 +53,11 @@ def test_coefficient_list_shapes():
         assert len(y) == (15 if pair[0] * pair[1] == 44 else 18)
         assert all(isinstance(c, Fraction) for c in s3 + y)
     assert tables.EXPANSION_COEFFS.keys() == tables.REPORTED_EXPANSION_COEFFS.keys()
-    assert tables.CLOSED_FORMS.keys() == tables.REPORTED_CLOSED_FORMS.keys()
+    for pair in tables.EXPANSION_COEFFS:
+        for form in (closed_form(pair), reported_closed_form(pair)):
+            assert len(form.sigma3_terms) == 6
+            assert len(form.cusp_terms) == len(form.cusp_rows)
+            assert all(isinstance(c, Fraction) for c in form.weights)
 
 
 def test_expansion_constant_terms():
@@ -81,5 +86,4 @@ def test_reported_divergences_match_data():
 def test_closed_form_cusp_weights_are_scaled_expansion_weights():
     for pair, (_, y) in tables.EXPANSION_COEFFS.items():
         denom = 1152 * pair[0] * pair[1]
-        cusp = tables.CLOSED_FORMS[pair][2]
-        assert tuple(-v / denom for v in y) == cusp
+        assert tuple(-v / denom for v in y) == closed_form(pair).cusp_terms
