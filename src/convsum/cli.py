@@ -81,7 +81,7 @@ def eval_w(cfg, alpha, beta, n, method):
                 raise click.UsageError(
                     f"closed form unavailable for ({alpha}, {beta}); "
                     "use --method oracle")
-            value = convolution.w_closed((alpha, beta), n) if n else 0
+            value = convolution.w_closed((alpha, beta), n)
         else:
             value = convolution.w_oracle(alpha, beta, n)
     except ValueError as exc:

@@ -4,8 +4,9 @@ The convolution sum of a pair (alpha, beta) at n adds sigma(l) * sigma(m)
 over all non-negative l, m with alpha*l + beta*m = n; terms with a zero
 part vanish because sigma(0) = 0.  ``w_oracle`` evaluates this directly,
 ``w_series_oracle`` tabulates the same double sum for every n at once, and
-``w_closed`` / ``w_closed_table`` evaluate the exact closed forms for the
-four pairs with alpha * beta in {44, 52}.  Closed-form output is always
+``w_closed_table`` evaluates the exact closed forms for the four pairs with
+alpha * beta in {44, 52} in integers for every n up to a bound;
+``w_closed`` reads one entry of that table.  Closed-form output is always
 checked for integrality and non-negativity before being returned.
 """
 
@@ -18,9 +19,8 @@ from math import lcm
 from operator import add, mod, mul
 
 from . import eta, tables
-from .arith import divisors, sigma_k, sigma_k_frac, sigma_table
+from .arith import divisors, sigma_k, sigma_table
 from .eisenstein import EisensteinPair
-from .qseries import QSeries
 from .spaces import CoefficientSolution
 
 EVALUATED_PAIRS = ((1, 44), (4, 11), (1, 52), (4, 13))
@@ -79,24 +79,6 @@ class ConvolutionFormula:
                 + tuple(c for _, c0, c1 in self.sigma1_terms for c in (c0, c1))
                 + self.cusp_terms)
 
-    def evaluate(self, n: int, cusp_values) -> Fraction:
-        """Raw rational value at n; cusp_values[j][n] supplies the j-th
-        cusp coefficient."""
-        total = Fraction(0)
-        for d, c in self.sigma3_terms:
-            s = sigma_k_frac(3, n, d)
-            if s:
-                total += c * s
-        for d, c0, c1 in self.sigma1_terms:
-            s = sigma_k_frac(1, n, d)
-            if s:
-                total += (c0 + c1 * n) * s
-        for c, series in zip(self.cusp_terms, cusp_values):
-            v = series[n]
-            if v:
-                total += c * v
-        return total
-
 
 def _formula(pair: tuple[int, int], sigma3_coeffs, cusp_weights,
              cusp_rows: tuple[eta.EtaQuotient, ...]) -> ConvolutionFormula:
@@ -151,35 +133,11 @@ def formula_from_solution(solution: CoefficientSolution) -> ConvolutionFormula:
                     solution.cusp_rows)
 
 
-def cusp_values(formula: ConvolutionFormula, precision: int) -> tuple[QSeries, ...]:
-    """Expansions of the formula's cusp rows at the needed precision."""
-    return tuple(eta.expand(row, precision) for row in formula.cusp_rows)
-
-
-def w_closed(pair: tuple[int, int], n: int,
-             cusp_coeffs: tuple[QSeries, ...] | None = None,
-             formula: ConvolutionFormula | None = None) -> int:
-    """Closed-form convolution sum at n; exact, with integrality enforced.
-
-    ``cusp_coeffs`` may carry pre-expanded cusp series (they must match the
-    formula's rows and reach the requested n); by default they are expanded
-    on demand.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if formula is None:
-        formula = closed_form(pair)
-    if cusp_coeffs is None:
-        cusp_coeffs = cusp_values(formula, n)
-    elif any(s.precision < n for s in cusp_coeffs):
-        raise ValueError(
-            f"cusp expansions reach precision "
-            f"{min(s.precision for s in cusp_coeffs)}, below n = {n}")
-    value = formula.evaluate(n, cusp_coeffs)
-    if value.denominator != 1 or value < 0:
-        raise IntegralityError(
-            f"closed form for {pair} evaluates to {value} at n = {n}")
-    return int(value)
+def w_closed(pair: tuple[int, int], n: int) -> int:
+    """Closed-form convolution sum at n >= 0: entry n of ``w_closed_table``."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    return w_closed_table(pair, n)[n]
 
 
 def w_closed_table(pair: tuple[int, int], max_n: int,
@@ -196,7 +154,6 @@ def w_closed_table(pair: tuple[int, int], max_n: int,
         return [0][:max_n + 1]
     if formula is None:
         formula = closed_form(pair)
-    cusp = cusp_values(formula, max_n)
     den = lcm(*(c.denominator for c in formula.weights))
     acc = [0] * (max_n + 1)
     s3 = sigma_table(3, max_n)
@@ -208,8 +165,8 @@ def w_closed_table(pair: tuple[int, int], max_n: int,
         a0, a1 = int(c0 * den), int(c1 * den) * d
         acc[d::d] = map(add, acc[d::d], [(a0 + a1 * m) * s1[m]
                                          for m in range(1, max_n // d + 1)])
-    for c, series in zip(formula.cusp_terms, cusp):
-        acc = list(map(add, acc, map(mul, series.coeffs,
+    for c, row in zip(formula.cusp_terms, formula.cusp_rows):
+        acc = list(map(add, acc, map(mul, eta.expand(row, max_n).coeffs,
                                       repeat(int(c * den)))))
     acc[0] = 0
     if any(map(mod, acc, repeat(den))) or min(acc) < 0:

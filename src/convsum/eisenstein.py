@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable
 
-from .arith import sigma_k, sigma_k_frac
+from .arith import sigma_k_frac, sigma_table
 from .qseries import QSeries
 
 
@@ -43,14 +43,14 @@ class EisensteinPair:
 
 def series_L(precision: int) -> QSeries:
     """1 - 24 sum sigma(n) q^n."""
-    return QSeries(precision, [1] + [-24 * sigma_k(1, n)
-                                     for n in range(1, precision + 1)])
+    return QSeries(precision, [1] + [-24 * s for s in
+                                     sigma_table(1, precision)[1:]])
 
 
 def series_M(precision: int) -> QSeries:
     """1 + 240 sum sigma_3(n) q^n."""
-    return QSeries(precision, [1] + [240 * sigma_k(3, n)
-                                     for n in range(1, precision + 1)])
+    return QSeries(precision, [1] + [240 * s for s in
+                                     sigma_table(3, precision)[1:]])
 
 
 def lhs_square(pair: EisensteinPair, precision: int) -> QSeries:

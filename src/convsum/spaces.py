@@ -3,10 +3,11 @@
 The space at level N splits into an Eisenstein part, spanned by the dilated
 weight-4 series M(q^t) for t | N, and the cusp part, spanned here by eta
 quotients.  ``derive_coefficients`` expresses the squared Eisenstein
-combination of a pair over such a basis by exact Gaussian elimination:
-rows of the linear system are coefficient constraints, scanned greedily
-from n = 0 upward until the system reaches full rank, and the solution is
-then re-verified against every available coefficient.
+combination of a pair over such a basis by exact Gaussian elimination over
+``Fraction``: rows of the linear system are coefficient constraints,
+scanned greedily from n = 0 upward until the system reaches full rank, and
+the solution is then re-verified in integers against every available
+coefficient.
 
 For level 52 the embedded table rows together with the Eisenstein series
 satisfy a linear relation and the squared combination lies outside their
@@ -20,6 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
+from operator import add, mul
 
 from . import eta
 from .arith import dim_spaces, divisors, sigma_k_frac
@@ -168,22 +172,22 @@ class CoefficientSolution:
         return {d: 240 * x for d, x in self.eisenstein_weights.items()}
 
 
-def derive_coefficients(pair: EisensteinPair, basis: SpaceBasis,
-                        precision: int | None = None) -> CoefficientSolution:
+def derive_coefficients(pair: EisensteinPair,
+                        basis: SpaceBasis) -> CoefficientSolution:
     """Solve for the unique expansion of lhs_square over the basis.
 
-    Rows are taken at n = 0 (which pins sum X_delta to (alpha - beta)^2)
-    and then greedily at n = 1, 2, ... until full rank; afterwards the
-    reconstruction is checked against every coefficient up to the working
-    precision, not only the solving rows.
+    The columns of the system are the basis series and row n holds their
+    q^n coefficients; at n = 0 every Eisenstein series contributes 1 and
+    every cusp expansion 0, which pins sum X_delta to (alpha - beta)^2.
+    Rows are taken greedily at n = 0, 1, 2, ... until full rank and
+    eliminated over Fraction; afterwards the reconstruction is checked in
+    integers against every coefficient up to the basis precision, not only
+    the solving rows.
     """
     if pair.level != basis.level:
         raise ValueError(
             f"pair level {pair.level} does not match basis level {basis.level}")
-    if precision is None:
-        precision = basis.precision
-    if precision > basis.precision:
-        raise ValueError("requested precision exceeds basis precision")
+    precision = basis.precision
     if precision < 2 * basis.dimension:
         raise ValueError(
             f"precision {precision} leaves no residual headroom; "
@@ -191,20 +195,13 @@ def derive_coefficients(pair: EisensteinPair, basis: SpaceBasis,
 
     n_eis = len(basis.eisenstein_part)
     m = basis.dimension
-    lhs = lhs_square(pair, precision)
+    columns = [s.coeffs for s in basis.eisenstein_part + basis.cusp_part]
+    lhs = lhs_square(pair, precision).coeffs
 
     def row(n: int) -> tuple[list[Fraction], Fraction]:
-        # the series are integral; Fraction entries keep the elimination
-        # exact, where int / int would silently give a float
-        if n == 0:
-            # constant terms: each Eisenstein series contributes 1, cusp
-            # expansions nothing; for the squared combination the right side
-            # is (alpha - beta)^2
-            return ([Fraction(1)] * n_eis + [Fraction(0)] * (m - n_eis),
-                    Fraction(lhs[0]))
-        r = [Fraction(240 * sigma_k_frac(3, n, d)) for d in basis.divisors]
-        r.extend(Fraction(s[n]) for s in basis.cusp_part)
-        return r, Fraction(lhs[n])
+        # Fraction entries keep the elimination exact, where int / int
+        # would silently give a float
+        return [Fraction(c[n]) for c in columns], Fraction(lhs[n])
 
     pivots: list[tuple[int, list[Fraction], Fraction]] = []
     used: list[int] = []
@@ -238,12 +235,18 @@ def derive_coefficients(pair: EisensteinPair, basis: SpaceBasis,
     for col, r, rhs in sorted(pivots, key=lambda t: -t[0]):
         solution[col] = rhs - sum(r[j] * solution[j] for j in range(col + 1, m))
 
-    for n in range(precision + 1):
-        r, rhs = row(n)
-        if sum(a * b for a, b in zip(r, solution)) != rhs:
-            raise DerivationError(
-                f"reconstruction residual at q^{n} for pair "
-                f"({pair.alpha},{pair.beta})")
+    # scaled by the common denominator, the reconstruction is a sum of
+    # integer columns and must equal den * lhs coefficient by coefficient
+    den = lcm(*(x.denominator for x in solution))
+    acc = [0] * (precision + 1)
+    for x, column in zip(solution, columns):
+        acc = list(map(add, acc, map(mul, column, repeat(int(x * den)))))
+    bad = next((n for n, (v, t) in enumerate(zip(acc, lhs)) if v != den * t),
+               None)
+    if bad is not None:
+        raise DerivationError(
+            f"reconstruction residual at q^{bad} for pair "
+            f"({pair.alpha},{pair.beta})")
 
     return CoefficientSolution(
         pair=pair,

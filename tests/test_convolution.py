@@ -5,10 +5,9 @@ import pytest
 
 from convsum import tables
 from convsum.convolution import (EVALUATED_PAIRS, IntegralityError,
-                                 closed_form, cusp_values,
-                                 formula_from_solution, reported_closed_form,
-                                 w_closed, w_closed_table, w_oracle,
-                                 w_series_oracle)
+                                 closed_form, formula_from_solution,
+                                 reported_closed_form, w_closed,
+                                 w_closed_table, w_oracle, w_series_oracle)
 from convsum.eisenstein import EisensteinPair
 from convsum.spaces import build_basis, derive_coefficients, repaired_basis
 
@@ -37,6 +36,9 @@ def test_closed_form_examples():
     assert w_closed((4, 11), 15) == 1
     assert w_closed((1, 52), 52) == 0
     assert w_closed((4, 13), 100) == w_oracle(4, 13, 100)
+    assert w_closed((1, 44), 0) == 0
+    with pytest.raises(ValueError):
+        w_closed((1, 44), -1)
     with pytest.raises(ValueError):
         closed_form((3, 7))
 
@@ -74,10 +76,6 @@ def test_integrality_enforced():
         formula,
         cusp_terms=(formula.cusp_terms[0] + Fraction(1, 7),)
         + formula.cusp_terms[1:])
-    coeffs = cusp_values(formula, 30)
-    with pytest.raises(IntegralityError):
-        for n in range(1, 31):
-            w_closed((1, 44), n, coeffs, broken)
     with pytest.raises(IntegralityError, match="evaluates to"):
         w_closed_table((1, 44), 30, broken)
     # an integral shift of a cusp weight keeps every value integral but
@@ -99,15 +97,6 @@ def test_closed_form_below_leading_exponents(pair, fresh_expansions):
                                            for m in range(n + 1)]
 
 
-def test_precision_guard():
-    formula = closed_form((1, 44))
-    coeffs = cusp_values(formula, 10)
-    with pytest.raises(ValueError, match="below n"):
-        w_closed((1, 44), 50, coeffs, formula)
-    with pytest.raises(ValueError):
-        w_closed((1, 44), 0)
-
-
 def test_reported_level44_forms_fail_at_pinned_entries():
     """The retained reported forms each diverge from the exact one at a
     single coefficient, and evaluating them there produces non-integers."""
@@ -122,22 +111,19 @@ def test_reported_level44_forms_fail_at_pinned_entries():
         kind, where = tables.REPORTED_DIVERGENCES[pair]
         assert (s3_diff, cusp_diff) == (
             ([where], []) if kind == "sigma3" else ([], [where]))
-        coeffs = cusp_values(reported, 30)
-        value = reported.evaluate(first_bad, coeffs)
-        assert value.denominator != 1
-        assert exact.evaluate(first_bad, cusp_values(exact, 30)) \
-            == w_oracle(*pair, first_bad)
+        with pytest.raises(IntegralityError, match=f"at n = {first_bad}$"):
+            w_closed_table(pair, 30, reported)
+        assert w_closed(pair, first_bad) == w_oracle(*pair, first_bad)
 
 
 def test_reported_level52_forms_are_invalid():
-    """The reported level-52 closed forms fail against brute force, first at
-    n = 22, while the exact ones match everywhere."""
+    """The reported level-52 closed forms match brute force below n = 22
+    and fail there."""
     for pair in ((1, 52), (4, 13)):
         reported = reported_closed_form(pair)
-        coeffs = cusp_values(reported, 40)
-        for n in range(1, 22):
-            assert reported.evaluate(n, coeffs) == w_oracle(*pair, n)
-        assert reported.evaluate(22, coeffs) != w_oracle(*pair, 22)
+        assert w_closed_table(pair, 21, reported) == w_series_oracle(*pair, 21)
+        with pytest.raises(IntegralityError, match="at n = 22$"):
+            w_closed_table(pair, 22, reported)
 
 
 def test_reported_level52_expansions_violate_constant_term():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,10 @@ import pytest
 from convsum import tables
 from convsum.eisenstein import EisensteinPair, lhs_square
 from convsum.eta import table_rows
-from convsum.spaces import (BasisError, InconsistentSystemError,
-                            SingularSystemError, build_basis,
-                            derive_coefficients, repaired_basis,
+from convsum.qseries import QSeries
+from convsum.spaces import (BasisError, DerivationError,
+                            InconsistentSystemError, SingularSystemError,
+                            build_basis, derive_coefficients, repaired_basis,
                             verify_independence)
 
 PRECISION = 120
@@ -184,12 +186,23 @@ def test_rank_deficiency_with_target_in_span(monkeypatch):
     # without reaching full rank
     rows = list(table_rows(44))
     rows[3] = rows[2]
-    basis = build_basis(44, 100, cusp_rows=tuple(rows))
+    basis = build_basis(44, 90, cusp_rows=tuple(rows))
     import convsum.spaces as spaces_module
     monkeypatch.setattr(spaces_module, "lhs_square",
                         lambda pair, precision: basis.cusp_part[2])
     with pytest.raises(SingularSystemError, match="rank 20 of 21"):
-        derive_coefficients(EisensteinPair(1, 44), basis, precision=90)
+        derive_coefficients(EisensteinPair(1, 44), basis)
+
+
+def test_residual_check_catches_a_late_coefficient():
+    # the solving rows stop well below q^100, so only the residual check
+    # over every coefficient sees a change there
+    basis = build_basis(44, 100)
+    last = basis.cusp_part[-1]
+    changed = QSeries(100, last.coeffs[:100] + (last.coeffs[100] + 1,))
+    broken = replace(basis, cusp_part=basis.cusp_part[:-1] + (changed,))
+    with pytest.raises(DerivationError, match=r"residual at q\^100 "):
+        derive_coefficients(EisensteinPair(1, 44), broken)
 
 
 def test_wrong_row_count_rejected():
