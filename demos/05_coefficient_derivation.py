@@ -11,7 +11,7 @@ restores a unique, brute-force-verified solution.
 """
 
 from convsum import (EisensteinPair, InconsistentSystemError, build_basis,
-                     derive_coefficients, repaired_basis, verify_independence)
+                     derive_coefficients, table_rows, verify_independence)
 
 P = 120
 
@@ -27,7 +27,7 @@ for d, c in sorted(solution.sigma3_presentation().items()):
 print("first three cusp weights:", solution.cusp_weights[:3])
 print()
 
-basis52 = build_basis(52, P)
+basis52 = build_basis(52, P, table_rows(52))  # the rows as printed
 cert52 = verify_independence(basis52)
 print(f"level 52: leading 18x18 cusp minor determinant "
       f"{cert52.cusp_determinant} (nonzero, the rows alone are independent)")
@@ -38,7 +38,7 @@ except InconsistentSystemError as exc:
     print(f"  {exc}")
 print()
 
-repaired = repaired_basis(P)
+repaired = build_basis(52, P)  # the default rows carry the repair
 changed = [i + 1 for i, (a, b) in
            enumerate(zip(repaired.cusp_rows, basis52.cusp_rows)) if a != b]
 print(f"repaired row set (row {changed[0]} swapped for "

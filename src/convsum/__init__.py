@@ -8,13 +8,11 @@ form is checked against an independent brute-force oracle.
 """
 
 from .arith import dim_spaces, divisors, euler_phi, genus, sigma_k, sigma_k_frac
-from .convolution import (EVALUATED_PAIRS, ConvolutionFormula,
-                          IntegralityError, closed_form,
-                          formula_from_solution, reported_closed_form,
-                          w_closed, w_closed_table, w_oracle, w_series_oracle)
+from .convolution import (EVALUATED_PAIRS, IntegralityError, w_closed,
+                          w_closed_table, w_oracle, w_series_oracle)
 from .eisenstein import EisensteinPair, lhs_square, rhs_identity, series_L, series_M
-from .eta import (EtaQuotient, LigozatReport, check_ligozat, expand,
-                  repaired_table_rows, table_rows)
+from .eta import (EtaQuotient, LigozatReport, basis_rows, check_ligozat, expand,
+                  table_rows)
 from .qseries import QSeries
 from .representations import (CLOSED_FORM_PAIRS, RepQuery, default_w_provider,
                               r4_enumerate, r4_jacobi, rep_count_closed,
@@ -22,22 +20,20 @@ from .representations import (CLOSED_FORM_PAIRS, RepQuery, default_w_provider,
 from .spaces import (BasisError, CoefficientSolution, DerivationError,
                      InconsistentSystemError, IndependenceCertificate,
                      SingularSystemError, SpaceBasis, build_basis,
-                     derive_coefficients, repaired_basis, verify_independence)
+                     derive_coefficients, verify_independence)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BasisError", "CLOSED_FORM_PAIRS", "CoefficientSolution",
-    "ConvolutionFormula", "DerivationError", "EVALUATED_PAIRS",
-    "EisensteinPair", "EtaQuotient", "InconsistentSystemError",
-    "IndependenceCertificate", "IntegralityError", "LigozatReport", "QSeries",
-    "RepQuery", "SingularSystemError", "SpaceBasis", "build_basis",
-    "check_ligozat", "closed_form", "default_w_provider",
-    "derive_coefficients", "dim_spaces", "divisors", "euler_phi", "expand",
-    "formula_from_solution", "genus", "lhs_square", "r4_enumerate",
-    "r4_jacobi", "rep_count_closed", "rep_count_enumerate", "repaired_basis",
-    "repaired_table_rows", "reported_closed_form", "rhs_identity", "series_L",
-    "series_M", "sigma_k", "sigma_k_frac", "table_rows",
+    "DerivationError", "EVALUATED_PAIRS", "EisensteinPair", "EtaQuotient",
+    "InconsistentSystemError", "IndependenceCertificate", "IntegralityError",
+    "LigozatReport", "QSeries", "RepQuery", "SingularSystemError",
+    "SpaceBasis", "basis_rows", "build_basis", "check_ligozat",
+    "default_w_provider", "derive_coefficients", "dim_spaces", "divisors",
+    "euler_phi", "expand", "genus", "lhs_square", "r4_enumerate",
+    "r4_jacobi", "rep_count_closed", "rep_count_enumerate", "rhs_identity",
+    "series_L", "series_M", "sigma_k", "sigma_k_frac", "table_rows",
     "verify_independence", "w_closed", "w_closed_table", "w_oracle",
     "w_series_oracle",
 ]

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import click
 
-from . import convolution, representations, spaces, tables
+from . import convolution, eta, representations, spaces, tables
 from . import verify as verify_suites
 from .arith import dim_spaces, divisors
 from .eisenstein import EisensteinPair
@@ -172,8 +172,10 @@ def dims(level, weight):
 @click.option("--beta", type=int, required=True)
 @click.option("--basis", type=click.Choice(["auto", "printed", "repaired"]),
               default="auto", show_default=True,
-              help="Cusp row set; 'auto' falls back to the repaired level-52 "
-                   "rows when the printed ones cannot express the square.")
+              help="Cusp rows: 'auto' takes the rows of the closed forms "
+                   "(the printed rows, with the dependent level-52 row "
+                   "repaired), 'printed' the rows as printed, and 'repaired' "
+                   "is 'auto' at a level with a repaired row only.")
 @click.option("--precision", "solve_precision", type=int, default=120,
               show_default=True)
 @click.option("--json", "as_json", is_flag=True)
@@ -182,34 +184,24 @@ def derive(cfg, alpha, beta, basis, solve_precision, as_json):
     """Derive the exact expansion of the squared Eisenstein combination."""
     try:
         pair = EisensteinPair(alpha, beta)
+        printed = eta.table_rows(pair.level)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if pair.level not in (44, 52):
-        raise click.UsageError(
-            f"no cusp tables for level {pair.level}; have 44 and 52")
     cfg.check_max_n(solve_precision)
-
-    def build(kind):
-        if kind == "repaired":
-            if pair.level != 52:
-                raise click.UsageError("--basis repaired applies to level 52")
-            return spaces.repaired_basis(solve_precision), "repaired"
-        return spaces.build_basis(pair.level, solve_precision), "printed"
-
+    rows = printed if basis == "printed" else eta.basis_rows(pair.level)
+    label = "printed" if rows == printed else "repaired"
+    if basis == "repaired" and label == "printed":
+        raise click.UsageError(
+            f"--basis repaired: the level-{pair.level} rows need no repair")
     try:
-        space, label = build("repaired" if basis == "repaired" else "printed")
+        space = spaces.build_basis(pair.level, solve_precision, rows)
         solution = spaces.derive_coefficients(pair, space)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     except spaces.DerivationError as exc:
-        if basis != "auto":
-            click.echo(f"FAIL derivation over the {basis} rows failed: {exc}",
-                       err=True)
-            sys.exit(1)
-        click.echo(f"note: printed rows failed ({exc}); "
-                   "falling back to the repaired row set", err=True)
-        space, label = build("repaired")
-        solution = spaces.derive_coefficients(pair, space)
+        click.echo(f"FAIL derivation over the {label} rows failed: {exc}",
+                   err=True)
+        sys.exit(1)
     payload = {
         "alpha": alpha,
         "beta": beta,

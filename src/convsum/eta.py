@@ -32,7 +32,11 @@ class EtaQuotient:
     def of(cls, level, exponents) -> EtaQuotient:
         """Build from a mapping {delta: r} or a row over ascending divisors."""
         if not isinstance(exponents, dict):
-            exponents = dict(zip(divisors(level), exponents))
+            divs = divisors(level)
+            if len(exponents) != len(divs):
+                raise ValueError(f"row of {len(exponents)} exponents for the "
+                                 f"{len(divs)} divisors of level {level}")
+            exponents = dict(zip(divs, exponents))
         items = tuple(sorted((d, r) for d, r in exponents.items() if r != 0))
         return cls(level, items)
 
@@ -262,7 +266,13 @@ def table_rows(level: int) -> tuple[EtaQuotient, ...]:
                  for row in tables.CUSP_EXPONENTS[level])
 
 
-def repaired_table_rows() -> tuple[EtaQuotient, ...]:
-    """Level-52 rows with the dependent row swapped for a strict one."""
-    return tuple(EtaQuotient.of(52, row)
-                 for row in tables.repaired_cusp_exponents_52())
+def basis_rows(level: int) -> tuple[EtaQuotient, ...]:
+    """The cusp rows the closed forms are expanded over: the printed table,
+    except that at level 52 the dependent row is swapped for a strict one,
+    without which the rows and the Eisenstein series do not span the space."""
+    rows = table_rows(level)
+    if level == 52:
+        i = tables.REPAIRED_ROW_INDEX_52 - 1
+        rows = (rows[:i] + (EtaQuotient.of(52, tables.REPAIRED_ROW_52),)
+                + rows[i + 1:])
+    return rows

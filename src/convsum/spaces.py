@@ -11,10 +11,10 @@ coefficient.
 
 For level 52 the embedded table rows together with the Eisenstein series
 satisfy a linear relation and the squared combination lies outside their
-span, so the derivation over the printed rows raises
-:class:`InconsistentSystemError`; ``repaired_basis`` swaps one dependent
-row for an independent admissible quotient, after which the solution exists
-and is unique.
+span, so the derivation over the printed rows (``eta.table_rows``) raises
+:class:`InconsistentSystemError`; the default rows, ``eta.basis_rows``,
+swap one dependent row for an independent admissible quotient, after which
+the solution exists and is unique.
 """
 
 from __future__ import annotations
@@ -65,9 +65,9 @@ class SpaceBasis:
 
 def build_basis(level: int, precision: int,
                 cusp_rows: tuple[eta.EtaQuotient, ...] | None = None) -> SpaceBasis:
-    """Assemble the basis expansions; rows default to the embedded tables."""
+    """Assemble the basis expansions; rows default to ``eta.basis_rows``."""
     if cusp_rows is None:
-        cusp_rows = eta.table_rows(level)
+        cusp_rows = eta.basis_rows(level)
     dim_m, dim_e, dim_s = dim_spaces(level, 4)
     if len(cusp_rows) != dim_s:
         raise BasisError(
@@ -83,11 +83,6 @@ def build_basis(level: int, precision: int,
         if s[0] != 0:
             raise BasisError(f"cusp expansion {i + 1} has a constant term")
     return SpaceBasis(level, divs, eis, cusp, tuple(cusp_rows), precision)
-
-
-def repaired_basis(precision: int) -> SpaceBasis:
-    """Level-52 basis over the repaired row set (full rank)."""
-    return build_basis(52, precision, cusp_rows=eta.repaired_table_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +156,9 @@ class CoefficientSolution:
     """Exact expansion weights of a squared Eisenstein combination."""
 
     pair: EisensteinPair
-    level: int
     eisenstein_weights: dict[int, Fraction]   # X_delta per divisor
     cusp_weights: tuple[Fraction, ...]        # Y_j in basis order
     solving_indices: tuple[int, ...]
-    cusp_rows: tuple[eta.EtaQuotient, ...]
 
     def sigma3_presentation(self) -> dict[int, Fraction]:
         """The sigma_3 coefficients 240 * X_delta, as usually displayed."""
@@ -250,9 +243,7 @@ def derive_coefficients(pair: EisensteinPair,
 
     return CoefficientSolution(
         pair=pair,
-        level=basis.level,
         eisenstein_weights=dict(zip(basis.divisors, solution[:n_eis])),
         cusp_weights=tuple(solution[n_eis:]),
         solving_indices=tuple(used),
-        cusp_rows=basis.cusp_rows,
     )

@@ -11,8 +11,8 @@ Three kinds of data live here:
 * canonical expansion coefficients (``EXPANSION_COEFFS``): the unique
   exact solutions derived by this library and cross-verified against
   brute-force convolution sums, frozen as regression values; the closed
-  forms for the convolution sums follow from them by a fixed rearrangement
-  (``convolution.closed_form``);
+  forms for the convolution sums evaluate them directly
+  (``convolution.w_closed_table``);
 
 * previously reported variants of the same coefficient lists
   (``REPORTED_EXPANSION_COEFFS``), retained for comparison.  The entries
@@ -107,12 +107,6 @@ LEVEL52_DEPENDENCY = (
 )
 
 
-def repaired_cusp_exponents_52() -> tuple[tuple[int, ...], ...]:
-    rows = list(CUSP_EXPONENTS[52])
-    rows[REPAIRED_ROW_INDEX_52 - 1] = REPAIRED_ROW_52
-    return tuple(rows)
-
-
 # ---------------------------------------------------------------------------
 # canonical expansion coefficients
 #
@@ -120,7 +114,8 @@ def repaired_cusp_exponents_52() -> tuple[tuple[int, ...], ...]:
 # (alpha L(q^alpha) - beta L(q^beta))^2 over the level basis, stored as
 #   (sigma3 coefficients 240*X_delta, ascending delta | level,
 #    cusp coefficients Y_j in table order).
-# Level 44 uses the printed rows; level 52 uses the repaired row set.
+# The rows are ``eta.basis_rows``: the printed rows at level 44, the
+# repaired row set at level 52.
 
 def _fr(values):
     return tuple(Fraction(v) for v in values)

@@ -65,7 +65,7 @@ def basis() -> Check:
     """Independence certificates for both levels."""
     results = []
     for level in (44, 52):
-        space = spaces.build_basis(level, 48)
+        space = spaces.build_basis(level, 48, eta.table_rows(level))
         try:
             cert = spaces.verify_independence(space)
         except spaces.BasisError as exc:
@@ -119,11 +119,9 @@ def lemma32(precision: int) -> Check:
     results = []
     for (a, b), (exp_s3, exp_y) in sorted(tables.EXPANSION_COEFFS.items()):
         pair = EisensteinPair(a, b)
-        if pair.level == 52:
-            space, label = spaces.repaired_basis(precision), "repaired rows"
-        else:
-            space = spaces.build_basis(pair.level, precision)
-            label = "printed rows"
+        space = spaces.build_basis(pair.level, precision)
+        label = ("printed" if space.cusp_rows == eta.table_rows(pair.level)
+                 else "repaired")
         solution = spaces.derive_coefficients(pair, space)
         got_s3 = tuple(solution.sigma3_presentation()[d]
                        for d in space.divisors)
@@ -133,7 +131,7 @@ def lemma32(precision: int) -> Check:
             note = "reported list inconsistent with the printed rows"
         else:
             note = f"reported list diverges at one {kind} entry ({where})"
-        results.append((match, f"pair ({a},{b}) over {label}: "
+        results.append((match, f"pair ({a},{b}) over {label} rows: "
                                f"canonical match: {match}; {note}"))
     return _check("lemma32", results)
 

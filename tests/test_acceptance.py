@@ -94,7 +94,7 @@ def test_criterion_4_coefficient_rederivation():
     solutions = {}
     for pair in EVALUATED_PAIRS:
         level = pair[0] * pair[1]
-        basis = build_basis(level, 300)
+        basis = build_basis(level, 300, table_rows(level))
         try:
             solutions[pair] = derive_coefficients(EisensteinPair(*pair), basis)
         except DerivationError as exc:
@@ -126,7 +126,8 @@ def test_criterion_4_attainable_part():
     assert tables.EXPANSION_COEFFS[(4, 11)][1][0] == Fraction(110880, 61)
     assert tables.EXPANSION_COEFFS[(4, 13)][1][8] == Fraction(-7488)
     with pytest.raises(DerivationError):
-        derive_coefficients(EisensteinPair(1, 52), build_basis(52, 300))
+        derive_coefficients(EisensteinPair(1, 52),
+                            build_basis(52, 300, table_rows(52)))
     elapsed = time.perf_counter() - start
     assert report(4, ok and elapsed < 30.0,
                   f"(companion) canonical reproduction for all four pairs at "

@@ -4,6 +4,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convsum import tables
 from convsum.cli import main
@@ -117,14 +119,20 @@ def test_derive_json_level44(runner):
     assert payload["basis"] == "printed"
     assert payload["sigma3_coefficients"]["1"] == {"num": "124464", "den": "61"}
     assert len(payload["cusp_weights"]) == 15
+    repaired = invoke(runner, "derive", "--alpha", "1", "--beta", "44",
+                      "--basis", "repaired")
+    assert repaired.exit_code == 2
+    assert "need no repair" in repaired.stderr
 
 
-def test_derive_level52_auto_falls_back(runner):
+def test_derive_level52_auto_uses_repaired_rows(runner):
     result = invoke(runner, "derive", "--alpha", "1", "--beta", "52", "--json")
     assert result.exit_code == 0
-    payload = json.loads(result.stdout)  # the fallback note goes to stderr
-    assert payload["basis"] == "repaired"
-    assert "falling back to the repaired row set" in result.stderr
+    assert json.loads(result.stdout)["basis"] == "repaired"
+    assert result.stderr == ""
+    explicit = invoke(runner, "derive", "--alpha", "1", "--beta", "52",
+                      "--json", "--basis", "repaired")
+    assert explicit.exit_code == 0 and explicit.stdout == result.stdout
 
 
 def test_derive_level52_printed_fails(runner):
@@ -212,3 +220,52 @@ def test_reports_are_deterministic(runner, args):
     second = invoke(runner, *args)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
+
+
+# per fuzzed command: its pair options, its other integer options and its
+# choice options
+FUZZED = {
+    ("eval-w",): (("--alpha", "--beta"), ("--n",),
+                  {"--method": ("closed", "oracle")}),
+    ("table-w",): (("--alpha", "--beta"), ("--max-n",),
+                   {"--method": ("closed", "oracle")}),
+    ("rep-count",): (("--a", "--b"), ("--n",),
+                     {"--method": ("closed", "oracle")}),
+    ("derive",): (("--alpha", "--beta"), ("--precision",),
+                  {"--basis": ("auto", "printed", "repaired")}),
+    ("verify", "closed-forms"): ((), ("--max-n",), {}),
+    ("verify", "identity"): (("--alpha", "--beta"), ("--max-n",), {}),
+    ("verify", "reps"): ((), ("--max-n", "--substitution-max-n"), {}),
+    ("verify", "lemma32"): ((), ("--precision",), {}),
+}
+FUZZ_INT = st.integers(-3, 130)
+# two free integers seldom form a pair with a closed form or a basis
+FUZZ_PAIR = st.one_of(
+    st.sampled_from(((1, 44), (4, 11), (1, 52), (4, 13), (1, 11), (1, 13))),
+    st.tuples(FUZZ_INT, FUZZ_INT))
+
+
+@st.composite
+def cli_args(draw):
+    command = draw(st.sampled_from(sorted(FUZZED)))
+    pair_options, int_options, choices = FUZZED[command]
+    args = ["--precision", str(draw(FUZZ_INT)), *command]
+    if pair_options:
+        for option, value in zip(pair_options, draw(FUZZ_PAIR)):
+            args += [option, str(value)]
+    for option in int_options:
+        args += [option, str(draw(FUZZ_INT))]
+    for option, values in choices.items():
+        args += [option, draw(st.sampled_from(values))]
+    return args
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_args())
+def test_cli_fuzz_exits_cleanly(args):
+    """Any integer argument vector ends in exit 0, 1 or 2, never in an
+    exception other than the exit itself."""
+    result = CliRunner().invoke(main, args)
+    assert result.exception is None or isinstance(result.exception,
+                                                  SystemExit), args
+    assert result.exit_code in (0, 1, 2), (args, result.output)

@@ -1,15 +1,13 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from convsum import tables
-from convsum.convolution import (EVALUATED_PAIRS, IntegralityError,
-                                 closed_form, formula_from_solution,
-                                 reported_closed_form, w_closed,
+from convsum.convolution import (EVALUATED_PAIRS, IntegralityError, w_closed,
                                  w_closed_table, w_oracle, w_series_oracle)
 from convsum.eisenstein import EisensteinPair
-from convsum.spaces import build_basis, derive_coefficients, repaired_basis
+from convsum.eta import basis_rows, table_rows
+from convsum.spaces import build_basis, derive_coefficients
 
 
 def test_w_oracle_examples():
@@ -37,10 +35,13 @@ def test_closed_form_examples():
     assert w_closed((1, 52), 52) == 0
     assert w_closed((4, 13), 100) == w_oracle(4, 13, 100)
     assert w_closed((1, 44), 0) == 0
+    assert w_closed_table((1, 52), 0) == [0]
     with pytest.raises(ValueError):
         w_closed((1, 44), -1)
-    with pytest.raises(ValueError):
-        closed_form((3, 7))
+    with pytest.raises(ValueError, match="need n >= 0"):
+        w_closed_table((1, 44), -1)
+    with pytest.raises(ValueError, match="unavailable"):
+        w_closed_table((3, 7), 10)
 
 
 @pytest.mark.parametrize("pair", EVALUATED_PAIRS)
@@ -51,38 +52,25 @@ def test_closed_equals_oracle(pair):
 
 @pytest.mark.parametrize("pair", EVALUATED_PAIRS)
 def test_formula_rederivation_matches_frozen_data(pair):
-    """Double entry: the frozen closed forms against a fresh derivation."""
-    level = pair[0] * pair[1]
-    basis = repaired_basis(120) if level == 52 else build_basis(level, 120)
-    derived = formula_from_solution(
-        derive_coefficients(EisensteinPair(*pair), basis))
-    frozen = closed_form(pair)
-    assert derived.sigma3_terms == frozen.sigma3_terms
-    assert derived.sigma1_terms == frozen.sigma1_terms
-    assert derived.cusp_terms == frozen.cusp_terms
-    assert derived.cusp_rows == frozen.cusp_rows
-
-
-def test_linear_terms_structure():
-    for (a, b) in EVALUATED_PAIRS:
-        lin = closed_form((a, b)).sigma1_terms
-        assert lin == ((a, Fraction(1, 24), Fraction(-1, 4 * b)),
-                       (b, Fraction(1, 24), Fraction(-1, 4 * a)))
+    """Double entry: a fresh solve reproduces the frozen expansion, and
+    evaluated as a closed form it equals brute force."""
+    basis = build_basis(pair[0] * pair[1], 120)
+    solution = derive_coefficients(EisensteinPair(*pair), basis)
+    s3 = tuple(solution.sigma3_presentation()[d] for d in basis.divisors)
+    assert (s3, solution.cusp_weights) == tables.EXPANSION_COEFFS[pair]
+    expansion = (s3, solution.cusp_weights, basis.cusp_rows)
+    assert w_closed_table(pair, 300, expansion) == w_series_oracle(*pair, 300)
 
 
 def test_integrality_enforced():
-    formula = closed_form((1, 44))
-    broken = replace(
-        formula,
-        cusp_terms=(formula.cusp_terms[0] + Fraction(1, 7),)
-        + formula.cusp_terms[1:])
+    s3, y = tables.EXPANSION_COEFFS[(1, 44)]
+    rows = basis_rows(44)
+    broken = (s3, (y[0] + Fraction(1, 7),) + y[1:], rows)
     with pytest.raises(IntegralityError, match="evaluates to"):
         w_closed_table((1, 44), 30, broken)
-    # an integral shift of a cusp weight keeps every value integral but
-    # drives W(1,44)(1) = 0 down to -1 through the first row's leading q
-    negative = replace(
-        formula,
-        cusp_terms=(formula.cusp_terms[0] - 1,) + formula.cusp_terms[1:])
+    # raising the first cusp weight by 1152 * 44 keeps every value integral
+    # but drives W(1,44)(1) = 0 down to -1 through the first row's leading q
+    negative = (s3, (y[0] + 1152 * 44,) + y[1:], rows)
     with pytest.raises(IntegralityError, match="-1 at n = 1"):
         w_closed_table((1, 44), 30, negative)
 
@@ -98,19 +86,10 @@ def test_closed_form_below_leading_exponents(pair, fresh_expansions):
 
 
 def test_reported_level44_forms_fail_at_pinned_entries():
-    """The retained reported forms each diverge from the exact one at a
-    single coefficient, and evaluating them there produces non-integers."""
+    """The reported level-44 expansions, each one entry off the exact one
+    (``test_tables_data``), evaluate to non-integers there."""
     for pair, first_bad in (((1, 44), 2), ((4, 11), 7)):
-        exact = closed_form(pair)
-        reported = reported_closed_form(pair)
-        s3_diff = [d for (d, a), (_, b) in
-                   zip(exact.sigma3_terms, reported.sigma3_terms) if a != b]
-        cusp_diff = [j + 1 for j, (a, b) in
-                     enumerate(zip(exact.cusp_terms, reported.cusp_terms))
-                     if a != b]
-        kind, where = tables.REPORTED_DIVERGENCES[pair]
-        assert (s3_diff, cusp_diff) == (
-            ([where], []) if kind == "sigma3" else ([], [where]))
+        reported = (*tables.REPORTED_EXPANSION_COEFFS[pair], table_rows(44))
         with pytest.raises(IntegralityError, match=f"at n = {first_bad}$"):
             w_closed_table(pair, 30, reported)
         assert w_closed(pair, first_bad) == w_oracle(*pair, first_bad)
@@ -120,7 +99,7 @@ def test_reported_level52_forms_are_invalid():
     """The reported level-52 closed forms match brute force below n = 22
     and fail there."""
     for pair in ((1, 52), (4, 13)):
-        reported = reported_closed_form(pair)
+        reported = (*tables.REPORTED_EXPANSION_COEFFS[pair], table_rows(52))
         assert w_closed_table(pair, 21, reported) == w_series_oracle(*pair, 21)
         with pytest.raises(IntegralityError, match="at n = 22$"):
             w_closed_table(pair, 22, reported)

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from convsum import eta, tables, verify
 from convsum.eta import (EtaQuotient, _div_sparse, _expand_ints,
                          _jacobi_cube_terms, _mul_sparse, _pentagonal_terms,
-                         check_ligozat, expand, repaired_table_rows,
-                         table_rows)
+                         basis_rows, check_ligozat, expand, table_rows)
 from convsum.qseries import QSeries
 from conftest import (literal_eta_expansion, literal_euler_product,
                       mul_lists, naive_div_sparse, naive_eta_expansion,
@@ -100,7 +99,7 @@ def test_expand_ints_against_naive_order(fresh_expansions):
     per unit of exponent in divisor order, on every table row and the
     repaired row."""
     precision = 400
-    rows = set(table_rows(44) + table_rows(52) + repaired_table_rows())
+    rows = set(table_rows(44) + table_rows(52) + basis_rows(52))
     assert len(rows) == 34
     for row in rows:
         assert _expand_ints(row, precision) == naive_eta_expansion(
@@ -110,7 +109,7 @@ def test_expand_ints_against_naive_order(fresh_expansions):
 def test_expand_below_leading_exponent(fresh_expansions):
     """A precision below the leading exponent gives precision + 1 zeros,
     and the cache never holds more coefficients than its precision."""
-    row = repaired_table_rows()[tables.REPAIRED_ROW_INDEX_52 - 1]
+    row = basis_rows(52)[tables.REPAIRED_ROW_INDEX_52 - 1]
     for precision in (1, 3, 6):
         assert expand(row, precision).coeffs == (0,) * (precision + 1)
         cached_precision, cached = eta._EXPANSION_CACHE[row]
@@ -127,6 +126,9 @@ def test_quotient_construction():
     assert eq.leading_exponent == 1
     with pytest.raises(ValueError):
         EtaQuotient.of(44, {3: 1})
+    for row in ((4, 0, 0, 4, 0), (4, 0, 0, 4, 0, 0, 99)):
+        with pytest.raises(ValueError, match="6 divisors of level 44"):
+            EtaQuotient.of(44, row)
 
 
 def test_expand_trivial_and_errors():
@@ -163,7 +165,7 @@ def test_leading_coefficients_are_one():
 
 
 def test_expansions_are_integral():
-    for row in table_rows(44) + repaired_table_rows():
+    for row in basis_rows(44) + basis_rows(52):
         assert all(type(c) is int for c in expand(row, 60).coeffs)
 
 
@@ -227,7 +229,8 @@ def test_dilation_observations():
 
 
 def test_repaired_rows():
-    repaired = repaired_table_rows()
+    assert basis_rows(44) == table_rows(44)
+    repaired = basis_rows(52)
     printed = table_rows(52)
     changed = [i for i, (a, b) in enumerate(zip(repaired, printed), 1) if a != b]
     assert changed == [tables.REPAIRED_ROW_INDEX_52]

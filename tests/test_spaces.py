@@ -9,7 +9,7 @@ from convsum.eta import table_rows
 from convsum.qseries import QSeries
 from convsum.spaces import (BasisError, DerivationError,
                             InconsistentSystemError, SingularSystemError,
-                            build_basis, derive_coefficients, repaired_basis,
+                            build_basis, derive_coefficients,
                             verify_independence)
 
 PRECISION = 120
@@ -22,12 +22,12 @@ def basis44():
 
 @pytest.fixture(scope="module")
 def basis52():
-    return build_basis(52, PRECISION)
+    return build_basis(52, PRECISION, table_rows(52))
 
 
 @pytest.fixture(scope="module")
 def basis52_repaired():
-    return repaired_basis(PRECISION)
+    return build_basis(52, PRECISION)
 
 
 def test_basis_shapes(basis44, basis52):

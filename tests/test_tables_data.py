@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from convsum import tables
-from convsum.convolution import closed_form, reported_closed_form
+from convsum.eta import basis_rows
 
 
 def test_row_counts():
@@ -48,16 +48,12 @@ def test_dilation_structure_of_tables():
 
 
 def test_coefficient_list_shapes():
-    for pair, (s3, y) in tables.EXPANSION_COEFFS.items():
-        assert len(s3) == 6
-        assert len(y) == (15 if pair[0] * pair[1] == 44 else 18)
-        assert all(isinstance(c, Fraction) for c in s3 + y)
     assert tables.EXPANSION_COEFFS.keys() == tables.REPORTED_EXPANSION_COEFFS.keys()
-    for pair in tables.EXPANSION_COEFFS:
-        for form in (closed_form(pair), reported_closed_form(pair)):
-            assert len(form.sigma3_terms) == 6
-            assert len(form.cusp_terms) == len(form.cusp_rows)
-            assert all(isinstance(c, Fraction) for c in form.weights)
+    for coeffs in (tables.EXPANSION_COEFFS, tables.REPORTED_EXPANSION_COEFFS):
+        for pair, (s3, y) in coeffs.items():
+            assert len(s3) == 6
+            assert len(y) == len(basis_rows(pair[0] * pair[1]))
+            assert all(isinstance(c, Fraction) for c in s3 + y)
 
 
 def test_expansion_constant_terms():
@@ -82,8 +78,3 @@ def test_reported_divergences_match_data():
         else:
             assert (s3_diff, y_diff) == ([], [where])
 
-
-def test_closed_form_cusp_weights_are_scaled_expansion_weights():
-    for pair, (_, y) in tables.EXPANSION_COEFFS.items():
-        denom = 1152 * pair[0] * pair[1]
-        assert tuple(-v / denom for v in y) == closed_form(pair).cusp_terms
