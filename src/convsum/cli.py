@@ -3,9 +3,12 @@
 The ``verify`` commands parse their ranges and print the report of the
 matching suite in :mod:`convsum.verify`.  Exit codes: 0 on success or all
 checks passing, 1 on a verification failure, 2 on usage errors, including
-ranges out of bounds.  All reports are deterministic: fixed ordering, no
-timestamps.  Rationals serialize as {"num": "...", "den": "..."} with
-decimal strings so consumers never lose precision.
+ranges out of bounds.  Before any work starts, the group precision must lie
+in [1, MAX_PRECISION] and caps every n and range, and ``dims`` refuses a
+level above MAX_LEVEL, which bounds its trial division.  All reports are
+deterministic: fixed ordering, no timestamps.  Rationals serialize as
+{"num": "...", "den": "..."} with decimal strings so consumers never lose
+precision.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .arith import dim_spaces, divisors
 from .eisenstein import EisensteinPair
 
 DEFAULT_PRECISION = 1000
+MAX_PRECISION = 10 ** 6
+MAX_LEVEL = 10 ** 10  # dims factors by trial division up to sqrt(level)
 
 
 @dataclass(frozen=True)
@@ -51,12 +56,16 @@ def _dump_json(payload) -> str:
 @click.group()
 @click.option("--precision", type=int, default=DEFAULT_PRECISION,
               envvar="CONVSUM_PRECISION", show_default=True,
-              help="Expansion precision ceiling for this invocation.")
+              help="Expansion precision ceiling for this invocation, "
+                   f"at most {MAX_PRECISION}.")
 @click.pass_context
 def main(ctx, precision):
     """Exact convolution sums, eta-quotient bases, and their verification."""
     if precision < 1:
         raise click.UsageError("precision must be positive")
+    if precision > MAX_PRECISION:
+        raise click.UsageError(
+            f"precision {precision} exceeds the ceiling {MAX_PRECISION}")
     ctx.obj = RunConfig(precision)
 
 
@@ -155,10 +164,14 @@ def rep_count(cfg, a, b, n, method):
 
 
 @main.command("dims")
-@click.option("--level", type=int, required=True)
+@click.option("--level", type=int, required=True,
+              help=f"At most {MAX_LEVEL}.")
 @click.option("--weight", type=int, default=4, show_default=True)
 def dims(level, weight):
     """Print the dimensions (M, E, S) of the weight-k spaces at a level."""
+    if level > MAX_LEVEL:
+        raise click.UsageError(
+            f"level {level} exceeds the ceiling {MAX_LEVEL}")
     try:
         dim_m, dim_e, dim_s = dim_spaces(level, weight)
     except ValueError as exc:

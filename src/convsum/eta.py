@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, isqrt
+from math import gcd, isqrt, prod, sqrt
 from operator import add, mul, sub
+from typing import Callable, NamedTuple
 
 from . import tables
 from .arith import divisors, prime_factors
-from .qseries import QSeries
+from .qseries import QSeries, slot_width, unpack
 
 
 @dataclass(frozen=True)
@@ -121,62 +122,157 @@ def check_ligozat(eq: EtaQuotient) -> LigozatReport:
 # ---------------------------------------------------------------------------
 # expansion machinery
 #
-# F(q^delta) has O(sqrt(P/delta)) nonzero terms with coefficients +-1 by the
-# pentagonal-number expansion, and Jacobi's identity gives the cube
-# F(q^delta)^3 = sum (-1)^k (2k+1) q^(delta k(k+1)/2) just as sparsely, so a
-# dense integer series is multiplied or divided by either with one slice
-# update per term instead of a convolution.  The literal product and the
-# per-element kernels are kept in the test suite as independent oracles.
+# Every expansion is q^e times a product of Euler functions F(q^d); when
+# all the d share a factor g, the product is a series in q^g and is
+# expanded to P/g and dilated.  The divisors fall into chains d, 2d, 4d, ...
+# with one odd d each, and on a chain some quotients of Euler functions are
+# sparse theta series (R. J. Lemke Oliver, "Eta-quotients and theta
+# functions", Adv. Math. 241 (2013)), with O(sqrt(P/d)) terms below q^P:
+#
+#   phi(-q) = F^2 / F(q^2)                 psi(q)  = F(q^2)^2 / F
+#   phi(q)  = F(q^2)^5 / (F^2 F(q^4)^2)    psi(-q) = F F(q^4) / F(q^2)
+#   F^5 / F(q^2)^2 = sum (6n+1) q^(n(3n+1)/2)
+#   F(q^2)^5 / F^2 = sum (-1)^n (3n+1) q^(n(3n+2))
+#
+# and so are F (Euler's pentagonal numbers) and F^3 (Jacobi).  A product is
+# expanded in three steps:
+#
+# 1. Plan.  On each chain, up to three theta series cancel the negative
+#    exponents, and cubes and single F cover the non-negative rest; of the
+#    plans, the one with the fewest divisions left, then the fewest terms.
+# 2. Multiply.  The steps run on one Kronecker-packed int (D. Harvey,
+#    "Faster polynomial multiplication via multipoint Kronecker
+#    substitution", JSC 2009), each as sum c (X << e B) modulo 2^(B(P+1)).
+#    That map from truncated series is a ring homomorphism, so only the
+#    result must fit its B-bit slots, and the product of the steps'
+#    absolute coefficient sums bounds it: exact by construction.
+# 3. Unpack once, and only then divide by any single F the plan left.
+#
+# The literal product and the per-coefficient kernels are kept in the test
+# suite as independent oracles.
 
-def _pentagonal_terms(delta: int, limit: int) -> list[tuple[int, int]]:
-    """Nonzero terms (exponent, sign) of F(q^delta) up to the limit."""
-    terms = [(0, 1)]
-    k = 1
-    while True:
-        e1 = delta * k * (3 * k - 1) // 2
-        e2 = delta * k * (3 * k + 1) // 2
-        if e1 > limit and e2 > limit:
+def _sign(n: int) -> int:
+    return -1 if n & 1 else 1
+
+
+class _Factor(NamedTuple):
+    """A sparse series on a chain F(q^d), F(q^2d), F(q^4d), ...
+
+    ``vector`` holds the exponents it puts on the chain from F(q^d) on; the
+    series is the sum of coeff(n) q^(d (a n^2 + b n) / 2) over n >= 0, or
+    over all integers n if it is two-sided.
+    """
+
+    vector: tuple[int, ...]
+    a: int
+    b: int
+    coeff: Callable[[int], int]
+    two_sided: bool
+
+    def terms(self, d: int, limit: int) -> list[tuple[int, int]]:
+        """Nonzero terms (exponent, coefficient) up to the limit, ascending."""
+        out = []
+        for n, step in ((0, 1), (-1, -1))[:1 + self.two_sided]:
+            while (e := d * (self.a * n * n + self.b * n) // 2) <= limit:
+                out.append((e, self.coeff(n)))
+                n += step
+        return sorted(out)
+
+    def cost(self, d: int) -> float:
+        """Terms below q^P, in units of sqrt(P)."""
+        return (1 + self.two_sided) * sqrt(2 / (self.a * d))
+
+
+_EULER = _Factor((1,), 3, -1, _sign, True)
+_CUBE = _Factor((3,), 1, 1, lambda n: _sign(n) * (2 * n + 1), False)
+_THETAS = (
+    _Factor((2, -1), 2, 0, lambda n: 2 * _sign(n) if n else 1, False),
+    _Factor((-1, 2), 1, 1, lambda n: 1, False),
+    _Factor((-2, 5, -2), 2, 0, lambda n: 2 if n else 1, False),
+    _Factor((1, -1, 1), 1, 1, lambda n: _sign(n * (n + 1) // 2), False),
+    _Factor((5, -2), 3, 1, lambda n: 6 * n + 1, True),
+    _Factor((-2, 5), 6, 4, lambda n: _sign(n) * (3 * n + 1), True),
+)
+
+
+def _plan_chain(chain, exps):
+    """Multiplication steps (factor, d) and the d of each single F(q^d) to
+    divide by, for the product of F(q^d)^r over one chain."""
+    placed = []
+    for f in _THETAS:
+        for i in range(len(chain) - len(f.vector) + 1):
+            v = [0] * len(chain)
+            v[i:i + len(f.vector)] = f.vector
+            placed.append((f, chain[i], v, f.cost(chain[i])))
+    single = [_EULER.cost(d) for d in chain]
+    cube = [_CUBE.cost(d) for d in chain]
+
+    def key(node):
+        """(divisions, their cost, multiplication cost) of a node."""
+        used, rest = node
+        divs = sum(-r for r in rest if r < 0)
+        div_cost = sum(-r * c for r, c in zip(rest, single) if r < 0)
+        mul_cost = sum(placed[j][3] for j in used) + sum(
+            r // 3 * c3 + r % 3 * c1
+            for r, c1, c3 in zip(rest, single, cube) if r > 0)
+        return divs, div_cost, mul_cost
+
+    # breadth first over multisets of up to three theta series, each of
+    # which cancels a negative exponent; no deeper once some plan divides
+    # nowhere
+    nodes = {(): exps}
+    frontier = nodes
+    for _ in range(3):
+        if min(map(key, nodes.items()))[0] == 0:
             break
-        sign = -1 if k % 2 else 1
-        if e1 <= limit:
-            terms.append((e1, sign))
-        if e2 <= limit:
-            terms.append((e2, sign))
-        k += 1
-    terms.sort()
-    return terms
+        grown = {}
+        for used, rest in frontier.items():
+            for j, (_, _, v, _) in enumerate(placed):
+                node = tuple(sorted(used + (j,)))
+                if node not in nodes and any(
+                        r < 0 and x < 0 for r, x in zip(rest, v)):
+                    grown[node] = [r - x for r, x in zip(rest, v)]
+        nodes.update(grown)
+        frontier = grown
+    used, rest = min(nodes.items(), key=key)
+    steps = [(placed[j][0], placed[j][1]) for j in used]
+    for d, r in zip(chain, rest):
+        if r > 0:
+            steps += [(_CUBE, d)] * (r // 3) + [(_EULER, d)] * (r % 3)
+    return steps, [d for d, r in zip(chain, rest) for _ in range(-r)]
 
 
-def _jacobi_cube_terms(delta: int, limit: int) -> list[tuple[int, int]]:
-    """Nonzero terms (exponent, coefficient) of F(q^delta)^3 up to the
-    limit, by Jacobi's identity."""
-    terms = []
-    k = 0
-    while delta * k * (k + 1) // 2 <= limit:
-        terms.append((delta * k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
-        k += 1
-    return terms
+def _plan(eq: EtaQuotient):
+    """(g, steps, divisors): the Euler product of the quotient is a series
+    in q^g, the gcd of its divisors; as a series in x = q^g it is the
+    product of the multiplication steps (factor, d), divided by the single
+    F(x^d) of each divisor d listed."""
+    g = gcd(*(d for d, _ in eq.exponents)) or 1
+    chains: dict[int, list[int]] = {}
+    for d in divisors(eq.level // g):
+        chains.setdefault(d // (d & -d), []).append(d)
+    steps, divs = [], []
+    for chain in chains.values():
+        s, dv = _plan_chain(chain, [eq.exponent(g * d) for d in chain])
+        steps += s
+        divs += dv
+    return g, steps, divs
 
 
-def _add_scaled(acc, src, c: int):
-    """acc + c * src elementwise, stopping at the shorter operand."""
-    if c == 1:
-        return map(add, acc, src)
-    if c == -1:
-        return map(sub, acc, src)
-    return map(add, acc, map(mul, src, repeat(c)))
-
-
-def _mul_sparse(dense: list[int], terms, limit: int) -> list[int]:
-    """dense times the sparse series of (exponent, coefficient) terms."""
-    size = min(len(dense), limit + 1)
-    while size and not dense[size - 1]:  # trailing zeros add nothing
-        size -= 1
-    out = [0] * (limit + 1)
+def _mul_packed(x: int, terms, n: int, w: int) -> int:
+    """x times the sparse series of (exponent, coefficient) terms, modulo
+    2^(8wn), i.e. on n slots of w bytes: one shift-add per term."""
+    bits = 8 * w
+    acc = 0
     for e, c in terms:
-        if e <= limit:
-            out[e:e + size] = _add_scaled(out[e:e + size], dense, c)
-    return out
+        y = x << e * bits
+        if c == 1:
+            acc += y
+        elif c == -1:
+            acc -= y
+        else:
+            acc += c * y
+    return acc & ((1 << bits * n) - 1)
 
 
 def _div_sparse(dense: list[int], terms, limit: int) -> list[int]:
@@ -201,8 +297,10 @@ def _div_sparse(dense: list[int], terms, limit: int) -> list[int]:
             if e >= hi:
                 break
             start = max(lo, e)
-            out[start:hi] = _add_scaled(out[start:hi], out[start - e:hi - e],
-                                        -c)
+            lag = out[start - e:hi - e]
+            out[start:hi] = map(add if c < 0 else sub, out[start:hi],
+                                lag if c in (1, -1)
+                                else map(mul, lag, repeat(abs(c))))
         if short:
             for i in range(lo, hi):
                 acc = out[i]
@@ -212,6 +310,19 @@ def _div_sparse(dense: list[int], terms, limit: int) -> list[int]:
                     acc -= c * out[i - e]
                 out[i] = acc
     return out
+
+
+def _euler_product(steps, divs, limit: int) -> list[int]:
+    """A planned product below x^(limit + 1)."""
+    factors = [f.terms(d, limit) for f, d in steps]
+    w = slot_width(prod(sum(abs(c) for _, c in t) for t in factors))
+    x = 1
+    for terms in factors:
+        x = _mul_packed(x, terms, limit + 1, w)
+    product = unpack(x, limit + 1, w)
+    for d in divs:
+        product = _div_sparse(product, _EULER.terms(d, limit), limit)
+    return product
 
 
 # best-precision integer expansion per quotient; truncated views are served
@@ -231,20 +342,12 @@ def _expand_ints(eq: EtaQuotient, precision: int) -> list[int]:
     e = e24 // 24
     if e < 0:
         raise ValueError(f"negative leading exponent {e}")
-    # positive powers first: a division applied early grows partition-like
-    # intermediates (432 bits at precision 5000), while this order keeps
-    # them within 32 bits.  |r| = 3a + b runs as a Jacobi cube steps and b
-    # pentagonal steps.
-    dense = [1] + [0] * precision
-    for d, r in sorted(eq.exponents, key=lambda dr: dr[1] < 0):
-        step = _mul_sparse if r > 0 else _div_sparse
-        cubes, singles = divmod(abs(r), 3)
-        for terms, count in ((_jacobi_cube_terms(d, precision), cubes),
-                             (_pentagonal_terms(d, precision), singles)):
-            for _ in range(count):
-                dense = step(dense, terms, precision)
-    if e:
-        dense = ([0] * e + dense)[:precision + 1]
+    # the Euler product is needed below q^(limit + 1) only
+    limit = precision - e
+    dense = [0] * (precision + 1)
+    if limit >= 0:
+        g, steps, divs = _plan(eq)
+        dense[e::g] = _euler_product(steps, divs, limit // g)
     _EXPANSION_CACHE[eq] = (precision, dense)
     return dense[:]
 

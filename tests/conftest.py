@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's fast paths: the eta
 oracle multiplies out the literal product factor by factor with Fraction
-arithmetic, the sparse-series kernels run one coefficient at a time, and
-the divisor-sum oracles enumerate divisors directly.
+arithmetic, the sparse-series kernels and the series product run one
+coefficient at a time, and the divisor-sum oracles enumerate divisors
+directly.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from convsum import eta
+from convsum.qseries import QSeries
 
 
 def mul_lists(a, b, precision):
@@ -38,8 +40,8 @@ def literal_euler_product(delta, precision):
     return factor
 
 
-def literal_eta_expansion(level, exponents, precision):
-    """q^e * prod of literal Euler products, as a Fraction list."""
+def literal_euler_quotient(exponents, precision):
+    """prod of literal Euler products F(q^delta)^r, as a Fraction list."""
 
     def invert(a):
         out = [Fraction(0)] * (precision + 1)
@@ -59,6 +61,12 @@ def literal_eta_expansion(level, exponents, precision):
             factor = invert(factor)
         for _ in range(abs(r)):
             result = mul_lists(result, factor, precision)
+    return result
+
+
+def literal_eta_expansion(level, exponents, precision):
+    """q^e * prod of literal Euler products, as a Fraction list."""
+    result = literal_euler_quotient(exponents, precision)
     shift = sum(d * r for d, r in exponents.items()) // 24
     shifted = [Fraction(0)] * (precision + 1)
     for i in range(precision + 1 - shift):
@@ -96,12 +104,19 @@ def naive_eta_expansion(eq, precision):
     one pentagonal step per unit of exponent, in divisor order."""
     dense = [1] + [0] * precision
     for d, r in eq.exponents:
-        terms = eta._pentagonal_terms(d, precision)
+        terms = eta._EULER.terms(d, precision)
         step = naive_mul_sparse if r > 0 else naive_div_sparse
         for _ in range(abs(r)):
             dense = step(dense, terms, precision)
     shift = sum(d * r for d, r in eq.exponents) // 24
     return ([0] * shift + dense)[:precision + 1]
+
+
+def naive_series_mul(s, t):
+    """Cauchy product of two series straight from the definition."""
+    p = min(s.precision, t.precision)
+    return QSeries(p, [sum(s.coeffs[i] * t.coeffs[n - i] for i in range(n + 1))
+                       for n in range(p + 1)])
 
 
 def sigma_by_full_scan(k, n):

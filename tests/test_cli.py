@@ -1,14 +1,15 @@
 import csv
 import io
 import json
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convsum import tables
-from convsum.cli import main
+from convsum import cli, tables
+from convsum.cli import MAX_LEVEL, MAX_PRECISION, main
 from convsum.convolution import w_oracle
 
 
@@ -269,3 +270,31 @@ def test_cli_fuzz_exits_cleanly(args):
     assert result.exception is None or isinstance(result.exception,
                                                   SystemExit), args
     assert result.exit_code in (0, 1, 2), (args, result.output)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(MAX_LEVEL + 1, 10 ** 40),
+       st.integers(MAX_PRECISION + 1, 10 ** 40))
+@example(1000000000000000003, 10 ** 18)
+def test_cli_extreme_values_exit_before_work(level, precision):
+    """A level or precision above its ceiling exits 2 before any factoring
+    or any suite starts."""
+    refuse = mock.Mock(side_effect=AssertionError("work started"))
+    with mock.patch.object(cli, "dim_spaces", refuse), \
+            mock.patch.object(cli.verify_suites, "closed_forms", refuse):
+        for args, env in (
+                (["dims", "--level", str(level)], None),
+                (["--precision", str(precision), "verify", "closed-forms",
+                  "--max-n", str(precision)], None),
+                (["verify", "closed-forms", "--max-n", "5"],
+                 {"CONVSUM_PRECISION": str(precision)})):
+            result = CliRunner().invoke(main, args, env=env)
+            assert result.exit_code == 2, (args, result.output)
+            assert "exceeds the ceiling" in result.output
+    assert not refuse.called
+
+
+def test_cli_ceilings_are_accepted(runner):
+    result = invoke(runner, "--precision", str(MAX_PRECISION), "dims",
+                    "--level", str(MAX_LEVEL))
+    assert result.exit_code == 0

@@ -1,15 +1,19 @@
+from math import prod
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convsum import eta, tables, verify
-from convsum.eta import (EtaQuotient, _div_sparse, _expand_ints,
-                         _jacobi_cube_terms, _mul_sparse, _pentagonal_terms,
-                         basis_rows, check_ligozat, expand, table_rows)
-from convsum.qseries import QSeries
+from convsum.arith import divisors
+from convsum.eta import (_CUBE, _EULER, _THETAS, EtaQuotient, _div_sparse,
+                         _expand_ints, _mul_packed, _plan, basis_rows,
+                         check_ligozat, expand, table_rows)
+from convsum.qseries import QSeries, pack, slot_width, unpack
 from conftest import (literal_eta_expansion, literal_euler_product,
-                      mul_lists, naive_div_sparse, naive_eta_expansion,
-                      naive_mul_sparse, partition_numbers)
+                      literal_euler_quotient, mul_lists, naive_div_sparse,
+                      naive_eta_expansion, naive_mul_sparse,
+                      partition_numbers)
 
 
 def dense(terms, limit):
@@ -26,29 +30,40 @@ def order(s):
 
 
 def test_euler_product_examples():
-    assert _pentagonal_terms(1, 12) == [(0, 1), (1, -1), (2, -1), (5, 1),
-                                        (7, 1), (12, -1)]
-    assert _pentagonal_terms(2, 5) == [(0, 1), (2, -1), (4, -1)]
+    assert _EULER.terms(1, 12) == [(0, 1), (1, -1), (2, -1), (5, 1), (7, 1),
+                                   (12, -1)]
+    assert _EULER.terms(2, 5) == [(0, 1), (2, -1), (4, -1)]
     for delta in (1, 3, 44):
-        assert _pentagonal_terms(delta, 30)[0] == (0, 1)
+        assert _EULER.terms(delta, 30)[0] == (0, 1)
 
 
 def test_euler_product_matches_literal_product():
     precision = 200
     for delta in range(1, 53):
         literal = literal_euler_product(delta, precision)
-        assert dense(_pentagonal_terms(delta, precision), precision) == literal
+        assert dense(_EULER.terms(delta, precision), precision) == literal
 
 
 def test_jacobi_cube():
     limit = 120
-    assert dense(_jacobi_cube_terms(1, limit), limit) == dense(
+    assert dense(_CUBE.terms(1, limit), limit) == dense(
         [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1))
          for k in range(0, 20) if k * (k + 1) // 2 <= limit], limit)
     for delta in (1, 2, 7, 44):
         literal = literal_euler_product(delta, limit)
         cube = mul_lists(mul_lists(literal, literal, limit), literal, limit)
-        assert dense(_jacobi_cube_terms(delta, limit), limit) == cube
+        assert dense(_CUBE.terms(delta, limit), limit) == cube
+
+
+@pytest.mark.parametrize("factor", _THETAS, ids=lambda f: str(f.vector))
+def test_theta_factors_match_literal_quotients(factor):
+    """Each theta series equals the quotient of Euler products its vector
+    names, on chains starting at 1, 2, 11 and 13."""
+    limit = 80
+    for delta in (1, 2, 11, 13):
+        exponents = {delta << i: r for i, r in enumerate(factor.vector)}
+        assert dense(factor.terms(delta, limit), limit) == \
+            literal_euler_quotient(exponents, limit)
 
 
 def test_division_gives_geometric_series():
@@ -57,53 +72,116 @@ def test_division_gives_geometric_series():
 
 def test_division_gives_partition_numbers():
     limit = 40
-    assert _div_sparse([1] + [0] * limit, _pentagonal_terms(1, limit),
+    assert _div_sparse([1] + [0] * limit, _EULER.terms(1, limit),
                        limit) == partition_numbers(limit)
 
 
-TERM_LISTS = {"pentagonal": _pentagonal_terms, "jacobi": _jacobi_cube_terms}
+FACTORS = (_EULER, _CUBE) + _THETAS
 
 
 @st.composite
 def kernel_case(draw):
+    """Coefficients up to 2^40, or up to 2^62, which pushes the slot bound
+    of a step past 63 bits into the wider slots."""
     limit = draw(st.integers(1, 400))
-    dense = draw(st.lists(st.integers(-2 ** 40, 2 ** 40),
-                          min_size=limit + 1, max_size=limit + 1))
-    delta = draw(st.integers(1, 60))
-    terms = TERM_LISTS[draw(st.sampled_from(sorted(TERM_LISTS)))](delta, limit)
+    top = draw(st.sampled_from((2 ** 40, 2 ** 62)))
+    dense = draw(st.lists(st.integers(-top, top), min_size=limit + 1,
+                          max_size=limit + 1))
+    terms = draw(st.sampled_from(FACTORS)).terms(draw(st.integers(1, 60)),
+                                                 limit)
     return dense, terms, limit
+
+
+def packed_step(dense, terms, limit):
+    """One packed multiplication step, from a list and back, with the slot
+    width from the bound max |dense| * sum |c|."""
+    n = limit + 1
+    w = slot_width(max(map(abs, dense)) * sum(abs(c) for _, c in terms))
+    return unpack(_mul_packed(pack(dense, w), terms, n, w), n, w)
 
 
 @settings(max_examples=80, deadline=None)
 @given(kernel_case())
+@example(([2 ** 62, -2 ** 62, 3], _CUBE.terms(1, 2), 2))
 def test_sparse_kernels_match_naive(case):
-    """Slice kernels against the per-coefficient oracles, across block
-    sizes and on both sides of the short/long-lag split."""
+    """The packed step and the slice division against the per-coefficient
+    oracles, on 8-byte and wider slots, across block sizes and on both
+    sides of the short/long-lag split."""
     dense, terms, limit = case
-    assert _mul_sparse(dense, terms, limit) == naive_mul_sparse(
+    assert packed_step(dense, terms, limit) == naive_mul_sparse(
         dense, terms, limit)
     assert _div_sparse(dense, terms, limit) == naive_div_sparse(
         dense, terms, limit)
+
+
+def test_packed_step_slot_widths():
+    """Bounds just below and above 2^63 take 8- and 9-byte slots, and both
+    give the naive product."""
+    limit = 30
+    terms = _CUBE.terms(1, limit)
+    for top, width in ((2 ** 40, 8), (2 ** 62, 9)):
+        dense = [top, -top] + [1] * (limit - 1)
+        assert slot_width(top * sum(abs(c) for _, c in terms)) == width
+        assert packed_step(dense, terms, limit) == naive_mul_sparse(
+            dense, terms, limit)
 
 
 @settings(max_examples=40, deadline=None)
 @given(kernel_case())
 def test_sparse_division_inverts_multiplication(case):
     dense, terms, limit = case
-    assert _div_sparse(_mul_sparse(dense, terms, limit), terms,
+    assert _div_sparse(packed_step(dense, terms, limit), terms,
                        limit) == dense
 
 
+@st.composite
+def random_row(draw):
+    """A row at level 6, 12, 44 or 52 with exponents from [-4, 4] except at
+    divisor 1, whose exponent is the least from -4 on that makes the
+    leading exponent a non-negative integer."""
+    level = draw(st.sampled_from((6, 12, 44, 52)))
+    rest = draw(st.lists(st.integers(-4, 4), min_size=len(divisors(level)) - 1,
+                         max_size=len(divisors(level)) - 1))
+    s = sum(d * r for d, r in zip(divisors(level)[1:], rest))
+    low = max(-4, -s)
+    return EtaQuotient.of(level, [low + (-s - low) % 24] + rest)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_row(), st.integers(1, 60))
+def test_expand_ints_random_rows_against_naive(row, precision):
+    eta._EXPANSION_CACHE.pop(row, None)
+    assert _expand_ints(row, precision) == naive_eta_expansion(row, precision)
+
+
 def test_expand_ints_against_naive_order(fresh_expansions):
-    """Positive-first order with Jacobi cubes against one pentagonal step
-    per unit of exponent in divisor order, on every table row and the
-    repaired row."""
+    """The planned packed expansion against one pentagonal step per unit of
+    exponent in divisor order, on every table row and the repaired row,
+    four of which still divide."""
     precision = 400
     rows = set(table_rows(44) + table_rows(52) + basis_rows(52))
     assert len(rows) == 34
+    assert sum(1 for row in rows if _plan(row)[2]) == 4
     for row in rows:
         assert _expand_ints(row, precision) == naive_eta_expansion(
             row, precision)
+
+
+def test_plan_divides_only_three_basis_rows():
+    """Structural guard: every basis row but three expands without a
+    division, each of those three and the printed level-52 row 7 divides
+    once, and every row's slot bound fits 8-byte slots through precision
+    20000."""
+    dividing = {}
+    for row in basis_rows(44) + basis_rows(52) + table_rows(52):
+        g, steps, divs = _plan(row)
+        if divs:
+            dividing[row.as_row()] = len(divs)
+        bound = prod(sum(abs(c) for _, c in f.terms(d, 20000 // g))
+                     for f, d in steps)
+        assert bound.bit_length() <= 63, row
+    assert dividing == {(0, -3, 5, 0, 5, 1): 1, (1, -3, 4, -3, 5, 4): 1,
+                        (0, 1, -1, 0, 3, 5): 1, (1, -1, 0, 3, 5, 0): 1}
 
 
 def test_expand_below_leading_exponent(fresh_expansions):

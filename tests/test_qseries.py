@@ -6,13 +6,7 @@ from hypothesis import strategies as st
 
 from convsum.arith import sigma_k
 from convsum.qseries import QSeries
-
-
-def naive_product(s, t):
-    """Cauchy product straight from the definition."""
-    p = min(s.precision, t.precision)
-    return QSeries(p, [sum(s.coeffs[i] * t.coeffs[n - i] for i in range(n + 1))
-                       for n in range(p + 1)])
+from conftest import naive_series_mul
 
 
 coefficients = st.integers(min_value=-2 ** 40, max_value=2 ** 40)
@@ -91,7 +85,7 @@ def test_mul_gives_convolution_sums():
 @settings(max_examples=60, deadline=None)
 @given(series(), series())
 def test_mul_matches_naive_product(s, t):
-    assert s * t == naive_product(s, t)
+    assert s * t == naive_series_mul(s, t)
 
 
 @settings(max_examples=40, deadline=None)
