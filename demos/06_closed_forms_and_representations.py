@@ -8,9 +8,9 @@ for the octonary forms a*(4 squares) + b*(4 squares) then follow, checked
 against direct lattice enumeration.
 """
 
-from convsum import (EVALUATED_PAIRS, RepQuery, basis_rows, r4_enumerate,
-                     r4_jacobi, rep_count_closed, rep_count_enumerate,
-                     w_closed_table, w_series_oracle)
+from convsum import (EVALUATED_PAIRS, basis_rows, r4_enumerate, r4_jacobi,
+                     rep_count_closed, rep_count_enumerate, w_closed_table,
+                     w_series_oracle)
 
 LIMIT = 400
 
@@ -35,9 +35,8 @@ print("octonary counts for (a,b) = (1,11) and (1,13):")
 for b in (11, 13):
     row = []
     for n in range(0, 14):
-        query = RepQuery(1, b, n)
-        closed = rep_count_closed(query)
-        assert closed == rep_count_enumerate(query)
+        closed = rep_count_closed(1, b, n)
+        assert closed == rep_count_enumerate(1, b, n)
         row.append(closed)
     print(f"  N(1,{b})(0..13) = {row}")
 print()

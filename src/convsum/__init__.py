@@ -14,7 +14,7 @@ from .eisenstein import EisensteinPair, lhs_square, rhs_identity, series_L, seri
 from .eta import (EtaQuotient, LigozatReport, basis_rows, check_ligozat, expand,
                   table_rows)
 from .qseries import QSeries
-from .representations import (CLOSED_FORM_PAIRS, RepQuery, default_w_provider,
+from .representations import (CLOSED_FORM_PAIRS, default_w_provider,
                               r4_enumerate, r4_jacobi, rep_count_closed,
                               rep_count_enumerate)
 from .spaces import (BasisError, CoefficientSolution, DerivationError,
@@ -28,7 +28,7 @@ __all__ = [
     "BasisError", "CLOSED_FORM_PAIRS", "CoefficientSolution",
     "DerivationError", "EVALUATED_PAIRS", "EisensteinPair", "EtaQuotient",
     "InconsistentSystemError", "IndependenceCertificate", "IntegralityError",
-    "LigozatReport", "QSeries", "RepQuery", "SingularSystemError",
+    "LigozatReport", "QSeries", "SingularSystemError",
     "SpaceBasis", "basis_rows", "build_basis", "check_ligozat",
     "default_w_provider", "derive_coefficients", "dim_spaces", "divisors",
     "euler_phi", "expand", "genus", "lhs_square", "r4_enumerate",

@@ -1,11 +1,13 @@
 """Command-line surface for evaluation, tabulation, and verification.
 
-The ``verify`` commands parse their ranges and print the report of the
-matching suite in :mod:`convsum.verify`.  Exit codes: 0 on success or all
-checks passing, 1 on a verification failure, 2 on usage errors, including
-ranges out of bounds.  Before any work starts, the group precision must lie
-in [1, MAX_PRECISION] and caps every n and range, and ``dims`` refuses a
-level above MAX_LEVEL, which bounds its trial division.  All reports are
+The ``verify`` commands print the report of the matching suite in
+:mod:`convsum.verify`.  Exit codes: 0 on success or all checks passing, 1 on
+a verification failure, 2 on usage errors.  Each argument is checked once,
+by the library function that uses it; every command is a
+:class:`BoundaryCommand`, which turns the library's ``ValueError`` into a
+usage error.  Before any work starts, the group precision must lie in
+[1, MAX_PRECISION] and caps every n and range, and ``dims`` refuses a level
+above MAX_LEVEL, which bounds its trial division.  All reports are
 deterministic: fixed ordering, no timestamps.  Rationals serialize as
 {"num": "...", "den": "..."} with decimal strings so consumers never lose
 precision.
@@ -17,7 +19,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import click
@@ -32,17 +33,29 @@ MAX_PRECISION = 10 ** 6
 MAX_LEVEL = 10 ** 10  # dims factors by trial division up to sqrt(level)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Global limits for one invocation; precision caps every max-n."""
+class BoundaryCommand(click.Command):
+    """A command whose library ``ValueError`` is a usage error (exit 2)."""
 
-    precision: int = DEFAULT_PRECISION
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
 
-    def check_max_n(self, max_n: int) -> None:
-        if max_n > self.precision:
-            raise click.UsageError(
-                f"max n {max_n} exceeds the configured precision "
-                f"{self.precision} (raise --precision or CONVSUM_PRECISION)")
+
+class BoundaryGroup(click.Group):
+    """Makes every command, and every subgroup's command, a boundary."""
+
+    command_class = BoundaryCommand
+    group_class = type
+
+
+def check_max_n(precision: int, max_n: int) -> None:
+    """The group precision caps every n and range of a command."""
+    if max_n > precision:
+        raise click.UsageError(
+            f"max n {max_n} exceeds the configured precision "
+            f"{precision} (raise --precision or CONVSUM_PRECISION)")
 
 
 def _rational_json(x: Fraction) -> dict:
@@ -53,7 +66,7 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-@click.group()
+@click.group(cls=BoundaryGroup)
 @click.option("--precision", type=int, default=DEFAULT_PRECISION,
               envvar="CONVSUM_PRECISION", show_default=True,
               help="Expansion precision ceiling for this invocation, "
@@ -66,7 +79,7 @@ def main(ctx, precision):
     if precision > MAX_PRECISION:
         raise click.UsageError(
             f"precision {precision} exceeds the ceiling {MAX_PRECISION}")
-    ctx.obj = RunConfig(precision)
+    ctx.obj = precision
 
 
 # ---------------------------------------------------------------------------
@@ -79,23 +92,11 @@ def main(ctx, precision):
 @click.option("--method", type=click.Choice(["closed", "oracle"]),
               default="closed", show_default=True)
 @click.pass_obj
-def eval_w(cfg, alpha, beta, n, method):
+def eval_w(precision, alpha, beta, n, method):
     """Print the convolution sum of (alpha, beta) at n."""
-    if n < 0:
-        raise click.UsageError("n must be non-negative")
-    cfg.check_max_n(n)
-    try:
-        if method == "closed":
-            if (alpha, beta) not in convolution.EVALUATED_PAIRS:
-                raise click.UsageError(
-                    f"closed form unavailable for ({alpha}, {beta}); "
-                    "use --method oracle")
-            value = convolution.w_closed((alpha, beta), n)
-        else:
-            value = convolution.w_oracle(alpha, beta, n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    click.echo(value)
+    check_max_n(precision, n)
+    click.echo(convolution.w_closed((alpha, beta), n) if method == "closed"
+               else convolution.w_oracle(alpha, beta, n))
 
 
 @main.command("table-w")
@@ -107,23 +108,13 @@ def eval_w(cfg, alpha, beta, n, method):
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.pass_obj
-def table_w(cfg, alpha, beta, max_n, method, fmt):
+def table_w(precision, alpha, beta, max_n, method, fmt):
     """Tabulate convolution sums for n = 0..max-n."""
-    if max_n < 0:
-        raise click.UsageError("max-n must be non-negative")
-    cfg.check_max_n(max_n)
-    try:
-        if method == "closed":
-            if (alpha, beta) not in convolution.EVALUATED_PAIRS:
-                raise click.UsageError(
-                    f"closed form unavailable for ({alpha}, {beta})")
-            values = convolution.w_closed_table((alpha, beta), max_n)
-        else:
-            # the series oracle needs precision >= 1; cut back for max-n 0
-            values = convolution.w_series_oracle(
-                alpha, beta, max(max_n, 1))[:max_n + 1]
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    check_max_n(precision, max_n)
+    if method == "closed":
+        values = convolution.w_closed_table((alpha, beta), max_n)
+    else:
+        values = convolution.w_series_oracle(alpha, beta, max_n)
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -145,22 +136,11 @@ def table_w(cfg, alpha, beta, max_n, method, fmt):
 @click.option("--method", type=click.Choice(["closed", "oracle"]),
               default="closed", show_default=True)
 @click.pass_obj
-def rep_count(cfg, a, b, n, method):
+def rep_count(precision, a, b, n, method):
     """Print the octonary representation count for (a, b) at n."""
-    cfg.check_max_n(n)
-    try:
-        query = representations.RepQuery(a, b, n)
-        if method == "closed":
-            if (a, b) not in representations.CLOSED_FORM_PAIRS:
-                raise click.UsageError(
-                    f"closed form unavailable for ({a}, {b}); "
-                    f"supported: {representations.CLOSED_FORM_PAIRS}")
-            value = representations.rep_count_closed(query)
-        else:
-            value = representations.rep_count_enumerate(query, bound=max(n, 500))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    click.echo(value)
+    check_max_n(precision, n)
+    click.echo(representations.rep_count_closed(a, b, n) if method == "closed"
+               else representations.rep_count_enumerate(a, b, n))
 
 
 @main.command("dims")
@@ -172,10 +152,7 @@ def dims(level, weight):
     if level > MAX_LEVEL:
         raise click.UsageError(
             f"level {level} exceeds the ceiling {MAX_LEVEL}")
-    try:
-        dim_m, dim_e, dim_s = dim_spaces(level, weight)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    dim_m, dim_e, dim_s = dim_spaces(level, weight)
     click.echo(f"level {level} weight {weight}: "
                f"dim M = {dim_m}, dim E = {dim_e}, dim S = {dim_s}")
 
@@ -183,34 +160,24 @@ def dims(level, weight):
 @main.command("derive")
 @click.option("--alpha", type=int, required=True)
 @click.option("--beta", type=int, required=True)
-@click.option("--basis", type=click.Choice(["auto", "printed", "repaired"]),
+@click.option("--basis", type=click.Choice(["auto", "printed"]),
               default="auto", show_default=True,
-              help="Cusp rows: 'auto' takes the rows of the closed forms "
-                   "(the printed rows, with the dependent level-52 row "
-                   "repaired), 'printed' the rows as printed, and 'repaired' "
-                   "is 'auto' at a level with a repaired row only.")
+              help="Cusp rows: 'auto' the rows of the closed forms (the "
+                   "dependent level-52 row repaired), 'printed' as printed.")
 @click.option("--precision", "solve_precision", type=int, default=120,
               show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_obj
-def derive(cfg, alpha, beta, basis, solve_precision, as_json):
+def derive(precision, alpha, beta, basis, solve_precision, as_json):
     """Derive the exact expansion of the squared Eisenstein combination."""
-    try:
-        pair = EisensteinPair(alpha, beta)
-        printed = eta.table_rows(pair.level)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    cfg.check_max_n(solve_precision)
+    pair = EisensteinPair(alpha, beta)
+    printed = eta.table_rows(pair.level)
+    check_max_n(precision, solve_precision)
     rows = printed if basis == "printed" else eta.basis_rows(pair.level)
     label = "printed" if rows == printed else "repaired"
-    if basis == "repaired" and label == "printed":
-        raise click.UsageError(
-            f"--basis repaired: the level-{pair.level} rows need no repair")
     try:
         space = spaces.build_basis(pair.level, solve_precision, rows)
         solution = spaces.derive_coefficients(pair, space)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     except spaces.DerivationError as exc:
         click.echo(f"FAIL derivation over the {label} rows failed: {exc}",
                    err=True)
@@ -277,11 +244,8 @@ def export_tables(level, fmt):
 # verification commands: argument parsing around the suites in verify.py
 
 def _report(suite, *args, header: bool = False) -> None:
-    """Print a suite's report; exit 1 if it fails, 2 on a bad argument."""
-    try:
-        check = suite(*args)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    """Print a suite's report; exit 1 if it fails."""
+    check = suite(*args)
     if header:
         click.echo(f"== {check.name} ==")
     for line in check.lines:
@@ -316,13 +280,12 @@ def verify_basis():
 @click.option("--beta", type=int, default=None)
 @click.option("--max-n", type=int, default=300, show_default=True)
 @click.pass_obj
-def verify_identity(cfg, alpha, beta, max_n):
+def verify_identity(precision, alpha, beta, max_n):
     """Squared combination versus its convolution-sum expansion."""
-    cfg.check_max_n(max_n)
+    check_max_n(precision, max_n)
     if (alpha is None) != (beta is None):
         raise click.UsageError("--alpha and --beta must be given together")
-    pairs = (convolution.EVALUATED_PAIRS if alpha is None
-             else ((alpha, beta),))
+    pairs = convolution.EVALUATED_PAIRS if alpha is None else ((alpha, beta),)
     _report(verify_suites.identity, max_n, pairs)
 
 
@@ -330,19 +293,19 @@ def verify_identity(cfg, alpha, beta, max_n):
 @click.option("--precision", "solve_precision", type=int, default=120,
               show_default=True)
 @click.pass_obj
-def verify_lemma32(cfg, solve_precision):
+def verify_lemma32(precision, solve_precision):
     """Re-derive all four expansions and compare with the embedded data,
     calling out where the previously reported lists diverge."""
-    cfg.check_max_n(solve_precision)
+    check_max_n(precision, solve_precision)
     _report(verify_suites.lemma32, solve_precision)
 
 
 @verify.command("closed-forms")
 @click.option("--max-n", type=int, default=1000, show_default=True)
 @click.pass_obj
-def verify_closed_forms(cfg, max_n):
+def verify_closed_forms(precision, max_n):
     """Closed forms against brute force, exact integer equality."""
-    cfg.check_max_n(max_n)
+    check_max_n(precision, max_n)
     _report(verify_suites.closed_forms, max_n)
 
 
@@ -350,9 +313,9 @@ def verify_closed_forms(cfg, max_n):
 @click.option("--max-n", type=int, default=100, show_default=True)
 @click.option("--substitution-max-n", type=int, default=300, show_default=True)
 @click.pass_obj
-def verify_reps(cfg, max_n, substitution_max_n):
+def verify_reps(precision, max_n, substitution_max_n):
     """Octonary counts and the substitution identities behind them."""
-    cfg.check_max_n(max(max_n, substitution_max_n))
+    check_max_n(precision, max(max_n, substitution_max_n))
     _report(verify_suites.reps, max_n, substitution_max_n)
 
 
@@ -366,7 +329,7 @@ def verify_dims():
 @click.option("--fast", is_flag=True,
               help="Reduced ranges (closed forms to n = 200, reps to n = 40).")
 @click.pass_obj
-def verify_all(cfg, fast):
+def verify_all(precision, fast):
     """Run every verification suite in order."""
     runs = [
         (verify_suites.ligozat,),
@@ -377,7 +340,7 @@ def verify_all(cfg, fast):
         (verify_suites.closed_forms, 200 if fast else 1000),
         (verify_suites.reps, 40 if fast else 100, 100 if fast else 300),
     ]
-    cfg.check_max_n(max(n for _, *ranges in runs for n in ranges))
+    check_max_n(precision, max(n for _, *ranges in runs for n in ranges))
     for suite, *args in runs:
         _report(suite, *args, header=True)
     click.echo("all: ok")

@@ -21,7 +21,7 @@ from operator import add, mod, mul
 from . import eta, tables
 from .arith import divisors, sigma_k, sigma_table
 
-EVALUATED_PAIRS = ((1, 44), (4, 11), (1, 52), (4, 13))
+EVALUATED_PAIRS = tuple(tables.EXPANSION_COEFFS)
 
 
 class IntegralityError(ArithmeticError):
@@ -29,9 +29,11 @@ class IntegralityError(ArithmeticError):
 
 
 def w_oracle(alpha: int, beta: int, n: int) -> int:
-    """Brute-force convolution sum; total in n (0 for n < alpha + beta)."""
+    """Brute-force convolution sum at n >= 0 (0 for n < alpha + beta)."""
     if alpha < 1 or beta < 1:
         raise ValueError("alpha and beta must be positive")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     total = 0
     l = 1
     while alpha * l <= n - beta:
@@ -42,16 +44,16 @@ def w_oracle(alpha: int, beta: int, n: int) -> int:
     return total
 
 
-def w_series_oracle(alpha: int, beta: int, precision: int) -> list[int]:
-    """Convolution sums for n = 0..precision as the literal double sum of
+def w_series_oracle(alpha: int, beta: int, max_n: int) -> list[int]:
+    """Convolution sums for n = 0..max_n as the literal double sum of
     sigma(l) * sigma(m) over alpha*l + beta*m = n, one slice of l per m."""
     if alpha < 1 or beta < 1:
         raise ValueError("alpha and beta must be positive")
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
-    sig = [sigma_k(1, l) for l in range(precision // alpha + 1)]
-    out = [0] * (precision + 1)
-    for m in range(1, (precision - alpha) // beta + 1):
+    if max_n < 0:
+        raise ValueError(f"need n >= 0, got {max_n}")
+    sig = [sigma_k(1, l) for l in range(max_n // alpha + 1)]
+    out = [0] * (max_n + 1)
+    for m in range(1, (max_n - alpha) // beta + 1):
         start = alpha + beta * m
         out[start::alpha] = map(add, out[start::alpha],
                                 map(mul, sig[1:], repeat(sigma_k(1, m))))

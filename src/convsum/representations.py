@@ -5,12 +5,12 @@ is 8 sigma(n) - 32 sigma(n/4) (with value 1 at n = 0), and the enumeration
 oracle counts lattice points directly.  The octonary count for the form
 a*(four squares) + b*(four squares) follows from the factorization of its
 generating function: the count is a convolution of two r4 values, which the
-closed form re-expresses through divisor sums and convolution sums.
+closed form re-expresses through divisor sums and convolution sums.  Each
+function checks its own arguments and raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from typing import Callable
@@ -19,24 +19,8 @@ from . import convolution
 from .arith import sigma_k, sigma_k_frac
 
 CLOSED_FORM_PAIRS = ((1, 11), (1, 13))
-DEFAULT_ENUMERATION_BOUND = 500
 
 WProvider = Callable[[int, int, int], int]
-
-
-@dataclass(frozen=True)
-class RepQuery:
-    """One octonary count request: coefficients (a, b) and the target n."""
-
-    a: int
-    b: int
-    n: int
-
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise ValueError("form coefficients must be positive")
-        if self.n < 0:
-            raise ValueError("n must be non-negative")
 
 
 def r4_jacobi(n: int) -> int:
@@ -66,33 +50,28 @@ def _r4_count(n: int) -> int:
     return count
 
 
-def r4_enumerate(n: int, bound: int = DEFAULT_ENUMERATION_BOUND) -> int:
+def r4_enumerate(n: int) -> int:
     """Direct lattice count over |x_i| <= sqrt(n), all sign combinations."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if n > bound:
-        raise ValueError(
-            f"n = {n} exceeds the enumeration bound {bound}; use r4_jacobi")
     return _r4_count(n)
 
 
-def rep_count_enumerate(query: RepQuery,
-                        bound: int = DEFAULT_ENUMERATION_BOUND) -> int:
+def rep_count_enumerate(a: int, b: int, n: int) -> int:
     """Octonary count as sum of r4(l) * r4(m) over a*l + b*m = n.
 
-    Exact for any (a, b); an eight-variable count without eight-dimensional
-    enumeration.
+    Exact for any positive (a, b); an eight-variable count without
+    eight-dimensional enumeration.
     """
-    if query.n > bound:
-        raise ValueError(
-            f"n = {query.n} exceeds the enumeration bound {bound}")
+    if a < 1 or b < 1:
+        raise ValueError("form coefficients must be positive")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     total = 0
-    l = 0
-    while query.a * l <= query.n:
-        rest = query.n - query.a * l
-        if rest % query.b == 0:
-            total += _r4_count(l) * _r4_count(rest // query.b)
-        l += 1
+    for l in range(n // a + 1):
+        rest = n - a * l
+        if rest % b == 0:
+            total += _r4_count(l) * _r4_count(rest // b)
     return total
 
 
@@ -114,26 +93,27 @@ def default_w_provider(b: int, max_n: int) -> WProvider:
     return w
 
 
-def rep_count_closed(query: RepQuery, w: WProvider | None = None) -> int:
+def rep_count_closed(a: int, b: int, n: int, w: WProvider | None = None) -> int:
     """Closed-form octonary count for (a, b) in {(1, 11), (1, 13)}.
 
-    Convolution values at n/4 follow the divisor-sum convention: they vanish
-    unless 4 | n.
+    The terms r4(n) r4(0) and r4(0) r4(n/b) come from ``r4_jacobi``; the
+    rest are convolution sums.  Values at n/4 and n/b follow the divisor-sum
+    convention: they vanish unless 4 | n and b | n.
     """
-    if (query.a, query.b) not in CLOSED_FORM_PAIRS:
-        raise ValueError(
-            f"closed form unavailable for ({query.a}, {query.b}); "
-            f"supported: {CLOSED_FORM_PAIRS}")
-    n, b = query.n, query.b
+    if (a, b) not in CLOSED_FORM_PAIRS:
+        raise ValueError(f"closed form unavailable for ({a}, {b}); "
+                         f"supported: {CLOSED_FORM_PAIRS}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     if n == 0:
         return 1
     if w is None:
         w = default_w_provider(b, n)
     w_quarter = w(1, b, n // 4) if n % 4 == 0 else 0
-    value = (8 * sigma_k(1, n) - 32 * sigma_k_frac(1, n, 4)
-             + 8 * sigma_k_frac(1, n, b) - 32 * sigma_k_frac(1, n, 4 * b)
+    value = (r4_jacobi(n) + (r4_jacobi(n // b) if n % b == 0 else 0)
              + 64 * w(1, b, n) + 1024 * w_quarter
              - 256 * (w(4, b, n) + w(1, 4 * b, n)))
     if value < 0:
-        raise ArithmeticError(f"negative representation count {value} at {query}")
+        raise ArithmeticError(
+            f"negative representation count {value} at {(a, b, n)}")
     return value

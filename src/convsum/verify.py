@@ -170,11 +170,9 @@ def reps(max_n: int, substitution_max_n: int) -> Check:
     results = []
     for a, b in representations.CLOSED_FORM_PAIRS:
         w = representations.default_w_provider(b, max_n)
-        queries = (representations.RepQuery(a, b, n) for n in range(max_n + 1))
-        bad = next((q.n for q in queries
-                    if representations.rep_count_closed(q, w)
-                    != representations.rep_count_enumerate(
-                        q, bound=max(max_n, 500))), None)
+        bad = next((n for n in range(max_n + 1)
+                    if representations.rep_count_closed(a, b, n, w)
+                    != representations.rep_count_enumerate(a, b, n)), None)
         results.append((bad is None, f"octonary counts ({a},{b}): " + (
             f"closed equals enumeration for n <= {max_n}" if bad is None
             else f"mismatch at n = {bad}")))

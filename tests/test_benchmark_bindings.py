@@ -3,24 +3,35 @@
 ``perfbench/tracer.py`` wraps every function named in its ``LAYERS`` table
 and reads the library's caches from outside; a binding renamed or deleted
 in ``src/`` would otherwise only show up in a traced benchmark run.  The
-tracer is loaded by path, as a script, and nothing is patched.
+stdout digests the benchmark pins in ``perfbench/reference.py`` are checked
+here too, so a changed byte fails tier-1 and not only a benchmark run.  Both
+files are loaded by path, as scripts, and nothing is patched.
 """
 
+import hashlib
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from convsum.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
 
 
 def test_every_layer_resolves(tracer):
@@ -37,3 +48,10 @@ def test_cache_counters_read(tracer):
     for key in ("sigma_k", "prime_factors", "r4"):
         assert set(counters[key]) == {"hits", "misses", "entries"}
     assert counters["expansion_cache_entries"] >= 0
+
+
+def test_pinned_stdout_digests():
+    for args, digest in _load("reference").STDOUT_SHA256.items():
+        result = CliRunner().invoke(main, list(args))
+        assert result.exit_code == 0, args
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest, args

@@ -3,6 +3,7 @@ import io
 import json
 from unittest import mock
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -120,10 +121,6 @@ def test_derive_json_level44(runner):
     assert payload["basis"] == "printed"
     assert payload["sigma3_coefficients"]["1"] == {"num": "124464", "den": "61"}
     assert len(payload["cusp_weights"]) == 15
-    repaired = invoke(runner, "derive", "--alpha", "1", "--beta", "44",
-                      "--basis", "repaired")
-    assert repaired.exit_code == 2
-    assert "need no repair" in repaired.stderr
 
 
 def test_derive_level52_auto_uses_repaired_rows(runner):
@@ -131,15 +128,54 @@ def test_derive_level52_auto_uses_repaired_rows(runner):
     assert result.exit_code == 0
     assert json.loads(result.stdout)["basis"] == "repaired"
     assert result.stderr == ""
-    explicit = invoke(runner, "derive", "--alpha", "1", "--beta", "52",
-                      "--json", "--basis", "repaired")
-    assert explicit.exit_code == 0 and explicit.stdout == result.stdout
 
 
 def test_derive_level52_printed_fails(runner):
     result = invoke(runner, "derive", "--alpha", "1", "--beta", "52",
                     "--basis", "printed")
     assert result.exit_code == 1
+
+
+def _leaf_commands(command):
+    if isinstance(command, click.Group):
+        for sub in command.commands.values():
+            yield from _leaf_commands(sub)
+    else:
+        yield command
+
+
+def test_every_command_is_the_error_boundary():
+    """A command declared outside the group's command class would let a
+    library ValueError escape as a traceback."""
+    leaves = list(_leaf_commands(main))
+    assert len(leaves) >= 14
+    for command in leaves:
+        assert isinstance(command, cli.BoundaryCommand), command.name
+
+
+# per command family: a library call it makes, and an argument vector
+PROBED = [
+    (cli.convolution, "w_closed",
+     ("eval-w", "--alpha", "1", "--beta", "44", "--n", "5")),
+    (cli.convolution, "w_series_oracle",
+     ("table-w", "--alpha", "1", "--beta", "44", "--max-n", "5")),
+    (cli.representations, "rep_count_enumerate",
+     ("rep-count", "--a", "1", "--b", "11", "--n", "5", "--method", "oracle")),
+    (cli, "dim_spaces", ("dims", "--level", "44")),
+    (cli.spaces, "build_basis", ("derive", "--alpha", "1", "--beta", "44")),
+    (cli, "divisors", ("export", "tables")),
+    (cli.verify_suites, "ligozat", ("verify", "all", "--fast")),
+    (cli.verify_suites, "closed_forms", ("verify", "closed-forms")),
+]
+
+
+@pytest.mark.parametrize("module, name, args", PROBED,
+                         ids=[" ".join(args[:2]) for *_, args in PROBED])
+def test_library_value_error_is_usage_error(runner, module, name, args):
+    with mock.patch.object(module, name, side_effect=ValueError("probe")):
+        result = runner.invoke(main, list(args))
+    assert result.exit_code == 2, result.output
+    assert "probe" in result.stderr and result.stdout == ""
 
 
 def test_export_tables_json_is_bit_exact(runner):
@@ -233,7 +269,7 @@ FUZZED = {
     ("rep-count",): (("--a", "--b"), ("--n",),
                      {"--method": ("closed", "oracle")}),
     ("derive",): (("--alpha", "--beta"), ("--precision",),
-                  {"--basis": ("auto", "printed", "repaired")}),
+                  {"--basis": ("auto", "printed")}),
     ("verify", "closed-forms"): ((), ("--max-n",), {}),
     ("verify", "identity"): (("--alpha", "--beta"), ("--max-n",), {}),
     ("verify", "reps"): ((), ("--max-n", "--substitution-max-n"), {}),

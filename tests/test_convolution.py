@@ -18,6 +18,8 @@ def test_w_oracle_examples():
     assert w_oracle(1, 11, 0) == 0
     with pytest.raises(ValueError):
         w_oracle(0, 3, 5)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        w_oracle(1, 44, -1)
 
 
 def test_w_series_oracle_matches_direct():
@@ -27,6 +29,9 @@ def test_w_series_oracle_matches_direct():
             assert table[n] == w_oracle(alpha, beta, n)
     assert w_series_oracle(1, 11, 12)[12] == 1
     assert w_series_oracle(1, 13, 15)[15] == 3
+    assert w_series_oracle(1, 44, 0) == [0]
+    with pytest.raises(ValueError, match="need n >= 0"):
+        w_series_oracle(1, 44, -1)
 
 
 def test_closed_form_examples():

@@ -2,9 +2,9 @@ import pytest
 
 from convsum.arith import sigma_k_frac
 from convsum.convolution import w_oracle
-from convsum.representations import (RepQuery, default_w_provider,
-                                     r4_enumerate, r4_jacobi,
-                                     rep_count_closed, rep_count_enumerate)
+from convsum.representations import (default_w_provider, r4_enumerate,
+                                     r4_jacobi, rep_count_closed,
+                                     rep_count_enumerate)
 
 
 def test_r4_examples():
@@ -21,32 +21,32 @@ def test_r4_identity():
 
 
 def test_r4_bounds_and_validation():
-    with pytest.raises(ValueError, match="enumeration bound"):
-        r4_enumerate(501)
-    assert r4_enumerate(501, bound=501) == r4_jacobi(501)
     with pytest.raises(ValueError):
         r4_jacobi(-1)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        r4_enumerate(-1)
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        RepQuery(0, 11, 5)
-    with pytest.raises(ValueError):
-        RepQuery(1, 11, -1)
+    for count in (rep_count_closed, rep_count_enumerate):
+        with pytest.raises(ValueError):
+            count(0, 11, 5)
+        with pytest.raises(ValueError, match="need n >= 0"):
+            count(1, 11, -1)
 
 
 def test_rep_count_examples():
-    assert rep_count_closed(RepQuery(1, 11, 11)) == 104
-    assert rep_count_closed(RepQuery(1, 13, 1)) == 8
-    assert rep_count_closed(RepQuery(1, 11, 0)) == 1
+    assert rep_count_closed(1, 11, 11) == 104
+    assert rep_count_closed(1, 13, 1) == 8
+    assert rep_count_closed(1, 11, 0) == 1
     # by four-square decomposition: r4(12) + r4(1)^2 = 96 + 64
-    assert rep_count_enumerate(RepQuery(1, 11, 12)) == 160
-    assert rep_count_closed(RepQuery(1, 11, 12)) == 160
+    assert rep_count_enumerate(1, 11, 12) == 160
+    assert rep_count_closed(1, 11, 12) == 160
 
 
 def test_rep_count_unsupported_pair():
     with pytest.raises(ValueError, match="closed form unavailable"):
-        rep_count_closed(RepQuery(1, 7, 5))
+        rep_count_closed(1, 7, 5)
 
 
 @pytest.mark.parametrize("b", [11, 13])
@@ -54,14 +54,13 @@ def test_closed_equals_enumeration(b):
     limit = 60
     w = default_w_provider(b, limit)
     for n in range(limit + 1):
-        query = RepQuery(1, b, n)
-        assert rep_count_closed(query, w) == rep_count_enumerate(query)
+        assert rep_count_closed(1, b, n, w) == rep_count_enumerate(1, b, n)
 
 
 def test_counts_are_positive_multiples_of_eight():
     w = default_w_provider(11, 40)
     for n in range(1, 41):
-        count = rep_count_closed(RepQuery(1, 11, n), w)
+        count = rep_count_closed(1, 11, n, w)
         assert count > 0 and count % 8 == 0
 
 
@@ -80,5 +79,4 @@ def test_substitution_identities(b):
 def test_closed_counts_at_small_n(b, fresh_expansions):
     """Default providers at n below the cusp rows' leading exponents."""
     for n in range(14):
-        query = RepQuery(1, b, n)
-        assert rep_count_closed(query) == rep_count_enumerate(query)
+        assert rep_count_closed(1, b, n) == rep_count_enumerate(1, b, n)
