@@ -31,6 +31,7 @@ from .eisenstein import EisensteinPair
 DEFAULT_PRECISION = 1000
 MAX_PRECISION = 10 ** 6
 MAX_LEVEL = 10 ** 10  # dims factors by trial division up to sqrt(level)
+LEVELS = click.Choice([*map(str, tables.CUSP_EXPONENTS), "all"])
 
 
 class BoundaryCommand(click.Command):
@@ -56,6 +57,10 @@ def check_max_n(precision: int, max_n: int) -> None:
         raise click.UsageError(
             f"max n {max_n} exceeds the configured precision "
             f"{precision} (raise --precision or CONVSUM_PRECISION)")
+
+
+def _levels(choice: str) -> tuple[int, ...]:
+    return tuple(tables.CUSP_EXPONENTS) if choice == "all" else (int(choice),)
 
 
 def _rational_json(x: Fraction) -> dict:
@@ -171,10 +176,9 @@ def dims(level, weight):
 def derive(precision, alpha, beta, basis, solve_precision, as_json):
     """Derive the exact expansion of the squared Eisenstein combination."""
     pair = EisensteinPair(alpha, beta)
-    printed = eta.table_rows(pair.level)
     check_max_n(precision, solve_precision)
-    rows = printed if basis == "printed" else eta.basis_rows(pair.level)
-    label = "printed" if rows == printed else "repaired"
+    rows = (eta.table_rows if basis == "printed" else eta.basis_rows)(pair.level)
+    label = eta.rows_label(pair.level, rows)
     try:
         space = spaces.build_basis(pair.level, solve_precision, rows)
         solution = spaces.derive_coefficients(pair, space)
@@ -215,13 +219,12 @@ def export():
 
 
 @export.command("tables")
-@click.option("--level", type=click.Choice(["44", "52", "all"]),
-              default="all", show_default=True)
+@click.option("--level", type=LEVELS, default="all", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
 def export_tables(level, fmt):
     """Dump the eta-quotient exponent tables bit-exactly."""
-    levels = [44, 52] if level == "all" else [int(level)]
+    levels = _levels(level)
     if fmt == "json":
         payload = {
             str(lv): {
@@ -260,13 +263,11 @@ def verify():
 
 
 @verify.command("ligozat")
-@click.option("--level", type=click.Choice(["44", "52", "all"]),
-              default="all", show_default=True)
+@click.option("--level", type=LEVELS, default="all", show_default=True)
 def verify_ligozat(level):
     """Membership conditions for every embedded table row; the strict order
     condition must fail precisely on the known non-cuspidal rows."""
-    _report(verify_suites.ligozat,
-            (44, 52) if level == "all" else (int(level),))
+    _report(verify_suites.ligozat, _levels(level))
 
 
 @verify.command("basis")

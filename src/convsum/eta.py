@@ -379,3 +379,8 @@ def basis_rows(level: int) -> tuple[EtaQuotient, ...]:
         rows = (rows[:i] + (EtaQuotient.of(52, tables.REPAIRED_ROW_52),)
                 + rows[i + 1:])
     return rows
+
+
+def rows_label(level: int, rows: tuple[EtaQuotient, ...]) -> str:
+    """Reports call the table rows "printed" and any others "repaired"."""
+    return "printed" if rows == table_rows(level) else "repaired"

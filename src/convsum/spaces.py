@@ -2,12 +2,13 @@
 
 The space at level N splits into an Eisenstein part, spanned by the dilated
 weight-4 series M(q^t) for t | N, and the cusp part, spanned here by eta
-quotients.  ``derive_coefficients`` expresses the squared Eisenstein
-combination of a pair over such a basis by exact Gaussian elimination over
-``Fraction``: rows of the linear system are coefficient constraints,
-scanned greedily from n = 0 upward until the system reaches full rank, and
-the solution is then re-verified in integers against every available
-coefficient.
+quotients.  One fraction-free row reduction over Python ints (Bareiss 1968)
+serves both exact computations: ``verify_independence`` reads the cusp
+determinant from its last pivot, and ``derive_coefficients`` expresses the
+squared Eisenstein combination of a pair over the basis with it, scanning
+coefficient constraints greedily from n = 0 upward until the system reaches
+full rank and re-verifying the solution in integers against every
+available coefficient.  Rationals appear only in the returned weights.
 
 For level 52 the embedded table rows together with the Eisenstein series
 satisfy a linear relation and the squared combination lies outside their
@@ -19,10 +20,10 @@ the solution exists and is unique.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from math import lcm
+from itertools import islice, repeat
 from operator import add, mul
 
 from . import eta
@@ -86,29 +87,30 @@ def build_basis(level: int, precision: int,
 
 
 # ---------------------------------------------------------------------------
-# independence certificates
+# fraction-free elimination and independence certificates
 
-def _det_bareiss(mat: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _row_reduce(rows: Iterable[Sequence[int]]) -> Iterator[tuple]:
+    """Greedy fraction-free row reduction over Python ints (Bareiss 1968).
+
+    Each row is reduced against the pivot rows in the order they were found:
+    with p the pivot entry of a pivot row and d that of the one before it (1
+    for the first), the step r <- (p r - r[col] prow) / d divides exactly.
+    A reduced row is the row Gauss elimination leaves, times the last pivot,
+    which is the leading minor of the pivot rows.  A row left nonzero becomes
+    a pivot at its first nonzero entry; yields (row index, column, row) for
+    each pivot as it is found, so the caller can stop at any rank.
+    """
+    pivots: list[tuple[int, Sequence[int]]] = []
+    for i, row in enumerate(rows):
+        d = 1
+        for col, prow in pivots:
+            p, f = prow[col], row[col]
+            row = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            d = p
+        col = next((j for j, a in enumerate(row) if a), None)
+        if col is not None:
+            pivots.append((col, row))
+            yield i, col, row
 
 
 @dataclass(frozen=True)
@@ -129,20 +131,18 @@ def verify_independence(basis: SpaceBasis) -> IndependenceCertificate:
     dim_s = len(basis.cusp_part)
     if basis.precision < dim_s:
         raise ValueError("precision below cusp dimension")
-    mat = [list(s.coeffs[1:dim_s + 1]) for s in basis.cusp_part]
-    det = _det_bareiss(mat)
-    if det == 0:
+    pivots = list(_row_reduce(s.coeffs[1:dim_s + 1] for s in basis.cusp_part))
+    if len(pivots) < dim_s:
         raise BasisError(
             f"leading {dim_s}x{dim_s} cusp minor is singular at level {basis.level}")
-    triangular = True
+    # the last pivot is the minor with its columns permuted to pivot order
+    cols = [col for _, col, _ in pivots]
+    odd = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:]) % 2
+    det = (-1) ** odd * (pivots[-1][2][cols[-1]] if pivots else 1)
     divs = basis.divisors
-    for i, t in enumerate(divs):
-        for j, u in enumerate(divs):
-            entry = sigma_k_frac(3, t, u)
-            if j > i and entry != 0:
-                triangular = False
-            if j == i and entry != 1:
-                triangular = False
+    triangular = all(sigma_k_frac(3, t, u) == (1 if i == j else 0)
+                     for i, t in enumerate(divs) for j, u in enumerate(divs)
+                     if j >= i)
     if not triangular:
         raise BasisError("Eisenstein system matrix is not unit lower triangular")
     return IndependenceCertificate(basis.level, det, triangular)
@@ -165,6 +165,35 @@ class CoefficientSolution:
         return {d: 240 * x for d, x in self.eisenstein_weights.items()}
 
 
+def _solve(columns: Sequence[Sequence[int]], target: Sequence[int],
+           where: str) -> tuple[tuple[int, ...], list[int], int]:
+    """Solve sum x_j columns[j] = target over greedy rows n = 0, 1, ...;
+    returns the solving rows, the numerators of x and their denominator."""
+    m = len(columns)
+    rows = ([c[n] for c in columns] + [target[n]] for n in range(len(target)))
+    pivots: list[tuple[int, Sequence[int]]] = []
+    used: list[int] = []
+    den = 1
+    for n, col, r in islice(_row_reduce(rows), m):
+        if col == m:
+            raise InconsistentSystemError(
+                f"{where}: the coefficient constraint at q^{n} reduces to "
+                f"0 = {Fraction(r[m], den)} over rows {tuple(used)}; the "
+                "squared combination is not in the span of this basis")
+        pivots.append((col, r))
+        used.append(n)
+        den = r[col]
+    if len(pivots) < m:
+        raise SingularSystemError(
+            f"rank {len(pivots)} of {m} after scanning n <= {len(target) - 1} "
+            f"(rows used: {tuple(used)})")
+    # a pivot row is zero at earlier pivots' columns: solve from the last up
+    x = [0] * m
+    for col, r in reversed(pivots):
+        x[col] = (den * r[m] - sum(map(mul, r, x))) // r[col]
+    return tuple(used), x, den
+
+
 def derive_coefficients(pair: EisensteinPair,
                         basis: SpaceBasis) -> CoefficientSolution:
     """Solve for the unique expansion of lhs_square over the basis.
@@ -172,10 +201,10 @@ def derive_coefficients(pair: EisensteinPair,
     The columns of the system are the basis series and row n holds their
     q^n coefficients; at n = 0 every Eisenstein series contributes 1 and
     every cusp expansion 0, which pins sum X_delta to (alpha - beta)^2.
-    Rows are taken greedily at n = 0, 1, 2, ... until full rank and
-    eliminated over Fraction; afterwards the reconstruction is checked in
-    integers against every coefficient up to the basis precision, not only
-    the solving rows.
+    Rows are taken greedily at n = 0, 1, 2, ... until full rank and reduced
+    fraction-free; the integer numerators over the common denominator are
+    then checked against every coefficient up to the basis precision, not
+    only the solving rows, and only the returned weights are Fractions.
     """
     if pair.level != basis.level:
         raise ValueError(
@@ -187,53 +216,16 @@ def derive_coefficients(pair: EisensteinPair,
             f"need at least {2 * basis.dimension}")
 
     n_eis = len(basis.eisenstein_part)
-    m = basis.dimension
     columns = [s.coeffs for s in basis.eisenstein_part + basis.cusp_part]
     lhs = lhs_square(pair, precision).coeffs
+    used, x, den = _solve(columns, lhs, f"pair ({pair.alpha},{pair.beta}) "
+                                        f"at level {basis.level}")
 
-    def row(n: int) -> tuple[list[Fraction], Fraction]:
-        # Fraction entries keep the elimination exact, where int / int
-        # would silently give a float
-        return [Fraction(c[n]) for c in columns], Fraction(lhs[n])
-
-    pivots: list[tuple[int, list[Fraction], Fraction]] = []
-    used: list[int] = []
-    n = 0
-    while len(pivots) < m and n <= precision:
-        r, rhs = row(n)
-        for col, prow, prhs in pivots:
-            f = r[col]
-            if f:
-                r = [a - f * b for a, b in zip(r, prow)]
-                rhs = rhs - f * prhs
-        col = next((i for i, a in enumerate(r) if a), None)
-        if col is None:
-            if rhs:
-                raise InconsistentSystemError(
-                    f"pair ({pair.alpha},{pair.beta}) at level {basis.level}: "
-                    f"the coefficient constraint at q^{n} reduces to 0 = {rhs} "
-                    f"over rows {tuple(used)}; the squared combination is not "
-                    "in the span of this basis")
-        else:
-            inv = r[col]
-            pivots.append((col, [a / inv for a in r], rhs / inv))
-            used.append(n)
-        n += 1
-    if len(pivots) < m:
-        raise SingularSystemError(
-            f"rank {len(pivots)} of {m} after scanning n <= {precision} "
-            f"(rows used: {tuple(used)})")
-
-    solution = [Fraction(0)] * m
-    for col, r, rhs in sorted(pivots, key=lambda t: -t[0]):
-        solution[col] = rhs - sum(r[j] * solution[j] for j in range(col + 1, m))
-
-    # scaled by the common denominator, the reconstruction is a sum of
-    # integer columns and must equal den * lhs coefficient by coefficient
-    den = lcm(*(x.denominator for x in solution))
+    # the reconstruction from the numerators is a sum of integer columns
+    # and must equal den * lhs coefficient by coefficient
     acc = [0] * (precision + 1)
-    for x, column in zip(solution, columns):
-        acc = list(map(add, acc, map(mul, column, repeat(int(x * den)))))
+    for xj, column in zip(x, columns):
+        acc = list(map(add, acc, map(mul, column, repeat(xj))))
     bad = next((n for n, (v, t) in enumerate(zip(acc, lhs)) if v != den * t),
                None)
     if bad is not None:
@@ -241,9 +233,10 @@ def derive_coefficients(pair: EisensteinPair,
             f"reconstruction residual at q^{bad} for pair "
             f"({pair.alpha},{pair.beta})")
 
+    solution = [Fraction(xj, den) for xj in x]
     return CoefficientSolution(
         pair=pair,
         eisenstein_weights=dict(zip(basis.divisors, solution[:n_eis])),
         cusp_weights=tuple(solution[n_eis:]),
-        solving_indices=tuple(used),
+        solving_indices=used,
     )

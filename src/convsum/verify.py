@@ -15,7 +15,8 @@ from .arith import dim_spaces, sigma_k, sigma_k_frac
 from .eisenstein import EisensteinPair, lhs_square, rhs_identity
 
 # derive_coefficients checks its residual up to twice the space dimension
-LEMMA32_MIN_PRECISION = 2 * max(dim_spaces(level, 4)[0] for level in (44, 52))
+LEMMA32_MIN_PRECISION = 2 * max(dim_spaces(level, 4)[0]
+                                 for level in tables.CUSP_EXPONENTS)
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ def _check(name: str, results: list[tuple[bool, str]],
     return Check(name, ok, tuple(lines))
 
 
-def ligozat(levels: tuple[int, ...] = (44, 52)) -> Check:
+def ligozat(levels: tuple[int, ...] = tuple(tables.CUSP_EXPONENTS)) -> Check:
     """Every table row satisfies conditions (i)-(v) at weight 4; the strict
     order condition fails on the known non-cuspidal rows and only there."""
     results = []
@@ -64,7 +65,7 @@ def ligozat(levels: tuple[int, ...] = (44, 52)) -> Check:
 def basis() -> Check:
     """Independence certificates for both levels."""
     results = []
-    for level in (44, 52):
+    for level in tables.CUSP_EXPONENTS:
         space = spaces.build_basis(level, 48, eta.table_rows(level))
         try:
             cert = spaces.verify_independence(space)
@@ -120,8 +121,7 @@ def lemma32(precision: int) -> Check:
     for (a, b), (exp_s3, exp_y) in sorted(tables.EXPANSION_COEFFS.items()):
         pair = EisensteinPair(a, b)
         space = spaces.build_basis(pair.level, precision)
-        label = ("printed" if space.cusp_rows == eta.table_rows(pair.level)
-                 else "repaired")
+        label = eta.rows_label(pair.level, space.cusp_rows)
         solution = spaces.derive_coefficients(pair, space)
         got_s3 = tuple(solution.sigma3_presentation()[d]
                        for d in space.divisors)
@@ -176,7 +176,7 @@ def reps(max_n: int, substitution_max_n: int) -> Check:
         results.append((bad is None, f"octonary counts ({a},{b}): " + (
             f"closed equals enumeration for n <= {max_n}" if bad is None
             else f"mismatch at n = {bad}")))
-    for b in (11, 13):
+    for _, b in representations.CLOSED_FORM_PAIRS:
         bad = next((n for n in range(1, substitution_max_n + 1)
                     if not _substitution_holds(b, n)), None)
         results.append((bad is None, f"substitution identities for b = {b}: "

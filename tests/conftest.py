@@ -3,13 +3,15 @@
 The oracles here deliberately avoid the library's fast paths: the eta
 oracle multiplies out the literal product factor by factor with Fraction
 arithmetic, the sparse-series kernels and the series product run one
-coefficient at a time, and the divisor-sum oracles enumerate divisors
-directly.
+coefficient at a time, the divisor-sum oracles enumerate divisors
+directly, and the linear-algebra oracles are Gauss elimination over
+Fraction and the Leibniz determinant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -131,6 +133,55 @@ def sigma1_sieve(limit):
         for m in range(d, limit + 1, d):
             acc[m] += d
     return acc
+
+
+def fraction_solve(columns, target):
+    """Gauss elimination over Fraction of sum x_j columns[j] = target.
+
+    Rows n = 0, 1, ... are taken greedily, each reduced against the
+    normalised pivot rows in order, until full rank; back substitution then
+    runs from the highest pivot column down.  Returns ("solved", rows,
+    solution), ("singular", rows), or ("inconsistent", n, v, rows) when the
+    constraint at q^n reduces to 0 = v.
+    """
+    m = len(columns)
+    pivots, used = [], []
+    for n in range(len(target)):
+        if len(pivots) == m:
+            break
+        r = [Fraction(c[n]) for c in columns]
+        rhs = Fraction(target[n])
+        for col, prow, prhs in pivots:
+            f = r[col]
+            if f:
+                r = [a - f * b for a, b in zip(r, prow)]
+                rhs -= f * prhs
+        col = next((i for i, a in enumerate(r) if a), None)
+        if col is None:
+            if rhs:
+                return ("inconsistent", n, rhs, tuple(used))
+            continue
+        pivots.append((col, [a / r[col] for a in r], rhs / r[col]))
+        used.append(n)
+    if len(pivots) < m:
+        return ("singular", tuple(used))
+    solution = [Fraction(0)] * m
+    for col, r, rhs in sorted(pivots, key=lambda t: -t[0]):
+        solution[col] = rhs - sum(r[j] * solution[j] for j in range(col + 1, m))
+    return ("solved", tuple(used), solution)
+
+
+def literal_determinant(mat):
+    """Leibniz sum over every permutation, signed by its inversion count."""
+    n = len(mat)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j]
+                           for i in range(n) for j in range(i + 1, n))
+        for i, j in enumerate(perm):
+            term *= mat[i][j]
+        total += term
+    return total
 
 
 def partition_numbers(limit):

@@ -16,7 +16,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from convsum import eta, spaces
 from convsum.cli import main
+from convsum.eisenstein import EisensteinPair
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,3 +57,19 @@ def test_pinned_stdout_digests():
         result = CliRunner().invoke(main, list(args))
         assert result.exit_code == 0, args
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest, args
+
+
+def test_derivation_rows_read_the_solve(tracer):
+    """The tracer counts the rows of a failed solve from the q^N its error
+    names, and those of a solution from its solving rows."""
+    pair = EisensteinPair(1, 52)
+    printed = spaces.build_basis(52, 120, eta.table_rows(52))
+    with pytest.raises(spaces.InconsistentSystemError) as info:
+        spaces.derive_coefficients(pair, printed)
+    assert tracer._derivation_rows(info.value, pair, printed) == {
+        "rows_scanned": 23, "residual_rows": 0}
+    repaired = spaces.build_basis(52, 120)
+    solution = spaces.derive_coefficients(pair, repaired)
+    assert tracer._derivation_rows(solution, pair, repaired) == {
+        "rows_scanned": max(solution.solving_indices) + 1,
+        "residual_rows": 121}

@@ -2,15 +2,19 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import convsum.spaces as spaces_module
 from convsum import tables
 from convsum.eisenstein import EisensteinPair, lhs_square
 from convsum.eta import table_rows
 from convsum.qseries import QSeries
 from convsum.spaces import (BasisError, DerivationError,
                             InconsistentSystemError, SingularSystemError,
-                            build_basis, derive_coefficients,
-                            verify_independence)
+                            SpaceBasis, _solve, build_basis,
+                            derive_coefficients, verify_independence)
+from conftest import fraction_solve, literal_determinant
 
 PRECISION = 120
 
@@ -68,12 +72,105 @@ def test_derivation_level44(basis44, pair):
 
 
 def test_derived_weights_are_fractions(basis44, basis52_repaired):
-    """The solve runs in Fraction arithmetic over integral series; a float
+    """The solve runs in integers and returns Fraction weights; a float
     anywhere would show up as a non-Fraction weight."""
     for pair, basis in (((4, 11), basis44), ((1, 52), basis52_repaired)):
         sol = derive_coefficients(EisensteinPair(*pair), basis)
         weights = tuple(sol.eisenstein_weights.values()) + sol.cusp_weights
         assert all(type(w) is Fraction for w in weights)
+
+
+def test_solve_builds_one_fraction_per_weight(basis44, monkeypatch):
+    """Rationals appear only in the returned weights: the elimination, the
+    back substitution and the residual check all run in integers."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(spaces_module, "Fraction", counting)
+    derive_coefficients(EisensteinPair(1, 44), basis44)
+    assert len(built) == basis44.dimension == 21
+
+
+@st.composite
+def integer_rows(draw, n_rows, width):
+    """Integer rows of a given width.  A fresh row may start with a run of
+    zeros, and its other entries lie in [-50, 50]; one row in four is
+    instead the difference of two earlier rows, a dependent row, with its
+    last entry sometimes shifted so that, as a right-hand side, it becomes
+    inconsistent."""
+    entry = st.integers(-50, 50)
+    rows = []
+    for _ in range(n_rows):
+        if rows and draw(st.integers(0, 3)) == 0:
+            i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+            row = [a - b for a, b in zip(rows[i], rows[j])]
+            row[-1] += draw(st.sampled_from((0, 1, -3)))
+        else:
+            lead = draw(st.sampled_from((0, 0, 0, 0, 0, 1, width // 2)))
+            row = [0] * lead + [draw(entry) for _ in range(width - lead)]
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def integer_system(draw):
+    """1-6 columns and 1-12 rows; the last entry of each row is the target."""
+    m = draw(st.integers(1, 6))
+    rows = draw(integer_rows(draw(st.integers(1, 12)), m + 1))
+    return [list(c) for c in zip(*rows)][:m], [r[m] for r in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_system())
+def test_row_reduction_solves_like_fraction_elimination(system):
+    """The fraction-free solve picks the same rows as Gauss elimination over
+    Fraction and reaches the same outcome: the same solution, the same
+    rank, or the same incompatible constraint 0 = v at the same q^n."""
+    columns, target = system
+    expected = fraction_solve(columns, target)
+    if expected[0] == "solved":
+        used, x, den = _solve(columns, target, "system")
+        assert (used, [Fraction(xj, den) for xj in x]) == expected[1:]
+    elif expected[0] == "singular":
+        used = expected[1]
+        with pytest.raises(SingularSystemError) as info:
+            _solve(columns, target, "system")
+        assert str(info.value) == (
+            f"rank {len(used)} of {len(columns)} after scanning "
+            f"n <= {len(target) - 1} (rows used: {used})")
+    else:
+        _, n, v, used = expected
+        with pytest.raises(InconsistentSystemError) as info:
+            _solve(columns, target, "system")
+        assert str(info.value).startswith(
+            f"system: the coefficient constraint at q^{n} reduces to "
+            f"0 = {v} over rows {used}; ")
+
+
+@st.composite
+def square_matrix(draw):
+    k = draw(st.integers(1, 6))
+    return draw(integer_rows(k, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrix())
+def test_cusp_determinant_is_the_literal_one(mat):
+    """The certificate's determinant, sign included, is the Leibniz sum of
+    the leading minor; a zero determinant is a BasisError."""
+    k = len(mat)
+    basis = SpaceBasis(level=1, divisors=(), eisenstein_part=(),
+                       cusp_part=tuple(QSeries(k, [0, *row]) for row in mat),
+                       cusp_rows=(), precision=k)
+    det = literal_determinant(mat)
+    if det == 0:
+        with pytest.raises(BasisError, match="singular"):
+            verify_independence(basis)
+    else:
+        assert verify_independence(basis).cusp_determinant == det
 
 
 def test_derivation_spot_values(basis44):
@@ -187,7 +284,6 @@ def test_rank_deficiency_with_target_in_span(monkeypatch):
     rows = list(table_rows(44))
     rows[3] = rows[2]
     basis = build_basis(44, 90, cusp_rows=tuple(rows))
-    import convsum.spaces as spaces_module
     monkeypatch.setattr(spaces_module, "lhs_square",
                         lambda pair, precision: basis.cusp_part[2])
     with pytest.raises(SingularSystemError, match="rank 20 of 21"):
