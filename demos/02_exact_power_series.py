@@ -34,14 +34,14 @@ print("  (c*d)(q^3) == c(q^3) * d(q^3)  ok")
 
 print()
 print("eta(z)^24 = q prod (1 - q^n)^24 expands to Ramanujan's tau(n):")
-delta = expand(EtaQuotient.of(1, {1: 24}), P)
+delta = expand(EtaQuotient.of(1, (24,)), P)
 tau = delta.coeffs
 print(" ", list(tau[:11]), "...")
 assert tau[1:7] == (1, -24, 252, -1472, 4830, -6048)
 assert tau[6] == tau[2] * tau[3]  # multiplicative at coprime arguments
 print("  tau(6) = tau(2) tau(3):", tau[6] == tau[2] * tau[3])
 print("  eta(2z)^24 is its dilation:",
-      expand(EtaQuotient.of(2, {2: 24}), P) == delta.dilate(2))
+      expand(EtaQuotient.of(2, (0, 24)), P) == delta.dilate(2))
 
 print()
 print("coefficients must be integers; a rational one is refused:")

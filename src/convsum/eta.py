@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from math import gcd, isqrt, prod, sqrt
-from operator import add, mul, sub
+from math import gcd, sqrt
 from typing import Callable, NamedTuple
 
 from . import tables
 from .arith import divisors, prime_factors
-from .qseries import QSeries, slot_width, unpack
+from .qseries import QSeries, div_sparse, sparse_product
 
 
 @dataclass(frozen=True)
@@ -30,16 +28,13 @@ class EtaQuotient:
     exponents: tuple[tuple[int, int], ...]  # (divisor, exponent), ascending
 
     @classmethod
-    def of(cls, level, exponents) -> EtaQuotient:
-        """Build from a mapping {delta: r} or a row over ascending divisors."""
-        if not isinstance(exponents, dict):
-            divs = divisors(level)
-            if len(exponents) != len(divs):
-                raise ValueError(f"row of {len(exponents)} exponents for the "
-                                 f"{len(divs)} divisors of level {level}")
-            exponents = dict(zip(divs, exponents))
-        items = tuple(sorted((d, r) for d, r in exponents.items() if r != 0))
-        return cls(level, items)
+    def of(cls, level, row) -> EtaQuotient:
+        """Build from a row of exponents over the ascending divisors."""
+        divs = divisors(level)
+        if len(row) != len(divs):
+            raise ValueError(f"row of {len(row)} exponents for the "
+                             f"{len(divs)} divisors of level {level}")
+        return cls(level, tuple((d, r) for d, r in zip(divs, row) if r))
 
     def __post_init__(self):
         if self.level < 1:
@@ -92,10 +87,6 @@ class LigozatReport:
         return (self.cond_i and self.cond_ii and self.cond_iii
                 and self.cond_iv and self.cond_v)
 
-    @property
-    def in_cusp_space(self) -> bool:
-        return self.in_modular_space and self.cond_v_prime
-
 
 def check_ligozat(eq: EtaQuotient) -> LigozatReport:
     """Evaluate all membership conditions exactly."""
@@ -135,18 +126,13 @@ def check_ligozat(eq: EtaQuotient) -> LigozatReport:
 #   F(q^2)^5 / F^2 = sum (-1)^n (3n+1) q^(n(3n+2))
 #
 # and so are F (Euler's pentagonal numbers) and F^3 (Jacobi).  A product is
-# expanded in three steps:
+# planned here and computed by the kernels of convsum.qseries:
 #
 # 1. Plan.  On each chain, up to three theta series cancel the negative
 #    exponents, and cubes and single F cover the non-negative rest; of the
 #    plans, the one with the fewest divisions left, then the fewest terms.
-# 2. Multiply.  The steps run on one Kronecker-packed int (D. Harvey,
-#    "Faster polynomial multiplication via multipoint Kronecker
-#    substitution", JSC 2009), each as sum c (X << e B) modulo 2^(B(P+1)).
-#    That map from truncated series is a ring homomorphism, so only the
-#    result must fit its B-bit slots, and the product of the steps'
-#    absolute coefficient sums bounds it: exact by construction.
-# 3. Unpack once, and only then divide by any single F the plan left.
+# 2. Multiply the steps with qseries.sparse_product, on one packed int.
+# 3. Divide by any single F the plan left, with qseries.div_sparse.
 #
 # The literal product and the per-coefficient kernels are kept in the test
 # suite as independent oracles.
@@ -259,69 +245,11 @@ def _plan(eq: EtaQuotient):
     return g, steps, divs
 
 
-def _mul_packed(x: int, terms, n: int, w: int) -> int:
-    """x times the sparse series of (exponent, coefficient) terms, modulo
-    2^(8wn), i.e. on n slots of w bytes: one shift-add per term."""
-    bits = 8 * w
-    acc = 0
-    for e, c in terms:
-        y = x << e * bits
-        if c == 1:
-            acc += y
-        elif c == -1:
-            acc -= y
-        else:
-            acc += c * y
-    return acc & ((1 << bits * n) - 1)
-
-
-def _div_sparse(dense: list[int], terms, limit: int) -> list[int]:
-    """dense divided by the sparse series of (exponent, coefficient) terms,
-    whose constant term must be (0, 1).
-
-    The quotient is filled in blocks of length max(smallest exponent,
-    isqrt(limit + 1)).  A lag at least the block length reads only entries
-    of earlier blocks, which are final, so it updates the whole block with
-    one slice operation; only the shorter lags run element by element.
-    """
-    lags = [(e, c) for e, c in terms if 0 < e <= limit]
-    out = dense[:limit + 1]
-    if not lags:
-        return out
-    block = max(lags[0][0], isqrt(limit + 1))
-    short = [(e, c) for e, c in lags if e < block]
-    long = [(e, c) for e, c in lags if e >= block]
-    for lo in range(0, limit + 1, block):
-        hi = min(lo + block, limit + 1)
-        for e, c in long:
-            if e >= hi:
-                break
-            start = max(lo, e)
-            lag = out[start - e:hi - e]
-            out[start:hi] = map(add if c < 0 else sub, out[start:hi],
-                                lag if c in (1, -1)
-                                else map(mul, lag, repeat(abs(c))))
-        if short:
-            for i in range(lo, hi):
-                acc = out[i]
-                for e, c in short:
-                    if e > i:
-                        break
-                    acc -= c * out[i - e]
-                out[i] = acc
-    return out
-
-
 def _euler_product(steps, divs, limit: int) -> list[int]:
     """A planned product below x^(limit + 1)."""
-    factors = [f.terms(d, limit) for f, d in steps]
-    w = slot_width(prod(sum(abs(c) for _, c in t) for t in factors))
-    x = 1
-    for terms in factors:
-        x = _mul_packed(x, terms, limit + 1, w)
-    product = unpack(x, limit + 1, w)
+    product = sparse_product([f.terms(d, limit) for f, d in steps], limit)
     for d in divs:
-        product = _div_sparse(product, _EULER.terms(d, limit), limit)
+        product = div_sparse(product, _EULER.terms(d, limit), limit)
     return product
 
 

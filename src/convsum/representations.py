@@ -2,7 +2,8 @@
 
 ``r4`` counts integer solutions of a sum of four squares; the closed form
 is 8 sigma(n) - 32 sigma(n/4) (with value 1 at n = 0), and the enumeration
-oracle counts lattice points directly.  The octonary count for the form
+oracle counts lattice points of the disc x^2 + y^2 <= n and convolves the
+two-square counts.  The octonary count for the form
 a*(four squares) + b*(four squares) follows from the factorization of its
 generating function: the count is a convolution of two r4 values, which the
 closed form re-expresses through divisor sums and convolution sums.  Each
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 from typing import Callable
 
 from . import convolution
@@ -34,24 +36,21 @@ def r4_jacobi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _r4_count(n: int) -> int:
-    count = 0
-    s1 = isqrt(n)
-    for x1 in range(-s1, s1 + 1):
-        r1 = n - x1 * x1
-        s2 = isqrt(r1)
-        for x2 in range(-s2, s2 + 1):
-            r2 = r1 - x2 * x2
-            s3 = isqrt(r2)
-            for x3 in range(-s3, s3 + 1):
-                r3 = r2 - x3 * x3
-                x4 = isqrt(r3)
-                if x4 * x4 == r3:
-                    count += 1 if x4 == 0 else 2
-    return count
+    """r4(n) as the sum of r2(j) r2(n - j), with r2 tallied from every
+    lattice point (x, y) with x^2 + y^2 <= n: each point with x, y >= 0
+    stands for its 1, 2 or 4 sign variants."""
+    r2 = [0] * (n + 1)
+    for x in range(isqrt(n) + 1):
+        xx, signs = x * x, 2 if x else 1
+        r2[xx] += signs
+        for y in range(1, isqrt(n - xx) + 1):
+            r2[xx + y * y] += 2 * signs
+    return sum(map(mul, r2, reversed(r2)))
 
 
 def r4_enumerate(n: int) -> int:
-    """Direct lattice count over |x_i| <= sqrt(n), all sign combinations."""
+    """Lattice count: the points of the disc x^2 + y^2 <= n give r2, whose
+    self-convolution at n is r4(n)."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     return _r4_count(n)
@@ -86,8 +85,6 @@ def default_w_provider(b: int, max_n: int) -> WProvider:
         series[pair] = convolution.w_closed_table(pair, max_n)
 
     def w(alpha: int, beta: int, n: int) -> int:
-        if n < 0:
-            return 0
         return series[(alpha, beta)][n]
 
     return w

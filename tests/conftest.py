@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's fast paths: the eta
 oracle multiplies out the literal product factor by factor with Fraction
 arithmetic, the sparse-series kernels and the series product run one
 coefficient at a time, the divisor-sum oracles enumerate divisors
-directly, and the linear-algebra oracles are Gauss elimination over
+directly, the four-square oracle visits the lattice points of the sphere,
+and the linear-algebra oracles are Gauss elimination over
 Fraction and the Leibniz determinant.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import isqrt
 
 import pytest
 
@@ -133,6 +135,25 @@ def sigma1_sieve(limit):
         for m in range(d, limit + 1, d):
             acc[m] += d
     return acc
+
+
+def literal_r4(n):
+    """Four-square count by enumerating x1, x2, x3 with |x_i| <= sqrt(n)
+    and testing whether the remainder is a square x4^2."""
+    count = 0
+    s1 = isqrt(n)
+    for x1 in range(-s1, s1 + 1):
+        r1 = n - x1 * x1
+        s2 = isqrt(r1)
+        for x2 in range(-s2, s2 + 1):
+            r2 = r1 - x2 * x2
+            s3 = isqrt(r2)
+            for x3 in range(-s3, s3 + 1):
+                r3 = r2 - x3 * x3
+                x4 = isqrt(r3)
+                if x4 * x4 == r3:
+                    count += 1 if x4 == 0 else 2
+    return count
 
 
 def fraction_solve(columns, target):

@@ -38,7 +38,8 @@ def test_criterion_1_ligozat_suite():
     for level in (44, 52):
         for i, row in enumerate(table_rows(level), 1):
             rep = check_ligozat(row)
-            if not (rep.in_cusp_space and rep.weight == 4):
+            if not (rep.in_modular_space and rep.cond_v_prime
+                    and rep.weight == 4):
                 failures.append((level, i))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 1.0

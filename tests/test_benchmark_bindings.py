@@ -5,12 +5,17 @@ and reads the library's caches from outside; a binding renamed or deleted
 in ``src/`` would otherwise only show up in a traced benchmark run.  The
 stdout digests the benchmark pins in ``perfbench/reference.py`` are checked
 here too, so a changed byte fails tier-1 and not only a benchmark run.  Both
-files are loaded by path, as scripts, and nothing is patched.
+files are loaded by path, as scripts, and nothing is patched in process; the
+traced child, which patches module globals, runs in a subprocess.
 """
 
 import hashlib
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +25,8 @@ from convsum import eta, spaces
 from convsum.cli import main
 from convsum.eisenstein import EisensteinPair
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -73,3 +79,34 @@ def test_derivation_rows_read_the_solve(tracer):
     assert tracer._derivation_rows(solution, pair, repaired) == {
         "rows_scanned": max(solution.solving_indices) + 1,
         "residual_rows": 121}
+
+
+TRACED_COMMANDS = (
+    ("verify", "reps", "--max-n", "20", "--substitution-max-n", "20"),
+    ("derive", "--alpha", "1", "--beta", "44", "--precision", "60", "--json"),
+)
+
+
+def test_traced_child_runs_every_hook(tmp_path):
+    """``tracer.py OUT RUN -- ARGS`` as the traced benchmark runs it: the
+    command's stdout is the untraced one, the hooks that read series
+    coefficients, the expansion cache and the W provider record their
+    spans, and each run closes with the cache counters."""
+    out = tmp_path / "spans.jsonl"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    for run, args in enumerate(TRACED_COMMANDS):
+        child = subprocess.run(
+            [sys.executable, str(PERFBENCH / "tracer.py"), str(out), str(run),
+             "--", *args], env=env, capture_output=True, timeout=120)
+        assert child.returncode == 0, child.stderr.decode()
+        assert child.stdout == CliRunner().invoke(main, list(args)).stdout_bytes
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    names = {r["name"] for r in records if "name" in r}
+    assert {"eta.expand", "qseries.mul", "qseries.construct",
+            "representations.default_w_provider",
+            "spaces.derive_coefficients"} <= names
+    closing = {r["run"]: r for r in records if "caches" in r}
+    assert set(closing) == {"0", "1"}
+    assert "r4" in closing["0"]["caches"]
+    assert closing["0"]["counts"]["w_reads"] > 0

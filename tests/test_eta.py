@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from convsum import eta, tables, verify
 from convsum.arith import divisors
-from convsum.eta import (_CUBE, _EULER, _THETAS, EtaQuotient, _div_sparse,
-                         _expand_ints, _mul_packed, _plan, basis_rows,
-                         check_ligozat, expand, table_rows)
-from convsum.qseries import QSeries, pack, slot_width, unpack
+from convsum.eta import (_CUBE, _EULER, _THETAS, EtaQuotient, _expand_ints,
+                         _plan, basis_rows, check_ligozat, expand, table_rows)
+from convsum.qseries import (QSeries, div_sparse, mul_packed, pack,
+                             slot_width, unpack)
 from conftest import (literal_eta_expansion, literal_euler_product,
                       literal_euler_quotient, mul_lists, naive_div_sparse,
                       naive_eta_expansion, naive_mul_sparse,
@@ -67,12 +67,12 @@ def test_theta_factors_match_literal_quotients(factor):
 
 
 def test_division_gives_geometric_series():
-    assert _div_sparse([1] + [0] * 6, [(0, 1), (1, -1)], 6) == [1] * 7
+    assert div_sparse([1] + [0] * 6, [(0, 1), (1, -1)], 6) == [1] * 7
 
 
 def test_division_gives_partition_numbers():
     limit = 40
-    assert _div_sparse([1] + [0] * limit, _EULER.terms(1, limit),
+    assert div_sparse([1] + [0] * limit, _EULER.terms(1, limit),
                        limit) == partition_numbers(limit)
 
 
@@ -97,7 +97,7 @@ def packed_step(dense, terms, limit):
     width from the bound max |dense| * sum |c|."""
     n = limit + 1
     w = slot_width(max(map(abs, dense)) * sum(abs(c) for _, c in terms))
-    return unpack(_mul_packed(pack(dense, w), terms, n, w), n, w)
+    return unpack(mul_packed(pack(dense, w), terms, n, w), n, w)
 
 
 @settings(max_examples=80, deadline=None)
@@ -110,7 +110,7 @@ def test_sparse_kernels_match_naive(case):
     dense, terms, limit = case
     assert packed_step(dense, terms, limit) == naive_mul_sparse(
         dense, terms, limit)
-    assert _div_sparse(dense, terms, limit) == naive_div_sparse(
+    assert div_sparse(dense, terms, limit) == naive_div_sparse(
         dense, terms, limit)
 
 
@@ -130,7 +130,7 @@ def test_packed_step_slot_widths():
 @given(kernel_case())
 def test_sparse_division_inverts_multiplication(case):
     dense, terms, limit = case
-    assert _div_sparse(packed_step(dense, terms, limit), terms,
+    assert div_sparse(packed_step(dense, terms, limit), terms,
                        limit) == dense
 
 
@@ -202,19 +202,19 @@ def test_quotient_construction():
     assert eq.as_row() == (6, -2, 0, 6, -2, 0)
     assert eq.weight == 4
     assert eq.leading_exponent == 1
-    with pytest.raises(ValueError):
-        EtaQuotient.of(44, {3: 1})
+    with pytest.raises(ValueError, match="3 does not divide level 44"):
+        EtaQuotient(44, ((3, 1),))
     for row in ((4, 0, 0, 4, 0), (4, 0, 0, 4, 0, 0, 99)):
         with pytest.raises(ValueError, match="6 divisors of level 44"):
             EtaQuotient.of(44, row)
 
 
 def test_expand_trivial_and_errors():
-    assert expand(EtaQuotient.of(6, {}), 8) == QSeries(8, [1])
+    assert expand(EtaQuotient.of(6, (0, 0, 0, 0)), 8) == QSeries(8, [1])
     with pytest.raises(ValueError, match="not divisible by 24"):
-        expand(EtaQuotient.of(1, {1: 1}), 8)
+        expand(EtaQuotient.of(1, (1,)), 8)
     with pytest.raises(ValueError, match="negative leading exponent"):
-        expand(EtaQuotient.of(1, {1: -24}), 8)
+        expand(EtaQuotient.of(1, (-24,)), 8)
 
 
 def test_expand_against_literal_oracle():
@@ -285,12 +285,12 @@ def test_ligozat_strictness_profile():
 
 
 def test_ligozat_examples():
-    rep = check_ligozat(EtaQuotient.of(1, {1: 1}))
+    rep = check_ligozat(EtaQuotient.of(1, (1,)))
     assert not rep.cond_i
     row9 = table_rows(52)[8]
     assert check_ligozat(row9).weight == 4
     row1 = check_ligozat(table_rows(44)[0])
-    assert row1.in_cusp_space and row1.weight == 4
+    assert row1.in_modular_space and row1.cond_v_prime and row1.weight == 4
 
 
 def test_dilation_observations():
@@ -315,5 +315,5 @@ def test_repaired_rows():
     replacement = repaired[tables.REPAIRED_ROW_INDEX_52 - 1]
     assert replacement.as_row() == tables.REPAIRED_ROW_52
     rep = check_ligozat(replacement)
-    assert rep.in_cusp_space and rep.weight == 4
+    assert rep.in_modular_space and rep.cond_v_prime and rep.weight == 4
     assert replacement.leading_exponent == 7

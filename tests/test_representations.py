@@ -5,6 +5,7 @@ from convsum.convolution import w_oracle
 from convsum.representations import (default_w_provider, r4_enumerate,
                                      r4_jacobi, rep_count_closed,
                                      rep_count_enumerate)
+from conftest import literal_r4
 
 
 def test_r4_examples():
@@ -16,8 +17,15 @@ def test_r4_examples():
 
 
 def test_r4_identity():
-    for n in range(0, 150):
+    for n in range(0, 2001):
         assert r4_jacobi(n) == r4_enumerate(n)
+
+
+def test_r4_enumerate_matches_literal_triples():
+    """The two-square convolution against the triple loop over the sphere,
+    which counts every lattice point one by one."""
+    for n in range(0, 201):
+        assert r4_enumerate(n) == literal_r4(n)
 
 
 def test_r4_bounds_and_validation():

@@ -1,0 +1,123 @@
+"""Every verification suite fails loudly on a planted fault.
+
+Each fault is planted with ``monkeypatch`` in what one suite compares: a
+closed-form value, an enumerated count, the independence certificate, a
+canonical weight, the expected condition profile, the dimension formula or
+the right-hand side of the identity.  The suite must then report
+``ok is False``, name the fault in one line and end with its failure
+verdict; through the command line, ``verify`` must exit 1 with that line on
+stdout.
+"""
+
+import pytest
+from click.testing import CliRunner
+
+from convsum import convolution, representations, spaces, tables, verify
+from convsum.cli import main
+from convsum.qseries import QSeries
+
+
+def closed_value_off_by_one(monkeypatch):
+    real = convolution.w_closed_table
+
+    def faulty(pair, max_n, *args, **kwargs):
+        table = real(pair, max_n, *args, **kwargs)
+        if pair == (4, 11):
+            table[17] += 1
+        return table
+
+    monkeypatch.setattr(convolution, "w_closed_table", faulty)
+    return "closed form (4, 11): diverges at n = 17"
+
+
+def enumeration_off_by_eight(monkeypatch):
+    real = representations.rep_count_enumerate
+    monkeypatch.setattr(
+        representations, "rep_count_enumerate",
+        lambda a, b, n: real(a, b, n) + (8 if (b, n) == (13, 9) else 0))
+    return "octonary counts (1,13): mismatch at n = 9"
+
+
+def singular_certificate(monkeypatch):
+    real = spaces.verify_independence
+
+    def faulty(space):
+        if space.level == 44:
+            raise spaces.BasisError("cusp minor is singular")
+        return real(space)
+
+    monkeypatch.setattr(spaces, "verify_independence", faulty)
+    return "level 44: cusp minor is singular"
+
+
+def canonical_weight_changed(monkeypatch):
+    s3, y = tables.EXPANSION_COEFFS[(4, 11)]
+    monkeypatch.setitem(tables.EXPANSION_COEFFS, (4, 11),
+                        (s3, y[:6] + (y[6] + 1,) + y[7:]))
+    return ("pair (4,11) over printed rows: canonical match: False; "
+            "reported list diverges at one cusp entry (7)")
+
+
+def nonstrict_row_missing(monkeypatch):
+    monkeypatch.setitem(tables.NONSTRICT_ROWS, 52, {7: (2, 4)})
+    row = tables.CUSP_EXPONENTS[52][13]
+    return (f"level 52 row 14 {row}: weight 4, leading q^14, "
+            "order 0 at some cusp [UNEXPECTED]")
+
+
+def dimension_wrong_at_44(monkeypatch):
+    real = verify.dim_spaces
+    monkeypatch.setattr(
+        verify, "dim_spaces",
+        lambda level, k: (20, 5, 15) if level == 44 else real(level, k))
+    return "level 44: dims (20, 5, 15) (expected (21, 6, 15))"
+
+
+def rhs_off_at_one_n(monkeypatch):
+    real = verify.rhs_identity
+
+    def faulty(pair, w_values, precision):
+        rhs = real(pair, w_values, precision)
+        if (pair.alpha, pair.beta) == (1, 52):
+            rhs -= QSeries(precision, [0] * 31 + [1])
+        return rhs
+
+    monkeypatch.setattr(verify, "rhs_identity", faulty)
+    return "identity (1,52): MISMATCH within n <= 60"
+
+
+FAULTS = [
+    (closed_value_off_by_one, lambda: verify.closed_forms(60),
+     "closed-forms: FAILED"),
+    (enumeration_off_by_eight, lambda: verify.reps(20, 20), "reps: FAILED"),
+    (singular_certificate, verify.basis, "basis: FAILED"),
+    (canonical_weight_changed, lambda: verify.lemma32(60), "lemma32: FAILED"),
+    (nonstrict_row_missing, verify.ligozat,
+     "ligozat: deviation from the expected profile"),
+    (dimension_wrong_at_44, verify.dims, "dims: FAILED"),
+    (rhs_off_at_one_n, lambda: verify.identity(60), "identity: FAILED"),
+]
+
+
+@pytest.mark.parametrize("plant, run, verdict", FAULTS,
+                         ids=[plant.__name__ for plant, _, _ in FAULTS])
+def test_planted_fault_fails_the_suite(monkeypatch, plant, run, verdict):
+    line = plant(monkeypatch)
+    check = run()
+    assert check.ok is False
+    assert line in check.lines
+    assert check.lines[-1] == verdict
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "closed-forms", "--max-n", "60"),
+    ("verify", "all", "--fast"),
+])
+def test_verify_exits_1_on_a_planted_fault(monkeypatch, args):
+    """``verify all`` stops at the first failing suite."""
+    line = closed_value_off_by_one(monkeypatch)
+    result = CliRunner().invoke(main, list(args))
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    assert line in lines
+    assert lines[-1] == "closed-forms: FAILED"
