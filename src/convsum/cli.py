@@ -246,14 +246,18 @@ def export_tables(level, fmt):
 # ---------------------------------------------------------------------------
 # verification commands: argument parsing around the suites in verify.py
 
-def _report(suite, *args, header: bool = False) -> None:
-    """Print a suite's report; exit 1 if it fails."""
-    check = suite(*args)
+def _echo(check: verify_suites.Check, header: bool = False) -> bool:
+    """Print a suite's report; return whether it passed."""
     if header:
         click.echo(f"== {check.name} ==")
     for line in check.lines:
         click.echo(line)
-    if not check.ok:
+    return check.ok
+
+
+def _report(suite, *args) -> None:
+    """Run one suite and print its report; exit 1 if it fails."""
+    if not _echo(suite(*args)):
         sys.exit(1)
 
 
@@ -331,7 +335,8 @@ def verify_dims():
               help="Reduced ranges (closed forms to n = 200, reps to n = 40).")
 @click.pass_obj
 def verify_all(precision, fast):
-    """Run every verification suite in order."""
+    """Run every verification suite in order; exit 1 at the end if any
+    of them failed."""
     runs = [
         (verify_suites.ligozat,),
         (verify_suites.basis,),
@@ -342,8 +347,10 @@ def verify_all(precision, fast):
         (verify_suites.reps, 40 if fast else 100, 100 if fast else 300),
     ]
     check_max_n(precision, max(n for _, *ranges in runs for n in ranges))
-    for suite, *args in runs:
-        _report(suite, *args, header=True)
+    passed = [_echo(suite(*args), header=True) for suite, *args in runs]
+    if not all(passed):
+        click.echo("all: FAILED")
+        sys.exit(1)
     click.echo("all: ok")
 
 

@@ -3,7 +3,7 @@
 The convolution sum of a pair (alpha, beta) at n adds sigma(l) * sigma(m)
 over all non-negative l, m with alpha*l + beta*m = n; terms with a zero
 part vanish because sigma(0) = 0.  ``w_oracle`` evaluates this directly,
-``w_series_oracle`` tabulates the same double sum for every n at once, and
+``w_series_oracle`` tabulates it for every n as one series product, and
 ``w_closed_table`` evaluates the exact closed forms for the four pairs with
 alpha * beta in {44, 52} in integers for every n up to a bound, straight
 from the expansion of the squared Eisenstein combination of the pair;
@@ -20,6 +20,7 @@ from operator import add, mod, mul
 
 from . import eta, tables
 from .arith import divisors, sigma_k, sigma_table
+from .qseries import QSeries
 
 EVALUATED_PAIRS = tuple(tables.EXPANSION_COEFFS)
 
@@ -45,19 +46,17 @@ def w_oracle(alpha: int, beta: int, n: int) -> int:
 
 
 def w_series_oracle(alpha: int, beta: int, max_n: int) -> list[int]:
-    """Convolution sums for n = 0..max_n as the literal double sum of
-    sigma(l) * sigma(m) over alpha*l + beta*m = n, one slice of l per m."""
+    """Convolution sums for n = 0..max_n: the product of sum sigma(l)
+    q^(alpha l) and sum sigma(m) q^(beta m), sigma by divisor enumeration."""
     if alpha < 1 or beta < 1:
         raise ValueError("alpha and beta must be positive")
     if max_n < 0:
         raise ValueError(f"need n >= 0, got {max_n}")
-    sig = [sigma_k(1, l) for l in range(max_n // alpha + 1)]
-    out = [0] * (max_n + 1)
-    for m in range(1, (max_n - alpha) // beta + 1):
-        start = alpha + beta * m
-        out[start::alpha] = map(add, out[start::alpha],
-                                map(mul, sig[1:], repeat(sigma_k(1, m))))
-    return out
+    if max_n == 0:
+        return [0]
+    sig = QSeries(max_n, [sigma_k(1, l)
+                          for l in range(max_n // min(alpha, beta) + 1)])
+    return list((sig.dilate(alpha) * sig.dilate(beta)).coeffs)
 
 
 def w_closed(pair: tuple[int, int], n: int) -> int:

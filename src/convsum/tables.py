@@ -14,12 +14,12 @@ Three kinds of data live here:
   forms for the convolution sums evaluate them directly
   (``convolution.w_closed_table``);
 
-* previously reported variants of the same coefficient lists
-  (``REPORTED_EXPANSION_COEFFS``), retained for comparison.  The entries
-  on which they disagree with the exact derivation are recorded in
-  ``REPORTED_DIVERGENCES``; the level-52 reported lists are inconsistent as
-  a whole (their sigma3 coefficients violate the forced constant-term
-  constraint), which the test suite demonstrates.
+* where previously reported variants of the same coefficient lists
+  disagree with the exact derivation (``REPORTED_DIVERGENCES``), which
+  ``convsum verify lemma32`` prints.  The reported lists themselves, the
+  level-52 dependency among the printed rows and the constant-term
+  violations of the reported level-52 lists are test data and live in the
+  test suite.
 """
 
 from __future__ import annotations
@@ -94,18 +94,6 @@ CUSP_DETERMINANTS = {44: -396, 52: -1966080}
 REPAIRED_ROW_INDEX_52 = 7
 REPAIRED_ROW_52 = (-2, 5, 1, 2, -1, 3)
 
-# The dependency certificate: with e = (e_1, e_2, e_4, e_13, e_26, e_52) the
-# first tuple and c = (c_1, ..., c_18) the second,
-#     sum_t e_t * sigma_3(n/t) + sum_j c_j * b_j(n) = 0   for every n >= 1,
-# where b_j are the level-52 row expansions above.  The Eisenstein weights
-# sum to zero, so the constant terms cancel as well; vanishing far past the
-# degree bound of the weight-4 space makes the relation an identity.
-LEVEL52_DEPENDENCY = (
-    (4, -64, 0, -4, 64, 0),
-    (-4, 57, 68, -104, -1368, -1440, -7140, 0, 0, 1644, 0, -2192, 0, 0,
-     -33, 548, -16, 0),
-)
-
 
 # ---------------------------------------------------------------------------
 # canonical expansion coefficients
@@ -159,62 +147,16 @@ EXPANSION_COEFFS = {
 }
 
 # ---------------------------------------------------------------------------
-# previously reported coefficient lists, verbatim
-
-REPORTED_EXPANSION_COEFFS = {
-    (1, 44): (
-        _fr(("124464/61", "-577662336/40565", "68986368/5795", "-174240/61",
-             "62064288/5795", "2525690112/5795")),
-        _fr(("1440/61", "-82927872/5795", "-887345568/5795", "-1676429568/5795",
-             "-2804007168/5795", "3753380736/5795", "-13356288/19",
-             "4226609664/5795", "-633600/19", "-527332608/1159", "7679232/19",
-             "-15231744/95", "-131079168/95", "317952/19", "-12595968/95")),
-    ),
-    (4, 11): (
-        _fr(("-110880/61", "80121888/5795", "-48338688/5795", "1817904/61",
-             "-98480448/5795", "-27320832/5795")),
-        _fr(("110880/61", "174857472/5795", "1169427168/5795", "2114189568/5795",
-             "3025513728/5795", "-3511080576/5795", "13318272/19",
-             "-3641762304/5795", "633600/19", "663913728/1159", "-7679232/19",
-             "15231744/95", "131079168/95", "-317952/19", "12595968/95")),
-    ),
-    (1, 52): (
-        _fr(("6109008/1243", "-456504084816/6064597", "254592/41",
-             "-7361952/1243", "-4829528827344/6064597", "434738304/41")),
-        _fr(("-3066144/1243", "498157179048/6064597", "927327070704/6064597",
-             "-442577500560/6064597", "-8530413669648/6064597",
-             "-10161699732288/6064597", "-10388366352/1243", "1040832/41",
-             "7488", "329100929664/147917", "27456", "-15249288510144/6064597",
-             "17472", "47009664/41", "-25166713896/551327",
-             "4167031826880/6064597", "-126425023920/6064597", "868608/41")),
-    ),
-    (4, 13): (
-        _fr(("3066144/1243", "-240061230672/6064597", "139392/41",
-             "45798672/1243", "-53922031824/6064597", "20290176/41")),
-        _fr(("-3066144/1243", "212735819880/6064597", "251848851024/6064597",
-             "-400561037808/6064597", "-5152459820400/6064597",
-             "-5408748312192/6064597", "-5489355312/1243", "150336/41",
-             "-7488", "151016538432/147917", "-27456", "-8224832431680/6064597",
-             "-17472", "-544896/41", "-11115614088/551327",
-             "2056953609600/6064597", "-64745693328/6064597", "-2304/41")),
-    ),
-}
-
-# Where the reported lists depart from the exact values.  For level 44 the
-# divergence is a single entry per pair; evaluating the reported closed form
-# there yields non-integers at small n (first failures: n=2 and n=7).  The
-# reported level-52 lists cannot be reconciled with the exponent table at
-# all: the sigma3 coefficients of a valid expansion must sum to 240*(alpha -
-# beta)^2, which the reported lists violate.
+# Where the previously reported coefficient lists (kept verbatim in the
+# test suite) depart from the exact values.  For level 44 the divergence is
+# a single entry per pair; evaluating the reported closed form there yields
+# non-integers at small n (first failures: n=2 and n=7).  The reported
+# level-52 lists cannot be reconciled with the exponent table at all: the
+# sigma3 coefficients of a valid expansion must sum to 240*(alpha - beta)^2,
+# which the reported lists violate.
 REPORTED_DIVERGENCES = {
     (1, 44): ("sigma3", 2),
     (4, 11): ("cusp", 7),
     (1, 52): ("inconsistent", None),
     (4, 13): ("inconsistent", None),
-}
-
-# Reported sigma3 sums divided by 240 versus the forced value (alpha-beta)^2.
-REPORTED_CONSTANT_VIOLATIONS = {
-    (1, 52): (Fraction("8316981/205"), 2601),
-    (4, 13): (Fraction("417789/205"), 81),
 }

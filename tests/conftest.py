@@ -3,21 +3,26 @@
 The oracles here deliberately avoid the library's fast paths: the eta
 oracle multiplies out the literal product factor by factor with Fraction
 arithmetic, the sparse-series kernels and the series product run one
-coefficient at a time, the divisor-sum oracles enumerate divisors
+coefficient at a time, the convolution-sum table adds the double sum one
+slice at a time, the divisor-sum oracles enumerate divisors
 directly, the four-square oracle visits the lattice points of the sphere,
 and the linear-algebra oracles are Gauss elimination over
-Fraction and the Leibniz determinant.
+Fraction and the Leibniz determinant.  The previously reported coefficient
+lists and the level-52 dependency certificate, which only the tests read,
+are kept here verbatim too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, repeat
 from math import isqrt
+from operator import add, mul
 
 import pytest
 
 from convsum import eta
+from convsum.arith import sigma_k
 from convsum.qseries import QSeries
 
 
@@ -123,6 +128,18 @@ def naive_series_mul(s, t):
                        for n in range(p + 1)])
 
 
+def literal_w_table(alpha, beta, max_n):
+    """Convolution sums for n = 0..max_n as the literal double sum of
+    sigma(l) * sigma(m) over alpha*l + beta*m = n, one slice of l per m."""
+    sig = [sigma_k(1, l) for l in range(max_n // alpha + 1)]
+    out = [0] * (max_n + 1)
+    for m in range(1, (max_n - alpha) // beta + 1):
+        start = alpha + beta * m
+        out[start::alpha] = map(add, out[start::alpha],
+                                map(mul, sig[1:], repeat(sigma_k(1, m))))
+    return out
+
+
 def sigma_by_full_scan(k, n):
     """Divisor power sum by scanning every candidate up to n."""
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
@@ -213,6 +230,76 @@ def partition_numbers(limit):
         for n in range(part, limit + 1):
             p[n] += p[n - part]
     return p
+
+
+# ---------------------------------------------------------------------------
+# data that only the tests compare against
+
+def _fr(values):
+    return tuple(Fraction(v) for v in values)
+
+
+# The dependency certificate: with e = (e_1, e_2, e_4, e_13, e_26, e_52) the
+# first tuple and c = (c_1, ..., c_18) the second,
+#     sum_t e_t * sigma_3(n/t) + sum_j c_j * b_j(n) = 0   for every n >= 1,
+# where b_j are the expansions of the printed level-52 rows
+# (``tables.CUSP_EXPONENTS[52]``).  The Eisenstein weights sum to zero, so
+# the constant terms cancel as well; vanishing far past the degree bound of
+# the weight-4 space makes the relation an identity.
+LEVEL52_DEPENDENCY = (
+    (4, -64, 0, -4, 64, 0),
+    (-4, 57, 68, -104, -1368, -1440, -7140, 0, 0, 1644, 0, -2192, 0, 0,
+     -33, 548, -16, 0),
+)
+
+
+# ---------------------------------------------------------------------------
+# previously reported coefficient lists, verbatim
+
+REPORTED_EXPANSION_COEFFS = {
+    (1, 44): (
+        _fr(("124464/61", "-577662336/40565", "68986368/5795", "-174240/61",
+             "62064288/5795", "2525690112/5795")),
+        _fr(("1440/61", "-82927872/5795", "-887345568/5795", "-1676429568/5795",
+             "-2804007168/5795", "3753380736/5795", "-13356288/19",
+             "4226609664/5795", "-633600/19", "-527332608/1159", "7679232/19",
+             "-15231744/95", "-131079168/95", "317952/19", "-12595968/95")),
+    ),
+    (4, 11): (
+        _fr(("-110880/61", "80121888/5795", "-48338688/5795", "1817904/61",
+             "-98480448/5795", "-27320832/5795")),
+        _fr(("110880/61", "174857472/5795", "1169427168/5795", "2114189568/5795",
+             "3025513728/5795", "-3511080576/5795", "13318272/19",
+             "-3641762304/5795", "633600/19", "663913728/1159", "-7679232/19",
+             "15231744/95", "131079168/95", "-317952/19", "12595968/95")),
+    ),
+    (1, 52): (
+        _fr(("6109008/1243", "-456504084816/6064597", "254592/41",
+             "-7361952/1243", "-4829528827344/6064597", "434738304/41")),
+        _fr(("-3066144/1243", "498157179048/6064597", "927327070704/6064597",
+             "-442577500560/6064597", "-8530413669648/6064597",
+             "-10161699732288/6064597", "-10388366352/1243", "1040832/41",
+             "7488", "329100929664/147917", "27456", "-15249288510144/6064597",
+             "17472", "47009664/41", "-25166713896/551327",
+             "4167031826880/6064597", "-126425023920/6064597", "868608/41")),
+    ),
+    (4, 13): (
+        _fr(("3066144/1243", "-240061230672/6064597", "139392/41",
+             "45798672/1243", "-53922031824/6064597", "20290176/41")),
+        _fr(("-3066144/1243", "212735819880/6064597", "251848851024/6064597",
+             "-400561037808/6064597", "-5152459820400/6064597",
+             "-5408748312192/6064597", "-5489355312/1243", "150336/41",
+             "-7488", "151016538432/147917", "-27456", "-8224832431680/6064597",
+             "-17472", "-544896/41", "-11115614088/551327",
+             "2056953609600/6064597", "-64745693328/6064597", "-2304/41")),
+    ),
+}
+
+# Reported sigma3 sums divided by 240 versus the forced value (alpha-beta)^2.
+REPORTED_CONSTANT_VIOLATIONS = {
+    (1, 52): (Fraction("8316981/205"), 2601),
+    (4, 13): (Fraction("417789/205"), 81),
+}
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from convsum.eisenstein import EisensteinPair
 from convsum.eta import check_ligozat, expand, table_rows
 from convsum.representations import r4_enumerate, r4_jacobi
 from convsum.spaces import DerivationError, build_basis, derive_coefficients
+from conftest import REPORTED_EXPANSION_COEFFS
 
 
 def report(num, ok, detail):
@@ -101,7 +102,7 @@ def test_criterion_4_coefficient_rederivation():
         except DerivationError as exc:
             failures.append((pair, f"derivation failed: {exc}"))
             continue
-        expected_s3, expected_y = tables.REPORTED_EXPANSION_COEFFS[pair]
+        expected_s3, expected_y = REPORTED_EXPANSION_COEFFS[pair]
         got_s3 = tuple(solutions[pair].sigma3_presentation()[d]
                        for d in basis.divisors)
         if got_s3 != expected_s3:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convsum import tables
 from convsum.convolution import (EVALUATED_PAIRS, IntegralityError, w_closed,
@@ -8,6 +10,8 @@ from convsum.convolution import (EVALUATED_PAIRS, IntegralityError, w_closed,
 from convsum.eisenstein import EisensteinPair
 from convsum.eta import basis_rows, table_rows
 from convsum.spaces import build_basis, derive_coefficients
+from conftest import (REPORTED_CONSTANT_VIOLATIONS, REPORTED_EXPANSION_COEFFS,
+                      literal_w_table)
 
 
 def test_w_oracle_examples():
@@ -32,6 +36,23 @@ def test_w_series_oracle_matches_direct():
     assert w_series_oracle(1, 44, 0) == [0]
     with pytest.raises(ValueError, match="need n >= 0"):
         w_series_oracle(1, 44, -1)
+
+
+@pytest.mark.parametrize("pair", (*EVALUATED_PAIRS, (1, 11), (1, 13)))
+def test_w_series_oracle_matches_literal_double_sum(pair):
+    """The four evaluated pairs and the pairs the octonary counts read."""
+    assert w_series_oracle(*pair, 2000) == literal_w_table(*pair, 2000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 300))
+@example(3, 2, 300)
+@example(2, 4, 300)
+@example(7, 7, 300)
+def test_w_series_oracle_matches_literal_double_sum_for_any_pair(
+        alpha, beta, max_n):
+    assert w_series_oracle(alpha, beta, max_n) == literal_w_table(
+        alpha, beta, max_n)
 
 
 def test_closed_form_examples():
@@ -94,7 +115,7 @@ def test_reported_level44_forms_fail_at_pinned_entries():
     """The reported level-44 expansions, each one entry off the exact one
     (``test_tables_data``), evaluate to non-integers there."""
     for pair, first_bad in (((1, 44), 2), ((4, 11), 7)):
-        reported = (*tables.REPORTED_EXPANSION_COEFFS[pair], table_rows(44))
+        reported = (*REPORTED_EXPANSION_COEFFS[pair], table_rows(44))
         with pytest.raises(IntegralityError, match=f"at n = {first_bad}$"):
             w_closed_table(pair, 30, reported)
         assert w_closed(pair, first_bad) == w_oracle(*pair, first_bad)
@@ -104,7 +125,7 @@ def test_reported_level52_forms_are_invalid():
     """The reported level-52 closed forms match brute force below n = 22
     and fail there."""
     for pair in ((1, 52), (4, 13)):
-        reported = (*tables.REPORTED_EXPANSION_COEFFS[pair], table_rows(52))
+        reported = (*REPORTED_EXPANSION_COEFFS[pair], table_rows(52))
         assert w_closed_table(pair, 21, reported) == w_series_oracle(*pair, 21)
         with pytest.raises(IntegralityError, match="at n = 22$"):
             w_closed_table(pair, 22, reported)
@@ -113,8 +134,8 @@ def test_reported_level52_forms_are_invalid():
 def test_reported_level52_expansions_violate_constant_term():
     """A valid expansion's sigma3 coefficients must sum to 240 (alpha-beta)^2;
     the reported lists do not, so no choice of cusp rows can rescue them."""
-    for pair, (got, required) in tables.REPORTED_CONSTANT_VIOLATIONS.items():
-        reported_s3 = tables.REPORTED_EXPANSION_COEFFS[pair][0]
+    for pair, (got, required) in REPORTED_CONSTANT_VIOLATIONS.items():
+        reported_s3 = REPORTED_EXPANSION_COEFFS[pair][0]
         assert sum(reported_s3) / 240 == got
         assert got != required
         exact_s3 = tables.EXPANSION_COEFFS[pair][0]

@@ -14,7 +14,7 @@ from convsum.spaces import (BasisError, DerivationError,
                             InconsistentSystemError, SingularSystemError,
                             SpaceBasis, _solve, build_basis,
                             derive_coefficients, verify_independence)
-from conftest import fraction_solve, literal_determinant
+from conftest import LEVEL52_DEPENDENCY, fraction_solve, literal_determinant
 
 PRECISION = 120
 
@@ -242,7 +242,7 @@ def test_level52_dependency_certificate(basis52):
     nonzero weight on row 7 is why swapping that row restores full rank.
     """
     from convsum.arith import sigma_k_frac
-    eis_w, cusp_w = tables.LEVEL52_DEPENDENCY
+    eis_w, cusp_w = LEVEL52_DEPENDENCY
     assert sum(eis_w) == 0  # constant terms cancel
     assert cusp_w[6] != 0
     for n in range(1, PRECISION + 1):

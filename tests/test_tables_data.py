@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from convsum import tables
 from convsum.eta import basis_rows
+from conftest import REPORTED_CONSTANT_VIOLATIONS, REPORTED_EXPANSION_COEFFS
 
 
 def test_row_counts():
@@ -48,8 +49,8 @@ def test_dilation_structure_of_tables():
 
 
 def test_coefficient_list_shapes():
-    assert tables.EXPANSION_COEFFS.keys() == tables.REPORTED_EXPANSION_COEFFS.keys()
-    for coeffs in (tables.EXPANSION_COEFFS, tables.REPORTED_EXPANSION_COEFFS):
+    assert tables.EXPANSION_COEFFS.keys() == REPORTED_EXPANSION_COEFFS.keys()
+    for coeffs in (tables.EXPANSION_COEFFS, REPORTED_EXPANSION_COEFFS):
         for pair, (s3, y) in coeffs.items():
             assert len(s3) == 6
             assert len(y) == len(basis_rows(pair[0] * pair[1]))
@@ -64,9 +65,9 @@ def test_expansion_constant_terms():
 def test_reported_divergences_match_data():
     for pair, (kind, where) in tables.REPORTED_DIVERGENCES.items():
         exact_s3, exact_y = tables.EXPANSION_COEFFS[pair]
-        reported_s3, reported_y = tables.REPORTED_EXPANSION_COEFFS[pair]
+        reported_s3, reported_y = REPORTED_EXPANSION_COEFFS[pair]
         if kind == "inconsistent":
-            assert pair in tables.REPORTED_CONSTANT_VIOLATIONS
+            assert pair in REPORTED_CONSTANT_VIOLATIONS
             continue
         divisors = (1, 2, 4, 11, 22, 44)
         s3_diff = [divisors[i] for i in range(6)

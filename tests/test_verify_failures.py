@@ -6,7 +6,7 @@ canonical weight, the expected condition profile, the dimension formula or
 the right-hand side of the identity.  The suite must then report
 ``ok is False``, name the fault in one line and end with its failure
 verdict; through the command line, ``verify`` must exit 1 with that line on
-stdout.
+stdout, and ``verify all`` must still print every later suite's report.
 """
 
 import pytest
@@ -114,10 +114,34 @@ def test_planted_fault_fails_the_suite(monkeypatch, plant, run, verdict):
     ("verify", "all", "--fast"),
 ])
 def test_verify_exits_1_on_a_planted_fault(monkeypatch, args):
-    """``verify all`` stops at the first failing suite."""
+    """A failing suite exits 1 with its report; ``verify all`` still runs
+    the suites after it and ends with its own verdict."""
     line = closed_value_off_by_one(monkeypatch)
     result = CliRunner().invoke(main, list(args))
     assert result.exit_code == 1
     lines = result.stdout.splitlines()
     assert line in lines
-    assert lines[-1] == "closed-forms: FAILED"
+    failed = lines.index("closed-forms: FAILED")
+    if args[1] == "all":
+        # the (1,11) octonary count reads the faulty W(4,11) table as well
+        assert lines[failed + 1:] == [
+            "== reps ==",
+            "octonary counts (1,11): mismatch at n = 17",
+            "octonary counts (1,13): closed equals enumeration for n <= 40",
+            "substitution identities for b = 11: exact for n <= 100",
+            "substitution identities for b = 13: exact for n <= 100",
+            "reps: FAILED",
+            "all: FAILED"]
+    else:
+        assert failed == len(lines) - 1
+
+
+def test_verify_all_reports_every_failing_suite(monkeypatch):
+    """A fault in each of two suites: ``verify all`` names both."""
+    closed = closed_value_off_by_one(monkeypatch)
+    counts = enumeration_off_by_eight(monkeypatch)
+    result = CliRunner().invoke(main, ["verify", "all", "--fast"])
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    assert {closed, "closed-forms: FAILED", counts, "reps: FAILED"} <= set(lines)
+    assert lines[-1] == "all: FAILED"
