@@ -10,23 +10,16 @@ usage error.  Before any work starts, the group precision must lie in
 above MAX_LEVEL, which bounds its trial division.  All reports are
 deterministic: fixed ordering, no timestamps.  Rationals serialize as
 {"num": "...", "den": "..."} with decimal strings so consumers never lose
-precision.
+precision.  Imports are per command: a launch loads only what it runs.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import sys
-from fractions import Fraction
 
 import click
 
-from . import convolution, eta, representations, spaces, tables
-from . import verify as verify_suites
-from .arith import dim_spaces, divisors
-from .eisenstein import EisensteinPair
+from . import tables
 
 DEFAULT_PRECISION = 1000
 MAX_PRECISION = 10 ** 6
@@ -63,12 +56,21 @@ def _levels(choice: str) -> tuple[int, ...]:
     return tuple(tables.CUSP_EXPONENTS) if choice == "all" else (int(choice),)
 
 
-def _rational_json(x: Fraction) -> dict:
+def _rational_json(x) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
 def _dump_json(payload) -> str:
+    import json
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _dump_csv(rows) -> str:
+    import csv
+    import io
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 @click.group(cls=BoundaryGroup)
@@ -99,6 +101,7 @@ def main(ctx, precision):
 @click.pass_obj
 def eval_w(precision, alpha, beta, n, method):
     """Print the convolution sum of (alpha, beta) at n."""
+    from . import convolution
     check_max_n(precision, n)
     click.echo(convolution.w_closed((alpha, beta), n) if method == "closed"
                else convolution.w_oracle(alpha, beta, n))
@@ -115,18 +118,15 @@ def eval_w(precision, alpha, beta, n, method):
 @click.pass_obj
 def table_w(precision, alpha, beta, max_n, method, fmt):
     """Tabulate convolution sums for n = 0..max-n."""
+    from . import convolution
     check_max_n(precision, max_n)
     if method == "closed":
         values = convolution.w_closed_table((alpha, beta), max_n)
     else:
         values = convolution.w_series_oracle(alpha, beta, max_n)
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "value", "method"])
-        for n, v in enumerate(values):
-            writer.writerow([n, v, method])
-        click.echo(out.getvalue(), nl=False)
+        click.echo(_dump_csv([["n", "value", "method"], *(
+            [n, v, method] for n, v in enumerate(values))]), nl=False)
     else:
         click.echo(_dump_json({
             "alpha": alpha, "beta": beta, "method": method,
@@ -143,6 +143,7 @@ def table_w(precision, alpha, beta, max_n, method, fmt):
 @click.pass_obj
 def rep_count(precision, a, b, n, method):
     """Print the octonary representation count for (a, b) at n."""
+    from . import representations
     check_max_n(precision, n)
     click.echo(representations.rep_count_closed(a, b, n) if method == "closed"
                else representations.rep_count_enumerate(a, b, n))
@@ -154,6 +155,7 @@ def rep_count(precision, a, b, n, method):
 @click.option("--weight", type=int, default=4, show_default=True)
 def dims(level, weight):
     """Print the dimensions (M, E, S) of the weight-k spaces at a level."""
+    from .arith import dim_spaces
     if level > MAX_LEVEL:
         raise click.UsageError(
             f"level {level} exceeds the ceiling {MAX_LEVEL}")
@@ -175,7 +177,9 @@ def dims(level, weight):
 @click.pass_obj
 def derive(precision, alpha, beta, basis, solve_precision, as_json):
     """Derive the exact expansion of the squared Eisenstein combination."""
-    pair = EisensteinPair(alpha, beta)
+    from . import eisenstein, eta, spaces
+    from .arith import divisors
+    pair = eisenstein.EisensteinPair(alpha, beta)
     check_max_n(precision, solve_precision)
     rows = (eta.table_rows if basis == "printed" else eta.basis_rows)(pair.level)
     label = eta.rows_label(pair.level, rows)
@@ -224,6 +228,7 @@ def export():
               default="json", show_default=True)
 def export_tables(level, fmt):
     """Dump the eta-quotient exponent tables bit-exactly."""
+    from .arith import divisors
     levels = _levels(level)
     if fmt == "json":
         payload = {
@@ -234,20 +239,20 @@ def export_tables(level, fmt):
         }
         click.echo(_dump_json(payload))
     else:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["level", "row"] + [f"r{i}" for i in range(1, 7)])
-        for lv in levels:
-            for i, row in enumerate(tables.CUSP_EXPONENTS[lv], 1):
-                writer.writerow([lv, i, *row])
-        click.echo(out.getvalue(), nl=False)
+        click.echo(_dump_csv([
+            ["level", "row"] + [f"r{i}" for i in range(1, 7)],
+            *([lv, i, *row] for lv in levels
+              for i, row in enumerate(tables.CUSP_EXPONENTS[lv], 1))]),
+            nl=False)
 
 
 # ---------------------------------------------------------------------------
 # verification commands: argument parsing around the suites in verify.py
 
-def _echo(check: verify_suites.Check, header: bool = False) -> bool:
-    """Print a suite's report; return whether it passed."""
+def _echo(suite: str, *args, header: bool = False) -> bool:
+    """Run a suite of verify.py by name, print its report; return its ok."""
+    from . import verify as suites
+    check = getattr(suites, suite)(*args)
     if header:
         click.echo(f"== {check.name} ==")
     for line in check.lines:
@@ -255,9 +260,9 @@ def _echo(check: verify_suites.Check, header: bool = False) -> bool:
     return check.ok
 
 
-def _report(suite, *args) -> None:
+def _report(suite: str, *args) -> None:
     """Run one suite and print its report; exit 1 if it fails."""
-    if not _echo(suite(*args)):
+    if not _echo(suite, *args):
         sys.exit(1)
 
 
@@ -271,13 +276,13 @@ def verify():
 def verify_ligozat(level):
     """Membership conditions for every embedded table row; the strict order
     condition must fail precisely on the known non-cuspidal rows."""
-    _report(verify_suites.ligozat, _levels(level))
+    _report("ligozat", _levels(level))
 
 
 @verify.command("basis")
 def verify_basis():
     """Independence certificates for both levels."""
-    _report(verify_suites.basis)
+    _report("basis")
 
 
 @verify.command("identity")
@@ -287,11 +292,12 @@ def verify_basis():
 @click.pass_obj
 def verify_identity(precision, alpha, beta, max_n):
     """Squared combination versus its convolution-sum expansion."""
+    from .convolution import EVALUATED_PAIRS
     check_max_n(precision, max_n)
     if (alpha is None) != (beta is None):
         raise click.UsageError("--alpha and --beta must be given together")
-    pairs = convolution.EVALUATED_PAIRS if alpha is None else ((alpha, beta),)
-    _report(verify_suites.identity, max_n, pairs)
+    pairs = EVALUATED_PAIRS if alpha is None else ((alpha, beta),)
+    _report("identity", max_n, pairs)
 
 
 @verify.command("lemma32")
@@ -302,7 +308,7 @@ def verify_lemma32(precision, solve_precision):
     """Re-derive all four expansions and compare with the embedded data,
     calling out where the previously reported lists diverge."""
     check_max_n(precision, solve_precision)
-    _report(verify_suites.lemma32, solve_precision)
+    _report("lemma32", solve_precision)
 
 
 @verify.command("closed-forms")
@@ -311,7 +317,7 @@ def verify_lemma32(precision, solve_precision):
 def verify_closed_forms(precision, max_n):
     """Closed forms against brute force, exact integer equality."""
     check_max_n(precision, max_n)
-    _report(verify_suites.closed_forms, max_n)
+    _report("closed_forms", max_n)
 
 
 @verify.command("reps")
@@ -321,13 +327,13 @@ def verify_closed_forms(precision, max_n):
 def verify_reps(precision, max_n, substitution_max_n):
     """Octonary counts and the substitution identities behind them."""
     check_max_n(precision, max(max_n, substitution_max_n))
-    _report(verify_suites.reps, max_n, substitution_max_n)
+    _report("reps", max_n, substitution_max_n)
 
 
 @verify.command("dims")
 def verify_dims():
     """Dimension formula against the pinned values."""
-    _report(verify_suites.dims)
+    _report("dims")
 
 
 @verify.command("all")
@@ -338,16 +344,16 @@ def verify_all(precision, fast):
     """Run every verification suite in order; exit 1 at the end if any
     of them failed."""
     runs = [
-        (verify_suites.ligozat,),
-        (verify_suites.basis,),
-        (verify_suites.dims,),
-        (verify_suites.identity, 120 if fast else 300),
-        (verify_suites.lemma32, 120),
-        (verify_suites.closed_forms, 200 if fast else 1000),
-        (verify_suites.reps, 40 if fast else 100, 100 if fast else 300),
+        ("ligozat",),
+        ("basis",),
+        ("dims",),
+        ("identity", 120 if fast else 300),
+        ("lemma32", 120),
+        ("closed_forms", 200 if fast else 1000),
+        ("reps", 40 if fast else 100, 100 if fast else 300),
     ]
     check_max_n(precision, max(n for _, *ranges in runs for n in ranges))
-    passed = [_echo(suite(*args), header=True) for suite, *args in runs]
+    passed = [_echo(*run, header=True) for run in runs]
     if not all(passed):
         click.echo("all: FAILED")
         sys.exit(1)

@@ -41,6 +41,10 @@ def test_sigma_table_against_full_scan():
     for k in (0, 1, 3):
         assert sigma_table(k, 400) == [0] + [sigma_by_full_scan(k, n)
                                              for n in range(1, 401)]
+    for k in (0, 1, 2, 3):  # every limit, so every square is an end point
+        scan = [0] + [sigma_by_full_scan(k, n) for n in range(1, 65)]
+        for limit in range(65):
+            assert sigma_table(k, limit) == scan[:limit + 1], (k, limit)
     assert sigma_table(1, 10_000) == sigma1_sieve(10_000)
     assert sigma_table(3, 0) == [0]
 

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import click
@@ -9,9 +13,12 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convsum import cli, tables
+from convsum import (arith, cli, convolution, representations, spaces, tables,
+                     verify)
 from convsum.cli import MAX_LEVEL, MAX_PRECISION, main
 from convsum.convolution import w_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -155,17 +162,17 @@ def test_every_command_is_the_error_boundary():
 
 # per command family: a library call it makes, and an argument vector
 PROBED = [
-    (cli.convolution, "w_closed",
+    (convolution, "w_closed",
      ("eval-w", "--alpha", "1", "--beta", "44", "--n", "5")),
-    (cli.convolution, "w_series_oracle",
+    (convolution, "w_series_oracle",
      ("table-w", "--alpha", "1", "--beta", "44", "--max-n", "5")),
-    (cli.representations, "rep_count_enumerate",
+    (representations, "rep_count_enumerate",
      ("rep-count", "--a", "1", "--b", "11", "--n", "5", "--method", "oracle")),
-    (cli, "dim_spaces", ("dims", "--level", "44")),
-    (cli.spaces, "build_basis", ("derive", "--alpha", "1", "--beta", "44")),
-    (cli, "divisors", ("export", "tables")),
-    (cli.verify_suites, "ligozat", ("verify", "all", "--fast")),
-    (cli.verify_suites, "closed_forms", ("verify", "closed-forms")),
+    (arith, "dim_spaces", ("dims", "--level", "44")),
+    (spaces, "build_basis", ("derive", "--alpha", "1", "--beta", "44")),
+    (arith, "divisors", ("export", "tables")),
+    (verify, "ligozat", ("verify", "all", "--fast")),
+    (verify, "closed_forms", ("verify", "closed-forms")),
 ]
 
 
@@ -316,8 +323,8 @@ def test_cli_extreme_values_exit_before_work(level, precision):
     """A level or precision above its ceiling exits 2 before any factoring
     or any suite starts."""
     refuse = mock.Mock(side_effect=AssertionError("work started"))
-    with mock.patch.object(cli, "dim_spaces", refuse), \
-            mock.patch.object(cli.verify_suites, "closed_forms", refuse):
+    with mock.patch.object(arith, "dim_spaces", refuse), \
+            mock.patch.object(verify, "closed_forms", refuse):
         for args, env in (
                 (["dims", "--level", str(level)], None),
                 (["--precision", str(precision), "verify", "closed-forms",
@@ -334,3 +341,35 @@ def test_cli_ceilings_are_accepted(runner):
     result = invoke(runner, "--precision", str(MAX_PRECISION), "dims",
                     "--level", str(MAX_LEVEL))
     assert result.exit_code == 0
+
+
+def _loaded(*args) -> set[str]:
+    """Module names a fresh interpreter holds after ``import convsum`` and,
+    given args, one CLI launch on them."""
+    code = ("import sys\n"
+            "try:\n"
+            "    import convsum\n"
+            "    if sys.argv[1:]:\n"
+            "        from convsum.cli import main\n"
+            "        main(sys.argv[1:])\n"
+            "finally:\n"
+            "    print(*sorted(sys.modules), file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    child = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    return set(child.stderr.split())
+
+
+def test_each_launch_imports_only_what_its_command_runs():
+    assert not {m for m in _loaded() if m.startswith("convsum.")}
+    assert {m for m in _loaded("dims", "--level", "44")
+            if m.startswith("convsum.")} <= {
+        "convsum.cli", "convsum.tables", "convsum.arith"}
+    assert not _loaded("eval-w", "--alpha", "1", "--beta", "44",
+                       "--n", "120") & {
+        "convsum.spaces", "convsum.verify", "convsum.eisenstein",
+        "convsum.representations", "json", "csv"}
+    assert not _loaded("rep-count", "--a", "1", "--b", "11", "--n", "120") & {
+        "convsum.spaces", "convsum.verify"}
