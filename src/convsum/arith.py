@@ -51,15 +51,21 @@ def sigma_k(k: int, m: int) -> int:
 
 
 def sigma_table(k: int, limit: int) -> list[int]:
-    """sigma_k(m) for m = 0..limit (0 at m = 0) by a hyperbola sieve: each
-    m = d*e with d <= e gets d^k, and e^k if e > d, for d <= sqrt(limit)."""
+    """sigma_k(m) for m = 0..limit (0 at m = 0), as a fresh list."""
+    return list(_sigma_sieve(k, limit))
+
+
+@lru_cache(maxsize=2)
+def _sigma_sieve(k: int, limit: int) -> tuple[int, ...]:
+    """sigma_table by a hyperbola sieve: each m = d*e with d <= e gets d^k,
+    and e^k if e > d, for d <= sqrt(limit); the last two tables stay."""
     table = [0] * (limit + 1)
     powers = list(map(pow, range(limit + 1), repeat(k)))
     for d in range(1, isqrt(limit) + 1):
         table[d * d::d] = map(add, table[d * d::d], repeat(powers[d]))
         table[d * d + d::d] = map(add, table[d * d + d::d],
                                   powers[d + 1:limit // d + 1])
-    return table
+    return tuple(table)
 
 
 def sigma_k_frac(k: int, n: int, delta: int) -> int:

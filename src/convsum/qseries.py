@@ -17,56 +17,73 @@ coefficients c_k become the one int sum c_k 2^(Bk) with B = 8w bits per
 w-byte slot.  Modulo 2^(Bn) this maps series truncated below q^n to
 integers as a ring homomorphism, so the packed product is the product
 packed, and only the result must fit its slots: exact by construction once
-an a-priori bound puts every coefficient of the result below 2^(B-1).  A
-dense product is bounded by (P+1) max|a| max|b|; a product of sparse series,
-each step run as sum c (X << e B), by the product of the steps' absolute
-coefficient sums.  Packing and unpacking add 2^(B-1) to every slot, which
-makes every digit non-negative, and read or write all slots in one bytes
-pass.
+an a-priori bound puts every coefficient below 2^(B-1), on the narrowest
+slots that allow it.  A dense product is bounded by min(nonzero a, nonzero
+b) max|a| max|b|; each step of a sparse product, sum c (X << e B), by the
+product of the absolute coefficient sums multiplied in so far.  Packing and
+unpacking add 2^(B-1) to every slot, so every digit is non-negative, and
+make one struct pass at 8 bytes and strided byte copies up to 8 bytes.
 """
 
 from __future__ import annotations
 
 import struct
-import sys
 from dataclasses import dataclass
 from itertools import repeat
-from math import isqrt, prod
+from math import isqrt
 from operator import add, index, mul, sub
 
 
 def slot_width(bound: int) -> int:
-    """Bytes per slot for signed values of absolute value at most bound;
-    at least 8, so that 8-byte slots unpack with one memoryview cast."""
-    return max(8, (bound.bit_length() + 8) // 8)
+    """Bytes per slot for signed values of absolute value at most bound."""
+    return (bound.bit_length() + 8) // 8
 
 
-def _offsets(n: int, w: int) -> int:
-    """2^(8w-1) in each of n slots of w bytes."""
-    return int.from_bytes((bytes(w - 1) + b"\x80") * n, sys.byteorder)
+def _slots(x: int, n: int, w: int) -> bytes:
+    """The first n w-byte slots of x as signed little-endian bytes."""
+    off = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    return (((x + off) & ((1 << 8 * w * n) - 1)) ^ off).to_bytes(
+        n * w, "little")
+
+
+def _joined(data, n: int, w: int) -> int:
+    """The int whose n w-byte slots hold the signed bytes data."""
+    off = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    return (int.from_bytes(data, "little") ^ off) - off
+
+
+def _resized(data, n: int, w: int, v: int) -> bytearray:
+    """n signed w-byte slots, cut or sign-extended to v bytes each."""
+    sign = data[w - 1::w].translate(bytes(128) + b"\xff" * 128)
+    out = bytearray(n * v)
+    for i in range(v):
+        out[i::v] = data[i::w] if i < w else sign
+    return out
 
 
 def pack(coeffs, w: int) -> int:
-    """The ints coeffs as one int with w-byte slots."""
-    if w == 8:
-        data = struct.pack(f"={len(coeffs)}q", *coeffs)
-    else:
-        data = b"".join(c.to_bytes(w, sys.byteorder, signed=True)
-                        for c in coeffs)
-    off = _offsets(len(coeffs), w)
-    return (int.from_bytes(data, sys.byteorder) ^ off) - off
+    """coeffs as one int of w-byte slots; OverflowError if one does not fit."""
+    n = len(coeffs)
+    if w > 8:
+        return _joined(b"".join(c.to_bytes(w, "little", signed=True)
+                                for c in coeffs), n, w)
+    try:
+        wide = struct.pack(f"<{n}q", *coeffs)
+    except struct.error as exc:
+        raise OverflowError(f"a coefficient exceeds {w} bytes") from exc
+    data = _resized(wide, n, 8, w)
+    if _resized(data, n, w, 8) != wide:
+        raise OverflowError(f"a coefficient exceeds {w} bytes")
+    return _joined(data, n, w)
 
 
 def unpack(x: int, n: int, w: int) -> list[int]:
-    """The first n slots of x, or of any int congruent to it modulo
-    2^(8wn)."""
-    off = _offsets(n, w)
-    data = (((x + off) & ((1 << 8 * w * n) - 1)) ^ off).to_bytes(
-        n * w, sys.byteorder)
-    if w == 8:
-        return memoryview(data).cast("q").tolist()
-    return [int.from_bytes(data[i:i + w], sys.byteorder, signed=True)
-            for i in range(0, n * w, w)]
+    """The first n slots of x, or of any int congruent to it mod 2^(8wn)."""
+    data = _slots(x, n, w)
+    if w > 8:
+        return [int.from_bytes(data[i:i + w], "little", signed=True)
+                for i in range(0, n * w, w)]
+    return list(struct.unpack(f"<{n}q", _resized(data, n, w, 8)))
 
 
 def mul_packed(x: int, terms, n: int, w: int) -> int:
@@ -87,14 +104,24 @@ def mul_packed(x: int, terms, n: int, w: int) -> int:
 
 def sparse_product(factors, limit: int) -> list[int]:
     """The product of the sparse series in factors, each a list of
-    (exponent, coefficient) terms, below q^(limit + 1): every step on one
-    packed int, with the slot width from the product of the factors'
-    absolute coefficient sums, and one unpacking."""
-    w = slot_width(prod(sum(abs(c) for _, c in t) for t in factors))
-    x = 1
-    for terms in factors:
-        x = mul_packed(x, terms, limit + 1, w)
-    return unpack(x, limit + 1, w)
+    (exponent, coefficient) terms up to q^limit: the longest packed, the
+    others shift-added, each on the narrowest slots for the running bound,
+    and the packed int re-slotted wider, in bytes, when the bound grows."""
+    n = limit + 1
+    first, *rest = sorted(factors, key=len, reverse=True) or [[(0, 1)]]
+    dense = [0] * n
+    for e, c in first:
+        dense[e] = c
+    bound = sum(abs(c) for _, c in first)
+    w = slot_width(bound)
+    x = pack(dense, w)
+    for terms in rest:
+        bound *= sum(abs(c) for _, c in terms)
+        if (wider := slot_width(bound)) > w:
+            x = _joined(_resized(_slots(x, n, w), n, w, wider), n, wider)
+            w = wider
+        x = mul_packed(x, terms, n, w)
+    return unpack(x, n, w)
 
 
 def div_sparse(dense: list[int], terms, limit: int) -> list[int]:
@@ -174,11 +201,12 @@ class QSeries:
 
     def __mul__(self, other: QSeries) -> QSeries:
         """One big-int product of the packed operands.  A slot of the full
-        product sums at most p + 1 coefficient products, which bounds the
-        slot width; the bound with maxima at least 1 covers the operands."""
+        product sums at most min(nonzero a, nonzero b) nonzero products; the
+        bound with each factor at least 1 covers the operands too."""
         p = min(self.precision, other.precision)
         a, b = self.coeffs[:p + 1], other.coeffs[:p + 1]
-        w = slot_width((p + 1) * max(1, *map(abs, a)) * max(1, *map(abs, b)))
+        nonzero = max(1, min(len(a) - a.count(0), len(b) - b.count(0)))
+        w = slot_width(nonzero * max(1, *map(abs, a)) * max(1, *map(abs, b)))
         x = pack(a, w)
         y = x if b is a else pack(b, w)  # a square takes the squaring path
         return QSeries(p, unpack(x * y, p + 1, w))

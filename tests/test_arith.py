@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from convsum import arith
 from convsum.arith import (dim_spaces, divisors, euler_phi, genus, sigma_k,
                            sigma_k_frac, sigma_table)
 from conftest import sigma_by_full_scan, sigma1_sieve
@@ -47,6 +48,22 @@ def test_sigma_table_against_full_scan():
             assert sigma_table(k, limit) == scan[:limit + 1], (k, limit)
     assert sigma_table(1, 10_000) == sigma1_sieve(10_000)
     assert sigma_table(3, 0) == [0]
+
+
+def test_sigma_table_shares_its_sieve_but_not_its_list():
+    """sigma and sigma_3 at one limit are each sieved once, and a caller
+    that mutates its table leaves the next caller's intact."""
+    assert arith._sigma_sieve.cache_parameters()["maxsize"] == 2
+    arith._sigma_sieve.cache_clear()
+    first = sigma_table(1, 50)
+    expected = list(first)
+    first[6] = -1
+    first.append(0)
+    sigma_table(3, 50)
+    assert sigma_table(1, 50) == expected
+    assert sigma_table(1, 50) is not sigma_table(1, 50)
+    info = arith._sigma_sieve.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
 
 
 def test_sigma_multiplicative():

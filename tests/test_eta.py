@@ -9,7 +9,7 @@ from convsum.arith import divisors
 from convsum.eta import (_CUBE, _EULER, _THETAS, EtaQuotient, _expand_ints,
                          _plan, basis_rows, check_ligozat, expand, table_rows)
 from convsum.qseries import (QSeries, div_sparse, mul_packed, pack,
-                             slot_width, unpack)
+                             slot_width, sparse_product, unpack)
 from conftest import (literal_eta_expansion, literal_euler_product,
                       literal_euler_quotient, mul_lists, naive_div_sparse,
                       naive_eta_expansion, naive_mul_sparse,
@@ -81,10 +81,11 @@ FACTORS = (_EULER, _CUBE) + _THETAS
 
 @st.composite
 def kernel_case(draw):
-    """Coefficients up to 2^40, or up to 2^62, which pushes the slot bound
-    of a step past 63 bits into the wider slots."""
+    """Coefficients up to 2^3, 2^12 or 2^28, which put the slot bound of a
+    step below 8 bytes, up to 2^40, or up to 2^62, which pushes it past 63
+    bits into the wider slots."""
     limit = draw(st.integers(1, 400))
-    top = draw(st.sampled_from((2 ** 40, 2 ** 62)))
+    top = draw(st.sampled_from((2 ** 3, 2 ** 12, 2 ** 28, 2 ** 40, 2 ** 62)))
     dense = draw(st.lists(st.integers(-top, top), min_size=limit + 1,
                           max_size=limit + 1))
     terms = draw(st.sampled_from(FACTORS)).terms(draw(st.integers(1, 60)),
@@ -105,7 +106,7 @@ def packed_step(dense, terms, limit):
 @example(([2 ** 62, -2 ** 62, 3], _CUBE.terms(1, 2), 2))
 def test_sparse_kernels_match_naive(case):
     """The packed step and the slice division against the per-coefficient
-    oracles, on 8-byte and wider slots, across block sizes and on both
+    oracles, on narrow, 8-byte and wider slots, across block sizes and on both
     sides of the short/long-lag split."""
     dense, terms, limit = case
     assert packed_step(dense, terms, limit) == naive_mul_sparse(
@@ -115,15 +116,46 @@ def test_sparse_kernels_match_naive(case):
 
 
 def test_packed_step_slot_widths():
-    """Bounds just below and above 2^63 take 8- and 9-byte slots, and both
-    give the naive product."""
+    """A bound of 2^(8w-1) - 1 takes w-byte slots and 2^(8w-1) takes w + 1,
+    for w = 1..9.  Steps whose product reaches a bound just below and just
+    above 2^(8w-1), and steps on coefficients up to 2^40 and 2^62, give the
+    naive product."""
     limit = 30
     terms = _CUBE.terms(1, limit)
-    for top, width in ((2 ** 40, 8), (2 ** 62, 9)):
-        dense = [top, -top] + [1] * (limit - 1)
-        assert slot_width(top * sum(abs(c) for _, c in terms)) == width
-        assert packed_step(dense, terms, limit) == naive_mul_sparse(
-            dense, terms, limit)
+    total = sum(abs(c) for _, c in terms)
+    cases = [(2 ** 40, 6), (2 ** 62, 9)]
+    for w in range(1, 10):
+        edge = 2 ** (8 * w - 1)
+        assert (slot_width(edge - 1), slot_width(edge)) == (w, w + 1)
+        cases += [((edge - 1) // total, w), (-(-edge // total), w + 1)]
+    for top, width in cases:
+        # the signs of the terms, reversed, so the product at q^limit is
+        # top * total, the bound itself
+        dense = [1] * (limit + 1)
+        for e, c in terms:
+            dense[limit - e] = top if c > 0 else -top
+        assert slot_width(top * total) == width
+        product = packed_step(dense, terms, limit)
+        assert product == naive_mul_sparse(dense, terms, limit)
+        assert product[limit] == top * total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 300).flatmap(lambda limit: st.tuples(
+    st.just(limit), st.lists(st.tuples(st.sampled_from(FACTORS),
+                                       st.integers(1, 60)), max_size=6))))
+@example((300, [(_THETAS[4], 1)] * 6 + [(_CUBE, 1)]))
+def test_sparse_product_matches_naive(case):
+    """The packed product of 0-6 factors against the literal product,
+    folded over 1 one factor at a time.  The example's running bound
+    re-slots six times, from 2 bytes up to 9 at its last factor, so the
+    result is unpacked slot by slot."""
+    limit, steps = case
+    factors = [f.terms(d, limit) for f, d in steps]
+    expected = [1] + [0] * limit
+    for terms in factors:
+        expected = naive_mul_sparse(expected, terms, limit)
+    assert sparse_product(factors, limit) == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convsum.arith import sigma_k
-from convsum.qseries import QSeries
+from convsum.qseries import QSeries, pack, unpack
 from conftest import naive_series_mul
 
 
@@ -74,6 +74,19 @@ def test_mul_examples():
     assert (s * QSeries(4, [0, 1])).coeffs == (0, 2, 0, 7, 1)
 
 
+def test_pack_round_trips_the_slot_range_and_refuses_beyond_it():
+    """At every width the extremes of a w-byte slot survive packing, and one
+    more in either direction raises instead of wrapping into a neighbour."""
+    for w in range(1, 10):
+        top = 2 ** (8 * w - 1)
+        fits = [top - 1, -(top - 1), -top, 0, 1, -1, top - 1]
+        assert unpack(pack(fits, w), len(fits), w) == fits
+        for bad in (top, -top - 1):
+            for coeffs in ([bad], [1, bad, -1]):
+                with pytest.raises(OverflowError):
+                    pack(coeffs, w)
+
+
 def test_mul_gives_convolution_sums():
     p = 8
     sig = QSeries(p, [0] + [sigma_k(1, n) for n in range(1, p + 1)])
@@ -84,6 +97,8 @@ def test_mul_gives_convolution_sums():
 
 @settings(max_examples=60, deadline=None)
 @given(series(), series())
+# 21 products of (2^31 - 1)^2 in one slot need 9 bytes where one needs 8
+@example(QSeries(20, [2 ** 31 - 1] * 21), QSeries(20, [1 - 2 ** 31] * 21))
 def test_mul_matches_naive_product(s, t):
     assert s * t == naive_series_mul(s, t)
 
