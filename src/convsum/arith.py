@@ -75,6 +75,18 @@ def sigma_k_frac(k: int, n: int, delta: int) -> int:
     return sigma_k(k, n // delta) if n % delta == 0 else 0
 
 
+def residue_class(a: int, b: int, n: int, lo: int, hi: int) -> range:
+    """The l in lo..hi with b | n - a l, for a, b >= 1: one residue class
+    modulo b / gcd(a, b), found by a modular inverse; none unless gcd(a, b)
+    divides n."""
+    g = gcd(a, b)
+    if n % g:
+        return range(0)
+    step = b // g
+    return range(lo + (n // g * pow(a // g, -1, step) - lo) % step, hi + 1,
+                 step)
+
+
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError(f"euler_phi: need n >= 1, got {n}")

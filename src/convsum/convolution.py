@@ -19,7 +19,7 @@ from math import lcm
 from operator import add, mod, mul
 
 from . import eta, tables
-from .arith import divisors, sigma_k, sigma_table
+from .arith import divisors, residue_class, sigma_k, sigma_table
 from .qseries import QSeries
 
 EVALUATED_PAIRS = tuple(tables.EXPANSION_COEFFS)
@@ -35,14 +35,8 @@ def w_oracle(alpha: int, beta: int, n: int) -> int:
         raise ValueError("alpha and beta must be positive")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    total = 0
-    l = 1
-    while alpha * l <= n - beta:
-        rest = n - alpha * l
-        if rest % beta == 0:
-            total += sigma_k(1, l) * sigma_k(1, rest // beta)
-        l += 1
-    return total
+    return sum(sigma_k(1, l) * sigma_k(1, (n - alpha * l) // beta)
+               for l in residue_class(alpha, beta, n, 1, (n - beta) // alpha))
 
 
 def w_series_oracle(alpha: int, beta: int, max_n: int) -> list[int]:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, sqrt
+from operator import sub
 from typing import Callable, NamedTuple
 
 from . import tables
@@ -101,8 +103,8 @@ def check_ligozat(eq: EtaQuotient) -> LigozatReport:
     w = eq.weight
     cond_iv = w.denominator == 1 and int(w) % 2 == 0
     orders = tuple(
-        (c, sum((Fraction(gcd(d, c) ** 2, d) * r for d, r in eq.exponents),
-                Fraction(0)))
+        (c, Fraction(sum(gcd(d, c) ** 2 * (n // d) * r
+                         for d, r in eq.exponents), n))
         for c in divisors(n))
     cond_v = all(v >= 0 for _, v in orders)
     cond_v_prime = all(v > 0 for _, v in orders)
@@ -131,6 +133,7 @@ def check_ligozat(eq: EtaQuotient) -> LigozatReport:
 # 1. Plan.  On each chain, up to three theta series cancel the negative
 #    exponents, and cubes and single F cover the non-negative rest; of the
 #    plans, the one with the fewest divisions left, then the fewest terms.
+#    Each quotient is planned once per process.
 # 2. Multiply the steps with qseries.sparse_product, on one packed int.
 # 3. Divide by any single F the plan left, with qseries.div_sparse.
 #
@@ -184,43 +187,47 @@ _THETAS = (
 def _plan_chain(chain, exps):
     """Multiplication steps (factor, d) and the d of each single F(q^d) to
     divide by, for the product of F(q^d)^r over one chain."""
-    placed = []
-    for f in _THETAS:
-        for i in range(len(chain) - len(f.vector) + 1):
-            v = [0] * len(chain)
-            v[i:i + len(f.vector)] = f.vector
-            placed.append((f, chain[i], v, f.cost(chain[i])))
     single = [_EULER.cost(d) for d in chain]
     cube = [_CUBE.cost(d) for d in chain]
+    placed = []  # (factor, d, vector, its negative positions, cost)
+    for f in _THETAS:
+        for i in range(len(chain) - len(f.vector) + 1):
+            v = (0,) * i + f.vector + (0,) * (len(chain) - i - len(f.vector))
+            neg = tuple(k for k, x in enumerate(v) if x < 0)
+            placed.append((f, chain[i], v, neg, f.cost(chain[i])))
 
-    def key(node):
-        """(divisions, their cost, multiplication cost) of a node."""
-        used, rest = node
-        divs = sum(-r for r in rest if r < 0)
-        div_cost = sum(-r * c for r, c in zip(rest, single) if r < 0)
-        mul_cost = sum(placed[j][3] for j in used) + sum(
-            r // 3 * c3 + r % 3 * c1
-            for r, c1, c3 in zip(rest, single, cube) if r > 0)
-        return divs, div_cost, mul_cost
+    def node(used, rest):
+        """(key, rest): the key is (divisions, their cost, multiplication
+        cost) of the theta series used and the exponents they leave."""
+        divs, div_cost, theta_cost, rest_cost = 0, 0, 0, 0
+        for j in used:
+            theta_cost += placed[j][4]
+        for r, c1, c3 in zip(rest, single, cube):
+            if r < 0:
+                divs -= r
+                div_cost += -r * c1
+            elif r > 0:
+                rest_cost += r // 3 * c3 + r % 3 * c1
+        return (divs, div_cost, theta_cost + rest_cost), rest
 
     # breadth first over multisets of up to three theta series, each of
     # which cancels a negative exponent; no deeper once some plan divides
     # nowhere
-    nodes = {(): exps}
+    nodes = {(): node((), tuple(exps))}
     frontier = nodes
     for _ in range(3):
-        if min(map(key, nodes.items()))[0] == 0:
+        if any(key[0] == 0 for key, _ in nodes.values()):
             break
         grown = {}
-        for used, rest in frontier.items():
-            for j, (_, _, v, _) in enumerate(placed):
-                node = tuple(sorted(used + (j,)))
-                if node not in nodes and any(
-                        r < 0 and x < 0 for r, x in zip(rest, v)):
-                    grown[node] = [r - x for r, x in zip(rest, v)]
+        for used, (_, rest) in frontier.items():
+            for j, (_, _, v, neg, _) in enumerate(placed):
+                new = tuple(sorted(used + (j,)))
+                if (new not in nodes and new not in grown
+                        and any(rest[k] < 0 for k in neg)):
+                    grown[new] = node(new, tuple(map(sub, rest, v)))
         nodes.update(grown)
         frontier = grown
-    used, rest = min(nodes.items(), key=key)
+    used, (_, rest) = min(nodes.items(), key=lambda item: item[1][0])
     steps = [(placed[j][0], placed[j][1]) for j in used]
     for d, r in zip(chain, rest):
         if r > 0:
@@ -228,11 +235,13 @@ def _plan_chain(chain, exps):
     return steps, [d for d, r in zip(chain, rest) for _ in range(-r)]
 
 
+@lru_cache(maxsize=64)
 def _plan(eq: EtaQuotient):
     """(g, steps, divisors): the Euler product of the quotient is a series
     in q^g, the gcd of its divisors; as a series in x = q^g it is the
     product of the multiplication steps (factor, d), divided by the single
-    F(x^d) of each divisor d listed."""
+    F(x^d) of each divisor d listed.  Cached: each quotient is planned once
+    per process."""
     g = gcd(*(d for d, _ in eq.exponents)) or 1
     chains: dict[int, list[int]] = {}
     for d in divisors(eq.level // g):
@@ -242,7 +251,7 @@ def _plan(eq: EtaQuotient):
         s, dv = _plan_chain(chain, [eq.exponent(g * d) for d in chain])
         steps += s
         divs += dv
-    return g, steps, divs
+    return g, tuple(steps), tuple(divs)
 
 
 def _euler_product(steps, divs, limit: int) -> list[int]:

@@ -18,7 +18,7 @@ from operator import mul
 from typing import Callable
 
 from . import convolution
-from .arith import sigma_k, sigma_k_frac
+from .arith import residue_class, sigma_k, sigma_k_frac
 
 CLOSED_FORM_PAIRS = ((1, 11), (1, 13))
 
@@ -66,12 +66,8 @@ def rep_count_enumerate(a: int, b: int, n: int) -> int:
         raise ValueError("form coefficients must be positive")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    total = 0
-    for l in range(n // a + 1):
-        rest = n - a * l
-        if rest % b == 0:
-            total += _r4_count(l) * _r4_count(rest // b)
-    return total
+    return sum(_r4_count(l) * _r4_count((n - a * l) // b)
+               for l in residue_class(a, b, n, 0, n // a))
 
 
 def default_w_provider(b: int, max_n: int) -> WProvider:

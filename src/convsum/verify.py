@@ -154,10 +154,9 @@ def closed_forms(max_n: int) -> Check:
 def _substitution_holds(b: int, n: int) -> bool:
     """Rescaling one summation variable by 4 turns the double sums over
     l + b m = n into the convolution sums of (4, b) and (1, 4b)."""
-    lhs4 = sum(sigma_k_frac(1, l, 4) * sigma_k(1, (n - l) // b)
-               for l in range(1, n) if (n - l) % b == 0)
-    lhs1 = sum(sigma_k(1, l) * sigma_k_frac(1, (n - l) // b, 4)
-               for l in range(1, n) if (n - l) % b == 0)
+    ls = range(n % b or b, n, b)  # the l in 1..n-1 with b | n - l
+    lhs4 = sum(sigma_k_frac(1, l, 4) * sigma_k(1, (n - l) // b) for l in ls)
+    lhs1 = sum(sigma_k(1, l) * sigma_k_frac(1, (n - l) // b, 4) for l in ls)
     return (lhs4 == convolution.w_oracle(4, b, n)
             and lhs1 == convolution.w_oracle(1, 4 * b, n))
 

@@ -7,9 +7,10 @@ coefficient at a time, the convolution-sum table adds the double sum one
 slice at a time, the divisor-sum oracles enumerate divisors
 directly, the four-square oracle visits the lattice points of the sphere,
 and the linear-algebra oracles are Gauss elimination over
-Fraction and the Leibniz determinant.  The previously reported coefficient
-lists and the level-52 dependency certificate, which only the tests read,
-are kept here verbatim too.
+Fraction and the Leibniz determinant.  The eta-quotient chain planner is
+kept as first written, scoring every node afresh.  The previously reported
+coefficient lists and the level-52 dependency certificate, which only the
+tests read, are kept here verbatim too.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 
 from convsum import eta
 from convsum.arith import sigma_k
+from convsum.eta import _CUBE, _EULER, _THETAS
 from convsum.qseries import QSeries
 
 
@@ -81,6 +83,55 @@ def literal_eta_expansion(level, exponents, precision):
     for i in range(precision + 1 - shift):
         shifted[i + shift] = result[i]
     return shifted
+
+
+def literal_plan_chain(chain, exps):
+    """The chain planner as first written, which scores each node afresh
+    through ``key`` and tests cancellation at every position: multiplication
+    steps (factor, d) and the d of each single F(q^d) to divide by, for the
+    product of F(q^d)^r over one chain."""
+    placed = []
+    for f in _THETAS:
+        for i in range(len(chain) - len(f.vector) + 1):
+            v = [0] * len(chain)
+            v[i:i + len(f.vector)] = f.vector
+            placed.append((f, chain[i], v, f.cost(chain[i])))
+    single = [_EULER.cost(d) for d in chain]
+    cube = [_CUBE.cost(d) for d in chain]
+
+    def key(node):
+        """(divisions, their cost, multiplication cost) of a node."""
+        used, rest = node
+        divs = sum(-r for r in rest if r < 0)
+        div_cost = sum(-r * c for r, c in zip(rest, single) if r < 0)
+        mul_cost = sum(placed[j][3] for j in used) + sum(
+            r // 3 * c3 + r % 3 * c1
+            for r, c1, c3 in zip(rest, single, cube) if r > 0)
+        return divs, div_cost, mul_cost
+
+    # breadth first over multisets of up to three theta series, each of
+    # which cancels a negative exponent; no deeper once some plan divides
+    # nowhere
+    nodes = {(): exps}
+    frontier = nodes
+    for _ in range(3):
+        if min(map(key, nodes.items()))[0] == 0:
+            break
+        grown = {}
+        for used, rest in frontier.items():
+            for j, (_, _, v, _) in enumerate(placed):
+                node = tuple(sorted(used + (j,)))
+                if node not in nodes and any(
+                        r < 0 and x < 0 for r, x in zip(rest, v)):
+                    grown[node] = [r - x for r, x in zip(rest, v)]
+        nodes.update(grown)
+        frontier = grown
+    used, rest = min(nodes.items(), key=key)
+    steps = [(placed[j][0], placed[j][1]) for j in used]
+    for d, r in zip(chain, rest):
+        if r > 0:
+            steps += [(_CUBE, d)] * (r // 3) + [(_EULER, d)] * (r % 3)
+    return steps, [d for d, r in zip(chain, rest) for _ in range(-r)]
 
 
 def naive_mul_sparse(dense, terms, limit):

@@ -51,8 +51,11 @@ def test_w_series_oracle_matches_literal_double_sum(pair):
 @example(7, 7, 300)
 def test_w_series_oracle_matches_literal_double_sum_for_any_pair(
         alpha, beta, max_n):
-    assert w_series_oracle(alpha, beta, max_n) == literal_w_table(
-        alpha, beta, max_n)
+    """The table and every single value of the direct oracle, which visits
+    only the solutions of alpha l + beta m = n."""
+    literal = literal_w_table(alpha, beta, max_n)
+    assert w_series_oracle(alpha, beta, max_n) == literal
+    assert [w_oracle(alpha, beta, n) for n in range(max_n + 1)] == literal
 
 
 def test_closed_form_examples():

@@ -1,4 +1,5 @@
-from math import prod
+from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 from convsum import eta, tables, verify
 from convsum.arith import divisors
 from convsum.eta import (_CUBE, _EULER, _THETAS, EtaQuotient, _expand_ints,
-                         _plan, basis_rows, check_ligozat, expand, table_rows)
+                         _plan, _plan_chain, basis_rows, check_ligozat, expand,
+                         table_rows)
 from convsum.qseries import (QSeries, div_sparse, mul_packed, pack,
                              slot_width, sparse_product, unpack)
 from conftest import (literal_eta_expansion, literal_euler_product,
-                      literal_euler_quotient, mul_lists, naive_div_sparse,
-                      naive_eta_expansion, naive_mul_sparse,
+                      literal_euler_quotient, literal_plan_chain, mul_lists,
+                      naive_div_sparse, naive_eta_expansion, naive_mul_sparse,
                       partition_numbers)
 
 
@@ -216,6 +218,39 @@ def test_plan_divides_only_three_basis_rows():
                         (0, 1, -1, 0, 3, 5): 1, (1, -1, 0, 3, 5, 0): 1}
 
 
+@st.composite
+def chain_exponents(draw):
+    """A chain d, 2d, 4d, ... of length 1-4 over an odd d, and an exponent
+    from [-6, 6] on each of its divisors."""
+    d = draw(st.sampled_from((1, 3, 11, 13)))
+    length = draw(st.integers(1, 4))
+    exps = draw(st.lists(st.integers(-6, 6), min_size=length,
+                         max_size=length))
+    return [d << i for i in range(length)], exps
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_exponents())
+@example(([1, 2, 4], [1, -3, 4]))
+@example(([11, 22, 44], [2, -4, 8]))
+def test_plan_chain_matches_literal_planner(case):
+    """The same steps in the same order, and the same divisors, as the
+    planner that scores every node afresh; the examples are the two
+    costliest basis chains."""
+    chain, exps = case
+    assert _plan_chain(chain, exps) == literal_plan_chain(chain, exps)
+
+
+def test_each_quotient_is_planned_once(fresh_expansions):
+    """The suites that expand at several precisions plan each of the 34
+    table and basis quotients once."""
+    _plan.cache_clear()
+    verify.basis()
+    verify.lemma32(120)
+    verify.closed_forms(200)
+    assert _plan.cache_info().misses == 34
+
+
 def test_expand_below_leading_exponent(fresh_expansions):
     """A precision below the leading exponent gives precision + 1 zeros,
     and the cache never holds more coefficients than its precision."""
@@ -314,6 +349,17 @@ def test_ligozat_strictness_profile():
         for i, zero_cusps in tables.NONSTRICT_ROWS[level].items():
             rep = check_ligozat(table_rows(level)[i - 1])
             assert tuple(c for c, v in rep.cusp_orders if v == 0) == zero_cusps
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_row())
+def test_cusp_orders_match_per_term_fractions(row):
+    """The order at each cusp c is the sum over the divisors d of
+    gcd(d, c)^2 r_d / d, one Fraction per term."""
+    assert check_ligozat(row).cusp_orders == tuple(
+        (c, sum((Fraction(gcd(d, c) ** 2, d) * r for d, r in row.exponents),
+                Fraction(0)))
+        for c in divisors(row.level))
 
 
 def test_ligozat_examples():

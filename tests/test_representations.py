@@ -1,4 +1,8 @@
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convsum.arith import sigma_k_frac
 from convsum.convolution import w_oracle
@@ -26,6 +30,18 @@ def test_r4_enumerate_matches_literal_triples():
     which counts every lattice point one by one."""
     for n in range(0, 201):
         assert r4_enumerate(n) == literal_r4(n)
+
+
+literal_r4_cached = cache(literal_r4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 80))
+def test_rep_count_enumerate_matches_literal_filter_loop(a, b, n):
+    """Visiting only the l with b | n - a l against testing every l."""
+    assert rep_count_enumerate(a, b, n) == sum(
+        literal_r4_cached(l) * literal_r4_cached((n - a * l) // b)
+        for l in range(n // a + 1) if (n - a * l) % b == 0)
 
 
 def test_r4_bounds_and_validation():

@@ -2,11 +2,12 @@
 
 Each fault is planted with ``monkeypatch`` in what one suite compares: a
 closed-form value, an enumerated count, the independence certificate, a
-canonical weight, the expected condition profile, the dimension formula or
-the right-hand side of the identity.  The suite must then report
-``ok is False``, name the fault in one line and end with its failure
-verdict; through the command line, ``verify`` must exit 1 with that line on
-stdout, and ``verify all`` must still print every later suite's report.
+canonical weight, the expected condition profile, the dimension formula,
+the right-hand side of the identity or a value of the direct convolution
+oracle.  The suite must then report ``ok is False``, name the fault in one
+line and end with its failure verdict; through the command line, ``verify``
+must exit 1 with that line on stdout, and ``verify all`` must still print
+every later suite's report.
 """
 
 import pytest
@@ -86,6 +87,15 @@ def rhs_off_at_one_n(monkeypatch):
     return "identity (1,52): MISMATCH within n <= 60"
 
 
+def oracle_off_by_one(monkeypatch):
+    real = convolution.w_oracle
+    monkeypatch.setattr(
+        convolution, "w_oracle",
+        lambda a, b, n: real(a, b, n) + ((a, b, n) == (4, 11, 59)))
+    # 59 = 4 * 1 + 11 * 5 = 4 * 12 + 11 * 1
+    return "substitution identities for b = 11: fail at n = 59"
+
+
 FAULTS = [
     (closed_value_off_by_one, lambda: verify.closed_forms(60),
      "closed-forms: FAILED"),
@@ -96,6 +106,7 @@ FAULTS = [
      "ligozat: deviation from the expected profile"),
     (dimension_wrong_at_44, verify.dims, "dims: FAILED"),
     (rhs_off_at_one_n, lambda: verify.identity(60), "identity: FAILED"),
+    (oracle_off_by_one, lambda: verify.reps(20, 100), "reps: FAILED"),
 ]
 
 
@@ -134,6 +145,18 @@ def test_verify_exits_1_on_a_planted_fault(monkeypatch, args):
             "all: FAILED"]
     else:
         assert failed == len(lines) - 1
+
+
+def test_verify_all_exits_1_on_a_substitution_fault(monkeypatch):
+    """A fault in the direct oracle reaches only the substitution
+    identities of ``reps``."""
+    line = oracle_off_by_one(monkeypatch)
+    result = CliRunner().invoke(main, ["verify", "all", "--fast"])
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    assert lines[-4:] == [line, "substitution identities for b = 13: "
+                          "exact for n <= 100", "reps: FAILED", "all: FAILED"]
+    assert [x for x in lines if x.endswith("FAILED")] == lines[-2:]
 
 
 def test_verify_all_reports_every_failing_suite(monkeypatch):
