@@ -20,7 +20,7 @@ from operator import add, mod, mul
 
 from . import eta, tables
 from .arith import divisors, residue_class, sigma_k, sigma_table
-from .qseries import QSeries
+from .qseries import QSeries, combine_packed
 
 EVALUATED_PAIRS = tuple(tables.EXPANSION_COEFFS)
 
@@ -73,8 +73,10 @@ def w_closed_table(pair: tuple[int, int], max_n: int,
     ``expansion`` is (s, Y, rows); it defaults to ``tables.EXPANSION_COEFFS``
     over ``eta.basis_rows``.  Every term is scaled by the lcm of the
     expansion's denominators, so the sum runs in integers from sigma_3 /
-    sigma sieves and the cusp expansions; each scaled value must then be a
-    non-negative multiple of 1152 a b times that lcm.
+    sigma sieves and the cusp expansions, which are read packed from the
+    expansion cache and added in one ``qseries.combine_packed`` call; each
+    scaled value must then be a non-negative multiple of 1152 a b times
+    that lcm.
     """
     if max_n < 0:
         raise ValueError(f"need n >= 0, got {max_n}")
@@ -99,9 +101,8 @@ def w_closed_table(pair: tuple[int, int], max_n: int,
         c0, c1 = 48 * d * other * den, -288 * d * d * den
         acc[d::d] = map(add, acc[d::d], [(c0 + c1 * m) * s1[m]
                                          for m in range(1, max_n // d + 1)])
-    for y, row in zip(cusp_weights, rows):
-        acc = list(map(add, acc, map(mul, eta.expand(row, max_n).coeffs,
-                                      repeat(int(-y * den)))))
+    acc = combine_packed(acc, [(int(-y * den), *eta.expand_packed(row, max_n))
+                               for y, row in zip(cusp_weights, rows)])
     scale = 1152 * a * b * den
     if any(map(mod, acc, repeat(scale))) or min(acc) < 0:
         n = next(n for n, v in enumerate(acc) if v % scale or v < 0)

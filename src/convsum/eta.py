@@ -10,16 +10,17 @@ defined because F has constant term 1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, sqrt
-from operator import sub
+from operator import itemgetter, sub
 from typing import Callable, NamedTuple
 
 from . import tables
 from .arith import divisors, prime_factors
-from .qseries import QSeries, div_sparse, sparse_product
+from .qseries import QSeries, div_sparse, pack_narrow, sparse_product, unpack
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,8 @@ def check_ligozat(eq: EtaQuotient) -> LigozatReport:
 #    plans, the one with the fewest divisions left, then the fewest terms.
 #    Each quotient is planned once per process.
 # 2. Multiply the steps with qseries.sparse_product, on one packed int.
+#    The terms of each step are built once per process, at the largest
+#    limit asked for, and a lower limit reads a prefix of them.
 # 3. Divide by any single F the plan left, with qseries.div_sparse.
 #
 # The literal product and the per-coefficient kernels are kept in the test
@@ -254,23 +257,42 @@ def _plan(eq: EtaQuotient):
     return g, tuple(steps), tuple(divs)
 
 
+@lru_cache(maxsize=64)
+def _term_store(factor: _Factor, d: int) -> list:
+    """[limit, terms]: the terms of the factor on F(q^d) up to the largest
+    limit asked for so far, widened in place by _terms."""
+    return [-1, []]
+
+
+def _terms(factor: _Factor, d: int, limit: int) -> list[tuple[int, int]]:
+    """factor.terms(d, limit), built once per (factor, d) at the largest
+    limit asked for; a lower limit is served as a prefix."""
+    store = _term_store(factor, d)
+    if limit > store[0]:
+        store[:] = limit, factor.terms(d, limit)
+    terms = store[1]
+    return terms[:bisect_right(terms, limit, key=itemgetter(0))]
+
+
 def _euler_product(steps, divs, limit: int) -> list[int]:
     """A planned product below x^(limit + 1)."""
-    product = sparse_product([f.terms(d, limit) for f, d in steps], limit)
+    product = sparse_product([_terms(f, d, limit) for f, d in steps], limit)
     for d in divs:
-        product = div_sparse(product, _EULER.terms(d, limit), limit)
+        product = div_sparse(product, _terms(_EULER, d, limit), limit)
     return product
 
 
-# best-precision integer expansion per quotient; truncated views are served
-# from it, so repeated requests at mixed precisions expand only once
-_EXPANSION_CACHE: dict[EtaQuotient, tuple[int, list[int]]] = {}
+# best-precision expansion per quotient as (precision, x, w, max|c|): the
+# coefficients packed by qseries.pack_narrow on precision + 1 slots of w
+# bytes; truncated views are served from it, so repeated requests at mixed
+# precisions expand only once
+_EXPANSION_CACHE: dict[EtaQuotient, tuple[int, int, int, int]] = {}
 
 
 def _expand_ints(eq: EtaQuotient, precision: int) -> list[int]:
     cached = _EXPANSION_CACHE.get(eq)
     if cached is not None and cached[0] >= precision:
-        return cached[1][:precision + 1]
+        return unpack(cached[1], precision + 1, cached[2])
     e24 = sum(d * r for d, r in eq.exponents)
     if e24 % 24:
         raise ValueError(
@@ -285,8 +307,18 @@ def _expand_ints(eq: EtaQuotient, precision: int) -> list[int]:
     if limit >= 0:
         g, steps, divs = _plan(eq)
         dense[e::g] = _euler_product(steps, divs, limit // g)
-    _EXPANSION_CACHE[eq] = (precision, dense)
-    return dense[:]
+    _EXPANSION_CACHE[eq] = (precision, *pack_narrow(dense))
+    return dense
+
+
+def expand_packed(eq: EtaQuotient, precision: int) -> tuple[int, int, int]:
+    """(x, w, top): the cached expansion, to the precision or beyond,
+    packed on w-byte slots whose absolute values are at most top."""
+    cached = _EXPANSION_CACHE.get(eq)
+    if cached is None or cached[0] < precision:
+        _expand_ints(eq, precision)
+        cached = _EXPANSION_CACHE[eq]
+    return cached[1:]
 
 
 def expand(eq: EtaQuotient, precision: int) -> QSeries:

@@ -7,9 +7,10 @@ quotients, the Eisenstein series L and M, products and dilations of them),
 so coefficients are Python ints; rationals appear only inside the linear
 solve of :mod:`convsum.spaces`.  An operation never reports a coefficient
 beyond the smaller operand precision, so every coefficient returned is the
-true one.  This module is the only one that packs, multiplies or divides
-integer series; :mod:`convsum.eta` plans its expansions and calls
-:func:`sparse_product` and :func:`div_sparse`.
+true one.  This module is the only one that packs, multiplies, divides or
+combines integer series; :mod:`convsum.eta` plans its expansions, calls
+:func:`sparse_product` and :func:`div_sparse`, and caches each expansion
+packed by :func:`pack_narrow`.
 
 Products run on Kronecker-packed ints (D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): n
@@ -23,6 +24,14 @@ b) max|a| max|b|; each step of a sparse product, sum c (X << e B), by the
 product of the absolute coefficient sums multiplied in so far.  Packing and
 unpacking add 2^(B-1) to every slot, so every digit is non-negative, and
 make one struct pass at 8 bytes and strided byte copies up to 8 bytes.
+
+A stored series is packed on the narrowest slots its largest coefficient
+needs (:func:`pack_narrow`), w bytes per coefficient instead of the about 36
+of a list of ints.  :func:`combine_packed` adds sum m_j x_j over such packed
+series to a dense list: the triangle inequality bounds every slot of the
+result by max|dense| + sum |m_j| max|x_j|, so on the slots that bound needs
+each term is re-slotted in bytes, multiplied and added to one packed
+accumulator, and the sum is unpacked once.
 """
 
 from __future__ import annotations
@@ -84,6 +93,29 @@ def unpack(x: int, n: int, w: int) -> list[int]:
         return [int.from_bytes(data[i:i + w], "little", signed=True)
                 for i in range(0, n * w, w)]
     return list(struct.unpack(f"<{n}q", _resized(data, n, w, 8)))
+
+
+def pack_narrow(coeffs) -> tuple[int, int, int]:
+    """(x, w, top): coeffs packed as x on the narrowest w-byte slots that
+    hold top, their largest absolute value."""
+    top = max(map(abs, coeffs), default=0)
+    w = slot_width(top)
+    return pack(coeffs, w), w, top
+
+
+def combine_packed(dense: list[int], terms) -> list[int]:
+    """dense plus sum m x over the terms (m, x, w, top), each x a series on
+    w-byte slots whose absolute values are at most top, of which the first
+    len(dense) are read; terms with m = 0 are skipped."""
+    n = len(dense)
+    terms = [t for t in terms if t[0]]
+    bound = max(map(abs, dense), default=0) + sum(abs(m) * top
+                                                  for m, _, _, top in terms)
+    v = slot_width(bound)
+    acc = pack(dense, v)
+    for m, x, w, _ in terms:
+        acc += m * _joined(_resized(_slots(x, n, w), n, w, v), n, v)
+    return unpack(acc, n, v)
 
 
 def mul_packed(x: int, terms, n: int, w: int) -> int:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from convsum import eta, tables, verify
 from convsum.arith import divisors
 from convsum.eta import (_CUBE, _EULER, _THETAS, EtaQuotient, _expand_ints,
-                         _plan, _plan_chain, basis_rows, check_ligozat, expand,
-                         table_rows)
+                         _plan, _plan_chain, _term_store, _terms, basis_rows,
+                         check_ligozat, expand, table_rows)
 from convsum.qseries import (QSeries, div_sparse, mul_packed, pack,
                              slot_width, sparse_product, unpack)
 from conftest import (literal_eta_expansion, literal_euler_product,
@@ -182,10 +182,17 @@ def random_row(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_row(), st.integers(1, 60))
-def test_expand_ints_random_rows_against_naive(row, precision):
-    eta._EXPANSION_CACHE.pop(row, None)
-    assert _expand_ints(row, precision) == naive_eta_expansion(row, precision)
+@given(random_row(), st.integers(1, 60), st.integers(1, 60))
+def test_expand_ints_random_rows_against_naive(row, low, high):
+    """Each row at two precisions from an empty entry, high then low (an
+    expansion, then a read of the packed cache) and low then high (two
+    expansions)."""
+    low, high = sorted((low, high))
+    expected = naive_eta_expansion(row, high)
+    for precisions in ((high, low), (low, high)):
+        eta._EXPANSION_CACHE.pop(row, None)
+        for precision in precisions:
+            assert _expand_ints(row, precision) == expected[:precision + 1]
 
 
 def test_expand_ints_against_naive_order(fresh_expansions):
@@ -253,14 +260,44 @@ def test_each_quotient_is_planned_once(fresh_expansions):
 
 def test_expand_below_leading_exponent(fresh_expansions):
     """A precision below the leading exponent gives precision + 1 zeros,
-    and the cache never holds more coefficients than its precision."""
+    and the cache never holds more slots than its precision + 1."""
     row = basis_rows(52)[tables.REPAIRED_ROW_INDEX_52 - 1]
-    for precision in (1, 3, 6):
-        assert expand(row, precision).coeffs == (0,) * (precision + 1)
-        cached_precision, cached = eta._EXPANSION_CACHE[row]
-        assert (cached_precision, len(cached)) == (precision, precision + 1)
-    assert expand(row, 7)[7] == 1
+    for precision in (1, 3, 6, 7):
+        coeffs = expand(row, precision).coeffs
+        assert coeffs == (0,) * precision + (precision == 7,)
+        cached_precision, x, w, _ = eta._EXPANSION_CACHE[row]
+        assert cached_precision == precision
+        assert pack(unpack(x, precision + 1, w), w) == x
     assert expand(row, 3).coeffs == (0,) * 4
+
+
+def test_expansion_cache_holds_narrow_packed_ints(fresh_expansions):
+    """Guard on the cache layout: after the closed-form suite every entry
+    of the 33 basis rows is one int on the slots its largest coefficient
+    needs, at most 4 bytes at P = 2000."""
+    verify.closed_forms(2000)
+    assert len(eta._EXPANSION_CACHE) == 33
+    for precision, x, w, top in eta._EXPANSION_CACHE.values():
+        coeffs = unpack(x, precision + 1, w)
+        assert type(x) is int and precision == 2000
+        assert top == max(map(abs, coeffs)) and w == slot_width(top) <= 4
+        assert pack(coeffs, w) == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_THETAS + (_EULER, _CUBE)),
+       st.sampled_from((1, 2, 4, 11, 13, 22, 26)),
+       st.integers(0, 300), st.integers(0, 300))
+def test_terms_served_as_a_prefix_match_fresh_terms(factor, d, low, high):
+    """The memoised terms at a lower limit, cut from those at a higher one,
+    equal the terms built afresh, whichever limit comes first; the store
+    keeps the highest limit."""
+    low, high = sorted((low, high))
+    for limits in ((high, low), (low, high)):
+        _term_store.cache_clear()
+        for limit in limits:
+            assert _terms(factor, d, limit) == factor.terms(d, limit)
+        assert _term_store(factor, d)[0] == high
 
 
 def test_quotient_construction():

@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convsum.arith import sigma_k
-from convsum.qseries import QSeries, pack, unpack
+from convsum.qseries import (QSeries, combine_packed, pack, pack_narrow,
+                             slot_width, unpack)
 from conftest import naive_series_mul
 
 
@@ -85,6 +86,65 @@ def test_pack_round_trips_the_slot_range_and_refuses_beyond_it():
             for coeffs in ([bad], [1, bad, -1]):
                 with pytest.raises(OverflowError):
                     pack(coeffs, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=12))
+@example([127])
+@example([128, -5])
+@example([-128])
+@example([2 ** 63, -1])
+def test_pack_narrow_round_trips_on_the_narrowest_slots(coeffs):
+    """pack_narrow reports the largest magnitude and its slot width, and
+    one byte less refuses every coefficient list but those whose only
+    magnitude beyond it is the most negative slot value."""
+    x, w, top = pack_narrow(coeffs)
+    assert top == max(map(abs, coeffs), default=0) and w == slot_width(top)
+    assert unpack(x, len(coeffs), w) == coeffs
+    if w > 1:
+        edge = 2 ** (8 * w - 9)  # -edge fits w - 1 bytes, edge does not
+        if top == edge and edge not in coeffs:
+            assert unpack(pack(coeffs, w - 1), len(coeffs), w - 1) == coeffs
+        else:
+            with pytest.raises(OverflowError):
+                pack(coeffs, w - 1)
+
+
+weights = st.sampled_from((0, 1, -1, 2 ** 40, -2 ** 40)) | st.integers(
+    -2 ** 40, 2 ** 40)
+
+
+@st.composite
+def packed_combinations(draw):
+    """A dense list of n coefficients and up to four terms (m, coeffs, w):
+    coeffs on w-byte slots, w from 1 to 9 whatever their magnitude, with up
+    to three slots beyond n that the kernel must not read."""
+    n = draw(st.integers(1, 12))
+    dense = draw(st.lists(coefficients, min_size=n, max_size=n))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        w = draw(st.integers(1, 9))
+        top = 2 ** (8 * w - 1) - 1
+        size = n + draw(st.integers(0, 3))
+        terms.append((draw(weights), draw(st.lists(
+            st.integers(-top, top), min_size=size, max_size=size)), w))
+    return dense, terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_combinations())
+# the bound 2^63 crosses from 8 to 9 bytes, so the sum unpacks slot by slot
+@example(([2 ** 62, -2 ** 62], [(1, [2 ** 62, 1 - 2 ** 62], 8)]))
+# a 9-byte term with m = 0 beside a result that needs 1 byte
+@example(([3, -1], [(0, [2 ** 70, -2 ** 70], 9), (-2, [1, 1], 1)]))
+def test_combine_packed_matches_list_fold(case):
+    dense, terms = case
+    expected = list(dense)
+    for m, coeffs, _ in terms:
+        expected = [a + m * c for a, c in zip(expected, coeffs)]
+    packed = [(m, pack(coeffs, w), w, max(map(abs, coeffs)))
+              for m, coeffs, w in terms]
+    assert combine_packed(list(dense), packed) == expected
 
 
 def test_mul_gives_convolution_sums():

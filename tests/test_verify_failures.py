@@ -1,7 +1,7 @@
 """Every verification suite fails loudly on a planted fault.
 
 Each fault is planted with ``monkeypatch`` in what one suite compares: a
-closed-form value, an enumerated count, the independence certificate, a
+closed-form value, a cached eta expansion, an enumerated count, the independence certificate, a
 canonical weight, the expected condition profile, the dimension formula,
 the right-hand side of the identity or a value of the direct convolution
 oracle.  The suite must then report ``ok is False``, name the fault in one
@@ -13,9 +13,9 @@ every later suite's report.
 import pytest
 from click.testing import CliRunner
 
-from convsum import convolution, representations, spaces, tables, verify
+from convsum import convolution, eta, representations, spaces, tables, verify
 from convsum.cli import main
-from convsum.qseries import QSeries
+from convsum.qseries import QSeries, pack_narrow, unpack
 
 
 def closed_value_off_by_one(monkeypatch):
@@ -29,6 +29,19 @@ def closed_value_off_by_one(monkeypatch):
 
     monkeypatch.setattr(convolution, "w_closed_table", faulty)
     return "closed form (4, 11): diverges at n = 17"
+
+
+def cached_expansion_off_by_one(monkeypatch):
+    """Coefficient 17 of the first level-44 row, cached to n = 60, is stored
+    one too high; (1, 44) weighs that row by 5/10736 of 1152 * 44, so W(17),
+    which is 0, reads -5/10736 and fails the integrality check."""
+    monkeypatch.setattr(eta, "_EXPANSION_CACHE", {})
+    row = eta.basis_rows(44)[0]
+    x, w, _ = eta.expand_packed(row, 60)
+    coeffs = unpack(x, 61, w)
+    coeffs[17] += 1
+    eta._EXPANSION_CACHE[row] = (60, *pack_narrow(coeffs))
+    return "closed form for (1, 44) evaluates to -5/10736 at n = 17"
 
 
 def enumeration_off_by_eight(monkeypatch):
@@ -99,6 +112,8 @@ def oracle_off_by_one(monkeypatch):
 FAULTS = [
     (closed_value_off_by_one, lambda: verify.closed_forms(60),
      "closed-forms: FAILED"),
+    (cached_expansion_off_by_one, lambda: verify.closed_forms(60),
+     "closed-forms: FAILED"),
     (enumeration_off_by_eight, lambda: verify.reps(20, 20), "reps: FAILED"),
     (singular_certificate, verify.basis, "basis: FAILED"),
     (canonical_weight_changed, lambda: verify.lemma32(60), "lemma32: FAILED"),
@@ -145,6 +160,20 @@ def test_verify_exits_1_on_a_planted_fault(monkeypatch, args):
             "all: FAILED"]
     else:
         assert failed == len(lines) - 1
+
+
+def test_verify_exits_1_on_a_cached_expansion_fault(monkeypatch):
+    """A fault stored in the expansion cache reaches every closed form over
+    the row; the pairs of the other level still pass."""
+    line = cached_expansion_off_by_one(monkeypatch)
+    result = CliRunner().invoke(
+        main, ["verify", "closed-forms", "--max-n", "60"])
+    assert result.exit_code == 1
+    assert result.stdout.splitlines() == [
+        line, "closed form for (4, 11) evaluates to -35/976 at n = 17",
+        "closed form (1, 52): equals brute force for n <= 60",
+        "closed form (4, 13): equals brute force for n <= 60",
+        "closed-forms: FAILED"]
 
 
 def test_verify_all_exits_1_on_a_substitution_fault(monkeypatch):
