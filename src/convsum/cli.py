@@ -3,11 +3,12 @@
 The ``verify`` commands print the report of the matching suite in
 :mod:`convsum.verify`.  Exit codes: 0 on success or all checks passing, 1 on
 a verification failure, 2 on usage errors.  Each argument is checked once,
-by the library function that uses it; every command is a
-:class:`BoundaryCommand`, which turns the library's ``ValueError`` into a
-usage error.  Before any work starts, the group precision must lie in
-[1, MAX_PRECISION] and caps every n and range, and ``dims`` refuses a level
-above MAX_LEVEL, which bounds its trial division.  All reports are
+by the library function that uses it; :func:`main` is the one boundary for
+every command, which turns the library's ``ValueError`` into a usage error
+and its ``ArithmeticError`` (a closed form that fails its integrality
+check) into exit 1.  Before any work starts, the group precision must lie
+in [1, MAX_PRECISION] and caps every n and range, and ``dims`` refuses a
+level above MAX_LEVEL, which bounds its trial division.  All reports are
 deterministic: fixed ordering, no timestamps.  Rationals serialize as
 {"num": "...", "den": "..."} with decimal strings so consumers never lose
 precision.  Imports are per command: a launch loads only what it runs.
@@ -15,39 +16,109 @@ precision.  Imports are per command: a launch loads only what it runs.
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
-
-import click
 
 from . import tables
 
 DEFAULT_PRECISION = 1000
 MAX_PRECISION = 10 ** 6
 MAX_LEVEL = 10 ** 10  # dims factors by trial division up to sqrt(level)
-LEVELS = click.Choice([*map(str, tables.CUSP_EXPONENTS), "all"])
+LEVELS = [*map(str, tables.CUSP_EXPONENTS), "all"]
+METHODS = ["closed", "oracle"]
+
+GROUPS = {
+    "export": "Dump embedded data tables.",
+    "verify": "Deterministic verification suites (exit 1 on any failure).",
+}
+# each command by its path ("eval-w", "verify reps"): (handler, options)
+COMMANDS: dict[str, tuple] = {}
 
 
-class BoundaryCommand(click.Command):
-    """A command whose library ``ValueError`` is a usage error (exit 2)."""
+def _option(flag: str, help: str | None = None, **kwargs) -> tuple:
+    """``add_argument`` arguments of one option.  Without choices or an
+    action it takes an int; without a default or an action it is required;
+    a default other than None is shown in its help."""
+    if "choices" not in kwargs and "action" not in kwargs:
+        kwargs["type"] = int
+    if "default" not in kwargs and "action" not in kwargs:
+        kwargs["required"] = True
+    elif kwargs.get("default") is not None:
+        help = " ".join(filter(None, (help, "(default: %(default)s)")))
+    return flag, dict(kwargs, help=help)
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ValueError as exc:
-            raise click.UsageError(str(exc), ctx) from exc
+
+def _command(path: str, *options: tuple):
+    """Register the decorated handler as the command at path; its docstring
+    is the command's help."""
+    def register(handler):
+        COMMANDS[path] = handler, options
+        return handler
+    return register
 
 
-class BoundaryGroup(click.Group):
-    """Makes every command, and every subgroup's command, a boundary."""
+def _add_parser(subparsers, name: str, doc: str) -> argparse.ArgumentParser:
+    parser = subparsers.add_parser(
+        name, help=" ".join(doc.split()), description=doc, add_help=False,
+        allow_abbrev=False)
+    parser.add_argument("--help", action="help",
+                        help="Show this message and exit.")
+    return parser
 
-    command_class = BoundaryCommand
-    group_class = type
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The parser of every registered command.  The group precision
+    defaults to CONVSUM_PRECISION as set now, parsed as the flag would be."""
+    parser = argparse.ArgumentParser(prog=prog, description=main.__doc__,
+                                     add_help=False, allow_abbrev=False)
+    parser.add_argument("--help", action="help",
+                        help="Show this message and exit.")
+    parser.add_argument(
+        "--precision", type=int,
+        default=os.environ.get("CONVSUM_PRECISION") or DEFAULT_PRECISION,
+        help="Expansion precision ceiling for this invocation, at most "
+             f"{MAX_PRECISION}; CONVSUM_PRECISION sets it too "
+             "(default: %(default)s).")
+    subparsers = {"": parser.add_subparsers(metavar="COMMAND", required=True)}
+    for path, (handler, options) in COMMANDS.items():
+        group, _, name = path.rpartition(" ")
+        if group not in subparsers:
+            subparsers[group] = _add_parser(
+                subparsers[""], group, GROUPS[group]).add_subparsers(
+                metavar="COMMAND", required=True)
+        command = _add_parser(subparsers[group], name, handler.__doc__)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(handler=handler, parser=command)
+    return parser
+
+
+# prog_name and standalone_mode keep the call signature of the benchmark
+# tracer: standalone_mode=False returns on success instead of exiting 0.
+def main(args=None, prog_name: str = "convsum",
+         standalone_mode: bool = True) -> None:
+    """Exact convolution sums, eta-quotient bases, and their verification."""
+    parsed = _parser(prog_name).parse_args(args)
+    try:
+        if parsed.precision < 1:
+            raise ValueError("precision must be positive")
+        if parsed.precision > MAX_PRECISION:
+            raise ValueError(f"precision {parsed.precision} exceeds the "
+                             f"ceiling {MAX_PRECISION}")
+        parsed.handler(parsed)
+    except ValueError as exc:
+        parsed.parser.error(str(exc))
+    except ArithmeticError as exc:
+        parsed.parser.exit(1, f"{parsed.parser.prog}: error: {exc}\n")
+    if standalone_mode:
+        sys.exit(0)
 
 
 def check_max_n(precision: int, max_n: int) -> None:
     """The group precision caps every n and range of a command."""
     if max_n > precision:
-        raise click.UsageError(
+        raise ValueError(
             f"max n {max_n} exceeds the configured precision "
             f"{precision} (raise --precision or CONVSUM_PRECISION)")
 
@@ -73,122 +144,89 @@ def _dump_csv(rows) -> str:
     return out.getvalue()
 
 
-@click.group(cls=BoundaryGroup)
-@click.option("--precision", type=int, default=DEFAULT_PRECISION,
-              envvar="CONVSUM_PRECISION", show_default=True,
-              help="Expansion precision ceiling for this invocation, "
-                   f"at most {MAX_PRECISION}.")
-@click.pass_context
-def main(ctx, precision):
-    """Exact convolution sums, eta-quotient bases, and their verification."""
-    if precision < 1:
-        raise click.UsageError("precision must be positive")
-    if precision > MAX_PRECISION:
-        raise click.UsageError(
-            f"precision {precision} exceeds the ceiling {MAX_PRECISION}")
-    ctx.obj = precision
-
-
 # ---------------------------------------------------------------------------
 # evaluation commands
 
-@main.command("eval-w")
-@click.option("--alpha", type=int, required=True)
-@click.option("--beta", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--method", type=click.Choice(["closed", "oracle"]),
-              default="closed", show_default=True)
-@click.pass_obj
-def eval_w(precision, alpha, beta, n, method):
+@_command("eval-w", _option("--alpha"), _option("--beta"), _option("--n"),
+          _option("--method", choices=METHODS, default="closed"))
+def eval_w(args) -> None:
     """Print the convolution sum of (alpha, beta) at n."""
     from . import convolution
-    check_max_n(precision, n)
-    click.echo(convolution.w_closed((alpha, beta), n) if method == "closed"
-               else convolution.w_oracle(alpha, beta, n))
+    check_max_n(args.precision, args.n)
+    print(convolution.w_closed((args.alpha, args.beta), args.n)
+          if args.method == "closed"
+          else convolution.w_oracle(args.alpha, args.beta, args.n))
 
 
-@main.command("table-w")
-@click.option("--alpha", type=int, required=True)
-@click.option("--beta", type=int, required=True)
-@click.option("--max-n", type=int, required=True)
-@click.option("--method", type=click.Choice(["closed", "oracle"]),
-              default="oracle", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.pass_obj
-def table_w(precision, alpha, beta, max_n, method, fmt):
+@_command("table-w", _option("--alpha"), _option("--beta"), _option("--max-n"),
+          _option("--method", choices=METHODS, default="oracle"),
+          _option("--format", choices=["csv", "json"], default="csv"))
+def table_w(args) -> None:
     """Tabulate convolution sums for n = 0..max-n."""
     from . import convolution
-    check_max_n(precision, max_n)
-    if method == "closed":
-        values = convolution.w_closed_table((alpha, beta), max_n)
+    check_max_n(args.precision, args.max_n)
+    pair = args.alpha, args.beta
+    if args.method == "closed":
+        values = convolution.w_closed_table(pair, args.max_n)
     else:
-        values = convolution.w_series_oracle(alpha, beta, max_n)
-    if fmt == "csv":
-        click.echo(_dump_csv([["n", "value", "method"], *(
-            [n, v, method] for n, v in enumerate(values))]), nl=False)
+        values = convolution.w_series_oracle(*pair, args.max_n)
+    if args.format == "csv":
+        sys.stdout.write(_dump_csv([["n", "value", "method"], *(
+            [n, v, args.method] for n, v in enumerate(values))]))
     else:
-        click.echo(_dump_json({
-            "alpha": alpha, "beta": beta, "method": method,
+        print(_dump_json({
+            "alpha": args.alpha, "beta": args.beta, "method": args.method,
             "rows": [[n, str(v)] for n, v in enumerate(values)],
         }))
 
 
-@main.command("rep-count")
-@click.option("--a", "a", type=int, required=True)
-@click.option("--b", "b", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--method", type=click.Choice(["closed", "oracle"]),
-              default="closed", show_default=True)
-@click.pass_obj
-def rep_count(precision, a, b, n, method):
+@_command("rep-count", _option("--a"), _option("--b"), _option("--n"),
+          _option("--method", choices=METHODS, default="closed"))
+def rep_count(args) -> None:
     """Print the octonary representation count for (a, b) at n."""
     from . import representations
-    check_max_n(precision, n)
-    click.echo(representations.rep_count_closed(a, b, n) if method == "closed"
-               else representations.rep_count_enumerate(a, b, n))
+    check_max_n(args.precision, args.n)
+    print(representations.rep_count_closed(args.a, args.b, args.n)
+          if args.method == "closed"
+          else representations.rep_count_enumerate(args.a, args.b, args.n))
 
 
-@main.command("dims")
-@click.option("--level", type=int, required=True,
-              help=f"At most {MAX_LEVEL}.")
-@click.option("--weight", type=int, default=4, show_default=True)
-def dims(level, weight):
+@_command("dims", _option("--level", help=f"At most {MAX_LEVEL}."),
+          _option("--weight", default=4))
+def dims(args) -> None:
     """Print the dimensions (M, E, S) of the weight-k spaces at a level."""
     from .arith import dim_spaces
-    if level > MAX_LEVEL:
-        raise click.UsageError(
-            f"level {level} exceeds the ceiling {MAX_LEVEL}")
-    dim_m, dim_e, dim_s = dim_spaces(level, weight)
-    click.echo(f"level {level} weight {weight}: "
-               f"dim M = {dim_m}, dim E = {dim_e}, dim S = {dim_s}")
+    if args.level > MAX_LEVEL:
+        raise ValueError(f"level {args.level} exceeds the ceiling {MAX_LEVEL}")
+    dim_m, dim_e, dim_s = dim_spaces(args.level, args.weight)
+    print(f"level {args.level} weight {args.weight}: "
+          f"dim M = {dim_m}, dim E = {dim_e}, dim S = {dim_s}")
 
 
-@main.command("derive")
-@click.option("--alpha", type=int, required=True)
-@click.option("--beta", type=int, required=True)
-@click.option("--basis", type=click.Choice(["auto", "printed"]),
-              default="auto", show_default=True,
-              help="Cusp rows: 'auto' the rows of the closed forms (the "
-                   "dependent level-52 row repaired), 'printed' as printed.")
-@click.option("--precision", "solve_precision", type=int, default=120,
-              show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-@click.pass_obj
-def derive(precision, alpha, beta, basis, solve_precision, as_json):
+@_command("derive", _option("--alpha"), _option("--beta"),
+          _option("--basis", choices=["auto", "printed"], default="auto",
+                  help="Cusp rows: 'auto' the rows of the closed forms (the "
+                       "dependent level-52 row repaired), 'printed' as "
+                       "printed."),
+          _option("--precision", dest="solve_precision", metavar="PRECISION",
+                  default=120),
+          _option("--json", action="store_true"))
+def derive(args) -> None:
     """Derive the exact expansion of the squared Eisenstein combination."""
     from . import eisenstein, eta, spaces
     from .arith import divisors
+    alpha, beta = args.alpha, args.beta
     pair = eisenstein.EisensteinPair(alpha, beta)
-    check_max_n(precision, solve_precision)
-    rows = (eta.table_rows if basis == "printed" else eta.basis_rows)(pair.level)
+    check_max_n(args.precision, args.solve_precision)
+    rows = (eta.table_rows if args.basis == "printed"
+            else eta.basis_rows)(pair.level)
     label = eta.rows_label(pair.level, rows)
     try:
-        space = spaces.build_basis(pair.level, solve_precision, rows)
+        space = spaces.build_basis(pair.level, args.solve_precision, rows)
         solution = spaces.derive_coefficients(pair, space)
     except spaces.DerivationError as exc:
-        click.echo(f"FAIL derivation over the {label} rows failed: {exc}",
-                   err=True)
+        print(f"FAIL derivation over the {label} rows failed: {exc}",
+              file=sys.stderr)
         sys.exit(1)
     payload = {
         "alpha": alpha,
@@ -204,46 +242,37 @@ def derive(precision, alpha, beta, basis, solve_precision, as_json):
             for d, x in solution.eisenstein_weights.items()},
         "cusp_weights": [_rational_json(y) for y in solution.cusp_weights],
     }
-    if as_json:
-        click.echo(_dump_json(payload))
+    if args.json:
+        print(_dump_json(payload))
         return
-    click.echo(f"pair ({alpha},{beta}), level {pair.level}, {label} rows; "
-               f"solved at n in {tuple(solution.solving_indices)}")
-    click.echo("sigma3 coefficients (240 * X_delta):")
+    print(f"pair ({alpha},{beta}), level {pair.level}, {label} rows; "
+          f"solved at n in {tuple(solution.solving_indices)}")
+    print("sigma3 coefficients (240 * X_delta):")
     for d in divisors(pair.level):
-        click.echo(f"  n/{d}: {solution.sigma3_presentation()[d]}")
-    click.echo("cusp weights (Y_j):")
+        print(f"  n/{d}: {solution.sigma3_presentation()[d]}")
+    print("cusp weights (Y_j):")
     for j, y in enumerate(solution.cusp_weights, 1):
-        click.echo(f"  {j}: {y}")
+        print(f"  {j}: {y}")
 
 
-@main.group()
-def export():
-    """Dump embedded data tables."""
-
-
-@export.command("tables")
-@click.option("--level", type=LEVELS, default="all", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="json", show_default=True)
-def export_tables(level, fmt):
+@_command("export tables", _option("--level", choices=LEVELS, default="all"),
+          _option("--format", choices=["json", "csv"], default="json"))
+def export_tables(args) -> None:
     """Dump the eta-quotient exponent tables bit-exactly."""
     from .arith import divisors
-    levels = _levels(level)
-    if fmt == "json":
-        payload = {
+    levels = _levels(args.level)
+    if args.format == "json":
+        print(_dump_json({
             str(lv): {
                 "divisors": list(divisors(lv)),
                 "rows": [list(r) for r in tables.CUSP_EXPONENTS[lv]],
             } for lv in levels
-        }
-        click.echo(_dump_json(payload))
+        }))
     else:
-        click.echo(_dump_csv([
+        sys.stdout.write(_dump_csv([
             ["level", "row"] + [f"r{i}" for i in range(1, 7)],
             *([lv, i, *row] for lv in levels
-              for i, row in enumerate(tables.CUSP_EXPONENTS[lv], 1))]),
-            nl=False)
+              for i, row in enumerate(tables.CUSP_EXPONENTS[lv], 1))]))
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +283,9 @@ def _echo(suite: str, *args, header: bool = False) -> bool:
     from . import verify as suites
     check = getattr(suites, suite)(*args)
     if header:
-        click.echo(f"== {check.name} ==")
+        print(f"== {check.name} ==")
     for line in check.lines:
-        click.echo(line)
+        print(line)
     return check.ok
 
 
@@ -266,83 +295,70 @@ def _report(suite: str, *args) -> None:
         sys.exit(1)
 
 
-@main.group()
-def verify():
-    """Deterministic verification suites (exit 1 on any failure)."""
-
-
-@verify.command("ligozat")
-@click.option("--level", type=LEVELS, default="all", show_default=True)
-def verify_ligozat(level):
+@_command("verify ligozat", _option("--level", choices=LEVELS, default="all"))
+def verify_ligozat(args) -> None:
     """Membership conditions for every embedded table row; the strict order
     condition must fail precisely on the known non-cuspidal rows."""
-    _report("ligozat", _levels(level))
+    _report("ligozat", _levels(args.level))
 
 
-@verify.command("basis")
-def verify_basis():
+@_command("verify basis")
+def verify_basis(args) -> None:
     """Independence certificates for both levels."""
     _report("basis")
 
 
-@verify.command("identity")
-@click.option("--alpha", type=int, default=None)
-@click.option("--beta", type=int, default=None)
-@click.option("--max-n", type=int, default=300, show_default=True)
-@click.pass_obj
-def verify_identity(precision, alpha, beta, max_n):
+@_command("verify identity", _option("--alpha", default=None),
+          _option("--beta", default=None), _option("--max-n", default=300))
+def verify_identity(args) -> None:
     """Squared combination versus its convolution-sum expansion."""
     from .convolution import EVALUATED_PAIRS
-    check_max_n(precision, max_n)
-    if (alpha is None) != (beta is None):
-        raise click.UsageError("--alpha and --beta must be given together")
-    pairs = EVALUATED_PAIRS if alpha is None else ((alpha, beta),)
-    _report("identity", max_n, pairs)
+    check_max_n(args.precision, args.max_n)
+    if (args.alpha is None) != (args.beta is None):
+        raise ValueError("--alpha and --beta must be given together")
+    pairs = (EVALUATED_PAIRS if args.alpha is None
+             else ((args.alpha, args.beta),))
+    _report("identity", args.max_n, pairs)
 
 
-@verify.command("lemma32")
-@click.option("--precision", "solve_precision", type=int, default=120,
-              show_default=True)
-@click.pass_obj
-def verify_lemma32(precision, solve_precision):
+@_command("verify lemma32",
+          _option("--precision", dest="solve_precision", metavar="PRECISION",
+                  default=120))
+def verify_lemma32(args) -> None:
     """Re-derive all four expansions and compare with the embedded data,
     calling out where the previously reported lists diverge."""
-    check_max_n(precision, solve_precision)
-    _report("lemma32", solve_precision)
+    check_max_n(args.precision, args.solve_precision)
+    _report("lemma32", args.solve_precision)
 
 
-@verify.command("closed-forms")
-@click.option("--max-n", type=int, default=1000, show_default=True)
-@click.pass_obj
-def verify_closed_forms(precision, max_n):
+@_command("verify closed-forms", _option("--max-n", default=1000))
+def verify_closed_forms(args) -> None:
     """Closed forms against brute force, exact integer equality."""
-    check_max_n(precision, max_n)
-    _report("closed_forms", max_n)
+    check_max_n(args.precision, args.max_n)
+    _report("closed_forms", args.max_n)
 
 
-@verify.command("reps")
-@click.option("--max-n", type=int, default=100, show_default=True)
-@click.option("--substitution-max-n", type=int, default=300, show_default=True)
-@click.pass_obj
-def verify_reps(precision, max_n, substitution_max_n):
+@_command("verify reps", _option("--max-n", default=100),
+          _option("--substitution-max-n", default=300))
+def verify_reps(args) -> None:
     """Octonary counts and the substitution identities behind them."""
-    check_max_n(precision, max(max_n, substitution_max_n))
-    _report("reps", max_n, substitution_max_n)
+    check_max_n(args.precision, max(args.max_n, args.substitution_max_n))
+    _report("reps", args.max_n, args.substitution_max_n)
 
 
-@verify.command("dims")
-def verify_dims():
+@_command("verify dims")
+def verify_dims(args) -> None:
     """Dimension formula against the pinned values."""
     _report("dims")
 
 
-@verify.command("all")
-@click.option("--fast", is_flag=True,
-              help="Reduced ranges (closed forms to n = 200, reps to n = 40).")
-@click.pass_obj
-def verify_all(precision, fast):
+@_command("verify all", _option(
+    "--fast", action="store_true",
+    help="Reduced ranges (closed forms to n = 200, reps to n = 40)."))
+def verify_all(args) -> None:
     """Run every verification suite in order; exit 1 at the end if any
     of them failed."""
+    fast = args.fast
     runs = [
         ("ligozat",),
         ("basis",),
@@ -352,12 +368,12 @@ def verify_all(precision, fast):
         ("closed_forms", 200 if fast else 1000),
         ("reps", 40 if fast else 100, 100 if fast else 300),
     ]
-    check_max_n(precision, max(n for _, *ranges in runs for n in ranges))
+    check_max_n(args.precision, max(n for _, *ranges in runs for n in ranges))
     passed = [_echo(*run, header=True) for run in runs]
     if not all(passed):
-        click.echo("all: FAILED")
+        print("all: FAILED")
         sys.exit(1)
-    click.echo("all: ok")
+    print("all: ok")
 
 
 if __name__ == "__main__":

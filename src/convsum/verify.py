@@ -168,12 +168,17 @@ def _substitution_holds(b: int, n: int) -> bool:
 
 def reps(max_n: int, substitution_max_n: int) -> Check:
     """Octonary counts against enumeration, and the substitution identities
-    behind their closed forms."""
+    behind their closed forms; a closed table that fails its integrality
+    check is reported by its error."""
     _require_positive("max-n", max_n)
     _require_positive("substitution-max-n", substitution_max_n)
     results = []
     for a, b in representations.CLOSED_FORM_PAIRS:
-        w = representations.default_w_provider(b, max_n)
+        try:
+            w = representations.default_w_provider(b, max_n)
+        except convolution.IntegralityError as exc:
+            results.append((False, str(exc)))
+            continue
         bad = next((n for n in range(max_n + 1)
                     if representations.rep_count_closed(a, b, n, w)
                     != representations.rep_count_enumerate(a, b, n)), None)

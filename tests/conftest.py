@@ -10,22 +10,62 @@ and the linear-algebra oracles are Gauss elimination over
 Fraction and the Leibniz determinant.  The eta-quotient chain planner is
 kept as first written, scoring every node afresh.  The previously reported
 coefficient lists and the level-52 dependency certificate, which only the
-tests read, are kept here verbatim too.
+tests read, are kept here verbatim too.  ``run_cli`` runs one command
+line in process, as a shell would, for the command-line tests.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
+from io import StringIO
 from itertools import permutations, repeat
 from math import isqrt
 from operator import add, mul
+from unittest import mock
 
 import pytest
 
-from convsum import eta
+from convsum import cli, eta
 from convsum.arith import sigma_k
 from convsum.eta import _CUBE, _EULER, _THETAS
 from convsum.qseries import QSeries
+
+
+@dataclass(frozen=True)
+class CliResult:
+    """What one command line left: its exit code, stdout as bytes and
+    stderr as text."""
+
+    exit_code: int
+    stdout_bytes: bytes
+    stderr: str
+
+    @property
+    def stdout(self) -> str:
+        return self.stdout_bytes.decode()
+
+    @property
+    def output(self) -> str:
+        """Stdout, then stderr: all the text a terminal shows."""
+        return self.stdout + self.stderr
+
+
+def run_cli(*args: str, env: dict[str, str] | None = None) -> CliResult:
+    """``convsum ARGS`` in process, with the variables of env set for the
+    call only.  An exception other than the exit itself propagates."""
+    out, err = StringIO(), StringIO()
+    with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), \
+            redirect_stderr(err):
+        try:
+            cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            raise AssertionError("cli.main returned without exiting")
+    return CliResult(code, out.getvalue().encode(), err.getvalue())
 
 
 def mul_lists(a, b, precision):

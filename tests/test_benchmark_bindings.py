@@ -19,11 +19,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from convsum import eta, spaces
-from convsum.cli import main
 from convsum.eisenstein import EisensteinPair
+from conftest import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -60,7 +59,7 @@ def test_cache_counters_read(tracer):
 
 def test_pinned_stdout_digests():
     for args, digest in _load("reference").STDOUT_SHA256.items():
-        result = CliRunner().invoke(main, list(args))
+        result = run_cli(*args)
         assert result.exit_code == 0, args
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest, args
 
@@ -101,7 +100,7 @@ def test_traced_child_runs_every_hook(tmp_path):
             [sys.executable, str(PERFBENCH / "tracer.py"), str(out), str(run),
              "--", *args], env=env, capture_output=True, timeout=120)
         assert child.returncode == 0, child.stderr.decode()
-        assert child.stdout == CliRunner().invoke(main, list(args)).stdout_bytes
+        assert child.stdout == run_cli(*args).stdout_bytes
     records = [json.loads(line) for line in out.read_text().splitlines()]
     names = {r["name"] for r in records if "name" in r}
     assert {"eta.expand", "qseries.mul", "qseries.construct",

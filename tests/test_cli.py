@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import os
@@ -7,55 +8,56 @@ import sys
 from pathlib import Path
 from unittest import mock
 
-import click
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convsum import (arith, cli, convolution, representations, spaces, tables,
                      verify)
-from convsum.cli import MAX_LEVEL, MAX_PRECISION, main
+from convsum.cli import MAX_LEVEL, MAX_PRECISION
 from convsum.convolution import w_oracle
+from conftest import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args, env=None):
-    return runner.invoke(main, list(args), env=env, catch_exceptions=False)
-
-
-def test_eval_w_closed(runner):
-    result = invoke(runner, "eval-w", "--alpha", "1", "--beta", "44",
-                    "--n", "45", "--method", "closed")
+def test_eval_w_closed():
+    result = run_cli("eval-w", "--alpha", "1", "--beta", "44",
+                     "--n", "45", "--method", "closed")
     assert result.exit_code == 0
     assert result.output.strip() == "1"
 
 
-def test_eval_w_oracle_any_pair(runner):
-    result = invoke(runner, "eval-w", "--alpha", "3", "--beta", "7",
-                    "--n", "20", "--method", "oracle")
+def test_eval_w_oracle_any_pair():
+    result = run_cli("eval-w", "--alpha", "3", "--beta", "7",
+                     "--n", "20", "--method", "oracle")
     assert result.exit_code == 0
     assert result.output.strip() == "9"  # only (l,m) = (2,2) contributes
 
 
-def test_eval_w_unsupported_closed_pair_is_usage_error(runner):
-    result = invoke(runner, "eval-w", "--alpha", "3", "--beta", "7",
-                    "--n", "10", "--method", "closed")
+def test_eval_w_unsupported_closed_pair_is_usage_error():
+    result = run_cli("eval-w", "--alpha", "3", "--beta", "7",
+                     "--n", "10", "--method", "closed")
     assert result.exit_code == 2
     assert "closed form unavailable for (3, 7)" in result.output
 
 
-def test_precision_env_guard(runner):
-    result = invoke(runner, "eval-w", "--alpha", "1", "--beta", "44",
-                    "--n", "45", env={"CONVSUM_PRECISION": "10"})
+def test_precision_env_guard():
+    result = run_cli("eval-w", "--alpha", "1", "--beta", "44",
+                     "--n", "45", env={"CONVSUM_PRECISION": "10"})
     assert result.exit_code == 2
     assert "exceeds the configured precision" in result.output
+    refuse = mock.Mock(side_effect=AssertionError("work started"))
+    with mock.patch.object(convolution, "w_closed", refuse):
+        result = run_cli("eval-w", "--alpha", "1", "--beta", "44",
+                         "--n", "45", env={"CONVSUM_PRECISION": "abc"})
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "'abc'" in result.stderr and not refuse.called
+    for value in ("10", "abc"):  # the flag overrides the variable
+        result = run_cli("--precision", "100", "eval-w", "--alpha", "1",
+                         "--beta", "44", "--n", "45",
+                         env={"CONVSUM_PRECISION": value})
+        assert result.exit_code == 0 and result.stdout == "1\n", value
 
 
 @pytest.mark.parametrize("args", [
@@ -64,30 +66,32 @@ def test_precision_env_guard(runner):
     ("table-w", "--alpha", "1", "--beta", "44", "--max-n", "51",
      "--method", "oracle"),
     ("rep-count", "--a", "1", "--b", "11", "--n", "51", "--method", "oracle"),
+    # the command's own --precision leaves the group's in place
+    ("derive", "--alpha", "1", "--beta", "44", "--precision", "120"),
 ])
-def test_oracle_paths_respect_precision(runner, args):
-    result = invoke(runner, "--precision", "50", *args)
+def test_oracle_paths_respect_precision(args):
+    result = run_cli("--precision", "50", *args)
     assert result.exit_code == 2
     assert "exceeds the configured precision" in result.output
 
 
-def test_table_w_oracle(runner):
-    result = invoke(runner, "table-w", "--alpha", "3", "--beta", "7",
-                    "--max-n", "40")
+def test_table_w_oracle():
+    result = run_cli("table-w", "--alpha", "3", "--beta", "7",
+                     "--max-n", "40")
     rows = list(csv.reader(io.StringIO(result.output)))[1:]
     assert rows == [[str(n), str(w_oracle(3, 7, n)), "oracle"]
                     for n in range(41)]
-    empty = invoke(runner, "table-w", "--alpha", "1", "--beta", "44",
-                   "--max-n", "0")
+    empty = run_cli("table-w", "--alpha", "1", "--beta", "44",
+                    "--max-n", "0")
     assert empty.output == "n,value,method\n0,0,oracle\n"
-    bad = invoke(runner, "table-w", "--alpha", "0", "--beta", "44",
-                 "--max-n", "0")
+    bad = run_cli("table-w", "--alpha", "0", "--beta", "44",
+                  "--max-n", "0")
     assert bad.exit_code == 2
 
 
-def test_table_w_csv(runner):
-    result = invoke(runner, "table-w", "--alpha", "1", "--beta", "44",
-                    "--max-n", "50", "--method", "closed")
+def test_table_w_csv():
+    result = run_cli("table-w", "--alpha", "1", "--beta", "44",
+                     "--max-n", "50", "--method", "closed")
     assert result.exit_code == 0
     rows = list(csv.reader(io.StringIO(result.output)))
     assert rows[0] == ["n", "value", "method"]
@@ -96,68 +100,92 @@ def test_table_w_csv(runner):
     assert len(rows) == 52
 
 
-def test_table_w_json_round_trip(runner):
-    result = invoke(runner, "table-w", "--alpha", "4", "--beta", "11",
-                    "--max-n", "30", "--format", "json")
+def test_table_w_json_round_trip():
+    result = run_cli("table-w", "--alpha", "4", "--beta", "11",
+                     "--max-n", "30", "--format", "json")
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["rows"][15] == [15, "1"]
     assert json.dumps(payload, indent=2, sort_keys=True) == result.output.strip()
 
 
-def test_rep_count(runner):
-    closed = invoke(runner, "rep-count", "--a", "1", "--b", "11", "--n", "11")
-    oracle = invoke(runner, "rep-count", "--a", "1", "--b", "11", "--n", "11",
-                    "--method", "oracle")
+def test_rep_count():
+    closed = run_cli("rep-count", "--a", "1", "--b", "11", "--n", "11")
+    oracle = run_cli("rep-count", "--a", "1", "--b", "11", "--n", "11",
+                     "--method", "oracle")
     assert closed.output.strip() == oracle.output.strip() == "104"
-    bad = invoke(runner, "rep-count", "--a", "2", "--b", "11", "--n", "4")
+    bad = run_cli("rep-count", "--a", "2", "--b", "11", "--n", "4")
     assert bad.exit_code == 2
 
 
-def test_dims_command(runner):
-    result = invoke(runner, "dims", "--level", "44")
+def test_dims_command():
+    result = run_cli("dims", "--level", "44")
     assert result.exit_code == 0
     assert "dim M = 21, dim E = 6, dim S = 15" in result.output
-    assert invoke(runner, "dims", "--level", "44", "--weight", "5").exit_code == 2
+    assert run_cli("dims", "--level", "44", "--weight", "5").exit_code == 2
+    # no option prefixes: --prec is not --precision, --lev not --level
+    assert run_cli("--prec", "10", "dims", "--level", "44").exit_code == 2
+    assert run_cli("dims", "--lev", "44").exit_code == 2
 
 
-def test_derive_json_level44(runner):
-    result = invoke(runner, "derive", "--alpha", "1", "--beta", "44", "--json")
+def test_derive_json_level44():
+    result = run_cli("derive", "--alpha", "1", "--beta", "44", "--json")
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["basis"] == "printed"
     assert payload["sigma3_coefficients"]["1"] == {"num": "124464", "den": "61"}
     assert len(payload["cusp_weights"]) == 15
+    lower = run_cli("derive", "--alpha", "1", "--beta", "44",
+                    "--precision", "60", "--json")
+    assert lower.exit_code == 0
+    assert json.loads(lower.stdout)["sigma3_coefficients"] == \
+        payload["sigma3_coefficients"]
 
 
-def test_derive_level52_auto_uses_repaired_rows(runner):
-    result = invoke(runner, "derive", "--alpha", "1", "--beta", "52", "--json")
+def test_derive_level52_auto_uses_repaired_rows():
+    result = run_cli("derive", "--alpha", "1", "--beta", "52", "--json")
     assert result.exit_code == 0
     assert json.loads(result.stdout)["basis"] == "repaired"
     assert result.stderr == ""
 
 
-def test_derive_level52_printed_fails(runner):
-    result = invoke(runner, "derive", "--alpha", "1", "--beta", "52",
-                    "--basis", "printed")
+def test_derive_level52_printed_fails():
+    result = run_cli("derive", "--alpha", "1", "--beta", "52",
+                     "--basis", "printed")
     assert result.exit_code == 1
 
 
-def _leaf_commands(command):
-    if isinstance(command, click.Group):
-        for sub in command.commands.values():
-            yield from _leaf_commands(sub)
-    else:
-        yield command
+def _required_args(options):
+    """The value 1 for every required option of a command."""
+    return [arg for flag, kwargs in options if kwargs.get("required")
+            for arg in (flag, "1")]
 
 
 def test_every_command_is_the_error_boundary():
-    """A command declared outside the group's command class would let a
-    library ValueError escape as a traceback."""
-    leaves = list(_leaf_commands(main))
-    assert len(leaves) >= 14
-    for command in leaves:
-        assert isinstance(command, cli.BoundaryCommand), command.name
+    """A ValueError from the handler of any command is a usage error: exit 2
+    with the message on stderr, nothing on stdout and no traceback."""
+    assert len(cli.COMMANDS) >= 14
+    for path, (handler, options) in cli.COMMANDS.items():
+        @functools.wraps(handler)
+        def probe(args, path=path):
+            raise ValueError(f"probe {path}")
+
+        with mock.patch.dict(cli.COMMANDS, {path: (probe, options)}):
+            result = run_cli(*path.split(), *_required_args(options))
+        assert result.exit_code == 2, path
+        assert f"probe {path}" in result.stderr and result.stdout == "", path
+
+
+@pytest.mark.parametrize("path", ["", *cli.COMMANDS],
+                         ids=lambda path: path or "convsum")
+def test_help_shows_the_docstring(path):
+    """``--help`` on the group and on every command exits 0 and shows the
+    first line of the command's docstring."""
+    doc = (cli.COMMANDS[path][0] if path else cli.main).__doc__
+    result = run_cli(*path.split(), "--help", env={"COLUMNS": "100"})
+    assert result.exit_code == 0, result.output
+    first_line = " ".join(doc.splitlines()[0].split())
+    assert first_line in " ".join(result.stdout.split())
 
 
 # per command family: a library call it makes, and an argument vector
@@ -178,24 +206,24 @@ PROBED = [
 
 @pytest.mark.parametrize("module, name, args", PROBED,
                          ids=[" ".join(args[:2]) for *_, args in PROBED])
-def test_library_value_error_is_usage_error(runner, module, name, args):
+def test_library_value_error_is_usage_error(module, name, args):
     with mock.patch.object(module, name, side_effect=ValueError("probe")):
-        result = runner.invoke(main, list(args))
+        result = run_cli(*args)
     assert result.exit_code == 2, result.output
     assert "probe" in result.stderr and result.stdout == ""
 
 
-def test_export_tables_json_is_bit_exact(runner):
-    result = invoke(runner, "export", "tables", "--format", "json")
+def test_export_tables_json_is_bit_exact():
+    result = run_cli("export", "tables", "--format", "json")
     payload = json.loads(result.output)
     for level in (44, 52):
         assert payload[str(level)]["rows"] == \
             [list(r) for r in tables.CUSP_EXPONENTS[level]]
 
 
-def test_export_tables_csv(runner):
-    result = invoke(runner, "export", "tables", "--format", "csv",
-                    "--level", "44")
+def test_export_tables_csv():
+    result = run_cli("export", "tables", "--format", "csv",
+                     "--level", "44")
     rows = list(csv.reader(io.StringIO(result.output)))
     assert rows[0][:2] == ["level", "row"]
     assert rows[1] == ["44", "1", "6", "-2", "0", "6", "-2", "0"]
@@ -211,8 +239,8 @@ def test_export_tables_csv(runner):
     ("verify", "closed-forms", "--max-n", "120"),
     ("verify", "reps", "--max-n", "25", "--substitution-max-n", "60"),
 ])
-def test_verify_suites_pass(runner, args):
-    result = invoke(runner, *args)
+def test_verify_suites_pass(args):
+    result = run_cli(*args)
     assert result.exit_code == 0, result.output
 
 
@@ -224,27 +252,27 @@ def test_verify_suites_pass(runner, args):
     ("lemma32", "--precision", "0"),
     ("lemma32", "--precision", "30"),
 ])
-def test_verify_out_of_range_is_usage_error(runner, args):
-    result = invoke(runner, "verify", *args)
+def test_verify_out_of_range_is_usage_error(args):
+    result = run_cli("verify", *args)
     assert result.exit_code == 2
     assert "must be" in result.stderr and not result.stdout
 
 
-def test_verify_all_checks_limits_first(runner):
-    result = invoke(runner, "--precision", "100", "verify", "all", "--fast")
+def test_verify_all_checks_limits_first():
+    result = run_cli("--precision", "100", "verify", "all", "--fast")
     assert result.exit_code == 2 and result.stdout == ""
     assert "exceeds the configured precision" in result.stderr
 
 
-def test_verify_ligozat_reports_noncusp_rows(runner):
-    result = invoke(runner, "verify", "ligozat", "--level", "52")
+def test_verify_ligozat_reports_noncusp_rows():
+    result = run_cli("verify", "ligozat", "--level", "52")
     assert result.exit_code == 0
     lines = [l for l in result.output.splitlines() if "order 0" in l]
     assert len(lines) == 2  # rows 7 and 14
 
 
-def test_verify_all_fast(runner):
-    result = invoke(runner, "verify", "all", "--fast")
+def test_verify_all_fast():
+    result = run_cli("verify", "all", "--fast")
     assert result.exit_code == 0
     assert result.output.strip().endswith("all: ok")
 
@@ -259,9 +287,9 @@ def test_verify_all_fast(runner):
     ("table-w", "--alpha", "1", "--beta", "52", "--max-n", "40",
      "--format", "json", "--method", "closed"),
 ])
-def test_reports_are_deterministic(runner, args):
-    first = invoke(runner, *args)
-    second = invoke(runner, *args)
+def test_reports_are_deterministic(args):
+    first = run_cli(*args)
+    second = run_cli(*args)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
 
@@ -308,10 +336,8 @@ def cli_args(draw):
 @given(cli_args())
 def test_cli_fuzz_exits_cleanly(args):
     """Any integer argument vector ends in exit 0, 1 or 2, never in an
-    exception other than the exit itself."""
-    result = CliRunner().invoke(main, args)
-    assert result.exception is None or isinstance(result.exception,
-                                                  SystemExit), args
+    exception other than the exit itself (which run_cli lets through)."""
+    result = run_cli(*args)
     assert result.exit_code in (0, 1, 2), (args, result.output)
 
 
@@ -331,15 +357,15 @@ def test_cli_extreme_values_exit_before_work(level, precision):
                   "--max-n", str(precision)], None),
                 (["verify", "closed-forms", "--max-n", "5"],
                  {"CONVSUM_PRECISION": str(precision)})):
-            result = CliRunner().invoke(main, args, env=env)
+            result = run_cli(*args, env=env)
             assert result.exit_code == 2, (args, result.output)
             assert "exceeds the ceiling" in result.output
     assert not refuse.called
 
 
-def test_cli_ceilings_are_accepted(runner):
-    result = invoke(runner, "--precision", str(MAX_PRECISION), "dims",
-                    "--level", str(MAX_LEVEL))
+def test_cli_ceilings_are_accepted():
+    result = run_cli("--precision", str(MAX_PRECISION), "dims",
+                     "--level", str(MAX_LEVEL))
     assert result.exit_code == 0
 
 
@@ -363,13 +389,19 @@ def _loaded(*args) -> set[str]:
 
 
 def test_each_launch_imports_only_what_its_command_runs():
-    assert not {m for m in _loaded() if m.startswith("convsum.")}
-    assert {m for m in _loaded("dims", "--level", "44")
-            if m.startswith("convsum.")} <= {
+    bare = _loaded()
+    assert not {m for m in bare if m.startswith("convsum.")}
+    dims = _loaded("dims", "--level", "44")
+    assert {m for m in dims if m.startswith("convsum.")} <= {
         "convsum.cli", "convsum.tables", "convsum.arith"}
-    assert not _loaded("eval-w", "--alpha", "1", "--beta", "44",
-                       "--n", "120") & {
+    closed = _loaded("eval-w", "--alpha", "1", "--beta", "44", "--n", "120")
+    assert not closed & {
         "convsum.spaces", "convsum.verify", "convsum.eisenstein",
         "convsum.representations", "json", "csv"}
-    assert not _loaded("rep-count", "--a", "1", "--b", "11", "--n", "120") & {
-        "convsum.spaces", "convsum.verify"}
+    counts = _loaded("rep-count", "--a", "1", "--b", "11", "--n", "120")
+    assert not counts & {"convsum.spaces", "convsum.verify"}
+    derive = _loaded("derive", "--alpha", "1", "--beta", "44",
+                     "--precision", "60", "--json")
+    suites = _loaded("verify", "all", "--fast")
+    for loaded in (bare, dims, closed, counts, derive, suites):
+        assert "click" not in loaded

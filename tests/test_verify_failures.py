@@ -11,11 +11,10 @@ every later suite's report.
 """
 
 import pytest
-from click.testing import CliRunner
 
 from convsum import convolution, eta, representations, spaces, tables, verify
-from convsum.cli import main
 from convsum.qseries import QSeries, pack_narrow, unpack
+from conftest import run_cli
 
 
 def closed_value_off_by_one(monkeypatch):
@@ -33,15 +32,17 @@ def closed_value_off_by_one(monkeypatch):
 
 def cached_expansion_off_by_one(monkeypatch):
     """Coefficient 17 of the first level-44 row, cached to n = 60, is stored
-    one too high; (1, 44) weighs that row by 5/10736 of 1152 * 44, so W(17),
-    which is 0, reads -5/10736 and fails the integrality check."""
+    one too high, so every closed form over the row fails the integrality
+    check at n = 17: W(17), which is 0 for both level-44 pairs, reads
+    -5/10736 for (1, 44) and -35/976 for (4, 11).  The (4, 11) table is the
+    one that ``closed-forms``, ``reps`` and ``eval-w`` all evaluate."""
     monkeypatch.setattr(eta, "_EXPANSION_CACHE", {})
     row = eta.basis_rows(44)[0]
     x, w, _ = eta.expand_packed(row, 60)
     coeffs = unpack(x, 61, w)
     coeffs[17] += 1
     eta._EXPANSION_CACHE[row] = (60, *pack_narrow(coeffs))
-    return "closed form for (1, 44) evaluates to -5/10736 at n = 17"
+    return "closed form for (4, 11) evaluates to -35/976 at n = 17"
 
 
 def enumeration_off_by_eight(monkeypatch):
@@ -114,6 +115,8 @@ FAULTS = [
      "closed-forms: FAILED"),
     (cached_expansion_off_by_one, lambda: verify.closed_forms(60),
      "closed-forms: FAILED"),
+    (cached_expansion_off_by_one, lambda: verify.reps(40, 100),
+     "reps: FAILED"),
     (enumeration_off_by_eight, lambda: verify.reps(20, 20), "reps: FAILED"),
     (singular_certificate, verify.basis, "basis: FAILED"),
     (canonical_weight_changed, lambda: verify.lemma32(60), "lemma32: FAILED"),
@@ -125,8 +128,13 @@ FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("plant, run, verdict", FAULTS,
-                         ids=[plant.__name__ for plant, _, _ in FAULTS])
+# a plant's name, then the suite's for a plant that is run a second time
+FAULT_IDS = [plant.__name__ if all(p is not plant for p, _, _ in FAULTS[:i])
+             else f"{plant.__name__}-{verdict.split(':')[0]}"
+             for i, (plant, _, verdict) in enumerate(FAULTS)]
+
+
+@pytest.mark.parametrize("plant, run, verdict", FAULTS, ids=FAULT_IDS)
 def test_planted_fault_fails_the_suite(monkeypatch, plant, run, verdict):
     line = plant(monkeypatch)
     check = run()
@@ -143,7 +151,7 @@ def test_verify_exits_1_on_a_planted_fault(monkeypatch, args):
     """A failing suite exits 1 with its report; ``verify all`` still runs
     the suites after it and ends with its own verdict."""
     line = closed_value_off_by_one(monkeypatch)
-    result = CliRunner().invoke(main, list(args))
+    result = run_cli(*args)
     assert result.exit_code == 1
     lines = result.stdout.splitlines()
     assert line in lines
@@ -166,21 +174,42 @@ def test_verify_exits_1_on_a_cached_expansion_fault(monkeypatch):
     """A fault stored in the expansion cache reaches every closed form over
     the row; the pairs of the other level still pass."""
     line = cached_expansion_off_by_one(monkeypatch)
-    result = CliRunner().invoke(
-        main, ["verify", "closed-forms", "--max-n", "60"])
+    result = run_cli("verify", "closed-forms", "--max-n", "60")
     assert result.exit_code == 1
     assert result.stdout.splitlines() == [
-        line, "closed form for (4, 11) evaluates to -35/976 at n = 17",
+        "closed form for (1, 44) evaluates to -5/10736 at n = 17", line,
         "closed form (1, 52): equals brute force for n <= 60",
         "closed form (4, 13): equals brute force for n <= 60",
         "closed-forms: FAILED"]
+
+
+def test_verify_reps_exits_1_on_a_cached_expansion_fault(monkeypatch):
+    """``verify reps`` reports a closed table that fails its integrality
+    check as one line and goes on.  (``verify all --fast`` would expand the
+    rows to 200 first and overwrite the planted fault.)"""
+    line = cached_expansion_off_by_one(monkeypatch)
+    result = run_cli("verify", "reps", "--max-n", "40")
+    assert result.exit_code == 1
+    assert line in result.stdout.splitlines()
+    assert result.stdout.splitlines()[-1] == "reps: FAILED"
+    assert "Traceback" not in result.stderr
+
+
+def test_integrality_error_exits_1(monkeypatch):
+    """A closed value that fails its integrality check outside a suite is a
+    failure: exit 1 with its message on stderr and nothing on stdout."""
+    line = cached_expansion_off_by_one(monkeypatch)
+    result = run_cli("eval-w", "--alpha", "4", "--beta", "11", "--n", "17")
+    assert result.exit_code == 1
+    assert line in result.stderr and result.stdout == ""
+    assert "Traceback" not in result.stderr
 
 
 def test_verify_all_exits_1_on_a_substitution_fault(monkeypatch):
     """A fault in the direct oracle reaches only the substitution
     identities of ``reps``."""
     line = oracle_off_by_one(monkeypatch)
-    result = CliRunner().invoke(main, ["verify", "all", "--fast"])
+    result = run_cli("verify", "all", "--fast")
     assert result.exit_code == 1
     lines = result.stdout.splitlines()
     assert lines[-4:] == [line, "substitution identities for b = 13: "
@@ -192,7 +221,7 @@ def test_verify_all_reports_every_failing_suite(monkeypatch):
     """A fault in each of two suites: ``verify all`` names both."""
     closed = closed_value_off_by_one(monkeypatch)
     counts = enumeration_off_by_eight(monkeypatch)
-    result = CliRunner().invoke(main, ["verify", "all", "--fast"])
+    result = run_cli("verify", "all", "--fast")
     assert result.exit_code == 1
     lines = result.stdout.splitlines()
     assert {closed, "closed-forms: FAILED", counts, "reps: FAILED"} <= set(lines)
