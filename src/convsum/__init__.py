@@ -24,9 +24,9 @@ _HOME = {name: module for module, names in {
                         "r4_enumerate", "r4_jacobi", "rep_count_closed",
                         "rep_count_enumerate"),
     "spaces": ("BasisError", "CoefficientSolution", "DerivationError",
-               "InconsistentSystemError", "IndependenceCertificate",
-               "SingularSystemError", "SpaceBasis", "build_basis",
-               "derive_coefficients", "verify_independence"),
+               "InconsistentSystemError", "SingularSystemError",
+               "SpaceBasis", "build_basis", "derive_coefficients",
+               "verify_independence"),
 }.items() for name in names}
 
 __version__ = "0.1.0"

@@ -50,15 +50,11 @@ def sigma_k(k: int, m: int) -> int:
     return sum(d ** k for d in divisors(m))
 
 
-def sigma_table(k: int, limit: int) -> list[int]:
-    """sigma_k(m) for m = 0..limit (0 at m = 0), as a fresh list."""
-    return list(_sigma_sieve(k, limit))
-
-
 @lru_cache(maxsize=2)
-def _sigma_sieve(k: int, limit: int) -> tuple[int, ...]:
-    """sigma_table by a hyperbola sieve: each m = d*e with d <= e gets d^k,
-    and e^k if e > d, for d <= sqrt(limit); the last two tables stay."""
+def sigma_table(k: int, limit: int) -> tuple[int, ...]:
+    """sigma_k(m) for m = 0..limit (0 at m = 0), by a hyperbola sieve: each
+    m = d*e with d <= e gets d^k, and e^k if e > d, for d <= sqrt(limit).
+    The last two tables stay, shared by their callers as immutable tuples."""
     table = [0] * (limit + 1)
     powers = list(map(pow, range(limit + 1), repeat(k)))
     for d in range(1, isqrt(limit) + 1):

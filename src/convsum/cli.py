@@ -228,6 +228,7 @@ def derive(args) -> None:
         print(f"FAIL derivation over the {label} rows failed: {exc}",
               file=sys.stderr)
         sys.exit(1)
+    sigma3 = solution.sigma3_presentation()
     payload = {
         "alpha": alpha,
         "beta": beta,
@@ -235,8 +236,7 @@ def derive(args) -> None:
         "basis": label,
         "solving_indices": list(solution.solving_indices),
         "sigma3_coefficients": {
-            str(d): _rational_json(c)
-            for d, c in solution.sigma3_presentation().items()},
+            str(d): _rational_json(c) for d, c in sigma3.items()},
         "eisenstein_weights": {
             str(d): _rational_json(x)
             for d, x in solution.eisenstein_weights.items()},
@@ -249,7 +249,7 @@ def derive(args) -> None:
           f"solved at n in {tuple(solution.solving_indices)}")
     print("sigma3 coefficients (240 * X_delta):")
     for d in divisors(pair.level):
-        print(f"  n/{d}: {solution.sigma3_presentation()[d]}")
+        print(f"  n/{d}: {sigma3[d]}")
     print("cusp weights (Y_j):")
     for j, y in enumerate(solution.cusp_weights, 1):
         print(f"  {j}: {y}")

@@ -12,7 +12,9 @@ values so the two sides can be compared coefficient by coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
+from operator import add, mul
 from typing import Callable
 
 from .arith import sigma_k_frac, sigma_table
@@ -55,9 +57,11 @@ def series_M(precision: int) -> QSeries:
 
 def lhs_square(pair: EisensteinPair, precision: int) -> QSeries:
     """(alpha L(q^alpha) - beta L(q^beta))^2, exactly."""
-    l = series_L(precision)
-    combo = (l.dilate(pair.alpha).scale(pair.alpha)
-             - l.dilate(pair.beta).scale(pair.beta))
+    l = series_L(precision).coeffs
+    coeffs = [0] * (precision + 1)
+    for t, c in ((pair.alpha, pair.alpha), (pair.beta, -pair.beta)):
+        coeffs[::t] = map(add, coeffs[::t], map(mul, l, repeat(c)))
+    combo = QSeries(precision, coeffs)
     return combo * combo
 
 

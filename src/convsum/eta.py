@@ -10,12 +10,11 @@ defined because F has constant term 1.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, sqrt
-from operator import itemgetter, sub
+from operator import sub
 from typing import Callable, NamedTuple
 
 from . import tables
@@ -74,7 +73,6 @@ class LigozatReport:
     strict positivity of the order at every cusp.
     """
 
-    quotient: EtaQuotient
     cond_i: bool
     cond_ii: bool
     cond_iii: bool
@@ -109,7 +107,7 @@ def check_ligozat(eq: EtaQuotient) -> LigozatReport:
         for c in divisors(n))
     cond_v = all(v >= 0 for _, v in orders)
     cond_v_prime = all(v > 0 for _, v in orders)
-    return LigozatReport(eq, cond_i, cond_ii, cond_iii, cond_iv, cond_v,
+    return LigozatReport(cond_i, cond_ii, cond_iii, cond_iv, cond_v,
                          cond_v_prime, w, eq.leading_exponent, orders)
 
 
@@ -136,8 +134,6 @@ def check_ligozat(eq: EtaQuotient) -> LigozatReport:
 #    plans, the one with the fewest divisions left, then the fewest terms.
 #    Each quotient is planned once per process.
 # 2. Multiply the steps with qseries.sparse_product, on one packed int.
-#    The terms of each step are built once per process, at the largest
-#    limit asked for, and a lower limit reads a prefix of them.
 # 3. Divide by any single F the plan left, with qseries.div_sparse.
 #
 # The literal product and the per-coefficient kernels are kept in the test
@@ -257,28 +253,11 @@ def _plan(eq: EtaQuotient):
     return g, tuple(steps), tuple(divs)
 
 
-@lru_cache(maxsize=64)
-def _term_store(factor: _Factor, d: int) -> list:
-    """[limit, terms]: the terms of the factor on F(q^d) up to the largest
-    limit asked for so far, widened in place by _terms."""
-    return [-1, []]
-
-
-def _terms(factor: _Factor, d: int, limit: int) -> list[tuple[int, int]]:
-    """factor.terms(d, limit), built once per (factor, d) at the largest
-    limit asked for; a lower limit is served as a prefix."""
-    store = _term_store(factor, d)
-    if limit > store[0]:
-        store[:] = limit, factor.terms(d, limit)
-    terms = store[1]
-    return terms[:bisect_right(terms, limit, key=itemgetter(0))]
-
-
 def _euler_product(steps, divs, limit: int) -> list[int]:
     """A planned product below x^(limit + 1)."""
-    product = sparse_product([_terms(f, d, limit) for f, d in steps], limit)
+    product = sparse_product([f.terms(d, limit) for f, d in steps], limit)
     for d in divs:
-        product = div_sparse(product, _terms(_EULER, d, limit), limit)
+        product = div_sparse(product, _EULER.terms(d, limit), limit)
     return product
 
 

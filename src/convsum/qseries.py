@@ -218,19 +218,6 @@ class QSeries:
             raise IndexError(f"coefficient index {n} outside [0, {self.precision}]")
         return self.coeffs[n]
 
-    def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:6])
-        tail = ", ..." if self.precision > 5 else ""
-        return f"QSeries(P={self.precision}, [{head}{tail}])"
-
-    def __sub__(self, other: QSeries) -> QSeries:
-        p = min(self.precision, other.precision)
-        return QSeries(p, [a - b for a, b in
-                           zip(self.coeffs[:p + 1], other.coeffs[:p + 1])])
-
-    def scale(self, c: int) -> QSeries:
-        return QSeries(self.precision, [c * x for x in self.coeffs])
-
     def __mul__(self, other: QSeries) -> QSeries:
         """One big-int product of the packed operands.  A slot of the full
         product sums at most min(nonzero a, nonzero b) nonzero products; the

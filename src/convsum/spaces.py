@@ -87,7 +87,7 @@ def build_basis(level: int, precision: int,
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination and independence certificates
+# fraction-free elimination and the independence check
 
 def _row_reduce(rows: Iterable[Sequence[int]]) -> Iterator[tuple]:
     """Greedy fraction-free row reduction over Python ints (Bareiss 1968).
@@ -113,20 +113,13 @@ def _row_reduce(rows: Iterable[Sequence[int]]) -> Iterator[tuple]:
             yield i, col, row
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
-    level: int
-    cusp_determinant: int
-    eisenstein_unit_triangular: bool
+def verify_independence(basis: SpaceBasis) -> int:
+    """Exact determinant of the leading cusp minor, after the Eisenstein check.
 
-
-def verify_independence(basis: SpaceBasis) -> IndependenceCertificate:
-    """Exact determinant of the leading cusp minor plus the Eisenstein check.
-
-    The cusp certificate is the determinant of [c_j(n)] for n = 1..dim S,
-    which must be nonzero.  The Eisenstein system matrix [sigma_3(t/u)] over
-    the divisors in ascending order must be lower triangular with unit
-    diagonal, which pins its determinant to 1.
+    The determinant of [c_j(n)] for n = 1..dim S must be nonzero.  The
+    Eisenstein system matrix [sigma_3(t/u)] over the divisors in ascending
+    order must be lower triangular with unit diagonal, which pins its
+    determinant to 1.  Either failure raises BasisError.
     """
     dim_s = len(basis.cusp_part)
     if basis.precision < dim_s:
@@ -140,12 +133,11 @@ def verify_independence(basis: SpaceBasis) -> IndependenceCertificate:
     odd = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:]) % 2
     det = (-1) ** odd * (pivots[-1][2][cols[-1]] if pivots else 1)
     divs = basis.divisors
-    triangular = all(sigma_k_frac(3, t, u) == (1 if i == j else 0)
-                     for i, t in enumerate(divs) for j, u in enumerate(divs)
-                     if j >= i)
-    if not triangular:
+    if not all(sigma_k_frac(3, t, u) == (1 if i == j else 0)
+               for i, t in enumerate(divs) for j, u in enumerate(divs)
+               if j >= i):
         raise BasisError("Eisenstein system matrix is not unit lower triangular")
-    return IndependenceCertificate(basis.level, det, triangular)
+    return det
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +147,6 @@ def verify_independence(basis: SpaceBasis) -> IndependenceCertificate:
 class CoefficientSolution:
     """Exact expansion weights of a squared Eisenstein combination."""
 
-    pair: EisensteinPair
     eisenstein_weights: dict[int, Fraction]   # X_delta per divisor
     cusp_weights: tuple[Fraction, ...]        # Y_j in basis order
     solving_indices: tuple[int, ...]
@@ -235,7 +226,6 @@ def derive_coefficients(pair: EisensteinPair,
 
     solution = [Fraction(xj, den) for xj in x]
     return CoefficientSolution(
-        pair=pair,
         eisenstein_weights=dict(zip(basis.divisors, solution[:n_eis])),
         cusp_weights=tuple(solution[n_eis:]),
         solving_indices=used,

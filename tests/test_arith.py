@@ -3,7 +3,6 @@ from math import gcd
 
 import pytest
 
-from convsum import arith
 from convsum.arith import (dim_spaces, divisors, euler_phi, genus, sigma_k,
                            sigma_k_frac, sigma_table)
 from conftest import sigma_by_full_scan, sigma1_sieve
@@ -40,30 +39,29 @@ def test_sigma_against_sieve_to_10000():
 
 def test_sigma_table_against_full_scan():
     for k in (0, 1, 3):
-        assert sigma_table(k, 400) == [0] + [sigma_by_full_scan(k, n)
-                                             for n in range(1, 401)]
+        assert sigma_table(k, 400) == (0, *(sigma_by_full_scan(k, n)
+                                            for n in range(1, 401)))
     for k in (0, 1, 2, 3):  # every limit, so every square is an end point
-        scan = [0] + [sigma_by_full_scan(k, n) for n in range(1, 65)]
+        scan = (0, *(sigma_by_full_scan(k, n) for n in range(1, 65)))
         for limit in range(65):
             assert sigma_table(k, limit) == scan[:limit + 1], (k, limit)
-    assert sigma_table(1, 10_000) == sigma1_sieve(10_000)
-    assert sigma_table(3, 0) == [0]
+    assert sigma_table(1, 10_000) == tuple(sigma1_sieve(10_000))
+    assert sigma_table(3, 0) == (0,)
 
 
-def test_sigma_table_shares_its_sieve_but_not_its_list():
-    """sigma and sigma_3 at one limit are each sieved once, and a caller
-    that mutates its table leaves the next caller's intact."""
-    assert arith._sigma_sieve.cache_parameters()["maxsize"] == 2
-    arith._sigma_sieve.cache_clear()
+def test_sigma_table_is_one_shared_immutable_tuple():
+    """sigma and sigma_3 at one limit are each sieved once; every caller
+    gets the same tuple, which no caller can change for the next."""
+    assert sigma_table.cache_parameters()["maxsize"] == 2
+    sigma_table.cache_clear()
     first = sigma_table(1, 50)
-    expected = list(first)
-    first[6] = -1
-    first.append(0)
+    with pytest.raises(TypeError):
+        first[6] = -1
     sigma_table(3, 50)
-    assert sigma_table(1, 50) == expected
-    assert sigma_table(1, 50) is not sigma_table(1, 50)
-    info = arith._sigma_sieve.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
+    assert sigma_table(1, 50) is first
+    assert first == (0, *(sigma_by_full_scan(1, n) for n in range(1, 51)))
+    info = sigma_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
 
 def test_sigma_multiplicative():

@@ -114,3 +114,14 @@ def test_traced_child_runs_every_hook(tmp_path):
     assert set(closing) == {"0", "1"}
     assert "r4" in closing["0"]["caches"]
     assert closing["0"]["counts"]["w_reads"] > 0
+
+
+def test_harness_self_tests_pass():
+    """The benchmark's own unit tests, run as its docstring says."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    child = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "perfbench",
+         "-p", "test_*.py"], cwd=ROOT, env=env, capture_output=True,
+        text=True, timeout=120)
+    assert child.returncode == 0, child.stderr

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from convsum import eta, tables, verify
 from convsum.arith import divisors
 from convsum.eta import (_CUBE, _EULER, _THETAS, EtaQuotient, _expand_ints,
-                         _plan, _plan_chain, _term_store, _terms, basis_rows,
-                         check_ligozat, expand, table_rows)
+                         _plan, _plan_chain, basis_rows, check_ligozat, expand,
+                         table_rows)
 from convsum.qseries import (QSeries, div_sparse, mul_packed, pack,
                              slot_width, sparse_product, unpack)
 from conftest import (literal_eta_expansion, literal_euler_product,
@@ -282,22 +282,6 @@ def test_expansion_cache_holds_narrow_packed_ints(fresh_expansions):
         assert type(x) is int and precision == 2000
         assert top == max(map(abs, coeffs)) and w == slot_width(top) <= 4
         assert pack(coeffs, w) == x
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(_THETAS + (_EULER, _CUBE)),
-       st.sampled_from((1, 2, 4, 11, 13, 22, 26)),
-       st.integers(0, 300), st.integers(0, 300))
-def test_terms_served_as_a_prefix_match_fresh_terms(factor, d, low, high):
-    """The memoised terms at a lower limit, cut from those at a higher one,
-    equal the terms built afresh, whichever limit comes first; the store
-    keeps the highest limit."""
-    low, high = sorted((low, high))
-    for limits in ((high, low), (low, high)):
-        _term_store.cache_clear()
-        for limit in limits:
-            assert _terms(factor, d, limit) == factor.terms(d, limit)
-        assert _term_store(factor, d)[0] == high
 
 
 def test_quotient_construction():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,8 +46,6 @@ def test_coefficients_must_be_integers():
         QSeries(3, [Fraction(1, 2)])
     with pytest.raises(TypeError):
         QSeries(3, [1, 0.5])
-    with pytest.raises(TypeError):
-        QSeries(3, [1, 2]).scale(Fraction(1, 3))
     assert all(type(c) is int for c in QSeries(3, [True, 2]).coeffs)
 
 
@@ -54,16 +53,6 @@ def test_immutability():
     s = QSeries(3, [1])
     with pytest.raises(AttributeError):
         s.precision = 5
-
-
-def test_add_sub_scale_examples():
-    one_plus = QSeries(5, [1, 1])
-    one_minus = QSeries(5, [1, -1])
-    assert one_plus - one_minus == QSeries(5, [0, 2])
-    assert one_plus.scale(0) == QSeries(5)
-    assert one_minus.scale(-3) == QSeries(5, [-3, 3])
-    s = QSeries(7, [3, 10 ** 30, 0, 1])
-    assert s - s == QSeries(7)
 
 
 def test_mul_examples():
@@ -166,11 +155,14 @@ def test_mul_matches_naive_product(s, t):
 @settings(max_examples=40, deadline=None)
 @given(same_precision(3, 12))
 def test_ring_axioms(abc):
+    def minus(s, t):
+        return QSeries(s.precision, map(sub, s.coeffs, t.coeffs))
+
     a, b, c = abc
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
-    assert a * (b - c) == a * b - a * c
-    assert (a - b) - c == (a - c) - b
+    assert a * minus(b, c) == minus(a * b, a * c)
+    assert minus(minus(a, b), c) == minus(minus(a, c), b)
 
 
 def test_dilate_examples():

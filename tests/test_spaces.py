@@ -51,13 +51,22 @@ def test_basis_precision_guard():
 
 
 def test_independence_certificates(basis44, basis52, basis52_repaired):
-    cert44 = verify_independence(basis44)
-    cert52 = verify_independence(basis52)
-    assert cert44.cusp_determinant == tables.CUSP_DETERMINANTS[44] == -396
-    assert cert52.cusp_determinant == tables.CUSP_DETERMINANTS[52] == -1966080
-    assert cert44.eisenstein_unit_triangular
-    assert cert52.eisenstein_unit_triangular
-    assert verify_independence(basis52_repaired).cusp_determinant != 0
+    assert verify_independence(basis44) == tables.CUSP_DETERMINANTS[44] == -396
+    assert (verify_independence(basis52) == tables.CUSP_DETERMINANTS[52]
+            == -1966080)
+    assert verify_independence(basis52_repaired) != 0
+
+
+def test_eisenstein_matrix_off_the_triangle_is_a_basis_error(basis44,
+                                                             monkeypatch):
+    """One nonzero entry above the diagonal of [sigma_3(t/u)] fails the
+    check, though the cusp minor is regular."""
+    real = spaces_module.sigma_k_frac
+    monkeypatch.setattr(
+        spaces_module, "sigma_k_frac",
+        lambda k, n, delta: 1 if (n, delta) == (1, 2) else real(k, n, delta))
+    with pytest.raises(BasisError, match="not unit lower triangular"):
+        verify_independence(basis44)
 
 
 @pytest.mark.parametrize("pair", [(1, 44), (4, 11)])
@@ -159,8 +168,8 @@ def square_matrix(draw):
 @settings(max_examples=300, deadline=None)
 @given(square_matrix())
 def test_cusp_determinant_is_the_literal_one(mat):
-    """The certificate's determinant, sign included, is the Leibniz sum of
-    the leading minor; a zero determinant is a BasisError."""
+    """The returned determinant, sign included, is the Leibniz sum of the
+    leading minor; a zero determinant is a BasisError."""
     k = len(mat)
     basis = SpaceBasis(level=1, divisors=(), eisenstein_part=(),
                        cusp_part=tuple(QSeries(k, [0, *row]) for row in mat),
@@ -170,7 +179,7 @@ def test_cusp_determinant_is_the_literal_one(mat):
         with pytest.raises(BasisError, match="singular"):
             verify_independence(basis)
     else:
-        assert verify_independence(basis).cusp_determinant == det
+        assert verify_independence(basis) == det
 
 
 def test_derivation_spot_values(basis44):

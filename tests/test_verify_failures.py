@@ -1,9 +1,10 @@
 """Every verification suite fails loudly on a planted fault.
 
 Each fault is planted with ``monkeypatch`` in what one suite compares: a
-closed-form value, a cached eta expansion, an enumerated count, the independence certificate, a
-canonical weight, the expected condition profile, the dimension formula,
-the right-hand side of the identity or a value of the direct convolution
+closed-form value, a cached eta expansion, an enumerated count, the cusp
+minor or the Eisenstein matrix of the independence check, a canonical
+weight, the expected condition profile, the dimension formula, the
+right-hand side of the identity or a value of the direct convolution
 oracle.  The suite must then report ``ok is False``, name the fault in one
 line and end with its failure verdict; through the command line, ``verify``
 must exit 1 with that line on stdout, and ``verify all`` must still print
@@ -65,6 +66,14 @@ def singular_certificate(monkeypatch):
     return "level 44: cusp minor is singular"
 
 
+def eisenstein_matrix_off_the_triangle(monkeypatch):
+    real = spaces.sigma_k_frac
+    monkeypatch.setattr(
+        spaces, "sigma_k_frac",
+        lambda k, n, delta: 1 if (n, delta) == (1, 2) else real(k, n, delta))
+    return "level 44: Eisenstein system matrix is not unit lower triangular"
+
+
 def canonical_weight_changed(monkeypatch):
     s3, y = tables.EXPANSION_COEFFS[(4, 11)]
     monkeypatch.setitem(tables.EXPANSION_COEFFS, (4, 11),
@@ -94,7 +103,9 @@ def rhs_off_at_one_n(monkeypatch):
     def faulty(pair, w_values, precision):
         rhs = real(pair, w_values, precision)
         if (pair.alpha, pair.beta) == (1, 52):
-            rhs -= QSeries(precision, [0] * 31 + [1])
+            coeffs = list(rhs.coeffs)
+            coeffs[31] += 1
+            return QSeries(precision, coeffs)
         return rhs
 
     monkeypatch.setattr(verify, "rhs_identity", faulty)
@@ -119,6 +130,7 @@ FAULTS = [
      "reps: FAILED"),
     (enumeration_off_by_eight, lambda: verify.reps(20, 20), "reps: FAILED"),
     (singular_certificate, verify.basis, "basis: FAILED"),
+    (eisenstein_matrix_off_the_triangle, verify.basis, "basis: FAILED"),
     (canonical_weight_changed, lambda: verify.lemma32(60), "lemma32: FAILED"),
     (nonstrict_row_missing, verify.ligozat,
      "ligozat: deviation from the expected profile"),
