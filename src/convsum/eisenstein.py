@@ -11,32 +11,30 @@ values so the two sides can be compared coefficient by coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
 from operator import add, mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arith import sigma_k_frac, sigma_table
 from .qseries import QSeries
 
 
-@dataclass(frozen=True)
-class EisensteinPair:
+class EisensteinPair(NamedTuple("EisensteinPair",
+                                [("alpha", int), ("beta", int)])):
     """Coprime dilation factors alpha < beta."""
 
-    alpha: int
-    beta: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.alpha < 1 or self.beta < 1:
+    def __new__(cls, alpha: int, beta: int):
+        if alpha < 1 or beta < 1:
             raise ValueError("alpha and beta must be positive")
-        if gcd(self.alpha, self.beta) != 1:
+        if gcd(alpha, beta) != 1:
             raise ValueError(
-                f"alpha and beta must be coprime, got ({self.alpha}, {self.beta})")
-        if self.alpha >= self.beta:
-            raise ValueError(
-                f"need alpha < beta, got ({self.alpha}, {self.beta})")
+                f"alpha and beta must be coprime, got ({alpha}, {beta})")
+        if alpha >= beta:
+            raise ValueError(f"need alpha < beta, got ({alpha}, {beta})")
+        return super().__new__(cls, alpha, beta)
 
     @property
     def level(self) -> int:

@@ -10,7 +10,6 @@ defined because F has constant term 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, sqrt
@@ -22,12 +21,11 @@ from .arith import divisors, prime_factors
 from .qseries import QSeries, div_sparse, pack_narrow, sparse_product, unpack
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
-    """Exponent map delta -> r_delta over the divisors of a level."""
+class EtaQuotient(NamedTuple("EtaQuotient", [
+        ("level", int), ("exponents", tuple[tuple[int, int], ...])])):
+    """Exponent map delta -> r_delta as (delta, r_delta), delta ascending."""
 
-    level: int
-    exponents: tuple[tuple[int, int], ...]  # (divisor, exponent), ascending
+    __slots__ = ()
 
     @classmethod
     def of(cls, level, row) -> EtaQuotient:
@@ -38,12 +36,13 @@ class EtaQuotient:
                              f"{len(divs)} divisors of level {level}")
         return cls(level, tuple((d, r) for d, r in zip(divs, row) if r))
 
-    def __post_init__(self):
-        if self.level < 1:
+    def __new__(cls, level: int, exponents: tuple[tuple[int, int], ...]):
+        if level < 1:
             raise ValueError("level must be positive")
-        for d, _ in self.exponents:
-            if d < 1 or self.level % d:
-                raise ValueError(f"{d} does not divide level {self.level}")
+        for d, _ in exponents:
+            if d < 1 or level % d:
+                raise ValueError(f"{d} does not divide level {level}")
+        return super().__new__(cls, level, exponents)
 
     def exponent(self, delta: int) -> int:
         for d, r in self.exponents:
@@ -63,8 +62,7 @@ class EtaQuotient:
         return Fraction(sum(d * r for d, r in self.exponents), 24)
 
 
-@dataclass(frozen=True)
-class LigozatReport:
+class LigozatReport(NamedTuple):
     """Outcome of the membership conditions for one eta quotient.
 
     cond_i / cond_ii are the divisor-weighted congruences mod 24, cond_iii

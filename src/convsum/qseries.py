@@ -37,7 +37,6 @@ accumulator, and the sum is unpacked once.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from itertools import repeat
 from math import isqrt
 from operator import add, index, mul, sub
@@ -193,25 +192,43 @@ def div_sparse(dense: list[int], terms, limit: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
 class QSeries:
     """Immutable truncated power series with int coefficients; coeffs may
     be any iterable of ints up to precision + 1 long, and is stored as a
     tuple padded with zeros."""
 
-    precision: int
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("precision", "coeffs")
 
-    def __post_init__(self):
-        if self.precision < 1:
-            raise ValueError(f"precision must be >= 1, got {self.precision}")
+    def __init__(self, precision: int, coeffs=()):
+        if precision < 1:
+            raise ValueError(f"precision must be >= 1, got {precision}")
         # operator.index rejects Fraction and float coefficients outright
-        cs = list(map(index, self.coeffs))
-        if len(cs) > self.precision + 1:
+        cs = list(map(index, coeffs))
+        if len(cs) > precision + 1:
             raise ValueError(
-                f"{len(cs)} coefficients exceed precision {self.precision}")
-        cs.extend([0] * (self.precision + 1 - len(cs)))
+                f"{len(cs)} coefficients exceed precision {precision}")
+        cs.extend([0] * (precision + 1 - len(cs)))
+        object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"QSeries is immutable; cannot set or delete {name}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        # coeffs holds precision + 1 entries, so it decides the precision too
+        return (self.coeffs == other.coeffs if isinstance(other, QSeries)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.precision, self.coeffs))
+
+    def __repr__(self):
+        return f"QSeries(precision={self.precision!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return type(self), (self.precision, self.coeffs)
 
     def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.precision:

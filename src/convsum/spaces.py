@@ -21,10 +21,10 @@ the solution exists and is unique.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import add, mul
+from typing import NamedTuple
 
 from . import eta
 from .arith import dim_spaces, divisors, sigma_k_frac
@@ -48,8 +48,7 @@ class InconsistentSystemError(DerivationError):
     """A coefficient constraint is incompatible with the basis span."""
 
 
-@dataclass(frozen=True)
-class SpaceBasis:
+class SpaceBasis(NamedTuple):
     """Eisenstein and cusp q-expansions for one level, at one precision."""
 
     level: int
@@ -143,8 +142,7 @@ def verify_independence(basis: SpaceBasis) -> int:
 # ---------------------------------------------------------------------------
 # coefficient derivation
 
-@dataclass(frozen=True)
-class CoefficientSolution:
+class CoefficientSolution(NamedTuple):
     """Exact expansion weights of a squared Eisenstein combination."""
 
     eisenstein_weights: dict[int, Fraction]   # X_delta per divisor

@@ -8,7 +8,7 @@ work starts.  The command line and the acceptance tests share these checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import convolution, eta, representations, spaces, tables
 from .arith import dim_spaces, sigma_k, sigma_k_frac
@@ -19,8 +19,7 @@ LEMMA32_MIN_PRECISION = 2 * max(dim_spaces(level, 4)[0]
                                  for level in tables.CUSP_EXPONENTS)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """Outcome of one suite: its name, verdict and report lines."""
 
     name: str

@@ -18,6 +18,16 @@ def test_pair_validation():
     assert EisensteinPair(4, 13).level == 52
 
 
+@pytest.mark.parametrize("pair, message", [
+    ((2, 4), r"alpha and beta must be coprime, got \(2, 4\)"),
+    ((0, 5), "alpha and beta must be positive"),
+    ((5, 3), r"need alpha < beta, got \(5, 3\)"),
+])
+def test_pair_validation_messages(pair, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EisensteinPair(*pair)
+
+
 def test_series_L_coefficients():
     l = series_L(10)
     assert l[0] == 1

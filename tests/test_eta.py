@@ -297,6 +297,21 @@ def test_quotient_construction():
             EtaQuotient.of(44, row)
 
 
+def test_quotients_are_cache_keys_by_value(fresh_expansions):
+    """EtaQuotient.of and the constructor build equal keys with equal
+    hashes, so expanding one fills the cache entry the other reads."""
+    row = (1, -3, 4, -3, 5, 4)
+    built, direct = EtaQuotient.of(44, row), EtaQuotient(44, tuple(
+        (d, r) for d, r in zip(divisors(44), row) if r))
+    assert built is not direct
+    assert built == direct and hash(built) == hash(direct)
+    first = expand(built, 30)
+    entry = eta._EXPANSION_CACHE[direct]
+    assert expand(direct, 30) == first
+    assert list(eta._EXPANSION_CACHE) == [built]
+    assert eta._EXPANSION_CACHE[built] is entry
+
+
 def test_expand_trivial_and_errors():
     assert expand(EtaQuotient.of(6, (0, 0, 0, 0)), 8) == QSeries(8, [1])
     with pytest.raises(ValueError, match="not divisible by 24"):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from operator import sub
 
@@ -53,6 +55,21 @@ def test_immutability():
     s = QSeries(3, [1])
     with pytest.raises(AttributeError):
         s.precision = 5
+
+
+def test_value_semantics():
+    """A series is neither a tuple nor addable: + raises instead of
+    concatenating, it equals only a series, and hashes by value."""
+    s = QSeries(3, [1])
+    with pytest.raises(TypeError):
+        s + QSeries(3, [1])
+    assert s != (3, (1, 0, 0, 0))
+    assert s == QSeries(3, (1, 0)) and hash(s) == hash(QSeries(3, (1, 0)))
+    assert s != QSeries(4, [1])
+    assert repr(s) == "QSeries(precision=3, coeffs=(1, 0, 0, 0))"
+    with pytest.raises(AttributeError):
+        del s.coeffs
+    assert copy.copy(s) == s and pickle.loads(pickle.dumps(s)) == s
 
 
 def test_mul_examples():

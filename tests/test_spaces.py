@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -305,7 +304,7 @@ def test_residual_check_catches_a_late_coefficient():
     basis = build_basis(44, 100)
     last = basis.cusp_part[-1]
     changed = QSeries(100, last.coeffs[:100] + (last.coeffs[100] + 1,))
-    broken = replace(basis, cusp_part=basis.cusp_part[:-1] + (changed,))
+    broken = basis._replace(cusp_part=basis.cusp_part[:-1] + (changed,))
     with pytest.raises(DerivationError, match=r"residual at q\^100 "):
         derive_coefficients(EisensteinPair(1, 44), broken)
 
