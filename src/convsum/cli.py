@@ -1,17 +1,17 @@
 """Command-line surface for evaluation, tabulation, and verification.
 
 The ``verify`` commands print the report of the matching suite in
-:mod:`convsum.verify`.  Exit codes: 0 on success or all checks passing, 1 on
-a verification failure, 2 on usage errors.  Each argument is checked once,
-by the library function that uses it; :func:`main` is the one boundary for
-every command, which turns the library's ``ValueError`` into a usage error
-and its ``ArithmeticError`` (a closed form that fails its integrality
-check) into exit 1.  Before any work starts, the group precision must lie
-in [1, MAX_PRECISION] and caps every n and range, and ``dims`` refuses a
-level above MAX_LEVEL, which bounds its trial division.  All reports are
-deterministic: fixed ordering, no timestamps.  Rationals serialize as
-{"num": "...", "den": "..."} with decimal strings so consumers never lose
-precision.  Imports are per command: a launch loads only what it runs.
+:mod:`convsum.verify`.  Exit codes: 0 on success; 2 on a usage error, a
+``ValueError`` of the library function that checks the argument; 1 on a
+result that fails its own check, an ``ArithmeticError``.  :func:`main` is
+the one place where a command maps either to its exit, and :func:`_echo`
+the one place where a suite reports the latter as its failure.  Before any
+work starts, the group precision must lie in [1, MAX_PRECISION] and caps
+every n and range, and ``dims`` refuses a level above MAX_LEVEL, which
+bounds its trial division.  All reports are deterministic: fixed ordering,
+no timestamps.  Rationals serialize as {"num": "...", "den": "..."} with
+decimal strings so consumers never lose precision.  Imports are per
+command: a launch loads only what it runs.
 """
 
 from __future__ import annotations
@@ -221,13 +221,8 @@ def derive(args) -> None:
     rows = (eta.table_rows if args.basis == "printed"
             else eta.basis_rows)(pair.level)
     label = eta.rows_label(pair.level, rows)
-    try:
-        space = spaces.build_basis(pair.level, args.solve_precision, rows)
-        solution = spaces.derive_coefficients(pair, space)
-    except spaces.DerivationError as exc:
-        print(f"FAIL derivation over the {label} rows failed: {exc}",
-              file=sys.stderr)
-        sys.exit(1)
+    space = spaces.build_basis(pair.level, args.solve_precision, rows)
+    solution = spaces.derive_coefficients(pair, space)
     sigma3 = solution.sigma3_presentation()
     payload = {
         "alpha": alpha,
@@ -281,7 +276,11 @@ def export_tables(args) -> None:
 def _echo(suite: str, *args, header: bool = False) -> bool:
     """Run a suite of verify.py by name, print its report; return its ok."""
     from . import verify as suites
-    check = getattr(suites, suite)(*args)
+    try:
+        check = getattr(suites, suite)(*args)
+    except ArithmeticError as exc:
+        name = suite.replace("_", "-")
+        check = suites.Check(name, False, (str(exc), f"{name}: FAILED"))
     if header:
         print(f"== {check.name} ==")
     for line in check.lines:

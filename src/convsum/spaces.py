@@ -32,11 +32,11 @@ from .eisenstein import EisensteinPair, lhs_square, series_M
 from .qseries import QSeries
 
 
-class BasisError(Exception):
-    """Basis data failed a structural check (zero determinant etc.)."""
+class BasisError(ArithmeticError):
+    """Basis data failed a structural check: shape or independence."""
 
 
-class DerivationError(Exception):
+class DerivationError(ArithmeticError):
     """Coefficient derivation could not produce a verified solution."""
 
 

@@ -176,6 +176,22 @@ def test_every_command_is_the_error_boundary():
         assert f"probe {path}" in result.stderr and result.stdout == "", path
 
 
+def test_every_command_is_the_exit_1_boundary():
+    """An ArithmeticError from the handler of any command, here a failed
+    derivation, exits 1 with the message on stderr, nothing on stdout and
+    no traceback."""
+    assert len(cli.COMMANDS) >= 14
+    for path, (handler, options) in cli.COMMANDS.items():
+        @functools.wraps(handler)
+        def probe(args, path=path):
+            raise spaces.DerivationError(f"probe {path}")
+
+        with mock.patch.dict(cli.COMMANDS, {path: (probe, options)}):
+            result = run_cli(*path.split(), *_required_args(options))
+        assert result.exit_code == 1, path
+        assert f"probe {path}" in result.stderr and result.stdout == "", path
+
+
 @pytest.mark.parametrize("path", ["", *cli.COMMANDS],
                          ids=lambda path: path or "convsum")
 def test_help_shows_the_docstring(path):

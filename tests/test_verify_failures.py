@@ -8,7 +8,10 @@ right-hand side of the identity or a value of the direct convolution
 oracle.  The suite must then report ``ok is False``, name the fault in one
 line and end with its failure verdict; through the command line, ``verify``
 must exit 1 with that line on stdout, and ``verify all`` must still print
-every later suite's report.
+every later suite's report.  A fault that makes a result fail its own check
+(an ``ArithmeticError``: a basis of the wrong shape, an inconsistent
+derivation) is a failing line of the suite's report too, and a failure of
+``derive`` on stderr, never a traceback.
 """
 
 import pytest
@@ -238,3 +241,86 @@ def test_verify_all_reports_every_failing_suite(monkeypatch):
     lines = result.stdout.splitlines()
     assert {closed, "closed-forms: FAILED", counts, "reps: FAILED"} <= set(lines)
     assert lines[-1] == "all: FAILED"
+
+
+def repaired_row_set_back(monkeypatch):
+    """The repaired level-52 row set back to printed row 7: the rows and the
+    Eisenstein series no longer span the squared combinations."""
+    printed = tables.CUSP_EXPONENTS[52][tables.REPAIRED_ROW_INDEX_52 - 1]
+    monkeypatch.setattr(tables, "REPAIRED_ROW_52", printed)
+    return ("pair (1,52) at level 52: the coefficient constraint at q^22 "
+            "reduces to 0 = -17791488/41 over rows (0, 1, 2, ")
+
+
+def level44_row_missing(monkeypatch):
+    """The level-44 table one row short of dim S."""
+    monkeypatch.setitem(tables.CUSP_EXPONENTS, 44,
+                        tables.CUSP_EXPONENTS[44][:-1])
+    return "14 cusp rows for dim S = 15 at level 44"
+
+
+def dimension_formula_raises_at_44(monkeypatch):
+    real = verify.dim_spaces
+
+    def faulty(level, k):
+        if level == 44:
+            raise ArithmeticError("non-integral genus 9/2 at level 44")
+        return real(level, k)
+
+    monkeypatch.setattr(verify, "dim_spaces", faulty)
+    return "non-integral genus 9/2 at level 44"
+
+
+FAILED_RESULT_CHECKS = [
+    (repaired_row_set_back, ("verify", "lemma32"), "", "lemma32: FAILED"),
+    (level44_row_missing, ("verify", "basis"), "level 44: ", "basis: FAILED"),
+    (dimension_formula_raises_at_44, ("verify", "dims"), "", "dims: FAILED"),
+]
+
+
+@pytest.mark.parametrize("plant, args, prefix, verdict", FAILED_RESULT_CHECKS,
+                         ids=[p.__name__ for p, *_ in FAILED_RESULT_CHECKS])
+def test_failed_result_check_fails_the_suite(monkeypatch, plant, args, prefix,
+                                             verdict):
+    """A result that fails its own check is a failing line of the suite's
+    report, then its verdict: exit 1, no traceback."""
+    line = prefix + plant(monkeypatch)
+    result = run_cli(*args)
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    assert any(x.startswith(line) for x in lines), lines
+    assert lines[-1] == verdict
+    assert result.stderr == ""
+
+
+@pytest.mark.parametrize("plant", [p for p, *_ in FAILED_RESULT_CHECKS],
+                         ids=lambda p: p.__name__)
+def test_verify_all_survives_a_failed_result_check(monkeypatch, plant):
+    """``verify all`` runs every suite after a result fails its own check
+    and ends with its own verdict."""
+    line = plant(monkeypatch)
+    result = run_cli("verify", "all", "--fast")
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    assert any(line in x for x in lines), lines
+    headers = [x for x in lines if x.startswith("== ")]
+    assert headers == [f"== {name} ==" for name in (
+        "ligozat", "basis", "dims", "identity", "lemma32", "closed-forms",
+        "reps")]
+    assert lines[-1] == "all: FAILED"
+    assert result.stderr == ""
+
+
+@pytest.mark.parametrize("plant, pair", [
+    (repaired_row_set_back, ("1", "52")),
+    (level44_row_missing, ("1", "44")),
+], ids=["repaired_row_set_back", "level44_row_missing"])
+def test_derive_exits_1_on_a_failed_result_check(monkeypatch, plant, pair):
+    """A derivation or basis that fails its own check exits 1 through the
+    one boundary: the message on stderr, nothing on stdout."""
+    line = plant(monkeypatch)
+    result = run_cli("derive", "--alpha", pair[0], "--beta", pair[1])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"convsum derive: error: {line}")
+    assert "Traceback" not in result.stderr
