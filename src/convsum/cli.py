@@ -4,8 +4,8 @@ The ``verify`` commands print the report of the matching suite in
 :mod:`convsum.verify`.  Exit codes: 0 on success; 2 on a usage error, a
 ``ValueError`` of the library function that checks the argument; 1 on a
 result that fails its own check, an ``ArithmeticError``.  :func:`main` is
-the one place where a command maps either to its exit, and :func:`_echo`
-the one place where a suite reports the latter as its failure.  Before any
+the one place where a command maps either to its exit; within a suite,
+``verify._check`` reports the latter as a failing line.  Before any
 work starts, the group precision must lie in [1, MAX_PRECISION] and caps
 every n and range, and ``dims`` refuses a level above MAX_LEVEL, which
 bounds its trial division.  All reports are deterministic: fixed ordering,
@@ -276,11 +276,7 @@ def export_tables(args) -> None:
 def _echo(suite: str, *args, header: bool = False) -> bool:
     """Run a suite of verify.py by name, print its report; return its ok."""
     from . import verify as suites
-    try:
-        check = getattr(suites, suite)(*args)
-    except ArithmeticError as exc:
-        name = suite.replace("_", "-")
-        check = suites.Check(name, False, (str(exc), f"{name}: FAILED"))
+    check = getattr(suites, suite)(*args)
     if header:
         print(f"== {check.name} ==")
     for line in check.lines:

@@ -71,9 +71,10 @@ def w_closed_table(pair: tuple[int, int], max_n: int,
     where s_d (over the ascending divisors d of a b) and Y_j are the
     expansion of the square of the pair over the basis with cusp rows c_j.
     ``expansion`` is (s, Y, rows); it defaults to ``tables.EXPANSION_COEFFS``
-    over ``eta.basis_rows``.  Every term is scaled by the lcm of the
-    expansion's denominators, so the sum runs in integers from sigma_3 /
-    sigma sieves and the cusp expansions, which are read packed from the
+    over ``eta.basis_rows``, and must hold one s_d per divisor and one Y_j
+    per row.  Every term is scaled by the lcm of the expansion's
+    denominators, so the sum runs in integers from sigma_3 / sigma sieves
+    and the cusp expansions, which are read packed from the
     expansion cache and added in one ``qseries.combine_packed`` call; each
     scaled value must then be a non-negative multiple of 1152 a b times
     that lcm.
@@ -85,14 +86,20 @@ def w_closed_table(pair: tuple[int, int], max_n: int,
         if (a, b) not in tables.EXPANSION_COEFFS:
             raise ValueError(f"closed form unavailable for {(a, b)}")
         expansion = (*tables.EXPANSION_COEFFS[(a, b)], eta.basis_rows(a * b))
+    s3_coeffs, cusp_weights, rows = expansion
+    ds = divisors(a * b)
+    if (len(s3_coeffs), len(cusp_weights)) != (len(ds), len(rows)):
+        raise ArithmeticError(
+            f"closed form for {(a, b)}: {len(s3_coeffs)} sigma_3 coefficients "
+            f"for {len(ds)} divisors, {len(cusp_weights)} cusp weights for "
+            f"{len(rows)} rows")
     if max_n == 0:
         return [0]
-    s3_coeffs, cusp_weights, rows = expansion
     den = lcm(*(c.denominator for c in (*s3_coeffs, *cusp_weights)))
     acc = [0] * (max_n + 1)
     s3 = sigma_table(3, max_n)
     own = {a: 240 * a * a, b: 240 * b * b}
-    for d, s in zip(divisors(a * b), s3_coeffs):
+    for d, s in zip(ds, s3_coeffs):
         c = int((own.get(d, 0) - s) * den)
         acc[d::d] = map(add, acc[d::d], map(mul, s3[1:], repeat(c)))
     s1 = sigma_table(1, max_n)

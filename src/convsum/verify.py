@@ -3,8 +3,10 @@
 Each suite checks results of the paper against an independent oracle or
 pinned data and returns a :class:`Check` whose ``lines`` are the report the
 command prints; the acceptance tests share these checks.  A bad argument
-raises ``ValueError`` before any work starts, and a failed result check
-``ArithmeticError``: one item's line where a suite compares several.
+raises ``ValueError`` before any work starts.  A suite is a list of
+comparisons, and :func:`_check` runs every one: a failed result check, an
+``ArithmeticError``, is the failing line of its comparison, so a suite
+names every failing item and raises none.
 """
 
 from __future__ import annotations
@@ -33,11 +35,21 @@ def _require_positive(option: str, value: int) -> None:
         raise ValueError(f"{option} must be positive, got {value}")
 
 
-def _check(name: str, results: list[tuple[bool, str]],
+def _check(name: str, comparisons: list[tuple],
            verdicts: tuple[str, str] = ("ok", "FAILED")) -> Check:
-    """One report line per comparison; the suite passes when all of them do."""
-    ok = all(passed for passed, _ in results)
-    lines = [line for _, line in results]
+    """Run every comparison ``(compare, *args)``: ``compare(*args)`` gives
+    (passed, line), a line of None printing nothing, and an
+    ``ArithmeticError`` it raises is a failing line with its message.  The
+    suite passes when every comparison does."""
+    ok, lines = True, []
+    for compare, *args in comparisons:
+        try:
+            passed, line = compare(*args)
+        except ArithmeticError as exc:
+            passed, line = False, str(exc)
+        ok = ok and passed
+        if line is not None:
+            lines.append(line)
     lines.append(f"{name}: {verdicts[0] if ok else verdicts[1]}")
     return Check(name, ok, tuple(lines))
 
@@ -45,68 +57,65 @@ def _check(name: str, results: list[tuple[bool, str]],
 def ligozat(levels: tuple[int, ...] = tuple(tables.CUSP_EXPONENTS)) -> Check:
     """Every table row satisfies conditions (i)-(v) at weight 4; the strict
     order condition fails on the known non-cuspidal rows and only there."""
-    results = []
-    for level in levels:
-        nonstrict = tables.NONSTRICT_ROWS[level]
-        for i, row in enumerate(eta.table_rows(level), 1):
-            rep = eta.check_ligozat(row)
-            row_ok = (rep.in_modular_space and rep.weight == 4
-                      and rep.cond_v_prime == (i not in nonstrict))
-            note = "cusp" if rep.cond_v_prime else "order 0 at some cusp"
-            results.append((row_ok, (
-                f"level {level} row {i:2d} {row.as_row()}: "
-                f"weight {rep.weight}, leading q^{rep.leading_exponent}, "
-                f"{note} [{'ok' if row_ok else 'UNEXPECTED'}]")))
-    return _check("ligozat", results,
-                  ("all rows match the expected condition profile",
-                   "deviation from the expected profile"))
+    def compare(level, i, row):
+        rep = eta.check_ligozat(row)
+        row_ok = (rep.in_modular_space and rep.weight == 4 and
+                  rep.cond_v_prime == (i not in tables.NONSTRICT_ROWS[level]))
+        note = "cusp" if rep.cond_v_prime else "order 0 at some cusp"
+        return row_ok, (
+            f"level {level} row {i:2d} {row.as_row()}: weight {rep.weight}, "
+            f"leading q^{rep.leading_exponent}, {note} "
+            f"[{'ok' if row_ok else 'UNEXPECTED'}]")
+    return _check("ligozat", [
+        (compare, level, i, row) for level in levels
+        for i, row in enumerate(eta.table_rows(level), 1)],
+        ("all rows match the expected condition profile",
+         "deviation from the expected profile"))
 
 
 def basis() -> Check:
     """Independence certificates for both levels."""
-    results = []
-    for level in tables.CUSP_EXPONENTS:
+    def compare(level):
         try:
             space = spaces.build_basis(level, 48, eta.table_rows(level))
             det = spaces.verify_independence(space)
         except ArithmeticError as exc:
-            results.append((False, f"level {level}: {exc}"))
-            continue
+            return False, f"level {level}: {exc}"
         expected = tables.CUSP_DETERMINANTS[level]
         # reached only when the Eisenstein check passed
-        results.append((det == expected, (
+        return det == expected, (
             f"level {level}: cusp minor determinant {det} (expected "
-            f"{expected}), Eisenstein matrix unit lower triangular: True")))
-    return _check("basis", results)
+            f"{expected}), Eisenstein matrix unit lower triangular: True")
+    return _check("basis", [(compare, lv) for lv in tables.CUSP_EXPONENTS])
 
 
 def dims() -> Check:
     """Dimension formula against the pinned values, and M = E + S."""
-    results = []
-    for level, expected in ((1, (1, 1, 0)), (44, (21, 6, 15)),
-                            (52, (24, 6, 18))):
+    def pinned(level, expected):
         got = dim_spaces(level, 4)
-        results.append((got == expected,
-                        f"level {level}: dims {got} (expected {expected})"))
-    for level in range(1, 61):
+        return got == expected, (f"level {level}: dims {got} "
+                                 f"(expected {expected})")
+
+    def additive(level):
         m, e, s = dim_spaces(level, 4)
-        if m != e + s:
-            results.append((False, f"level {level}: M != E + S"))
-    return _check("dims", results)
+        return m == e + s, None if m == e + s else f"level {level}: M != E + S"
+    return _check("dims", [
+        (pinned, 1, (1, 1, 0)), (pinned, 44, (21, 6, 15)),
+        (pinned, 52, (24, 6, 18)), *((additive, lv) for lv in range(1, 61))])
 
 
 def identity(max_n: int, pairs=convolution.EVALUATED_PAIRS) -> Check:
     """Squared combination against its convolution-sum expansion, per pair."""
     _require_positive("max-n", max_n)
-    results = []
-    for pair in [EisensteinPair(a, b) for a, b in pairs]:
+
+    def compare(pair):
         w = convolution.w_series_oracle(pair.alpha, pair.beta, max_n)
         exact = lhs_square(pair, max_n) == rhs_identity(
             pair, lambda n: w[n], max_n)
-        results.append((exact, f"identity ({pair.alpha},{pair.beta}): " + (
+        return exact, f"identity ({pair.alpha},{pair.beta}): " + (
             f"exact for all n <= {max_n}" if exact
-            else f"MISMATCH within n <= {max_n}")))
-    return _check("identity", results)
+            else f"MISMATCH within n <= {max_n}")
+    return _check("identity", [(compare, EisensteinPair(*p)) for p in pairs])
 
 
 def lemma32(precision: int) -> Check:
@@ -115,8 +124,8 @@ def lemma32(precision: int) -> Check:
     if precision < LEMMA32_MIN_PRECISION:
         raise ValueError(f"lemma32 precision must be at least "
                          f"{LEMMA32_MIN_PRECISION}, got {precision}")
-    results = []
-    for (a, b), (exp_s3, exp_y) in sorted(tables.EXPANSION_COEFFS.items()):
+
+    def compare(a, b, exp_s3, exp_y):
         pair = EisensteinPair(a, b)
         space = spaces.build_basis(pair.level, precision)
         label = eta.rows_label(pair.level, space.cusp_rows)
@@ -129,29 +138,26 @@ def lemma32(precision: int) -> Check:
             note = "reported list inconsistent with the printed rows"
         else:
             note = f"reported list diverges at one {kind} entry ({where})"
-        results.append((match, f"pair ({a},{b}) over {label} rows: "
-                               f"canonical match: {match}; {note}"))
-    return _check("lemma32", results)
+        return match, (f"pair ({a},{b}) over {label} rows: "
+                       f"canonical match: {match}; {note}")
+    return _check("lemma32", [(compare, *pair, *expected) for pair, expected
+                              in sorted(tables.EXPANSION_COEFFS.items())])
 
 
 def closed_forms(max_n: int) -> Check:
-    """Closed forms against brute force, exact integer equality; a closed
-    table that fails its own check is reported by its error."""
+    """Closed forms against brute force, exact integer equality."""
     _require_positive("max-n", max_n)
-    results = []
-    for pair in convolution.EVALUATED_PAIRS:
-        try:
-            closed = convolution.w_closed_table(pair, max_n)
-        except ArithmeticError as exc:
-            results.append((False, str(exc)))
-            continue
+
+    def compare(pair):
+        closed = convolution.w_closed_table(pair, max_n)
         oracle = convolution.w_series_oracle(*pair, max_n)
         first = next((n for n in range(max_n + 1) if closed[n] != oracle[n]),
                      None)
-        results.append((first is None, f"closed form {pair}: " + (
+        return first is None, f"closed form {pair}: " + (
             f"equals brute force for n <= {max_n}" if first is None
-            else f"diverges at n = {first}")))
-    return _check("closed-forms", results)
+            else f"diverges at n = {first}")
+    return _check("closed-forms", [
+        (compare, pair) for pair in convolution.EVALUATED_PAIRS])
 
 
 def _substitution_holds(b: int, n: int) -> bool:
@@ -166,27 +172,25 @@ def _substitution_holds(b: int, n: int) -> bool:
 
 def reps(max_n: int, substitution_max_n: int) -> Check:
     """Octonary counts against enumeration, and the substitution identities
-    behind their closed forms; a closed table or count that fails its own
-    check is reported by its error."""
+    behind their closed forms."""
     _require_positive("max-n", max_n)
     _require_positive("substitution-max-n", substitution_max_n)
-    results = []
-    for a, b in representations.CLOSED_FORM_PAIRS:
-        try:
-            w = representations.default_w_provider(b, max_n)
-            bad = next((n for n in range(max_n + 1)
-                        if representations.rep_count_closed(a, b, n, w)
-                        != representations.rep_count_enumerate(a, b, n)), None)
-        except ArithmeticError as exc:
-            results.append((False, str(exc)))
-            continue
-        results.append((bad is None, f"octonary counts ({a},{b}): " + (
+
+    def counts(a, b):
+        w = representations.default_w_provider(b, max_n)
+        bad = next((n for n in range(max_n + 1)
+                    if representations.rep_count_closed(a, b, n, w)
+                    != representations.rep_count_enumerate(a, b, n)), None)
+        return bad is None, f"octonary counts ({a},{b}): " + (
             f"closed equals enumeration for n <= {max_n}" if bad is None
-            else f"mismatch at n = {bad}")))
-    for _, b in representations.CLOSED_FORM_PAIRS:
+            else f"mismatch at n = {bad}")
+
+    def substitution(b):
         bad = next((n for n in range(1, substitution_max_n + 1)
                     if not _substitution_holds(b, n)), None)
-        results.append((bad is None, f"substitution identities for b = {b}: "
-                        + (f"exact for n <= {substitution_max_n}"
-                           if bad is None else f"fail at n = {bad}")))
-    return _check("reps", results)
+        return bad is None, f"substitution identities for b = {b}: " + (
+            f"exact for n <= {substitution_max_n}" if bad is None
+            else f"fail at n = {bad}")
+    pairs = representations.CLOSED_FORM_PAIRS
+    return _check("reps", [*((counts, a, b) for a, b in pairs),
+                           *((substitution, b) for _, b in pairs)])

@@ -1,3 +1,4 @@
+import ast
 import csv
 import functools
 import io
@@ -421,3 +422,25 @@ def test_each_launch_imports_only_what_its_command_runs():
     suites = _loaded("verify", "all", "--fast")
     for loaded in (bare, dims, closed, counts, derive, suites):
         assert not loaded & {"click", "dataclasses", "inspect"}
+
+
+def test_one_site_per_role_catches_a_failed_result_check():
+    """A failed result check, an ``ArithmeticError``, is caught only where
+    a command turns it into exit 1 (``cli.main``), where a suite turns it
+    into a failing line (``verify._check``) and where ``verify.basis``
+    prefixes that line with its level; ``cli._echo`` only prints."""
+    broad = {"ArithmeticError", "Exception", "BaseException"}
+    sites, echo = set(), None
+    for path in sorted((ROOT / "src" / "convsum").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            name = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            if name == "cli._echo":
+                echo = top
+            for node in ast.walk(top):
+                if isinstance(node, ast.ExceptHandler) and (
+                        node.type is None or broad & {
+                            n.id for n in ast.walk(node.type)
+                            if isinstance(n, ast.Name)}):
+                    sites.add(name)
+    assert sites == {"cli.main", "verify._check", "verify.basis"}
+    assert not any(isinstance(n, ast.Try) for n in ast.walk(echo))

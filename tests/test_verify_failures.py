@@ -324,3 +324,80 @@ def test_derive_exits_1_on_a_failed_result_check(monkeypatch, plant, pair):
     assert result.stdout == ""
     assert result.stderr.startswith(f"convsum derive: error: {line}")
     assert "Traceback" not in result.stderr
+
+
+def test_lemma32_reports_every_pair_after_a_failed_derivation(monkeypatch):
+    """With the repaired row set back, both level-52 derivations fail their
+    own check; ``lemma32`` still compares every pair, in table order, and
+    returns its report instead of raising."""
+    line = repaired_row_set_back(monkeypatch)
+    check = verify.lemma32(120)
+    assert check.ok is False
+    assert [x.split()[1] for x in check.lines[:-1]] == [
+        f"({a},{b})" for a, b in sorted(tables.EXPANSION_COEFFS)]
+    assert check.lines[0] == (
+        "pair (1,44) over printed rows: canonical match: True; reported list "
+        "diverges at one sigma3 entry (2)")
+    assert check.lines[1].startswith(line)
+    assert check.lines[2] == (
+        "pair (4,11) over printed rows: canonical match: True; reported list "
+        "diverges at one cusp entry (7)")
+    assert check.lines[3].startswith(
+        "pair (4,13) at level 52: the coefficient constraint at q^22 "
+        "reduces to 0 = -916992/41 over rows (0, 1, 2, ")
+    assert check.lines[4] == "lemma32: FAILED"
+    result = run_cli("verify", "lemma32")
+    assert result.exit_code == 1
+    assert tuple(result.stdout.splitlines()) == check.lines
+    assert result.stderr == ""
+
+
+def _raise_probe(*args, **kwargs):
+    raise ArithmeticError("probe")
+
+
+PROBES = [
+    (eta, "check_ligozat", verify.ligozat,
+     "ligozat: deviation from the expected profile"),
+    (verify, "dim_spaces", verify.dims, "dims: FAILED"),
+    (verify, "lhs_square", lambda: verify.identity(30), "identity: FAILED"),
+    (spaces, "derive_coefficients", lambda: verify.lemma32(60),
+     "lemma32: FAILED"),
+    (convolution, "w_series_oracle", lambda: verify.closed_forms(30),
+     "closed-forms: FAILED"),
+    (convolution, "w_oracle", lambda: verify.reps(10, 20), "reps: FAILED"),
+]
+
+
+@pytest.mark.parametrize("module, name, run, verdict", PROBES,
+                         ids=[name for _, name, _, _ in PROBES])
+def test_no_suite_raises_a_failed_result_check(monkeypatch, module, name, run,
+                                               verdict):
+    """A library call that fails its own check is a failing line of the
+    suite that made it, which then ends with its failure verdict."""
+    monkeypatch.setattr(module, name, _raise_probe)
+    check = run()
+    assert check.ok is False
+    assert any("probe" in x for x in check.lines[:-1])
+    assert check.lines[-1] == verdict
+
+
+def test_closed_table_checks_its_shape(monkeypatch):
+    """A cusp table one row short is a shape error of every closed form
+    over it, a failed result check (not a usage error), before any term is
+    dropped."""
+    level44_row_missing(monkeypatch)
+    with pytest.raises(ArithmeticError, match=(
+            r"^closed form for \(1, 44\): 6 sigma_3 coefficients for 6 "
+            r"divisors, 15 cusp weights for 14 rows$")):
+        convolution.w_closed_table((1, 44), 0)
+    result = run_cli("verify", "closed-forms", "--max-n", "60")
+    assert result.exit_code == 1
+    assert result.stdout.splitlines() == [
+        "closed form for (1, 44): 6 sigma_3 coefficients for 6 divisors, "
+        "15 cusp weights for 14 rows",
+        "closed form for (4, 11): 6 sigma_3 coefficients for 6 divisors, "
+        "15 cusp weights for 14 rows",
+        "closed form (1, 52): equals brute force for n <= 60",
+        "closed form (4, 13): equals brute force for n <= 60",
+        "closed-forms: FAILED"]
