@@ -17,13 +17,13 @@ _HOME = {name: module for module, names in {
                     "w_closed_table", "w_oracle", "w_series_oracle"),
     "eisenstein": ("EisensteinPair", "lhs_square", "rhs_identity", "series_L",
                    "series_M"),
-    "eta": ("EtaQuotient", "LigozatReport", "basis_rows", "check_ligozat",
-            "expand", "table_rows"),
+    "eta": ("BasisError", "EtaQuotient", "LigozatReport", "basis_rows",
+            "check_ligozat", "expand", "table_rows"),
     "qseries": ("QSeries",),
     "representations": ("CLOSED_FORM_PAIRS", "default_w_provider",
                         "r4_enumerate", "r4_jacobi", "rep_count_closed",
                         "rep_count_enumerate"),
-    "spaces": ("BasisError", "CoefficientSolution", "DerivationError",
+    "spaces": ("CoefficientSolution", "DerivationError",
                "InconsistentSystemError", "SingularSystemError",
                "SpaceBasis", "build_basis", "derive_coefficients",
                "verify_independence"),

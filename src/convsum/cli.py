@@ -1,17 +1,18 @@
 """Command-line surface for evaluation, tabulation, and verification.
 
 The ``verify`` commands print the report of the matching suite in
-:mod:`convsum.verify`.  Exit codes: 0 on success; 2 on a usage error, a
-``ValueError`` of the library function that checks the argument; 1 on a
-result that fails its own check, an ``ArithmeticError``.  :func:`main` is
-the one place where a command maps either to its exit; within a suite,
-``verify._check`` reports the latter as a failing line.  Before any
-work starts, the group precision must lie in [1, MAX_PRECISION] and caps
-every n and range, and ``dims`` refuses a level above MAX_LEVEL, which
-bounds its trial division.  All reports are deterministic: fixed ordering,
-no timestamps.  Rationals serialize as {"num": "...", "den": "..."} with
-decimal strings so consumers never lose precision.  Imports are per
-command: a launch loads only what it runs.
+:mod:`convsum.verify` and return its verdict.  Exit codes: 0 on success; 2
+on a usage error, a ``ValueError`` of the library function that checks the
+argument; 1 on a failed suite or a result that fails its own check, an
+``ArithmeticError`` (which ``verify._check`` makes a failing line within a
+suite).  :func:`main` is the one place where a command maps each to its
+exit, and where, before a handler runs, the group precision must lie in
+[1, MAX_PRECISION] and caps every n and range, the options in ``CAPPED``;
+``verify all`` caps its fixed ranges itself.  ``dims`` refuses a level
+above MAX_LEVEL, which bounds its trial division.  All reports are
+deterministic: fixed ordering, no timestamps.  Rationals serialize as
+{"num": "...", "den": "..."} with decimal strings so consumers never lose
+precision.  Imports are per command: a launch loads only what it runs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from . import tables
 DEFAULT_PRECISION = 1000
 MAX_PRECISION = 10 ** 6
 MAX_LEVEL = 10 ** 10  # dims factors by trial division up to sqrt(level)
+# the option dests that are an n or a range; the group precision caps them
+CAPPED = ("n", "max_n", "substitution_max_n", "solve_precision")
 LEVELS = [*map(str, tables.CUSP_EXPONENTS), "all"]
 METHODS = ["closed", "oracle"]
 
@@ -106,7 +109,10 @@ def main(args=None, prog_name: str = "convsum",
         if parsed.precision > MAX_PRECISION:
             raise ValueError(f"precision {parsed.precision} exceeds the "
                              f"ceiling {MAX_PRECISION}")
-        parsed.handler(parsed)
+        check_max_n(parsed.precision,
+                    max(getattr(parsed, dest, 0) for dest in CAPPED))
+        if parsed.handler(parsed) is False:  # a verify suite failed
+            sys.exit(1)
     except ValueError as exc:
         parsed.parser.error(str(exc))
     except ArithmeticError as exc:
@@ -152,7 +158,6 @@ def _dump_csv(rows) -> str:
 def eval_w(args) -> None:
     """Print the convolution sum of (alpha, beta) at n."""
     from . import convolution
-    check_max_n(args.precision, args.n)
     print(convolution.w_closed((args.alpha, args.beta), args.n)
           if args.method == "closed"
           else convolution.w_oracle(args.alpha, args.beta, args.n))
@@ -164,7 +169,6 @@ def eval_w(args) -> None:
 def table_w(args) -> None:
     """Tabulate convolution sums for n = 0..max-n."""
     from . import convolution
-    check_max_n(args.precision, args.max_n)
     pair = args.alpha, args.beta
     if args.method == "closed":
         values = convolution.w_closed_table(pair, args.max_n)
@@ -185,7 +189,6 @@ def table_w(args) -> None:
 def rep_count(args) -> None:
     """Print the octonary representation count for (a, b) at n."""
     from . import representations
-    check_max_n(args.precision, args.n)
     print(representations.rep_count_closed(args.a, args.b, args.n)
           if args.method == "closed"
           else representations.rep_count_enumerate(args.a, args.b, args.n))
@@ -217,7 +220,6 @@ def derive(args) -> None:
     from .arith import divisors
     alpha, beta = args.alpha, args.beta
     pair = eisenstein.EisensteinPair(alpha, beta)
-    check_max_n(args.precision, args.solve_precision)
     rows = (eta.table_rows if args.basis == "printed"
             else eta.basis_rows)(pair.level)
     label = eta.rows_label(pair.level, rows)
@@ -284,73 +286,63 @@ def _echo(suite: str, *args, header: bool = False) -> bool:
     return check.ok
 
 
-def _report(suite: str, *args) -> None:
-    """Run one suite and print its report; exit 1 if it fails."""
-    if not _echo(suite, *args):
-        sys.exit(1)
-
-
 @_command("verify ligozat", _option("--level", choices=LEVELS, default="all"))
-def verify_ligozat(args) -> None:
+def verify_ligozat(args) -> bool:
     """Membership conditions for every embedded table row; the strict order
     condition must fail precisely on the known non-cuspidal rows."""
-    _report("ligozat", _levels(args.level))
+    return _echo("ligozat", _levels(args.level))
 
 
 @_command("verify basis")
-def verify_basis(args) -> None:
+def verify_basis(args) -> bool:
     """Independence certificates for both levels."""
-    _report("basis")
+    return _echo("basis")
 
 
 @_command("verify identity", _option("--alpha", default=None),
           _option("--beta", default=None), _option("--max-n", default=300))
-def verify_identity(args) -> None:
+def verify_identity(args) -> bool:
     """Squared combination versus its convolution-sum expansion."""
     from .convolution import EVALUATED_PAIRS
-    check_max_n(args.precision, args.max_n)
     if (args.alpha is None) != (args.beta is None):
         raise ValueError("--alpha and --beta must be given together")
     pairs = (EVALUATED_PAIRS if args.alpha is None
              else ((args.alpha, args.beta),))
-    _report("identity", args.max_n, pairs)
+    return _echo("identity", args.max_n, pairs)
 
 
 @_command("verify lemma32",
           _option("--precision", dest="solve_precision", metavar="PRECISION",
                   default=120))
-def verify_lemma32(args) -> None:
+def verify_lemma32(args) -> bool:
     """Re-derive all four expansions and compare with the embedded data,
     calling out where the previously reported lists diverge."""
-    check_max_n(args.precision, args.solve_precision)
-    _report("lemma32", args.solve_precision)
+    return _echo("lemma32", args.solve_precision)
 
 
 @_command("verify closed-forms", _option("--max-n", default=1000))
-def verify_closed_forms(args) -> None:
+def verify_closed_forms(args) -> bool:
     """Closed forms against brute force, exact integer equality."""
-    check_max_n(args.precision, args.max_n)
-    _report("closed_forms", args.max_n)
+    return _echo("closed_forms", args.max_n)
 
 
 @_command("verify reps", _option("--max-n", default=100),
           _option("--substitution-max-n", default=300))
-def verify_reps(args) -> None:
+def verify_reps(args) -> bool:
     """Octonary counts and the substitution identities behind them."""
-    check_max_n(args.precision, max(args.max_n, args.substitution_max_n))
-    _report("reps", args.max_n, args.substitution_max_n)
+    return _echo("reps", args.max_n, args.substitution_max_n)
 
 
 @_command("verify dims")
-def verify_dims(args) -> None:
+def verify_dims(args) -> bool:
     """Dimension formula against the pinned values."""
-    _report("dims")
+    return _echo("dims")
 
 
 @_command("verify all", _option(
     "--fast", action="store_true",
     help="Reduced ranges (closed forms to n = 200, reps to n = 40)."))
-def verify_all(args) -> None:
+def verify_all(args) -> bool:
     """Run every verification suite in order; exit 1 at the end if any
     of them failed."""
     fast = args.fast
@@ -364,11 +356,9 @@ def verify_all(args) -> None:
         ("reps", 40 if fast else 100, 100 if fast else 300),
     ]
     check_max_n(args.precision, max(n for _, *ranges in runs for n in ranges))
-    passed = [_echo(*run, header=True) for run in runs]
-    if not all(passed):
-        print("all: FAILED")
-        sys.exit(1)
-    print("all: ok")
+    passed = all([_echo(*run, header=True) for run in runs])  # runs each
+    print(f"all: {'ok' if passed else 'FAILED'}")
+    return passed
 
 
 if __name__ == "__main__":

@@ -21,6 +21,10 @@ from .arith import divisors, prime_factors
 from .qseries import QSeries, div_sparse, pack_narrow, sparse_product, unpack
 
 
+class BasisError(ArithmeticError):
+    """Basis data failed a structural check: shape or independence."""
+
+
 class EtaQuotient(NamedTuple("EtaQuotient", [
         ("level", int), ("exponents", tuple[tuple[int, int], ...])])):
     """Exponent map delta -> r_delta as (delta, r_delta), delta ascending."""
@@ -251,14 +255,6 @@ def _plan(eq: EtaQuotient):
     return g, tuple(steps), tuple(divs)
 
 
-def _euler_product(steps, divs, limit: int) -> list[int]:
-    """A planned product below x^(limit + 1)."""
-    product = sparse_product([f.terms(d, limit) for f, d in steps], limit)
-    for d in divs:
-        product = div_sparse(product, _EULER.terms(d, limit), limit)
-    return product
-
-
 # best-precision expansion per quotient as (precision, x, w, max|c|): the
 # coefficients packed by qseries.pack_narrow on precision + 1 slots of w
 # bytes; truncated views are served from it, so repeated requests at mixed
@@ -266,35 +262,29 @@ def _euler_product(steps, divs, limit: int) -> list[int]:
 _EXPANSION_CACHE: dict[EtaQuotient, tuple[int, int, int, int]] = {}
 
 
-def _expand_ints(eq: EtaQuotient, precision: int) -> list[int]:
-    cached = _EXPANSION_CACHE.get(eq)
-    if cached is not None and cached[0] >= precision:
-        return unpack(cached[1], precision + 1, cached[2])
-    e24 = sum(d * r for d, r in eq.exponents)
-    if e24 % 24:
-        raise ValueError(
-            f"exponent-weighted divisor sum {e24} is not divisible by 24; "
-            "the expansion is not a power series in q")
-    e = e24 // 24
-    if e < 0:
-        raise ValueError(f"negative leading exponent {e}")
-    # the Euler product is needed below q^(limit + 1) only
-    limit = precision - e
-    dense = [0] * (precision + 1)
-    if limit >= 0:
-        g, steps, divs = _plan(eq)
-        dense[e::g] = _euler_product(steps, divs, limit // g)
-    _EXPANSION_CACHE[eq] = (precision, *pack_narrow(dense))
-    return dense
-
-
 def expand_packed(eq: EtaQuotient, precision: int) -> tuple[int, int, int]:
     """(x, w, top): the cached expansion, to the precision or beyond,
     packed on w-byte slots whose absolute values are at most top."""
     cached = _EXPANSION_CACHE.get(eq)
     if cached is None or cached[0] < precision:
-        _expand_ints(eq, precision)
-        cached = _EXPANSION_CACHE[eq]
+        e24 = sum(d * r for d, r in eq.exponents)
+        if e24 % 24:
+            raise ValueError(
+                f"exponent-weighted divisor sum {e24} is not divisible by "
+                "24; the expansion is not a power series in q")
+        e = e24 // 24
+        if e < 0:
+            raise ValueError(f"negative leading exponent {e}")
+        dense = [0] * (precision + 1)
+        if precision >= e:
+            # the planned product, a series in x = q^g, below x^(limit + 1)
+            g, steps, divs = _plan(eq)
+            limit = (precision - e) // g
+            prod = sparse_product([f.terms(d, limit) for f, d in steps], limit)
+            for d in divs:
+                prod = div_sparse(prod, _EULER.terms(d, limit), limit)
+            dense[e::g] = prod
+        cached = _EXPANSION_CACHE[eq] = (precision, *pack_narrow(dense))
     return cached[1:]
 
 
@@ -304,27 +294,47 @@ def expand(eq: EtaQuotient, precision: int) -> QSeries:
     Requires an integral, non-negative leading exponent; the first nonzero
     coefficient is then 1 at that exponent.
     """
-    return QSeries(precision, _expand_ints(eq, precision))
+    x, w, _ = expand_packed(eq, precision)
+    return QSeries(precision, unpack(x, precision + 1, w))
+
+
+def _embedded(name: str, level: int, row) -> EtaQuotient:
+    """A row of the embedded tables; malformed, it fails the basis check."""
+    try:
+        return EtaQuotient.of(level, row)
+    except ValueError as exc:
+        raise BasisError(f"{name}: {exc}") from None
+
+
+def cusp_table(level: int) -> tuple[tuple[int, ...], ...]:
+    """The embedded cusp-basis exponent rows of the level, unchecked."""
+    if level not in tables.CUSP_EXPONENTS:
+        raise ValueError(f"no table for level {level}; have "
+                         + " and ".join(map(str, tables.CUSP_EXPONENTS)))
+    return tables.CUSP_EXPONENTS[level]
+
+
+def table_row(level: int, i: int) -> EtaQuotient:
+    """Row i, counted from 1, of the embedded cusp-basis table."""
+    return _embedded(f"CUSP_EXPONENTS[{level}] row {i}", level,
+                     cusp_table(level)[i - 1])
 
 
 def table_rows(level: int) -> tuple[EtaQuotient, ...]:
     """The embedded cusp-basis exponent rows, in table order."""
-    if level not in tables.CUSP_EXPONENTS:
-        raise ValueError(f"no table for level {level}; have 44 and 52")
-    return tuple(EtaQuotient.of(level, row)
-                 for row in tables.CUSP_EXPONENTS[level])
+    return tuple(table_row(level, i)
+                 for i in range(1, len(cusp_table(level)) + 1))
 
 
 def basis_rows(level: int) -> tuple[EtaQuotient, ...]:
     """The cusp rows the closed forms are expanded over: the printed table,
     except that at level 52 the dependent row is swapped for a strict one,
     without which the rows and the Eisenstein series do not span the space."""
-    rows = table_rows(level)
+    rows = list(table_rows(level))
     if level == 52:
-        i = tables.REPAIRED_ROW_INDEX_52 - 1
-        rows = (rows[:i] + (EtaQuotient.of(52, tables.REPAIRED_ROW_52),)
-                + rows[i + 1:])
-    return rows
+        rows[tables.REPAIRED_ROW_INDEX_52 - 1] = _embedded(
+            "REPAIRED_ROW_52", 52, tables.REPAIRED_ROW_52)
+    return tuple(rows)
 
 
 def rows_label(level: int, rows: tuple[EtaQuotient, ...]) -> str:

@@ -29,11 +29,8 @@ from typing import NamedTuple
 from . import eta
 from .arith import dim_spaces, divisors, sigma_k_frac
 from .eisenstein import EisensteinPair, lhs_square, series_M
+from .eta import BasisError
 from .qseries import QSeries
-
-
-class BasisError(ArithmeticError):
-    """Basis data failed a structural check: shape or independence."""
 
 
 class DerivationError(ArithmeticError):

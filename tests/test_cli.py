@@ -444,3 +444,127 @@ def test_one_site_per_role_catches_a_failed_result_check():
                     sites.add(name)
     assert sites == {"cli.main", "verify._check", "verify.basis"}
     assert not any(isinstance(n, ast.Try) for n in ast.walk(echo))
+
+
+def test_one_site_per_exit_rule():
+    """The group precision caps the options of every command in one place,
+    ``cli.main``, and ``verify all`` caps its fixed ranges; exit 1 has two
+    sites, both in ``cli.main``: a failed suite and a failed result check."""
+    capped, exits = set(), []
+    source = (ROOT / "src" / "convsum" / "cli.py").read_text()
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", "<module>")
+        assert name != "_report"
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "id", None) == "check_max_n":
+                capped.add(name)
+            elif getattr(node.func, "attr", None) == "exit":
+                code = node.args[0].value
+                exits.append((name, ast.unparse(node.func), code))
+                assert getattr(node.func.value, "id", None) == "sys" \
+                    or code == 1, ast.unparse(node)
+    assert capped == {"main", "verify_all"}
+    assert {name for name, _, _ in exits} == {"main"}
+    assert sorted((func, code) for _, func, code in exits if code == 1) == [
+        ("parsed.parser.exit", 1), ("sys.exit", 1)]
+
+
+UNCAPPED = {"alpha", "beta", "a", "b", "level", "weight"}
+
+
+def _dest(flag, kwargs):
+    return kwargs.get("dest", flag.lstrip("-").replace("-", "_"))
+
+
+def test_every_range_option_is_capped():
+    """Every int option is an n or a range, capped by the group precision,
+    or one of the listed others.  Each capped option one above the group
+    precision, the others at 1, exits 2 before its handler runs, with
+    nothing on stdout; at the group precision the handler runs."""
+    seen = set()
+    for path, (handler, options) in cli.COMMANDS.items():
+        ints = {_dest(f, kw) for f, kw in options if kw.get("type") is int}
+        assert ints <= set(cli.CAPPED) | UNCAPPED, path
+        seen |= ints & set(cli.CAPPED)
+        capped = [f for f, kw in options if _dest(f, kw) in cli.CAPPED]
+        for flag in capped:
+            args = {f: "1" for f, kw in options if kw.get("required")}
+            args.update(dict.fromkeys(capped, "1"))
+            for value, code in (("51", 2), ("50", 0)):
+                args[flag] = value
+                probe = mock.Mock(__doc__=handler.__doc__, return_value=None)
+                with mock.patch.dict(cli.COMMANDS, {path: (probe, options)}):
+                    result = run_cli("--precision", "50", *path.split(),
+                                     *(x for kv in args.items() for x in kv))
+                assert result.exit_code == code, (path, flag, value)
+                assert probe.called == (code == 0), (path, flag, value)
+                assert result.stdout == "", (path, flag, value)
+                assert ("exceeds the configured precision" in result.stderr) \
+                    == (code == 2), (path, flag, value)
+    assert seen == set(cli.CAPPED)
+
+
+def test_derive_names_the_cap_before_the_pair():
+    """The cap is checked before a handler runs: a derive with an invalid
+    pair and a --precision above the group precision names the cap."""
+    result = run_cli("--precision", "50", "derive", "--alpha", "1",
+                     "--beta", "1", "--precision", "51")
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "max n 51 exceeds the configured precision 50" in result.stderr
+    result = run_cli("--precision", "50", "derive", "--alpha", "0",
+                     "--beta", "1", "--precision", "50")
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "exceeds" not in result.stderr
+
+
+def _recorded_suites(monkeypatch, *args) -> list[tuple]:
+    """The suites a verify command runs, each with its arguments, every
+    suite replaced by one that passes."""
+    calls = []
+    for name in ("ligozat", "basis", "dims", "identity", "lemma32",
+                 "closed_forms", "reps"):
+        def record(*suite_args, name=name):
+            calls.append((name, *suite_args))
+            return verify.Check(name, True, (f"{name}: ok",))
+        monkeypatch.setattr(verify, name, record)
+    result = run_cli(*args)
+    assert result.exit_code == 0, result.output
+    return calls
+
+
+def test_verify_ranges_are_pinned(monkeypatch):
+    assert _recorded_suites(monkeypatch, "verify", "all") == [
+        ("ligozat",), ("basis",), ("dims",), ("identity", 300),
+        ("lemma32", 120), ("closed_forms", 1000), ("reps", 100, 300)]
+    assert _recorded_suites(monkeypatch, "verify", "all", "--fast") == [
+        ("ligozat",), ("basis",), ("dims",), ("identity", 120),
+        ("lemma32", 120), ("closed_forms", 200), ("reps", 40, 100)]
+    assert _recorded_suites(monkeypatch, "verify", "identity") == [
+        ("identity", 300, convolution.EVALUATED_PAIRS)]
+
+
+@pytest.mark.parametrize("args, refusal", [
+    (("verify", "closed-forms", "--max-n", "1"), None),
+    (("verify", "lemma32", "--precision", "48"), None),
+    (("verify", "lemma32", "--precision", "47"),
+     "must be at least 48, got 47"),
+    (("--precision", "1", "eval-w", "--alpha", "1", "--beta", "44",
+      "--n", "1"), None),
+    (("--precision", "0", "eval-w", "--alpha", "1", "--beta", "44",
+      "--n", "0"), "precision must be positive"),
+    (("--precision", "1000000", "dims", "--level", "10000000000"), None),
+    (("--precision", "1000001", "dims", "--level", "44"),
+     "precision 1000001 exceeds the ceiling 1000000"),
+    (("dims", "--level", "10000000001"),
+     "level 10000000001 exceeds the ceiling 10000000000"),
+])
+def test_limits_at_their_edges(args, refusal):
+    """Each limit accepts its edge value and refuses the one beyond it with
+    its own message; the ceilings are pinned as literals, not read from the
+    module."""
+    result = run_cli(*args)
+    assert result.exit_code == (0 if refusal is None else 2), result.output
+    assert (result.stdout == "") == (refusal is not None)
+    assert refusal is None or refusal in result.stderr

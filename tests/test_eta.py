@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from convsum import eta, tables, verify
 from convsum.arith import divisors
-from convsum.eta import (_CUBE, _EULER, _THETAS, EtaQuotient, _expand_ints,
-                         _plan, _plan_chain, basis_rows, check_ligozat, expand,
+from convsum.eta import (_CUBE, _EULER, _THETAS, EtaQuotient, _plan,
+                         _plan_chain, basis_rows, check_ligozat, expand,
                          table_rows)
 from convsum.qseries import (QSeries, div_sparse, mul_packed, pack,
                              slot_width, sparse_product, unpack)
@@ -192,7 +192,8 @@ def test_expand_ints_random_rows_against_naive(row, low, high):
     for precisions in ((high, low), (low, high)):
         eta._EXPANSION_CACHE.pop(row, None)
         for precision in precisions:
-            assert _expand_ints(row, precision) == expected[:precision + 1]
+            assert list(expand(row, precision).coeffs) == \
+                expected[:precision + 1]
 
 
 def test_expand_ints_against_naive_order(fresh_expansions):
@@ -204,7 +205,7 @@ def test_expand_ints_against_naive_order(fresh_expansions):
     assert len(rows) == 34
     assert sum(1 for row in rows if _plan(row)[2]) == 4
     for row in rows:
-        assert _expand_ints(row, precision) == naive_eta_expansion(
+        assert list(expand(row, precision).coeffs) == naive_eta_expansion(
             row, precision)
 
 

@@ -259,6 +259,16 @@ def level44_row_missing(monkeypatch):
     return "14 cusp rows for dim S = 15 at level 44"
 
 
+def level52_row_cut_short(monkeypatch):
+    """Row 7 of the embedded level-52 table cut to five exponents: a
+    malformed table fails the structural check of the basis it builds."""
+    rows = tables.CUSP_EXPONENTS[52]
+    monkeypatch.setitem(tables.CUSP_EXPONENTS, 52,
+                        rows[:6] + (rows[6][:5],) + rows[7:])
+    return ("CUSP_EXPONENTS[52] row 7: row of 5 exponents for the 6 "
+            "divisors of level 52")
+
+
 def dimension_formula_raises_at_44(monkeypatch):
     real = verify.dim_spaces
 
@@ -275,6 +285,8 @@ FAILED_RESULT_CHECKS = [
     (repaired_row_set_back, ("verify", "lemma32"), "", "lemma32: FAILED"),
     (level44_row_missing, ("verify", "basis"), "level 44: ", "basis: FAILED"),
     (dimension_formula_raises_at_44, ("verify", "dims"), "", "dims: FAILED"),
+    (level52_row_cut_short, ("verify", "ligozat"), "",
+     "ligozat: deviation from the expected profile"),
 ]
 
 
@@ -314,7 +326,9 @@ def test_verify_all_survives_a_failed_result_check(monkeypatch, plant):
 @pytest.mark.parametrize("plant, pair", [
     (repaired_row_set_back, ("1", "52")),
     (level44_row_missing, ("1", "44")),
-], ids=["repaired_row_set_back", "level44_row_missing"])
+    (level52_row_cut_short, ("1", "52")),
+], ids=["repaired_row_set_back", "level44_row_missing",
+        "level52_row_cut_short"])
 def test_derive_exits_1_on_a_failed_result_check(monkeypatch, plant, pair):
     """A derivation or basis that fails its own check exits 1 through the
     one boundary: the message on stderr, nothing on stdout."""
@@ -324,6 +338,50 @@ def test_derive_exits_1_on_a_failed_result_check(monkeypatch, plant, pair):
     assert result.stdout == ""
     assert result.stderr.startswith(f"convsum derive: error: {line}")
     assert "Traceback" not in result.stderr
+
+
+def test_malformed_row_is_one_failing_line(monkeypatch):
+    """A malformed embedded row is a failed result check where the rows are
+    built, a ``BasisError`` (still ``spaces.BasisError``) naming the table,
+    the level and the row: ``ligozat`` reports it on that row's line and
+    the other rows as before, and every suite over the level fails."""
+    intact = verify.ligozat().lines
+    line = level52_row_cut_short(monkeypatch)
+    assert spaces.BasisError is eta.BasisError
+    for build in (eta.table_rows, eta.basis_rows):
+        with pytest.raises(spaces.BasisError, match=r"^CUSP_EXPONENTS\[52\] "
+                           r"row 7: row of 5 exponents"):
+            build(52)
+    with pytest.raises(ValueError, match="6 divisors of level 52"):
+        eta.EtaQuotient.of(52, tables.CUSP_EXPONENTS[52][6])
+    check = verify.ligozat()
+    assert check.ok is False
+    row7 = next(i for i, x in enumerate(intact) if x.startswith(
+        "level 52 row  7 "))
+    assert check.lines == (intact[:row7] + (line,) + intact[row7 + 1:-1]
+                           + ("ligozat: deviation from the expected profile",))
+    result = run_cli("verify", "all", "--fast")
+    assert result.exit_code == 1 and result.stderr == ""
+    lines = result.stdout.splitlines()
+    verdicts = [x for x in lines if x.startswith(tuple(
+        f"{name}: " for name in ("ligozat", "basis", "dims", "identity",
+                                 "lemma32", "closed-forms", "reps", "all")))]
+    assert verdicts == [
+        "ligozat: deviation from the expected profile", "basis: FAILED",
+        "dims: ok", "identity: ok", "lemma32: FAILED", "closed-forms: FAILED",
+        "reps: FAILED", "all: FAILED"]
+    assert "level 52: " + line in lines
+
+
+def test_repaired_row_malformed_is_a_failed_result_check(monkeypatch):
+    """The repaired level-52 row is checked where ``basis_rows`` builds it;
+    the printed rows still build."""
+    monkeypatch.setattr(tables, "REPAIRED_ROW_52", (-2, 5, 1, 2, -1))
+    assert len(eta.table_rows(52)) == 18
+    with pytest.raises(spaces.BasisError, match=(
+            "^REPAIRED_ROW_52: row of 5 exponents for the 6 divisors of "
+            "level 52$")):
+        eta.basis_rows(52)
 
 
 def test_lemma32_reports_every_pair_after_a_failed_derivation(monkeypatch):
