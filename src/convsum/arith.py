@@ -22,9 +22,9 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
-@lru_cache(maxsize=None)
-def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization as ((p, e), ...), ascending p."""
+def _factorise(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization as ((p, e), ...), ascending p, by trial division
+    (uncached; ``prime_factors`` is its cache)."""
     out = []
     d = 2
     while d * d <= n:
@@ -40,14 +40,25 @@ def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def sigma_k(k: int, m: int) -> int:
-    """Sum of k-th powers of positive divisors; 0 for m outside the naturals."""
+prime_factors = lru_cache(maxsize=None)(_factorise)
+
+
+def sigma_factored(k: int, m: int) -> int:
+    """Sum of k-th powers of positive divisors, 0 for m outside the
+    naturals, from the factorization of m: the product over p^e || m of
+    (p^(k(e+1)) - 1) / (p^k - 1), or of e + 1 at k = 0.  Uncached, and
+    independent of the sieve of ``sigma_table``."""
     if k < 0:
         raise ValueError(f"sigma_k: need k >= 0, got {k}")
     if m <= 0:
         return 0
-    return sum(d ** k for d in divisors(m))
+    out = 1
+    for p, e in _factorise(m):
+        out *= (p ** (k * (e + 1)) - 1) // (p ** k - 1) if k else e + 1
+    return out
+
+
+sigma_k = lru_cache(maxsize=None)(sigma_factored)
 
 
 @lru_cache(maxsize=2)

@@ -21,7 +21,9 @@ packed, and only the result must fit its slots: exact by construction once
 an a-priori bound puts every coefficient below 2^(B-1), on the narrowest
 slots that allow it.  A dense product is bounded by min(nonzero a, nonzero
 b) max|a| max|b|; each step of a sparse product, sum c (X << e B), by the
-product of the absolute coefficient sums multiplied in so far.  Packing and
+smaller of two bounds on the product so far: the product of the absolute
+coefficient sums multiplied in so far, and Cauchy-Schwarz over a running
+bound on its sum of squares.  Packing and
 unpacking add 2^(B-1) to every slot, so every digit is non-negative, and
 make one struct pass at 8 bytes and strided byte copies up to 8 bytes.
 
@@ -137,18 +139,26 @@ def sparse_product(factors, limit: int) -> list[int]:
     """The product of the sparse series in factors, each a list of
     (exponent, coefficient) terms up to q^limit: the longest packed, the
     others shift-added, each on the narrowest slots for the running bound,
-    and the packed int re-slotted wider, in bytes, when the bound grows."""
+    and the packed int re-slotted wider, in bytes, when the bound grows.
+
+    Two integer bounds run over the product x so far: top >= max|x| and
+    sq >= ||x||_2^2.  A factor t makes top the smaller of top ||t||_1 and
+    isqrt(sq ||t||_2^2) (Cauchy-Schwarz on each coefficient), then sq the
+    smaller of sq ||t||_1^2 (Young's inequality) and n top^2."""
     n = limit + 1
     first, *rest = sorted(factors, key=len, reverse=True) or [[(0, 1)]]
     dense = [0] * n
     for e, c in first:
         dense[e] = c
-    bound = sum(abs(c) for _, c in first)
-    w = slot_width(bound)
+    top = max(abs(c) for _, c in first)
+    sq = sum(c * c for _, c in first)
+    w = slot_width(top)
     x = pack(dense, w)
     for terms in rest:
-        bound *= sum(abs(c) for _, c in terms)
-        if (wider := slot_width(bound)) > w:
+        l1 = sum(abs(c) for _, c in terms)
+        top = min(top * l1, isqrt(sq * sum(c * c for _, c in terms)))
+        sq = min(sq * l1 * l1, n * top * top)
+        if (wider := slot_width(top)) > w:
             x = _joined(_resized(_slots(x, n, w), n, w, wider), n, wider)
             w = wider
         x = mul_packed(x, terms, n, w)

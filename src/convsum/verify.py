@@ -37,16 +37,21 @@ def _require_positive(option: str, value: int) -> None:
 
 def _check(name: str, comparisons: list[tuple],
            verdicts: tuple[str, str] = ("ok", "FAILED")) -> Check:
-    """Run every comparison ``(compare, *args)``: ``compare(*args)`` gives
-    (passed, line), a line of None printing nothing, and an
-    ``ArithmeticError`` it raises is a failing line with its message.  The
-    suite passes when every comparison does."""
+    """Run every comparison ``(label, compare, *args)``: ``compare(*args)``
+    gives (passed, line), a line of None printing nothing, and an
+    ``ArithmeticError`` it raises is a failing line with its message.  Every
+    other failed check names the pair or level it was raised for, but a
+    ``BasisError`` names only the rows, which many items share, so its line
+    starts with the label of the item that built them.  The suite passes
+    when every comparison does."""
     ok, lines = True, []
-    for compare, *args in comparisons:
+    for label, compare, *args in comparisons:
         try:
             passed, line = compare(*args)
         except ArithmeticError as exc:
-            passed, line = False, str(exc)
+            passed = False
+            line = (f"{label}: {exc}" if isinstance(exc, eta.BasisError)
+                    and label else str(exc))
         ok = ok and passed
         if line is not None:
             lines.append(line)
@@ -67,8 +72,9 @@ def ligozat(levels: tuple[int, ...] = tuple(tables.CUSP_EXPONENTS)) -> Check:
             f"level {level} row {i:2d} {row.as_row()}: weight {rep.weight}, "
             f"leading q^{rep.leading_exponent}, {note} "
             f"[{'ok' if row_ok else 'UNEXPECTED'}]")
+    # the item is the row, which a malformed row's BasisError names
     return _check("ligozat", [
-        (compare, level, i) for level in levels
+        (None, compare, level, i) for level in levels
         for i in range(1, len(eta.cusp_table(level)) + 1)],
         ("all rows match the expected condition profile",
          "deviation from the expected profile"))
@@ -77,17 +83,15 @@ def ligozat(levels: tuple[int, ...] = tuple(tables.CUSP_EXPONENTS)) -> Check:
 def basis() -> Check:
     """Independence certificates for both levels."""
     def compare(level):
-        try:
-            space = spaces.build_basis(level, 48, eta.table_rows(level))
-            det = spaces.verify_independence(space)
-        except ArithmeticError as exc:
-            return False, f"level {level}: {exc}"
+        space = spaces.build_basis(level, 48, eta.table_rows(level))
+        det = spaces.verify_independence(space)
         expected = tables.CUSP_DETERMINANTS[level]
         # reached only when the Eisenstein check passed
         return det == expected, (
             f"level {level}: cusp minor determinant {det} (expected "
             f"{expected}), Eisenstein matrix unit lower triangular: True")
-    return _check("basis", [(compare, lv) for lv in tables.CUSP_EXPONENTS])
+    return _check("basis", [(f"level {lv}", compare, lv)
+                            for lv in tables.CUSP_EXPONENTS])
 
 
 def dims() -> Check:
@@ -101,8 +105,9 @@ def dims() -> Check:
         m, e, s = dim_spaces(level, 4)
         return m == e + s, None if m == e + s else f"level {level}: M != E + S"
     return _check("dims", [
-        (pinned, 1, (1, 1, 0)), (pinned, 44, (21, 6, 15)),
-        (pinned, 52, (24, 6, 18)), *((additive, lv) for lv in range(1, 61))])
+        *((f"level {lv}", pinned, lv, expected) for lv, expected in (
+            (1, (1, 1, 0)), (44, (21, 6, 15)), (52, (24, 6, 18)))),
+        *((f"level {lv}", additive, lv) for lv in range(1, 61))])
 
 
 def identity(max_n: int, pairs=convolution.EVALUATED_PAIRS) -> Check:
@@ -116,7 +121,8 @@ def identity(max_n: int, pairs=convolution.EVALUATED_PAIRS) -> Check:
         return exact, f"identity ({pair.alpha},{pair.beta}): " + (
             f"exact for all n <= {max_n}" if exact
             else f"MISMATCH within n <= {max_n}")
-    return _check("identity", [(compare, EisensteinPair(*p)) for p in pairs])
+    return _check("identity", [(f"identity ({a},{b})", compare,
+                                EisensteinPair(a, b)) for a, b in pairs])
 
 
 def lemma32(precision: int) -> Check:
@@ -141,8 +147,9 @@ def lemma32(precision: int) -> Check:
             note = f"reported list diverges at one {kind} entry ({where})"
         return match, (f"pair ({a},{b}) over {label} rows: "
                        f"canonical match: {match}; {note}")
-    return _check("lemma32", [(compare, *pair, *expected) for pair, expected
-                              in sorted(tables.EXPANSION_COEFFS.items())])
+    return _check("lemma32", [
+        (f"pair ({a},{b})", compare, a, b, *expected)
+        for (a, b), expected in sorted(tables.EXPANSION_COEFFS.items())])
 
 
 def closed_forms(max_n: int) -> Check:
@@ -158,7 +165,8 @@ def closed_forms(max_n: int) -> Check:
             f"equals brute force for n <= {max_n}" if first is None
             else f"diverges at n = {first}")
     return _check("closed-forms", [
-        (compare, pair) for pair in convolution.EVALUATED_PAIRS])
+        (f"closed form {pair}", compare, pair)
+        for pair in convolution.EVALUATED_PAIRS])
 
 
 def _substitution_holds(b: int, n: int) -> bool:
@@ -193,5 +201,7 @@ def reps(max_n: int, substitution_max_n: int) -> Check:
             f"exact for n <= {substitution_max_n}" if bad is None
             else f"fail at n = {bad}")
     pairs = representations.CLOSED_FORM_PAIRS
-    return _check("reps", [*((counts, a, b) for a, b in pairs),
-                           *((substitution, b) for _, b in pairs)])
+    return _check("reps", [
+        *((f"octonary counts ({a},{b})", counts, a, b) for a, b in pairs),
+        *((f"substitution identities for b = {b}", substitution, b)
+          for _, b in pairs)])

@@ -3,7 +3,8 @@ from math import gcd
 
 import pytest
 
-from convsum.arith import (dim_spaces, divisors, euler_phi, genus, sigma_k,
+from convsum.arith import (_factorise, dim_spaces, divisors, euler_phi,
+                           genus, prime_factors, sigma_factored, sigma_k,
                            sigma_k_frac, sigma_table)
 from conftest import sigma_by_full_scan, sigma1_sieve
 
@@ -29,6 +30,48 @@ def test_sigma_against_full_scan():
     for n in range(1, 400):
         assert sigma_k(1, n) == sigma_by_full_scan(1, n)
         assert sigma_k(3, n) == sigma_by_full_scan(3, n)
+
+
+def test_sigma_factored_against_full_scan():
+    for k in (0, 1, 3):
+        assert [sigma_factored(k, m) for m in range(2001)] == [0] + [
+            sigma_by_full_scan(k, m) for m in range(1, 2001)], k
+
+
+@pytest.mark.parametrize("p, e", [
+    (2, 1), (3, 2), (999_983, 1), (1_000_003, 1), (997, 2), (1009, 2),
+    (2, 20), (3, 12), (7, 7), (31, 4), (101, 3)])
+def test_sigma_factored_at_primes_and_prime_powers(p, e):
+    """Primes, prime squares and prime powers near 10^6, alone and times a
+    coprime factor: the geometric series, and divisor enumeration."""
+    for k in (0, 1, 3):
+        expected = sum(p ** (i * k) for i in range(e + 1))
+        assert sigma_factored(k, p ** e) == expected, k
+        assert sigma_factored(k, 5 * p ** e) == expected * (1 + 5 ** k)
+        assert sigma_factored(k, p ** e) == sum(d ** k
+                                                for d in divisors(p ** e))
+
+
+def test_sigma_factored_edges():
+    for m in (0, -1, -12):
+        assert sigma_factored(1, m) == sigma_factored(0, m) == 0
+    for k in (-1, -3):
+        with pytest.raises(ValueError, match="need k >= 0"):
+            sigma_factored(k, 12)
+        with pytest.raises(ValueError, match="need k >= 0"):
+            sigma_k(k, 12)
+
+
+def test_sigma_k_is_the_cache_of_sigma_factored():
+    assert sigma_k.__wrapped__ is sigma_factored
+    assert prime_factors.__wrapped__ is _factorise
+    for k in (0, 1, 2, 3):
+        assert [sigma_k(k, m) for m in range(-2, 500)] == [
+            sigma_factored(k, m) for m in range(-2, 500)]
+    assert [prime_factors(n) for n in (0, 1, 2, 1024, 3 * 2 ** 10, 999_983,
+                                       2 * 3 * 5 * 7 * 11 * 13)] == [
+        (), (), ((2, 1),), ((2, 10),), ((2, 10), (3, 1)), ((999_983, 1),),
+        ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1))]
 
 
 def test_sigma_against_sieve_to_10000():

@@ -426,9 +426,9 @@ def test_each_launch_imports_only_what_its_command_runs():
 
 def test_one_site_per_role_catches_a_failed_result_check():
     """A failed result check, an ``ArithmeticError``, is caught only where
-    a command turns it into exit 1 (``cli.main``), where a suite turns it
-    into a failing line (``verify._check``) and where ``verify.basis``
-    prefixes that line with its level; ``cli._echo`` only prints."""
+    a command turns it into exit 1 (``cli.main``) and where a suite turns
+    it into a failing line that names its item (``verify._check``);
+    ``cli._echo`` only prints."""
     broad = {"ArithmeticError", "Exception", "BaseException"}
     sites, echo = set(), None
     for path in sorted((ROOT / "src" / "convsum").glob("*.py")):
@@ -442,7 +442,7 @@ def test_one_site_per_role_catches_a_failed_result_check():
                             n.id for n in ast.walk(node.type)
                             if isinstance(n, ast.Name)}):
                     sites.add(name)
-    assert sites == {"cli.main", "verify._check", "verify.basis"}
+    assert sites == {"cli.main", "verify._check"}
     assert not any(isinstance(n, ast.Try) for n in ast.walk(echo))
 
 

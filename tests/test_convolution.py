@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convsum import tables
+from convsum.arith import sigma_k
 from convsum.convolution import (EVALUATED_PAIRS, IntegralityError, w_closed,
                                  w_closed_table, w_oracle, w_series_oracle)
 from convsum.eisenstein import EisensteinPair
@@ -44,15 +45,40 @@ def test_w_series_oracle_matches_literal_double_sum(pair):
     assert w_series_oracle(*pair, 2000) == literal_w_table(*pair, 2000)
 
 
+@pytest.mark.parametrize("pair", EVALUATED_PAIRS)
+def test_w_series_oracle_matches_literal_double_sum_at_5000(pair):
+    """The four evaluated pairs over the range of the benchmark's run."""
+    assert w_series_oracle(*pair, 5000) == literal_w_table(*pair, 5000)
+
+
+def test_w_series_oracle_leaves_the_sigma_cache_alone():
+    """The oracle maps the uncached sigma: a table to 5000 adds no entry to
+    the cache of ``sigma_k``."""
+    sigma_k.cache_clear()
+    w_series_oracle(1, 44, 5000)
+    assert sigma_k.cache_info().currsize == 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 300))
 @example(3, 2, 300)
 @example(2, 4, 300)
 @example(7, 7, 300)
+@example(6, 4, 299)
+@example(13, 4, 300)
+@example(3, 50, 40)
+@example(7, 11, 17)
+@example(1, 13, 259)
+@example(2, 26, 519)
 def test_w_series_oracle_matches_literal_double_sum_for_any_pair(
         alpha, beta, max_n):
     """The table and every single value of the direct oracle, which visits
-    only the solutions of alpha l + beta m = n."""
+    only the solutions of alpha l + beta m = n.  The examples of the banded
+    product: alpha > beta, with a common factor and without, and alpha =
+    beta (one band); b > max_n (bands of one slot) and max_n < alpha + beta
+    (every sum 0); max_n = -1 mod b, where the last band of sigma(l) fills
+    all k of its slots, also after dividing an odd max_n by a common
+    factor."""
     literal = literal_w_table(alpha, beta, max_n)
     assert w_series_oracle(alpha, beta, max_n) == literal
     assert [w_oracle(alpha, beta, n) for n in range(max_n + 1)] == literal

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convsum import eta, tables, verify
+from convsum import eta, qseries, tables, verify
 from convsum.arith import divisors
 from convsum.eta import (_CUBE, _EULER, _THETAS, EtaQuotient, _plan,
                          _plan_chain, basis_rows, check_ligozat, expand,
@@ -150,14 +150,54 @@ def test_packed_step_slot_widths():
 def test_sparse_product_matches_naive(case):
     """The packed product of 0-6 factors against the literal product,
     folded over 1 one factor at a time.  The example's running bound
-    re-slots six times, from 2 bytes up to 9 at its last factor, so the
-    result is unpacked slot by slot."""
+    re-slots six times, from 1 byte up to 9 at its last factor, so the
+    result is unpacked slot by slot (``test_sparse_product_slot_widths``)."""
     limit, steps = case
     factors = [f.terms(d, limit) for f, d in steps]
     expected = [1] + [0] * limit
     for terms in factors:
         expected = naive_mul_sparse(expected, terms, limit)
     assert sparse_product(factors, limit) == expected
+
+
+def slot_widths(monkeypatch, factors, limit):
+    """The product, and the slot widths of its first pack and of each
+    shift-add step."""
+    widths = []
+    for name in ("pack", "mul_packed"):
+        real = getattr(qseries, name)
+
+        def recording(*args, real=real):
+            widths.append(args[-1])
+            return real(*args)
+        monkeypatch.setattr(qseries, name, recording)
+    return sparse_product(factors, limit), widths
+
+
+def test_sparse_product_slot_widths(monkeypatch):
+    """The example of ``test_sparse_product_matches_naive`` passes through
+    1, 3, 4, 5, 6, 8 and 9 bytes under the bound of max |x| by the l1 chain
+    and Cauchy-Schwarz, with ||x||_2 by Young's inequality and the slot
+    count; the last width takes the path for slots wider than 8 bytes."""
+    limit = 300
+    factors = [f.terms(1, limit) for f in [_THETAS[4]] * 6 + [_CUBE]]
+    product, widths = slot_widths(monkeypatch, factors, limit)
+    assert widths == [1, 3, 4, 5, 6, 8, 9]
+    assert slot_width(max(map(abs, product))) == 6
+
+
+@pytest.mark.parametrize("k, width", [(127, 1), (128, 2)])
+def test_sparse_product_bound_is_tight(monkeypatch, k, width):
+    """Two factors of k ones: the product peaks at exactly k, at q^(k-1),
+    and the bound is k, so 127 stays on one byte and 128 takes two.  A
+    bound one below the peak would put 128 on one byte, where it wraps to
+    -128."""
+    ones = [(e, 1) for e in range(k)]
+    limit = 2 * k
+    product, widths = slot_widths(monkeypatch, [ones, ones], limit)
+    assert product == naive_mul_sparse(dense(ones, limit), ones, limit)
+    assert product[k - 1] == max(product) == k
+    assert widths == [1, width]
 
 
 @settings(max_examples=40, deadline=None)

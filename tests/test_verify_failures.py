@@ -124,6 +124,22 @@ def oracle_off_by_one(monkeypatch):
     return "substitution identities for b = 11: fail at n = 59"
 
 
+def level52_row_cut_short(monkeypatch):
+    """Row 7 of the embedded level-52 table cut to five exponents: a
+    malformed table fails the structural check of the basis it builds."""
+    rows = tables.CUSP_EXPONENTS[52]
+    monkeypatch.setitem(tables.CUSP_EXPONENTS, 52,
+                        rows[:6] + (rows[6][:5],) + rows[7:])
+    return ("CUSP_EXPONENTS[52] row 7: row of 5 exponents for the 6 "
+            "divisors of level 52")
+
+
+def level52_row_cut_short_under_a_pair(monkeypatch):
+    """The row cut short, in a suite over pairs: the line of each pair over
+    the level names the pair before the row."""
+    return "closed form (4, 13): " + level52_row_cut_short(monkeypatch)
+
+
 FAULTS = [
     (closed_value_off_by_one, lambda: verify.closed_forms(60),
      "closed-forms: FAILED"),
@@ -140,6 +156,8 @@ FAULTS = [
     (dimension_wrong_at_44, verify.dims, "dims: FAILED"),
     (rhs_off_at_one_n, lambda: verify.identity(60), "identity: FAILED"),
     (oracle_off_by_one, lambda: verify.reps(20, 100), "reps: FAILED"),
+    (level52_row_cut_short_under_a_pair, lambda: verify.closed_forms(60),
+     "closed-forms: FAILED"),
 ]
 
 
@@ -259,16 +277,6 @@ def level44_row_missing(monkeypatch):
     return "14 cusp rows for dim S = 15 at level 44"
 
 
-def level52_row_cut_short(monkeypatch):
-    """Row 7 of the embedded level-52 table cut to five exponents: a
-    malformed table fails the structural check of the basis it builds."""
-    rows = tables.CUSP_EXPONENTS[52]
-    monkeypatch.setitem(tables.CUSP_EXPONENTS, 52,
-                        rows[:6] + (rows[6][:5],) + rows[7:])
-    return ("CUSP_EXPONENTS[52] row 7: row of 5 exponents for the 6 "
-            "divisors of level 52")
-
-
 def dimension_formula_raises_at_44(monkeypatch):
     real = verify.dim_spaces
 
@@ -371,6 +379,25 @@ def test_malformed_row_is_one_failing_line(monkeypatch):
         "dims: ok", "identity: ok", "lemma32: FAILED", "closed-forms: FAILED",
         "reps: FAILED", "all: FAILED"]
     assert "level 52: " + line in lines
+
+
+def test_malformed_row_names_every_item_over_it(monkeypatch):
+    """A suite over pairs or levels puts the item before the row's message,
+    once per item that built the rows; the other lines are unchanged."""
+    reason = level52_row_cut_short(monkeypatch)
+    assert verify.closed_forms(60).lines == (
+        "closed form (1, 44): equals brute force for n <= 60",
+        "closed form (4, 11): equals brute force for n <= 60",
+        f"closed form (1, 52): {reason}", f"closed form (4, 13): {reason}",
+        "closed-forms: FAILED")
+    lemma = verify.lemma32(60).lines
+    assert lemma[1::2] == (f"pair (1,52): {reason}", f"pair (4,13): {reason}")
+    assert lemma[-1] == "lemma32: FAILED"
+    assert verify.reps(20, 20).lines[:2] == (
+        "octonary counts (1,11): closed equals enumeration for n <= 20",
+        f"octonary counts (1,13): {reason}")
+    assert verify.basis().lines[1:] == (f"level 52: {reason}",
+                                        "basis: FAILED")
 
 
 def test_repaired_row_malformed_is_a_failed_result_check(monkeypatch):
