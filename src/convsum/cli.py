@@ -267,7 +267,8 @@ def export_tables(args) -> None:
         }))
     else:
         sys.stdout.write(_dump_csv([
-            ["level", "row"] + [f"r{i}" for i in range(1, 7)],
+            ["level", "row"] + [f"r{i}" for i in range(
+                1, max(len(divisors(lv)) for lv in levels) + 1)],
             *([lv, i, *row] for lv in levels
               for i, row in enumerate(tables.CUSP_EXPONENTS[lv], 1))]))
 

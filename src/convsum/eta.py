@@ -327,13 +327,11 @@ def table_rows(level: int) -> tuple[EtaQuotient, ...]:
 
 
 def basis_rows(level: int) -> tuple[EtaQuotient, ...]:
-    """The cusp rows the closed forms are expanded over: the printed table,
-    except that at level 52 the dependent row is swapped for a strict one,
-    without which the rows and the Eisenstein series do not span the space."""
+    """The cusp rows the closed forms are expanded over: the printed table
+    with the level's ``tables.REPAIRED_ROWS`` swapped in to span the space."""
     rows = list(table_rows(level))
-    if level == 52:
-        rows[tables.REPAIRED_ROW_INDEX_52 - 1] = _embedded(
-            "REPAIRED_ROW_52", 52, tables.REPAIRED_ROW_52)
+    for i, row in tables.REPAIRED_ROWS.get(level, {}).items():
+        rows[i - 1] = _embedded(f"REPAIRED_ROWS[{level}][{i}]", level, row)
     return tuple(rows)
 
 

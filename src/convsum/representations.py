@@ -20,7 +20,9 @@ from typing import Callable
 from . import convolution
 from .arith import residue_class, sigma_k, sigma_k_frac
 
-CLOSED_FORM_PAIRS = ((1, 11), (1, 13))
+CLOSED_FORM_PAIRS = tuple(
+    (1, b) for a, b in convolution.EVALUATED_PAIRS
+    if a == 4 and (1, 4 * b) in convolution.EVALUATED_PAIRS)
 
 WProvider = Callable[[int, int, int], int]
 
@@ -87,7 +89,7 @@ def default_w_provider(b: int, max_n: int) -> WProvider:
 
 
 def rep_count_closed(a: int, b: int, n: int, w: WProvider | None = None) -> int:
-    """Closed-form octonary count for (a, b) in {(1, 11), (1, 13)}.
+    """Closed-form octonary count for (a, b) in ``CLOSED_FORM_PAIRS``.
 
     The terms r4(n) r4(0) and r4(0) r4(n/b) come from ``r4_jacobi``; the
     rest are convolution sums.  Values at n/4 and n/b follow the divisor-sum

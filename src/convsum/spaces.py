@@ -112,10 +112,12 @@ def _row_reduce(rows: Iterable[Sequence[int]]) -> Iterator[tuple]:
 def verify_independence(basis: SpaceBasis) -> int:
     """Exact determinant of the leading cusp minor, after the Eisenstein check.
 
-    The determinant of [c_j(n)] for n = 1..dim S must be nonzero.  The
-    Eisenstein system matrix [sigma_3(t/u)] over the divisors in ascending
-    order must be lower triangular with unit diagonal, which pins its
-    determinant to 1.  Either failure raises BasisError.
+    The determinant of [c_j(n)] for n = 1..dim S must be nonzero.  Each
+    built Eisenstein column M(q^u) must hold 1 at q^0 and 240 sigma_3(n/u)
+    at every q^n up to the precision, with sigma_3 by factorization, not
+    from the sieve that built it; the system matrix [sigma_3(t/u)] over the
+    ascending divisors is then unit lower triangular.  Either failure
+    raises BasisError.
     """
     dim_s = len(basis.cusp_part)
     if basis.precision < dim_s:
@@ -128,11 +130,11 @@ def verify_independence(basis: SpaceBasis) -> int:
     cols = [col for _, col, _ in pivots]
     odd = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:]) % 2
     det = (-1) ** odd * (pivots[-1][2][cols[-1]] if pivots else 1)
-    divs = basis.divisors
-    if not all(sigma_k_frac(3, t, u) == (1 if i == j else 0)
-               for i, t in enumerate(divs) for j, u in enumerate(divs)
-               if j >= i):
-        raise BasisError("Eisenstein system matrix is not unit lower triangular")
+    for u, column in zip(basis.divisors, basis.eisenstein_part):
+        if column.coeffs != (1, *(240 * sigma_k_frac(3, n, u)
+                                  for n in range(1, basis.precision + 1))):
+            raise BasisError(
+                "Eisenstein system matrix is not unit lower triangular")
     return det
 
 

@@ -5,8 +5,8 @@ Three kinds of data live here:
 * the eta-quotient exponent tables that define the cusp expansions
   (``CUSP_EXPONENTS``), together with structural facts about them that the
   test suite pins (rows whose order at some cusp is exactly zero, leading
-  minors, the one admissible replacement row that makes the level-52 set
-  span the full space);
+  minors, the admissible replacement rows that make a level's set span the
+  full space, the dimensions of the spaces);
 
 * canonical expansion coefficients (``EXPANSION_COEFFS``): the unique
   exact solutions derived by this library and cross-verified against
@@ -82,17 +82,18 @@ NONSTRICT_ROWS = {
     52: {7: (2, 4), 14: (4,)},
 }
 
-# Determinants of the leading coefficient minors [c_j(n)], n = 1..dim S.
+# Determinants of the leading minors [c_j(n)], n = 1..dim S; dims (M, E, S).
 CUSP_DETERMINANTS = {44: -396, 52: -1966080}
+DIMENSIONS = {1: (1, 1, 0), 44: (21, 6, 15), 52: (24, 6, 18)}
 
-# The 24 level-52 columns (6 dilated weight-4 Eisenstein series plus the 18
-# rows above) satisfy one exact linear relation, so they span only a
+# Replacement rows of ``eta.basis_rows``, by level and 1-based row.  The 24
+# level-52 columns (6 dilated weight-4 Eisenstein series plus the 18 rows
+# above) satisfy one exact linear relation, so they span only a
 # 23-dimensional subspace and the squared-Eisenstein combinations for the
 # pairs (1,52) and (4,13) lie outside it.  Swapping row 7 for the admissible
 # quotient below (strictly cuspidal, same leading exponent 7) restores full
 # rank and makes the expansion unique.
-REPAIRED_ROW_INDEX_52 = 7
-REPAIRED_ROW_52 = (-2, 5, 1, 2, -1, 3)
+REPAIRED_ROWS = {52: {7: (-2, 5, 1, 2, -1, 3)}}
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import convolution, eta, representations, spaces, tables
-from .arith import dim_spaces, sigma_k, sigma_k_frac
+from .arith import _index, _nu2, _nu_inf, dim_spaces, sigma_k, sigma_k_frac
 from .eisenstein import EisensteinPair, lhs_square, rhs_identity
 
 # derive_coefficients checks its residual up to twice the space dimension
-LEMMA32_MIN_PRECISION = 2 * max(dim_spaces(level, 4)[0]
-                                 for level in tables.CUSP_EXPONENTS)
+LEMMA32_MIN_PRECISION = 2 * max(m for m, _, _ in tables.DIMENSIONS.values())
 
 
 class Check(NamedTuple):
@@ -95,19 +94,22 @@ def basis() -> Check:
 
 
 def dims() -> Check:
-    """Dimension formula against the pinned values, and M = E + S."""
-    def pinned(level, expected):
-        got = dim_spaces(level, 4)
+    """Dimension formula against the pinned values, and dim M against the
+    genus-free mu/4 + nu_2/4 + nu_inf/2 at every level up to 60."""
+    def pinned(level):
+        got, expected = dim_spaces(level, 4), tables.DIMENSIONS[level]
         return got == expected, (f"level {level}: dims {got} "
                                  f"(expected {expected})")
 
-    def additive(level):
-        m, e, s = dim_spaces(level, 4)
-        return m == e + s, None if m == e + s else f"level {level}: M != E + S"
+    def genus_free(level):
+        m = dim_spaces(level, 4)[0]
+        formula4 = _index(level) + _nu2(level) + 2 * _nu_inf(level)  # x 4
+        return 4 * m == formula4, None if 4 * m == formula4 else (
+            f"level {level}: dim M {m} != mu/4 + nu_2/4 + nu_inf/2 "
+            f"= {formula4}/4")
     return _check("dims", [
-        *((f"level {lv}", pinned, lv, expected) for lv, expected in (
-            (1, (1, 1, 0)), (44, (21, 6, 15)), (52, (24, 6, 18)))),
-        *((f"level {lv}", additive, lv) for lv in range(1, 61))])
+        *((f"level {lv}", pinned, lv) for lv in tables.DIMENSIONS),
+        *((f"level {lv}", genus_free, lv) for lv in range(1, 61))])
 
 
 def identity(max_n: int, pairs=convolution.EVALUATED_PAIRS) -> Check:

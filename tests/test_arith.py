@@ -1,4 +1,5 @@
 import random
+import re
 from math import gcd
 
 import pytest
@@ -153,3 +154,15 @@ def test_dim_spaces_decomposition():
 def test_dim_spaces_rejects_bad_weight(weight):
     with pytest.raises(ValueError):
         dim_spaces(44, weight)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (divisors, (0,), "divisors: need n >= 1, got 0"),
+    (sigma_k_frac, (1, 4, 0), "sigma_k_frac: need delta >= 1, got 0"),
+    (dim_spaces, (0, 4), "level must be positive, got 0"),
+], ids=["divisors", "sigma_k_frac", "dim_spaces"])
+def test_zero_is_refused(call, args, message):
+    """Each refuses 0 with its own message, before it divides by it or
+    factors it."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)

@@ -6,7 +6,8 @@ in ``src/`` would otherwise only show up in a traced benchmark run.  The
 stdout digests the benchmark pins in ``perfbench/reference.py`` are checked
 here too, so a changed byte fails tier-1 and not only a benchmark run.  Both
 files are loaded by path, as scripts, and nothing is patched in process; the
-traced child, which patches module globals, runs in a subprocess.
+traced child, which patches module globals, runs in a subprocess.  The
+summary of every committed ``BENCH_*.json`` is recomputed from its pairs.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import importlib
 import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -125,3 +127,26 @@ def test_harness_self_tests_pass():
          "-p", "test_*.py"], cwd=ROOT, env=env, capture_output=True,
         text=True, timeout=120)
     assert child.returncode == 0, child.stderr
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")),
+                         ids=lambda path: path.name)
+def test_bench_summary_matches_its_pairs(path):
+    """Each metric's summary holds the parent and change medians of its
+    pairs, to the 4 decimals the files keep, the count of pairs the change
+    wins (lower is better for every metric; a tie wins for neither) and the
+    count of pairs.  A metric outside ``metrics`` (``raw_wall_p50_s``) sits
+    on the side itself."""
+    record = json.loads(path.read_text())
+    pairs = record["pairs"]
+    for name, summary in record["summary"].items():
+        def values(side):
+            return [p[side]["metrics"][name]["value"]
+                    if name in p[side]["metrics"] else p[side][name]
+                    for p in pairs]
+        parent, change = values("parent"), values("change")
+        assert (summary["parent"]["median"], summary["change"]["median"],
+                summary["change_wins"], summary["pairs"]) == (
+            round(statistics.median(parent), 4),
+            round(statistics.median(change), 4),
+            sum(c < p for p, c in zip(parent, change)), len(pairs)), name

@@ -1,6 +1,7 @@
 import ast
 import csv
 import functools
+import hashlib
 import io
 import json
 import os
@@ -268,6 +269,7 @@ def test_verify_suites_pass(args):
     ("reps", "--substitution-max-n", "0"),
     ("lemma32", "--precision", "0"),
     ("lemma32", "--precision", "30"),
+    ("identity", "--alpha", "1"),
 ])
 def test_verify_out_of_range_is_usage_error(args):
     result = run_cli("verify", *args)
@@ -309,6 +311,26 @@ def test_reports_are_deterministic(args):
     second = run_cli(*args)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
+
+
+# sha256 of stdout of reports the benchmark does not pin in
+# perfbench/reference.py, among them the text report of derive
+STDOUT_SHA256 = {
+    ("verify", "all", "--fast"):
+        "51f5db0c1f26cc25c9f5dabf0d51d8b640dbb18debfb8f57b685419d360e51cd",
+    ("verify", "identity"):
+        "41225b10899aa1235924fd2e2d2e0966da9e7d12145e613b2e14bf8c533aba3a",
+    ("derive", "--alpha", "4", "--beta", "11"):
+        "570b68dd481dc4866eb5ee890dbcafa06628eb87b6a61820237084f6aec0ecdd",
+}
+
+
+@pytest.mark.parametrize("args", STDOUT_SHA256, ids=" ".join)
+def test_stdout_is_pinned(args):
+    result = run_cli(*args)
+    assert result.exit_code == 0
+    assert (hashlib.sha256(result.stdout_bytes).hexdigest()
+            == STDOUT_SHA256[args])
 
 
 # per fuzzed command: its pair options, its other integer options and its

@@ -302,7 +302,8 @@ def test_each_quotient_is_planned_once(fresh_expansions):
 def test_expand_below_leading_exponent(fresh_expansions):
     """A precision below the leading exponent gives precision + 1 zeros,
     and the cache never holds more slots than its precision + 1."""
-    row = basis_rows(52)[tables.REPAIRED_ROW_INDEX_52 - 1]
+    (i, _), = tables.REPAIRED_ROWS[52].items()
+    row = basis_rows(52)[i - 1]
     for precision in (1, 3, 6, 7):
         coeffs = expand(row, precision).coeffs
         assert coeffs == (0,) * precision + (precision == 7,)
@@ -333,6 +334,8 @@ def test_quotient_construction():
     assert eq.leading_exponent == 1
     with pytest.raises(ValueError, match="3 does not divide level 44"):
         EtaQuotient(44, ((3, 1),))
+    with pytest.raises(ValueError, match="^level must be positive$"):
+        EtaQuotient(0, ())
     for row in ((4, 0, 0, 4, 0), (4, 0, 0, 4, 0, 0, 99)):
         with pytest.raises(ValueError, match="6 divisors of level 44"):
             EtaQuotient.of(44, row)
@@ -466,9 +469,9 @@ def test_repaired_rows():
     repaired = basis_rows(52)
     printed = table_rows(52)
     changed = [i for i, (a, b) in enumerate(zip(repaired, printed), 1) if a != b]
-    assert changed == [tables.REPAIRED_ROW_INDEX_52]
-    replacement = repaired[tables.REPAIRED_ROW_INDEX_52 - 1]
-    assert replacement.as_row() == tables.REPAIRED_ROW_52
+    assert changed == list(tables.REPAIRED_ROWS[52]) == [7]
+    replacement = repaired[7 - 1]
+    assert replacement.as_row() == tables.REPAIRED_ROWS[52][7]
     rep = check_ligozat(replacement)
     assert rep.in_modular_space and rep.cond_v_prime and rep.weight == 4
     assert replacement.leading_exponent == 7

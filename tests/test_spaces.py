@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import convsum.spaces as spaces_module
 from convsum import tables
 from convsum.eisenstein import EisensteinPair, lhs_square
-from convsum.eta import table_rows
+from convsum.eta import EtaQuotient, table_rows
 from convsum.qseries import QSeries
 from convsum.spaces import (BasisError, DerivationError,
                             InconsistentSystemError, SingularSystemError,
@@ -312,6 +312,29 @@ def test_residual_check_catches_a_late_coefficient():
 def test_wrong_row_count_rejected():
     with pytest.raises(BasisError):
         build_basis(44, 100, cusp_rows=table_rows(44)[:-1])
+
+
+def test_cusp_row_with_a_constant_term_rejected():
+    """The empty quotient expands to 1, which is not a cusp form."""
+    rows = (EtaQuotient(44, ()),) + table_rows(44)[1:]
+    with pytest.raises(BasisError,
+                       match="^cusp expansion 1 has a constant term$"):
+        build_basis(44, 60, cusp_rows=rows)
+
+
+def test_derivation_needs_residual_headroom():
+    """A basis at one coefficient below twice its dimension is refused
+    before any row is solved."""
+    basis = build_basis(44, 41)
+    with pytest.raises(ValueError, match=(
+            "^precision 41 leaves no residual headroom; need at least 42$")):
+        derive_coefficients(EisensteinPair(1, 44), basis)
+
+
+def test_independence_needs_the_cusp_dimension(basis44):
+    """A basis whose precision is below dim S has no leading minor."""
+    with pytest.raises(ValueError, match="^precision below cusp dimension$"):
+        verify_independence(basis44._replace(precision=14))
 
 
 def test_pair_level_mismatch(basis44):

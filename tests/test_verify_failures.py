@@ -2,10 +2,10 @@
 
 Each fault is planted with ``monkeypatch`` in what one suite compares: a
 closed-form value, a cached eta expansion, an enumerated count, the cusp
-minor or the Eisenstein matrix of the independence check, a canonical
-weight, the expected condition profile, the dimension formula, the
-right-hand side of the identity or a value of the direct convolution
-oracle.  The suite must then report ``ok is False``, name the fault in one
+minor, the Eisenstein matrix or a built Eisenstein column of the
+independence check, a canonical weight, the expected condition profile,
+the dimension formula, the right-hand side of the identity or a value of
+the direct convolution oracle.  The suite must then report ``ok is False``, name the fault in one
 line and end with its failure verdict; through the command line, ``verify``
 must exit 1 with that line on stdout, and ``verify all`` must still print
 every later suite's report.  A fault that makes a result fail its own check
@@ -77,6 +77,26 @@ def eisenstein_matrix_off_the_triangle(monkeypatch):
     return "level 44: Eisenstein system matrix is not unit lower triangular"
 
 
+def eisenstein_column_coefficient_changed(monkeypatch):
+    """Coefficient q^12 of the built level-44 column M(q^4) one too high:
+    12 divides no level, so no entry of [sigma_3(t/u)] moves, but the check
+    reads every built coefficient."""
+    real = spaces.build_basis
+
+    def faulty(level, precision, cusp_rows=None):
+        space = real(level, precision, cusp_rows)
+        if level == 44:
+            eis = list(space.eisenstein_part)
+            coeffs = list(eis[2].coeffs)
+            coeffs[12] += 1
+            eis[2] = QSeries(precision, coeffs)
+            space = space._replace(eisenstein_part=tuple(eis))
+        return space
+
+    monkeypatch.setattr(spaces, "build_basis", faulty)
+    return "level 44: Eisenstein system matrix is not unit lower triangular"
+
+
 def canonical_weight_changed(monkeypatch):
     s3, y = tables.EXPANSION_COEFFS[(4, 11)]
     monkeypatch.setitem(tables.EXPANSION_COEFFS, (4, 11),
@@ -98,6 +118,19 @@ def dimension_wrong_at_44(monkeypatch):
         verify, "dim_spaces",
         lambda level, k: (20, 5, 15) if level == 44 else real(level, k))
     return "level 44: dims (20, 5, 15) (expected (21, 6, 15))"
+
+
+def dimensions_shifted_together_at_30(monkeypatch):
+    """dim M and dim S one too high at the unpinned level 30: M = E + S
+    still holds, the genus-free formula for dim M does not."""
+    real = verify.dim_spaces
+
+    def faulty(level, k):
+        m, e, s = real(level, k)
+        return (m + 1, e, s + 1) if level == 30 else (m, e, s)
+
+    monkeypatch.setattr(verify, "dim_spaces", faulty)
+    return "level 30: dim M 23 != mu/4 + nu_2/4 + nu_inf/2 = 88/4"
 
 
 def rhs_off_at_one_n(monkeypatch):
@@ -150,10 +183,12 @@ FAULTS = [
     (enumeration_off_by_eight, lambda: verify.reps(20, 20), "reps: FAILED"),
     (singular_certificate, verify.basis, "basis: FAILED"),
     (eisenstein_matrix_off_the_triangle, verify.basis, "basis: FAILED"),
+    (eisenstein_column_coefficient_changed, verify.basis, "basis: FAILED"),
     (canonical_weight_changed, lambda: verify.lemma32(60), "lemma32: FAILED"),
     (nonstrict_row_missing, verify.ligozat,
      "ligozat: deviation from the expected profile"),
     (dimension_wrong_at_44, verify.dims, "dims: FAILED"),
+    (dimensions_shifted_together_at_30, verify.dims, "dims: FAILED"),
     (rhs_off_at_one_n, lambda: verify.identity(60), "identity: FAILED"),
     (oracle_off_by_one, lambda: verify.reps(20, 100), "reps: FAILED"),
     (level52_row_cut_short_under_a_pair, lambda: verify.closed_forms(60),
@@ -264,8 +299,8 @@ def test_verify_all_reports_every_failing_suite(monkeypatch):
 def repaired_row_set_back(monkeypatch):
     """The repaired level-52 row set back to printed row 7: the rows and the
     Eisenstein series no longer span the squared combinations."""
-    printed = tables.CUSP_EXPONENTS[52][tables.REPAIRED_ROW_INDEX_52 - 1]
-    monkeypatch.setattr(tables, "REPAIRED_ROW_52", printed)
+    monkeypatch.setitem(tables.REPAIRED_ROWS, 52,
+                        {7: tables.CUSP_EXPONENTS[52][7 - 1]})
     return ("pair (1,52) at level 52: the coefficient constraint at q^22 "
             "reduces to 0 = -17791488/41 over rows (0, 1, 2, ")
 
@@ -403,11 +438,11 @@ def test_malformed_row_names_every_item_over_it(monkeypatch):
 def test_repaired_row_malformed_is_a_failed_result_check(monkeypatch):
     """The repaired level-52 row is checked where ``basis_rows`` builds it;
     the printed rows still build."""
-    monkeypatch.setattr(tables, "REPAIRED_ROW_52", (-2, 5, 1, 2, -1))
+    monkeypatch.setitem(tables.REPAIRED_ROWS, 52, {7: (-2, 5, 1, 2, -1)})
     assert len(eta.table_rows(52)) == 18
     with pytest.raises(spaces.BasisError, match=(
-            "^REPAIRED_ROW_52: row of 5 exponents for the 6 divisors of "
-            "level 52$")):
+            r"^REPAIRED_ROWS\[52\]\[7\]: row of 5 exponents for the 6 "
+            "divisors of level 52$")):
         eta.basis_rows(52)
 
 
