@@ -1,18 +1,19 @@
 """Command-line surface for evaluation, tabulation, and verification.
 
-The ``verify`` commands print the report of the matching suite in
-:mod:`convsum.verify` and return its verdict.  Exit codes: 0 on success; 2
-on a usage error, a ``ValueError`` of the library function that checks the
+One table, ``VERIFY``, drives the ``verify`` commands: each passes its
+options to its suite in :mod:`convsum.verify` by name, and ``verify all``
+their defaults or ``--fast`` values.  Exit codes: 0 on success; 2 on a
+usage error, a ``ValueError`` of the library function that checks the
 argument; 1 on a failed suite or a result that fails its own check, an
 ``ArithmeticError`` (which ``verify._check`` makes a failing line within a
 suite).  :func:`main` is the one place where a command maps each to its
 exit, and where, before a handler runs, the group precision must lie in
-[1, MAX_PRECISION] and caps every n and range, the options in ``CAPPED``;
-``verify all`` caps its fixed ranges itself.  ``dims`` refuses a level
-above MAX_LEVEL, which bounds its trial division.  All reports are
-deterministic: fixed ordering, no timestamps.  Rationals serialize as
-{"num": "...", "den": "..."} with decimal strings so consumers never lose
-precision.  Imports are per command: a launch loads only what it runs.
+[1, MAX_PRECISION] and caps every n and range, the ``CAPPED`` options, as
+``verify all`` caps its values.  ``dims`` refuses a level above MAX_LEVEL,
+which bounds its trial division.  All reports are deterministic: fixed
+ordering, no timestamps.  Rationals serialize as {"num": "...", "den":
+"..."} with decimal strings so consumers never lose precision.  Imports
+are per command: a launch loads only what it runs.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ COMMANDS: dict[str, tuple] = {}
 def _option(flag: str, help: str | None = None, **kwargs) -> tuple:
     """``add_argument`` arguments of one option.  Without choices or an
     action it takes an int; without a default or an action it is required;
-    a default other than None is shown in its help."""
+    a default other than None is shown in its help; the dest is spelt out."""
+    kwargs.setdefault("dest", flag[2:].replace("-", "_"))
     if "choices" not in kwargs and "action" not in kwargs:
         kwargs["type"] = int
     if "default" not in kwargs and "action" not in kwargs:
@@ -274,12 +276,41 @@ def export_tables(args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verification commands: argument parsing around the suites in verify.py
+# verification commands: one table of the suites in verify.py
 
-def _echo(suite: str, *args, header: bool = False) -> bool:
-    """Run a suite of verify.py by name, print its report; return its ok."""
+# the verify commands in the order ``verify all`` runs them, each named for
+# its suite in verify.py: its help, and its options, each with its --fast value
+VERIFY = {
+    "ligozat": (
+        "Membership conditions for every embedded table row; the strict order "
+        "condition must fail precisely on the known non-cuspidal rows.",
+        ((_option("--level", choices=LEVELS, default="all"), "all"),)),
+    "basis": ("Independence certificates for both levels.", ()),
+    "dims": ("Dimension formula against the pinned values.", ()),
+    "identity": (
+        "Squared combination versus its convolution-sum expansion.",
+        ((_option("--alpha", default=None), None),
+         (_option("--beta", default=None), None),
+         (_option("--max-n", default=300), 120))),
+    "lemma32": (
+        "Re-derive all four expansions and compare with the embedded data, "
+        "calling out where the previously reported lists diverge.",
+        ((_option("--precision", dest="solve_precision", metavar="PRECISION",
+                  default=120), 120),)),
+    "closed-forms": (
+        "Closed forms against brute force, exact integer equality.",
+        ((_option("--max-n", default=1000), 200),)),
+    "reps": (
+        "Octonary counts and the substitution identities behind them.",
+        ((_option("--max-n", default=100), 40),
+         (_option("--substitution-max-n", default=300), 100))),
+}
+
+
+def _echo(suite: str, header: bool = False, **options) -> bool:
+    """Run a suite of verify.py, print its report; return its ok."""
     from . import verify as suites
-    check = getattr(suites, suite)(*args)
+    check = getattr(suites, suite.replace("-", "_"))(**options)
     if header:
         print(f"== {check.name} ==")
     for line in check.lines:
@@ -287,77 +318,38 @@ def _echo(suite: str, *args, header: bool = False) -> bool:
     return check.ok
 
 
-@_command("verify ligozat", _option("--level", choices=LEVELS, default="all"))
-def verify_ligozat(args) -> bool:
-    """Membership conditions for every embedded table row; the strict order
-    condition must fail precisely on the known non-cuspidal rows."""
-    return _echo("ligozat", _levels(args.level))
+def _suite_command(name: str, doc: str, options: tuple) -> tuple:
+    """(handler, options) of the command that runs the suite of a row."""
+    def handler(args) -> bool:
+        return _echo(name, **{kwargs["dest"]: getattr(args, kwargs["dest"])
+                              for (_, kwargs), _ in options})
+    handler.__doc__ = doc
+    return handler, tuple(option for option, _ in options)
 
 
-@_command("verify basis")
-def verify_basis(args) -> bool:
-    """Independence certificates for both levels."""
-    return _echo("basis")
+COMMANDS.update((f"verify {name}", _suite_command(name, *row))
+                for name, row in VERIFY.items())
 
 
-@_command("verify identity", _option("--alpha", default=None),
-          _option("--beta", default=None), _option("--max-n", default=300))
-def verify_identity(args) -> bool:
-    """Squared combination versus its convolution-sum expansion."""
-    from .convolution import EVALUATED_PAIRS
-    if (args.alpha is None) != (args.beta is None):
-        raise ValueError("--alpha and --beta must be given together")
-    pairs = (EVALUATED_PAIRS if args.alpha is None
-             else ((args.alpha, args.beta),))
-    return _echo("identity", args.max_n, pairs)
+def _runs(fast: bool) -> dict[str, dict]:
+    """The options of each suite under ``verify all``: their defaults, or
+    their fast values."""
+    return {name: {kwargs["dest"]: value if fast else kwargs["default"]
+                   for (_, kwargs), value in options}
+            for name, (_, options) in VERIFY.items()}
 
 
-@_command("verify lemma32",
-          _option("--precision", dest="solve_precision", metavar="PRECISION",
-                  default=120))
-def verify_lemma32(args) -> bool:
-    """Re-derive all four expansions and compare with the embedded data,
-    calling out where the previously reported lists diverge."""
-    return _echo("lemma32", args.solve_precision)
-
-
-@_command("verify closed-forms", _option("--max-n", default=1000))
-def verify_closed_forms(args) -> bool:
-    """Closed forms against brute force, exact integer equality."""
-    return _echo("closed_forms", args.max_n)
-
-
-@_command("verify reps", _option("--max-n", default=100),
-          _option("--substitution-max-n", default=300))
-def verify_reps(args) -> bool:
-    """Octonary counts and the substitution identities behind them."""
-    return _echo("reps", args.max_n, args.substitution_max_n)
-
-
-@_command("verify dims")
-def verify_dims(args) -> bool:
-    """Dimension formula against the pinned values."""
-    return _echo("dims")
-
-
-@_command("verify all", _option(
-    "--fast", action="store_true",
-    help="Reduced ranges (closed forms to n = 200, reps to n = 40)."))
+@_command("verify all", _option("--fast", action="store_true", help=(
+    "Reduced ranges (closed forms to n = {0[closed-forms][max_n]}, reps to "
+    "n = {0[reps][max_n]}).".format(_runs(fast=True)))))
 def verify_all(args) -> bool:
     """Run every verification suite in order; exit 1 at the end if any
     of them failed."""
-    fast = args.fast
-    runs = [
-        ("ligozat",),
-        ("basis",),
-        ("dims",),
-        ("identity", 120 if fast else 300),
-        ("lemma32", 120),
-        ("closed_forms", 200 if fast else 1000),
-        ("reps", 40 if fast else 100, 100 if fast else 300),
-    ]
-    check_max_n(args.precision, max(n for _, *ranges in runs for n in ranges))
-    passed = all([_echo(*run, header=True) for run in runs])  # runs each
+    runs = _runs(args.fast)
+    check_max_n(args.precision, max(options.get(dest, 0) for dest in CAPPED
+                                    for options in runs.values()))
+    passed = all([_echo(name, header=True, **options)  # runs each
+                  for name, options in runs.items()])
     print(f"all: {'ok' if passed else 'FAILED'}")
     return passed
 

@@ -1,12 +1,13 @@
 """The verification suites, one pure function per ``convsum verify`` command.
 
-Each suite checks results of the paper against an independent oracle or
-pinned data and returns a :class:`Check` whose ``lines`` are the report the
-command prints; the acceptance tests share these checks.  A bad argument
-raises ``ValueError`` before any work starts.  A suite is a list of
-comparisons, and :func:`_check` runs every one: a failed result check, an
-``ArithmeticError``, is the failing line of its comparison, so a suite
-names every failing item and raises none.
+Each suite takes its command's options as keywords, reads the levels and
+pairs of ``tables`` when it runs, and checks results of the paper against an
+independent oracle or pinned data.  It returns a :class:`Check` whose
+``lines`` are the report the command prints; the acceptance tests share
+these checks.  A bad argument raises ``ValueError`` before any work starts.
+A suite is a list of comparisons, and :func:`_check` runs every one: a
+failed result check, an ``ArithmeticError``, is the failing line of its
+comparison, so a suite names every failing item and raises none.
 """
 
 from __future__ import annotations
@@ -58,9 +59,11 @@ def _check(name: str, comparisons: list[tuple],
     return Check(name, ok, tuple(lines))
 
 
-def ligozat(levels: tuple[int, ...] = tuple(tables.CUSP_EXPONENTS)) -> Check:
-    """Every table row satisfies conditions (i)-(v) at weight 4; the strict
-    order condition fails on the known non-cuspidal rows and only there."""
+def ligozat(level: int | str = "all") -> Check:
+    """Each table row of the level, or of all, meets (i)-(v) at weight 4;
+    the strict order condition fails just on the known non-cuspidal rows."""
+    levels = tables.CUSP_EXPONENTS if level == "all" else (int(level),)
+
     def compare(level, i):
         row = eta.table_row(level, i)
         rep = eta.check_ligozat(row)
@@ -112,9 +115,13 @@ def dims() -> Check:
         *((f"level {lv}", genus_free, lv) for lv in range(1, 61))])
 
 
-def identity(max_n: int, pairs=convolution.EVALUATED_PAIRS) -> Check:
+def identity(max_n: int, alpha: int | None = None,
+             beta: int | None = None) -> Check:
     """Squared combination against its convolution-sum expansion, per pair."""
+    if (alpha is None) != (beta is None):
+        raise ValueError("--alpha and --beta must be given together")
     _require_positive("max-n", max_n)
+    pairs = tables.EXPANSION_COEFFS if alpha is None else ((alpha, beta),)
 
     def compare(pair):
         w = convolution.w_series_oracle(pair.alpha, pair.beta, max_n)
@@ -127,16 +134,16 @@ def identity(max_n: int, pairs=convolution.EVALUATED_PAIRS) -> Check:
                                 EisensteinPair(a, b)) for a, b in pairs])
 
 
-def lemma32(precision: int) -> Check:
+def lemma32(solve_precision: int) -> Check:
     """Re-derive all four expansions; they must reproduce the canonical
     coefficients exactly.  Each line names how the reported list diverges."""
-    if precision < LEMMA32_MIN_PRECISION:
+    if solve_precision < LEMMA32_MIN_PRECISION:
         raise ValueError(f"lemma32 precision must be at least "
-                         f"{LEMMA32_MIN_PRECISION}, got {precision}")
+                         f"{LEMMA32_MIN_PRECISION}, got {solve_precision}")
 
     def compare(a, b, exp_s3, exp_y):
         pair = EisensteinPair(a, b)
-        space = spaces.build_basis(pair.level, precision)
+        space = spaces.build_basis(pair.level, solve_precision)
         label = eta.rows_label(pair.level, space.cusp_rows)
         solution = spaces.derive_coefficients(pair, space)
         got_s3 = tuple(solution.sigma3_presentation()[d]
@@ -168,7 +175,7 @@ def closed_forms(max_n: int) -> Check:
             else f"diverges at n = {first}")
     return _check("closed-forms", [
         (f"closed form {pair}", compare, pair)
-        for pair in convolution.EVALUATED_PAIRS])
+        for pair in tables.EXPANSION_COEFFS])
 
 
 def _substitution_holds(b: int, n: int) -> bool:

@@ -470,7 +470,7 @@ def test_one_site_per_role_catches_a_failed_result_check():
 
 def test_one_site_per_exit_rule():
     """The group precision caps the options of every command in one place,
-    ``cli.main``, and ``verify all`` caps its fixed ranges; exit 1 has two
+    ``cli.main``, and ``verify all`` caps the values it passes; exit 1 has two
     sites, both in ``cli.main``: a failed suite and a failed result check."""
     capped, exits = set(), []
     source = (ROOT / "src" / "convsum" / "cli.py").read_text()
@@ -542,13 +542,13 @@ def test_derive_names_the_cap_before_the_pair():
 
 
 def _recorded_suites(monkeypatch, *args) -> list[tuple]:
-    """The suites a verify command runs, each with its arguments, every
-    suite replaced by one that passes."""
+    """The suites a verify command runs, each with its keyword arguments,
+    every suite replaced by one that passes."""
     calls = []
     for name in ("ligozat", "basis", "dims", "identity", "lemma32",
                  "closed_forms", "reps"):
-        def record(*suite_args, name=name):
-            calls.append((name, *suite_args))
+        def record(name=name, **options):
+            calls.append((name, options))
             return verify.Check(name, True, (f"{name}: ok",))
         monkeypatch.setattr(verify, name, record)
     result = run_cli(*args)
@@ -557,14 +557,63 @@ def _recorded_suites(monkeypatch, *args) -> list[tuple]:
 
 
 def test_verify_ranges_are_pinned(monkeypatch):
+    pair = {"alpha": None, "beta": None}
     assert _recorded_suites(monkeypatch, "verify", "all") == [
-        ("ligozat",), ("basis",), ("dims",), ("identity", 300),
-        ("lemma32", 120), ("closed_forms", 1000), ("reps", 100, 300)]
+        ("ligozat", {"level": "all"}), ("basis", {}), ("dims", {}),
+        ("identity", {**pair, "max_n": 300}),
+        ("lemma32", {"solve_precision": 120}),
+        ("closed_forms", {"max_n": 1000}),
+        ("reps", {"max_n": 100, "substitution_max_n": 300})]
     assert _recorded_suites(monkeypatch, "verify", "all", "--fast") == [
-        ("ligozat",), ("basis",), ("dims",), ("identity", 120),
-        ("lemma32", 120), ("closed_forms", 200), ("reps", 40, 100)]
+        ("ligozat", {"level": "all"}), ("basis", {}), ("dims", {}),
+        ("identity", {**pair, "max_n": 120}),
+        ("lemma32", {"solve_precision": 120}),
+        ("closed_forms", {"max_n": 200}),
+        ("reps", {"max_n": 40, "substitution_max_n": 100})]
     assert _recorded_suites(monkeypatch, "verify", "identity") == [
-        ("identity", 300, convolution.EVALUATED_PAIRS)]
+        ("identity", {**pair, "max_n": 300})]
+    monkeypatch.undo()
+    # without a pair, identity compares every evaluated pair, in order
+    monkeypatch.setattr(verify, "_check", lambda name, comparisons: [
+        (pair.alpha, pair.beta) for _, _, pair in comparisons])
+    assert verify.identity(300) == list(convolution.EVALUATED_PAIRS)
+
+
+def test_verify_all_is_every_command_at_its_defaults():
+    """Each ``verify <name>`` without options prints the block of ``verify
+    all`` under ``== <name> ==``."""
+    blocks, name = {}, None
+    for line in run_cli("verify", "all").stdout.splitlines(keepends=True):
+        if line.startswith("== "):
+            name = line.strip("= \n")
+            blocks[name] = ""
+        elif not line.startswith("all: "):
+            blocks[name] += line
+    suites = [path.split()[1] for path in cli.COMMANDS
+              if path.startswith("verify ") and path != "verify all"]
+    assert list(blocks) == suites == list(cli.VERIFY)
+    for name in suites:
+        result = run_cli("verify", name)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == blocks[name], name
+
+
+def test_verify_commands_come_from_one_table():
+    """No handler of a single verify command is written out in ``cli.py``:
+    ``verify_all`` is its only top-level ``verify_*`` function, and every
+    other verify command is generated from its row of ``cli.VERIFY``."""
+    source = (ROOT / "src" / "convsum" / "cli.py").read_text()
+    assert [top.name for top in ast.parse(source).body
+            if isinstance(top, ast.FunctionDef)
+            and top.name.startswith("verify_")] == ["verify_all"]
+    for path, (handler, options) in cli.COMMANDS.items():
+        group, _, name = path.partition(" ")
+        if group != "verify" or name == "all":
+            continue
+        doc, row = cli.VERIFY[name]
+        assert handler.__qualname__ == "_suite_command.<locals>.handler"
+        assert handler.__doc__ == doc, path
+        assert options == tuple(option for option, _ in row), path
 
 
 @pytest.mark.parametrize("args, refusal", [

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 
 from convsum import verify
@@ -62,4 +64,15 @@ def test_rhs_first_coefficient():
 
 @pytest.mark.parametrize("alpha,beta", EVALUATED_PAIRS)
 def test_identity_against_brute_force(alpha, beta):
-    assert verify.identity(150, ((alpha, beta),)).ok
+    assert verify.identity(150, alpha, beta).ok
+
+
+@pytest.mark.parametrize("half", [{"alpha": 1}, {"beta": 44}])
+def test_identity_needs_both_or_neither_of_the_pair(monkeypatch, half):
+    """Half a pair is refused before any work starts."""
+    for name in ("lhs_square", "rhs_identity", "EisensteinPair"):
+        monkeypatch.setattr(verify, name, mock.Mock(
+            side_effect=AssertionError("work started")))
+    with pytest.raises(ValueError,
+                       match="^--alpha and --beta must be given together$"):
+        verify.identity(60, **half)

@@ -45,8 +45,9 @@ def test_closed_form_pairs_are_derived():
 
 
 def test_level_20_is_data_only(monkeypatch, fresh_expansions):
-    """Level 20 added to ``tables`` and to the two tuples built from it at
-    import: every suite reports ok over the three levels."""
+    """Level 20 added to ``tables`` and to ``CLOSED_FORM_PAIRS``, the one
+    tuple a suite reads that is built from it at import: every suite
+    reports ok over the three levels."""
     monkeypatch.setitem(tables.CUSP_EXPONENTS, 20, LEVEL20_ROWS)
     monkeypatch.setitem(tables.NONSTRICT_ROWS, 20, {})
     monkeypatch.setitem(tables.CUSP_DETERMINANTS, 20, 2000)
@@ -57,15 +58,13 @@ def test_level_20_is_data_only(monkeypatch, fresh_expansions):
         s3 = solution.sigma3_presentation()
         monkeypatch.setitem(tables.EXPANSION_COEFFS, pair, (
             tuple(s3[d] for d in space.divisors), solution.cusp_weights))
-    monkeypatch.setattr(convolution, "EVALUATED_PAIRS",
-                        (*convolution.EVALUATED_PAIRS, (1, 20), (4, 5)))
     monkeypatch.setattr(representations, "CLOSED_FORM_PAIRS",
                         (*representations.CLOSED_FORM_PAIRS, (1, 5)))
 
     checks = {check.name: check for check in (
-        verify.ligozat((20,)), verify.basis(), verify.dims(),
+        verify.ligozat(20), verify.basis(), verify.dims(),
         verify.closed_forms(400), verify.reps(60, 100),
-        verify.identity(120, convolution.EVALUATED_PAIRS))}
+        verify.identity(120))}
     for check in checks.values():
         assert check.ok, check.lines
     assert len(checks["ligozat"].lines) == 7
