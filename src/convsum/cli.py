@@ -131,10 +131,6 @@ def check_max_n(precision: int, max_n: int) -> None:
             f"{precision} (raise --precision or CONVSUM_PRECISION)")
 
 
-def _levels(choice: str) -> tuple[int, ...]:
-    return tuple(tables.CUSP_EXPONENTS) if choice == "all" else (int(choice),)
-
-
 def _rational_json(x) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
@@ -259,7 +255,7 @@ def derive(args) -> None:
 def export_tables(args) -> None:
     """Dump the eta-quotient exponent tables bit-exactly."""
     from .arith import divisors
-    levels = _levels(args.level)
+    levels = tables.levels(args.level)
     if args.format == "json":
         print(_dump_json({
             str(lv): {

@@ -74,6 +74,12 @@ CUSP_EXPONENTS = {
     ),
 }
 
+
+def levels(choice: int | str = "all") -> tuple[int, ...]:
+    """The levels of a ``--level`` choice; "all" is every level tabled now."""
+    return tuple(CUSP_EXPONENTS) if choice == "all" else (int(choice),)
+
+
 # Rows (1-based) whose order at some cusp is exactly zero: they are modular
 # but not cuspidal, i.e. they satisfy the holomorphy inequalities only
 # non-strictly.  Mapping: row index -> cusp denominators with zero order.

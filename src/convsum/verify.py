@@ -62,8 +62,6 @@ def _check(name: str, comparisons: list[tuple],
 def ligozat(level: int | str = "all") -> Check:
     """Each table row of the level, or of all, meets (i)-(v) at weight 4;
     the strict order condition fails just on the known non-cuspidal rows."""
-    levels = tables.CUSP_EXPONENTS if level == "all" else (int(level),)
-
     def compare(level, i):
         row = eta.table_row(level, i)
         rep = eta.check_ligozat(row)
@@ -76,8 +74,8 @@ def ligozat(level: int | str = "all") -> Check:
             f"[{'ok' if row_ok else 'UNEXPECTED'}]")
     # the item is the row, which a malformed row's BasisError names
     return _check("ligozat", [
-        (None, compare, level, i) for level in levels
-        for i in range(1, len(eta.cusp_table(level)) + 1)],
+        (None, compare, lv, i) for lv in tables.levels(level)
+        for i in range(1, len(eta.cusp_table(lv)) + 1)],
         ("all rows match the expected condition profile",
          "deviation from the expected profile"))
 

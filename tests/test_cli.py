@@ -496,10 +496,6 @@ def test_one_site_per_exit_rule():
 UNCAPPED = {"alpha", "beta", "a", "b", "level", "weight"}
 
 
-def _dest(flag, kwargs):
-    return kwargs.get("dest", flag.lstrip("-").replace("-", "_"))
-
-
 def test_every_range_option_is_capped():
     """Every int option is an n or a range, capped by the group precision,
     or one of the listed others.  Each capped option one above the group
@@ -507,10 +503,10 @@ def test_every_range_option_is_capped():
     nothing on stdout; at the group precision the handler runs."""
     seen = set()
     for path, (handler, options) in cli.COMMANDS.items():
-        ints = {_dest(f, kw) for f, kw in options if kw.get("type") is int}
+        ints = {kw["dest"] for _, kw in options if kw.get("type") is int}
         assert ints <= set(cli.CAPPED) | UNCAPPED, path
         seen |= ints & set(cli.CAPPED)
-        capped = [f for f, kw in options if _dest(f, kw) in cli.CAPPED]
+        capped = [f for f, kw in options if kw["dest"] in cli.CAPPED]
         for flag in capped:
             args = {f: "1" for f, kw in options if kw.get("required")}
             args.update(dict.fromkeys(capped, "1"))
