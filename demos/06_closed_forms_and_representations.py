@@ -8,13 +8,13 @@ for the octonary forms a*(4 squares) + b*(4 squares) then follow, checked
 against direct lattice enumeration.
 """
 
-from convsum import (EVALUATED_PAIRS, basis_rows, r4_enumerate, r4_jacobi,
-                     rep_count_closed, rep_count_enumerate, w_closed_table,
+from convsum import (basis_rows, r4_enumerate, r4_jacobi, rep_count_closed,
+                     rep_count_enumerate, tables, w_closed_table,
                      w_series_oracle)
 
 LIMIT = 400
 
-for pair in EVALUATED_PAIRS:
+for pair in tables.EXPANSION_COEFFS:
     closed = w_closed_table(pair, LIMIT)
     oracle = w_series_oracle(*pair, LIMIT)
     assert closed == oracle
@@ -31,14 +31,16 @@ for n in (0, 1, 4, 12, 50, 100):
     print(f"  r4({n:3d}) = {jac}")
 print()
 
-print("octonary counts for (a,b) = (1,11) and (1,13):")
-for b in (11, 13):
+pairs = tables.closed_form_pairs()
+print("octonary counts for (a,b) = "
+      + " and ".join(f"({a},{b})" for a, b in pairs) + ":")
+for a, b in pairs:
     row = []
     for n in range(0, 14):
-        closed = rep_count_closed(1, b, n)
-        assert closed == rep_count_enumerate(1, b, n)
+        closed = rep_count_closed(a, b, n)
+        assert closed == rep_count_enumerate(a, b, n)
         row.append(closed)
-    print(f"  N(1,{b})(0..13) = {row}")
+    print(f"  N({a},{b})(0..13) = {row}")
 print()
 print("all counts are convolutions of two four-square counts, so they are")
 print("divisible by 8 for n >= 1 and equal the closed forms exactly.")

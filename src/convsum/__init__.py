@@ -13,16 +13,15 @@ from importlib import import_module
 _HOME = {name: module for module, names in {
     "arith": ("dim_spaces", "divisors", "euler_phi", "genus", "sigma_k",
               "sigma_k_frac"),
-    "convolution": ("EVALUATED_PAIRS", "IntegralityError", "w_closed",
-                    "w_closed_table", "w_oracle", "w_series_oracle"),
+    "convolution": ("IntegralityError", "w_closed", "w_closed_table",
+                    "w_oracle", "w_series_oracle"),
     "eisenstein": ("EisensteinPair", "lhs_square", "rhs_identity", "series_L",
                    "series_M"),
     "eta": ("BasisError", "EtaQuotient", "LigozatReport", "basis_rows",
             "check_ligozat", "expand", "table_rows"),
     "qseries": ("QSeries",),
-    "representations": ("CLOSED_FORM_PAIRS", "default_w_provider",
-                        "r4_enumerate", "r4_jacobi", "rep_count_closed",
-                        "rep_count_enumerate"),
+    "representations": ("default_w_provider", "r4_enumerate", "r4_jacobi",
+                        "rep_count_closed", "rep_count_enumerate"),
     "spaces": ("CoefficientSolution", "DerivationError",
                "InconsistentSystemError", "SingularSystemError",
                "SpaceBasis", "build_basis", "derive_coefficients",

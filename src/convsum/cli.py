@@ -29,7 +29,8 @@ MAX_PRECISION = 10 ** 6
 MAX_LEVEL = 10 ** 10  # dims factors by trial division up to sqrt(level)
 # the option dests that are an n or a range; the group precision caps them
 CAPPED = ("n", "max_n", "substitution_max_n", "solve_precision")
-LEVELS = [*map(str, tables.CUSP_EXPONENTS), "all"]
+# fixed at import for argparse's help and errors: a launch reads tables anew
+LEVELS = [*map(str, tables.levels()), "all"]
 METHODS = ["closed", "oracle"]
 
 GROUPS = {

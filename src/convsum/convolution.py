@@ -24,8 +24,6 @@ from .arith import (divisors, residue_class, sigma_factored, sigma_k,
                     sigma_table)
 from .qseries import QSeries, combine_packed
 
-EVALUATED_PAIRS = tuple(tables.EXPANSION_COEFFS)
-
 
 class IntegralityError(ArithmeticError):
     """A closed form produced a non-integral or negative value."""

@@ -310,7 +310,7 @@ def cusp_table(level: int) -> tuple[tuple[int, ...], ...]:
     """The embedded cusp-basis exponent rows of the level, unchecked."""
     if level not in tables.CUSP_EXPONENTS:
         raise ValueError(f"no table for level {level}; have "
-                         + " and ".join(map(str, tables.CUSP_EXPONENTS)))
+                         + " and ".join(map(str, tables.levels())))
     return tables.CUSP_EXPONENTS[level]
 
 

@@ -17,12 +17,8 @@ from math import isqrt
 from operator import mul
 from typing import Callable
 
-from . import convolution
+from . import convolution, tables
 from .arith import residue_class, sigma_k, sigma_k_frac
-
-CLOSED_FORM_PAIRS = tuple(
-    (1, b) for a, b in convolution.EVALUATED_PAIRS
-    if a == 4 and (1, 4 * b) in convolution.EVALUATED_PAIRS)
 
 WProvider = Callable[[int, int, int], int]
 
@@ -89,15 +85,15 @@ def default_w_provider(b: int, max_n: int) -> WProvider:
 
 
 def rep_count_closed(a: int, b: int, n: int, w: WProvider | None = None) -> int:
-    """Closed-form octonary count for (a, b) in ``CLOSED_FORM_PAIRS``.
+    """Closed-form octonary count for (a, b) in ``tables.closed_form_pairs``.
 
     The terms r4(n) r4(0) and r4(0) r4(n/b) come from ``r4_jacobi``; the
     rest are convolution sums.  Values at n/4 and n/b follow the divisor-sum
     convention: they vanish unless 4 | n and b | n.
     """
-    if (a, b) not in CLOSED_FORM_PAIRS:
+    if (a, b) not in tables.closed_form_pairs():
         raise ValueError(f"closed form unavailable for ({a}, {b}); "
-                         f"supported: {CLOSED_FORM_PAIRS}")
+                         f"supported: {tables.closed_form_pairs()}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if n == 0:

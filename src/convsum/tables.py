@@ -1,5 +1,5 @@
-"""Frozen exact data for the levels 44 and 52.
-
+"""Frozen exact data for the levels 44 and 52.  ``levels`` and
+``closed_form_pairs`` list its levels and pairs when they are called.
 Three kinds of data live here:
 
 * the eta-quotient exponent tables that define the cusp expansions
@@ -10,9 +10,8 @@ Three kinds of data live here:
 
 * canonical expansion coefficients (``EXPANSION_COEFFS``): the unique
   exact solutions derived by this library and cross-verified against
-  brute-force convolution sums, frozen as regression values; the closed
-  forms for the convolution sums evaluate them directly
-  (``convolution.w_closed_table``);
+  brute-force convolution sums, frozen as regression values, which
+  ``convolution.w_closed_table`` evaluates as the closed forms;
 
 * where previously reported variants of the same coefficient lists
   disagree with the exact derivation (``REPORTED_DIVERGENCES``), which
@@ -78,6 +77,12 @@ CUSP_EXPONENTS = {
 def levels(choice: int | str = "all") -> tuple[int, ...]:
     """The levels of a ``--level`` choice; "all" is every level tabled now."""
     return tuple(CUSP_EXPONENTS) if choice == "all" else (int(choice),)
+
+
+def closed_form_pairs() -> tuple[tuple[int, int], ...]:
+    """Each (1, b) whose (4, b) and (1, 4b) have expansions, in their order."""
+    return tuple((1, b) for a, b in EXPANSION_COEFFS
+                 if a == 4 and (1, 4 * b) in EXPANSION_COEFFS)
 
 
 # Rows (1-based) whose order at some cusp is exactly zero: they are modular

@@ -18,9 +18,6 @@ from . import convolution, eta, representations, spaces, tables
 from .arith import _index, _nu2, _nu_inf, dim_spaces, sigma_k, sigma_k_frac
 from .eisenstein import EisensteinPair, lhs_square, rhs_identity
 
-# derive_coefficients checks its residual up to twice the space dimension
-LEMMA32_MIN_PRECISION = 2 * max(m for m, _, _ in tables.DIMENSIONS.values())
-
 
 class Check(NamedTuple):
     """Outcome of one suite: its name, verdict and report lines."""
@@ -85,20 +82,20 @@ def basis() -> Check:
     def compare(level):
         space = spaces.build_basis(level, 48, eta.table_rows(level))
         det = spaces.verify_independence(space)
-        expected = tables.CUSP_DETERMINANTS[level]
+        expected = tables.CUSP_DETERMINANTS.get(level)
         # reached only when the Eisenstein check passed
         return det == expected, (
             f"level {level}: cusp minor determinant {det} (expected "
             f"{expected}), Eisenstein matrix unit lower triangular: True")
     return _check("basis", [(f"level {lv}", compare, lv)
-                            for lv in tables.CUSP_EXPONENTS])
+                            for lv in tables.levels()])
 
 
 def dims() -> Check:
     """Dimension formula against the pinned values, and dim M against the
     genus-free mu/4 + nu_2/4 + nu_inf/2 at every level up to 60."""
     def pinned(level):
-        got, expected = dim_spaces(level, 4), tables.DIMENSIONS[level]
+        got, expected = dim_spaces(level, 4), tables.DIMENSIONS.get(level)
         return got == expected, (f"level {level}: dims {got} "
                                  f"(expected {expected})")
 
@@ -109,7 +106,8 @@ def dims() -> Check:
             f"level {level}: dim M {m} != mu/4 + nu_2/4 + nu_inf/2 "
             f"= {formula4}/4")
     return _check("dims", [
-        *((f"level {lv}", pinned, lv) for lv in tables.DIMENSIONS),
+        *((f"level {lv}", pinned, lv)
+          for lv in dict.fromkeys((*tables.DIMENSIONS, *tables.levels()))),
         *((f"level {lv}", genus_free, lv) for lv in range(1, 61))])
 
 
@@ -135,9 +133,11 @@ def identity(max_n: int, alpha: int | None = None,
 def lemma32(solve_precision: int) -> Check:
     """Re-derive all four expansions; they must reproduce the canonical
     coefficients exactly.  Each line names how the reported list diverges."""
-    if solve_precision < LEMMA32_MIN_PRECISION:
-        raise ValueError(f"lemma32 precision must be at least "
-                         f"{LEMMA32_MIN_PRECISION}, got {solve_precision}")
+    # derive_coefficients checks its residual up to twice the space dimension
+    floor = 2 * max(m for m, _, _ in tables.DIMENSIONS.values())
+    if solve_precision < floor:
+        raise ValueError(f"lemma32 precision must be at least {floor}, "
+                         f"got {solve_precision}")
 
     def compare(a, b, exp_s3, exp_y):
         pair = EisensteinPair(a, b)
@@ -207,7 +207,7 @@ def reps(max_n: int, substitution_max_n: int) -> Check:
         return bad is None, f"substitution identities for b = {b}: " + (
             f"exact for n <= {substitution_max_n}" if bad is None
             else f"fail at n = {bad}")
-    pairs = representations.CLOSED_FORM_PAIRS
+    pairs = tables.closed_form_pairs()
     return _check("reps", [
         *((f"octonary counts ({a},{b})", counts, a, b) for a, b in pairs),
         *((f"substitution identities for b = {b}", substitution, b)

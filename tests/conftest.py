@@ -9,9 +9,10 @@ directly, the four-square oracle visits the lattice points of the sphere,
 and the linear-algebra oracles are Gauss elimination over
 Fraction and the Leibniz determinant.  The eta-quotient chain planner is
 kept as first written, scoring every node afresh.  The previously reported
-coefficient lists and the level-52 dependency certificate, which only the
-tests read, are kept here verbatim too.  ``run_cli`` runs one command
-line in process, as a shell would, for the command-line tests.
+coefficient lists, the level-52 dependency certificate and the cusp rows of
+level 20, which only the tests read, are kept here verbatim too.
+``run_cli`` runs one command line in process, as a shell would, for the
+command-line tests.
 """
 
 from __future__ import annotations
@@ -341,6 +342,17 @@ LEVEL52_DEPENDENCY = (
     (4, -64, 0, -4, 64, 0),
     (-4, 57, 68, -104, -1368, -1440, -7140, 0, 0, 1644, 0, -2192, 0, 0,
      -33, 548, -16, 0),
+)
+
+# Cusp rows of S_4(Gamma0(20)) over the divisors 1, 2, 4, 5, 10, 20: a third
+# level that tests add to ``tables`` as data.
+LEVEL20_ROWS = (
+    (3, 3, 0, 1, 1, 0),
+    (4, 0, 0, 4, 0, 0),
+    (-1, 0, 5, 5, 0, -1),
+    (-1, 5, 0, 5, -1, 0),
+    (-2, 3, 5, 2, 1, -1),
+    (0, 3, 3, 0, 1, 1),
 )
 
 

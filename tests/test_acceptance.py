@@ -17,7 +17,7 @@ import pytest
 
 from convsum import tables, verify
 from convsum.arith import dim_spaces
-from convsum.convolution import EVALUATED_PAIRS, w_closed_table, w_oracle
+from convsum.convolution import w_closed_table, w_oracle
 from convsum.eisenstein import EisensteinPair
 from convsum.eta import check_ligozat, expand, table_rows
 from convsum.representations import r4_enumerate, r4_jacobi
@@ -94,7 +94,7 @@ def test_criterion_4_coefficient_rederivation():
     start = time.perf_counter()
     failures = []
     solutions = {}
-    for pair in EVALUATED_PAIRS:
+    for pair in tables.EXPANSION_COEFFS:
         level = pair[0] * pair[1]
         basis = build_basis(level, 300, table_rows(level))
         try:
@@ -147,7 +147,7 @@ def test_criterion_6_closed_forms():
     limit = 1000
     start = time.perf_counter()
     ok = verify.closed_forms(limit).ok
-    for pair in EVALUATED_PAIRS:
+    for pair in tables.EXPANSION_COEFFS:
         closed = w_closed_table(pair, limit)  # integrality enforced inside
         ok = ok and all(closed[n] == w_oracle(*pair, n)
                         for n in range(1, limit + 1))

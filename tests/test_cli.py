@@ -572,7 +572,7 @@ def test_verify_ranges_are_pinned(monkeypatch):
     # without a pair, identity compares every evaluated pair, in order
     monkeypatch.setattr(verify, "_check", lambda name, comparisons: [
         (pair.alpha, pair.beta) for _, _, pair in comparisons])
-    assert verify.identity(300) == list(convolution.EVALUATED_PAIRS)
+    assert verify.identity(300) == list(tables.EXPANSION_COEFFS)
 
 
 def test_verify_all_is_every_command_at_its_defaults():

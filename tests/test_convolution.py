@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from convsum import tables
 from convsum.arith import sigma_k
-from convsum.convolution import (EVALUATED_PAIRS, IntegralityError, w_closed,
-                                 w_closed_table, w_oracle, w_series_oracle)
+from convsum.convolution import (IntegralityError, w_closed, w_closed_table,
+                                 w_oracle, w_series_oracle)
 from convsum.eisenstein import EisensteinPair
 from convsum.eta import basis_rows, table_rows
 from convsum.spaces import build_basis, derive_coefficients
@@ -39,13 +39,13 @@ def test_w_series_oracle_matches_direct():
         w_series_oracle(1, 44, -1)
 
 
-@pytest.mark.parametrize("pair", (*EVALUATED_PAIRS, (1, 11), (1, 13)))
+@pytest.mark.parametrize("pair", (*tables.EXPANSION_COEFFS, (1, 11), (1, 13)))
 def test_w_series_oracle_matches_literal_double_sum(pair):
     """The four evaluated pairs and the pairs the octonary counts read."""
     assert w_series_oracle(*pair, 2000) == literal_w_table(*pair, 2000)
 
 
-@pytest.mark.parametrize("pair", EVALUATED_PAIRS)
+@pytest.mark.parametrize("pair", list(tables.EXPANSION_COEFFS))
 def test_w_series_oracle_matches_literal_double_sum_at_5000(pair):
     """The four evaluated pairs over the range of the benchmark's run."""
     assert w_series_oracle(*pair, 5000) == literal_w_table(*pair, 5000)
@@ -99,13 +99,13 @@ def test_closed_form_examples():
         w_closed_table((3, 7), 10)
 
 
-@pytest.mark.parametrize("pair", EVALUATED_PAIRS)
+@pytest.mark.parametrize("pair", list(tables.EXPANSION_COEFFS))
 def test_closed_equals_oracle(pair):
     limit = 300
     assert w_closed_table(pair, limit) == w_series_oracle(*pair, limit)
 
 
-@pytest.mark.parametrize("pair", EVALUATED_PAIRS)
+@pytest.mark.parametrize("pair", list(tables.EXPANSION_COEFFS))
 def test_formula_rederivation_matches_frozen_data(pair):
     """Double entry: a fresh solve reproduces the frozen expansion, and
     evaluated as a closed form it equals brute force."""
@@ -130,7 +130,7 @@ def test_integrality_enforced():
         w_closed_table((1, 44), 30, negative)
 
 
-@pytest.mark.parametrize("pair", EVALUATED_PAIRS)
+@pytest.mark.parametrize("pair", list(tables.EXPANSION_COEFFS))
 def test_closed_form_below_leading_exponents(pair, fresh_expansions):
     """Single values and tables at n smaller than some cusp row's leading
     exponent."""

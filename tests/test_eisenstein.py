@@ -2,9 +2,9 @@ from unittest import mock
 
 import pytest
 
-from convsum import verify
+from convsum import tables, verify
 from convsum.arith import sigma_k
-from convsum.convolution import EVALUATED_PAIRS, w_oracle
+from convsum.convolution import w_oracle
 from convsum.eisenstein import (EisensteinPair, lhs_square, rhs_identity,
                                 series_L, series_M)
 
@@ -62,7 +62,7 @@ def test_rhs_first_coefficient():
     assert rhs[1] == 240 + 48 * 38  # sigma_3(1) term plus the linear term
 
 
-@pytest.mark.parametrize("alpha,beta", EVALUATED_PAIRS)
+@pytest.mark.parametrize("alpha,beta", list(tables.EXPANSION_COEFFS))
 def test_identity_against_brute_force(alpha, beta):
     assert verify.identity(150, alpha, beta).ok
 

@@ -1,8 +1,9 @@
 """A level is data: the suites run at a third level from rows alone.
 
-No module of the library but ``tables`` names a level or a pair, so a new
-level needs its exponent rows, its pinned facts and the expansions of its
-pairs, and no edit of the code.  Level 20 is added here from six rows; the
+No module of the library but ``tables`` names a level or a pair, and but
+for the CLI's ``--level`` choices none copies them from ``tables`` at
+import, so a new level needs its exponent rows, its pinned facts and the
+expansions of its pairs, and no edit of the code or patch of a module.  Level 20 is added here from six rows; the
 expansions of its pairs (1, 20) and (4, 5) are derived in the test, and the
 suites then prove them and the octonary count of (1, 5).
 """
@@ -10,20 +11,11 @@ suites then prove them and the octonary count of (1, 5).
 import ast
 from pathlib import Path
 
-from convsum import convolution, representations, spaces, tables, verify
+from convsum import spaces, tables, verify
 from convsum.eisenstein import EisensteinPair
+from conftest import LEVEL20_ROWS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "convsum"
-
-# cusp rows of S_4(Gamma0(20)) over the divisors 1, 2, 4, 5, 10, 20
-LEVEL20_ROWS = (
-    (3, 3, 0, 1, 1, 0),
-    (4, 0, 0, 4, 0, 0),
-    (-1, 0, 5, 5, 0, -1),
-    (-1, 5, 0, 5, -1, 0),
-    (-2, 3, 5, 2, 1, -1),
-    (0, 3, 3, 0, 1, 1),
-)
 
 
 def test_only_tables_names_a_level_or_a_pair():
@@ -38,16 +30,47 @@ def test_only_tables_names_a_level_or_a_pair():
     assert found == []
 
 
+def _run_at_import(node):
+    """The node and every node under it that runs when its module is
+    imported: all but the bodies of functions and lambdas."""
+    yield node
+    deferred = (node.body if isinstance(node, ast.FunctionDef) else
+                [node.body] if isinstance(node, ast.Lambda) else [])
+    for child in ast.iter_child_nodes(node):
+        if not any(child is stmt for stmt in deferred):
+            yield from _run_at_import(child)
+
+
+def test_tables_are_read_when_used():
+    """No statement outside ``tables.py`` reads ``tables`` at import, in an
+    assignment, a default or a decorator, so a level added to ``tables``
+    reaches every reader.  The one exception is ``cli.LEVELS``, the
+    ``--level`` choices: argparse prints them in ``--help`` and in its
+    invalid-choice error, and a launch is a fresh process that reads
+    ``tables`` as shipped."""
+    def reads_tables(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "tables"
+        return (isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "tables")
+    found = [
+        f"{path.name}: {ast.unparse(stmt)}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "tables.py"
+        for stmt in ast.parse(path.read_text()).body
+        if any(map(reads_tables, _run_at_import(stmt)))]
+    assert found == ["cli.py: LEVELS = [*map(str, tables.levels()), 'all']"]
+
+
 def test_closed_form_pairs_are_derived():
     """Each (1, b) whose (4, b) and (1, 4b) are evaluated, in their order."""
-    assert convolution.EVALUATED_PAIRS == ((1, 44), (4, 11), (1, 52), (4, 13))
-    assert representations.CLOSED_FORM_PAIRS == ((1, 11), (1, 13))
+    assert list(tables.EXPANSION_COEFFS) == [
+        (1, 44), (4, 11), (1, 52), (4, 13)]
+    assert tables.closed_form_pairs() == ((1, 11), (1, 13))
 
 
 def test_level_20_is_data_only(monkeypatch, fresh_expansions):
-    """Level 20 added to ``tables`` and to ``CLOSED_FORM_PAIRS``, the one
-    tuple a suite reads that is built from it at import: every suite
-    reports ok over the three levels."""
+    """Level 20 added to the dicts of ``tables`` alone: every suite reports
+    ok over the three levels."""
     monkeypatch.setitem(tables.CUSP_EXPONENTS, 20, LEVEL20_ROWS)
     monkeypatch.setitem(tables.NONSTRICT_ROWS, 20, {})
     monkeypatch.setitem(tables.CUSP_DETERMINANTS, 20, 2000)
@@ -58,8 +81,6 @@ def test_level_20_is_data_only(monkeypatch, fresh_expansions):
         s3 = solution.sigma3_presentation()
         monkeypatch.setitem(tables.EXPANSION_COEFFS, pair, (
             tuple(s3[d] for d in space.divisors), solution.cusp_weights))
-    monkeypatch.setattr(representations, "CLOSED_FORM_PAIRS",
-                        (*representations.CLOSED_FORM_PAIRS, (1, 5)))
 
     checks = {check.name: check for check in (
         verify.ligozat(20), verify.basis(), verify.dims(),

@@ -4,21 +4,22 @@ Each fault is planted with ``monkeypatch`` in what one suite compares: a
 closed-form value, a cached eta expansion, an enumerated count, the cusp
 minor, the Eisenstein matrix or a built Eisenstein column of the
 independence check, a canonical weight, the expected condition profile,
-the dimension formula, the right-hand side of the identity or a value of
-the direct convolution oracle.  The suite must then report ``ok is False``, name the fault in one
-line and end with its failure verdict; through the command line, ``verify``
-must exit 1 with that line on stdout, and ``verify all`` must still print
-every later suite's report.  A fault that makes a result fail its own check
-(an ``ArithmeticError``: a basis of the wrong shape, an inconsistent
-derivation) is a failing line of the suite's report too, and a failure of
-``derive`` on stderr, never a traceback.
+the dimension formula, a tabled level without its pinned dimensions or
+cusp minor, the right-hand side of the identity or a value of the direct
+convolution oracle.  The suite must then report ``ok is False``, name the
+fault in one line and end with its failure verdict; through the command
+line, ``verify`` must exit 1 with that line on stdout, and ``verify all``
+must still print every later suite's report.  A fault that makes a result
+fail its own check (an ``ArithmeticError``: a basis of the wrong shape, an
+inconsistent derivation) is a failing line of the suite's report too, and a
+failure of ``derive`` on stderr, never a traceback.
 """
 
 import pytest
 
 from convsum import convolution, eta, representations, spaces, tables, verify
 from convsum.qseries import QSeries, pack_narrow, unpack
-from conftest import run_cli
+from conftest import LEVEL20_ROWS, run_cli
 
 
 def closed_value_off_by_one(monkeypatch):
@@ -133,6 +134,20 @@ def dimensions_shifted_together_at_30(monkeypatch):
     return "level 30: dim M 23 != mu/4 + nu_2/4 + nu_inf/2 = 88/4"
 
 
+def level20_without_dims_pin(monkeypatch):
+    """Level 20's rows tabled without its pinned dimensions."""
+    monkeypatch.setitem(tables.CUSP_EXPONENTS, 20, LEVEL20_ROWS)
+    return "level 20: dims (12, 6, 6) (expected None)"
+
+
+def level20_without_determinant_pin(monkeypatch):
+    """Level 20's rows tabled without its pinned cusp minor."""
+    monkeypatch.setattr(eta, "_EXPANSION_CACHE", {})
+    monkeypatch.setitem(tables.CUSP_EXPONENTS, 20, LEVEL20_ROWS)
+    return ("level 20: cusp minor determinant 2000 (expected None), "
+            "Eisenstein matrix unit lower triangular: True")
+
+
 def rhs_off_at_one_n(monkeypatch):
     real = verify.rhs_identity
 
@@ -189,6 +204,8 @@ FAULTS = [
      "ligozat: deviation from the expected profile"),
     (dimension_wrong_at_44, verify.dims, "dims: FAILED"),
     (dimensions_shifted_together_at_30, verify.dims, "dims: FAILED"),
+    (level20_without_dims_pin, verify.dims, "dims: FAILED"),
+    (level20_without_determinant_pin, verify.basis, "basis: FAILED"),
     (rhs_off_at_one_n, lambda: verify.identity(60), "identity: FAILED"),
     (oracle_off_by_one, lambda: verify.reps(20, 100), "reps: FAILED"),
     (level52_row_cut_short_under_a_pair, lambda: verify.closed_forms(60),
