@@ -61,6 +61,24 @@ def sigma_factored(k: int, m: int) -> int:
 sigma_k = lru_cache(maxsize=None)(sigma_factored)
 
 
+def sigma_factored_table(k: int, limit: int) -> list[int]:
+    """sigma_k(m) for m = 0..limit (0 at m = 0) from a smallest-prime-factor
+    table: with p = spf(m) and q = m / p, sigma_k(m) = (1 + p^k) sigma_k(q),
+    less p^k sigma_k(q / p) when p | q.  Factorization, like
+    ``sigma_factored``, and independent of the sieve of ``sigma_table``."""
+    if k < 0 or limit < 0:
+        raise ValueError(f"sigma_k: need k, limit >= 0, got {k}, {limit}")
+    spf = list(range(limit + 1))
+    for p in range(isqrt(limit), 1, -1):  # the smallest factor writes last
+        spf[p * p::p] = [p] * ((limit - p * p) // p + 1)
+    out = [0, 1][:limit + 1]
+    for m in range(2, limit + 1):
+        p = spf[m]
+        q, pk = m // p, p ** k
+        out.append((1 + pk) * out[q] - (pk * out[q // p] if q % p == 0 else 0))
+    return out
+
+
 @lru_cache(maxsize=2)
 def sigma_table(k: int, limit: int) -> tuple[int, ...]:
     """sigma_k(m) for m = 0..limit (0 at m = 0), by a hyperbola sieve: each

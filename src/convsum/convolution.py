@@ -3,8 +3,8 @@
 The convolution sum of a pair (alpha, beta) at n adds sigma(l) * sigma(m)
 over all non-negative l, m with alpha*l + beta*m = n; terms with a zero
 part vanish because sigma(0) = 0.  ``w_oracle`` evaluates this directly,
-``w_series_oracle`` tabulates it for every n as one banded series product
-of the residue classes that can meet, and
+``w_series_oracle`` tabulates it for every n with one series product per
+residue class, and
 ``w_closed_table`` evaluates the exact closed forms for the four pairs with
 alpha * beta in {44, 52} in integers for every n up to a bound, straight
 from the expansion of the squared Eisenstein combination of the pair;
@@ -15,12 +15,12 @@ checked for integrality and non-negativity before being returned.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd, lcm
 from operator import add, mod, mul
 
 from . import eta, tables
-from .arith import (divisors, residue_class, sigma_factored, sigma_k,
+from .arith import (divisors, residue_class, sigma_factored_table, sigma_k,
                     sigma_table)
 from .qseries import QSeries, combine_packed
 
@@ -40,17 +40,16 @@ def w_oracle(alpha: int, beta: int, n: int) -> int:
 
 
 def w_series_oracle(alpha: int, beta: int, max_n: int) -> list[int]:
-    """Convolution sums for n = 0..max_n as one banded series product, with
-    sigma by factorization (``arith.sigma_factored``, uncached).
+    """Convolution sums for n = 0..max_n as one series product per residue
+    class, with sigma by factorization (``arith.sigma_factored_table``).
 
     Only the n = g n' with g = gcd(alpha, beta) have solutions: those of
     a l + b j = n' for the reduced pair a <= b, up to m = max_n // g.  Split
-    l = b i + r by its class r mod b; then n' = a r + b (a i + j), so class
-    r is the series sum sigma(b i + r) y^(a i) in y = q^b, of degree below
-    k = m // b + 1 for a l <= m, times sum_(j < k) sigma(j) y^j.  Each
-    class is one band of a single operand, 2 k slots from the next, so its
-    product (below 2 k slots) overlaps no other, and slot 2 k r + t of the
-    one product is the sum at n = g (a r + b t).
+    l = b i + r by its class r mod b; then n' = a r + b (a i + j), so the
+    sums at n' = a r + b t, t < k = m // b + 1, are the first k coefficients
+    of the series sum sigma(b i + r) y^(a i) in y = q^b times
+    sum_(j < k) sigma(j) y^j: one product at precision k - 1 per class.
+    Below k = 2 every sum is 0 (t = 0 pairs sigma(r) with sigma(0)).
     """
     if alpha < 1 or beta < 1:
         raise ValueError("alpha and beta must be positive")
@@ -60,20 +59,17 @@ def w_series_oracle(alpha: int, beta: int, max_n: int) -> list[int]:
     a, b = sorted((alpha // g, beta // g))
     m = max_n // g
     k = m // b + 1
-    sig = list(map(sigma_factored, repeat(1), range(m // a + 1)))
-    bands = min(b, m // a + 1)  # a r <= m
-
-    def band(r):
-        out, own = [0] * (2 * k), sig[r::b]
-        out[:a * len(own):a] = own
-        return out
-    precision = 2 * k * bands - 1
-    product = (QSeries(precision, chain.from_iterable(map(band, range(bands))))
-               * QSeries(precision, sig[:k])).coeffs
     out = [0] * (max_n + 1)
-    for r in range(bands):
+    if k == 1:
+        return out
+    sig = sigma_factored_table(1, m // a)
+    other = QSeries(k - 1, sig[:k])
+    for r in range(min(b, m // a + 1)):  # a r <= m
+        own, band = sig[r::b], [0] * k
+        band[:a * len(own):a] = own
         ns = range(g * a * r, max_n + 1, g * b)
-        out[ns.start::ns.step] = product[2 * k * r:2 * k * r + len(ns)]
+        product = (QSeries(k - 1, band) * other).coeffs
+        out[ns.start::ns.step] = product[:len(ns)]
     return out
 
 

@@ -187,7 +187,18 @@ _THETAS = (
 
 def _plan_chain(chain, exps):
     """Multiplication steps (factor, d) and the d of each single F(q^d) to
-    divide by, for the product of F(q^d)^r over one chain."""
+    divide by, for the product of F(q^d)^r over one chain: theta series for
+    the negative exponents, then cubes and single F(q^d) for what is left."""
+    steps, rest = _thetas(chain, exps) if min(exps) < 0 else ([], exps)
+    for d, r in zip(chain, rest):
+        if r > 0:
+            steps += [(_CUBE, d)] * (r // 3) + [(_EULER, d)] * (r % 3)
+    return steps, [d for d, r in zip(chain, rest) for _ in range(-r)]
+
+
+def _thetas(chain, exps):
+    """The theta steps (factor, d) of the cheapest plan for a chain with a
+    negative exponent, and the exponents they leave."""
     single = [_EULER.cost(d) for d in chain]
     cube = [_CUBE.cost(d) for d in chain]
     placed = []  # (factor, d, vector, its negative positions, cost)
@@ -229,11 +240,7 @@ def _plan_chain(chain, exps):
         nodes.update(grown)
         frontier = grown
     used, (_, rest) = min(nodes.items(), key=lambda item: item[1][0])
-    steps = [(placed[j][0], placed[j][1]) for j in used]
-    for d, r in zip(chain, rest):
-        if r > 0:
-            steps += [(_CUBE, d)] * (r // 3) + [(_EULER, d)] * (r % 3)
-    return steps, [d for d, r in zip(chain, rest) for _ in range(-r)]
+    return [(placed[j][0], placed[j][1]) for j in used], rest
 
 
 @lru_cache(maxsize=64)

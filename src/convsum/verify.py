@@ -58,17 +58,21 @@ def _check(name: str, comparisons: list[tuple],
 
 def ligozat(level: int | str = "all") -> Check:
     """Each table row of the level, or of all, meets (i)-(v) at weight 4;
-    the strict order condition fails just on the known non-cuspidal rows."""
+    the strict order condition fails just on the known non-cuspidal rows.
+    A level without a ``NONSTRICT_ROWS`` pin fails on every row."""
     def compare(level, i):
         row = eta.table_row(level, i)
         rep = eta.check_ligozat(row)
-        row_ok = (rep.in_modular_space and rep.weight == 4 and
-                  rep.cond_v_prime == (i not in tables.NONSTRICT_ROWS[level]))
+        nonstrict = tables.NONSTRICT_ROWS.get(level)
+        row_ok = (nonstrict is not None and rep.in_modular_space
+                  and rep.weight == 4
+                  and rep.cond_v_prime == (i not in nonstrict))
         note = "cusp" if rep.cond_v_prime else "order 0 at some cusp"
+        verdict = ("no NONSTRICT_ROWS pin" if nonstrict is None
+                   else "ok" if row_ok else "UNEXPECTED")
         return row_ok, (
             f"level {level} row {i:2d} {row.as_row()}: weight {rep.weight}, "
-            f"leading q^{rep.leading_exponent}, {note} "
-            f"[{'ok' if row_ok else 'UNEXPECTED'}]")
+            f"leading q^{rep.leading_exponent}, {note} [{verdict}]")
     # the item is the row, which a malformed row's BasisError names
     return _check("ligozat", [
         (None, compare, lv, i) for lv in tables.levels(level)

@@ -5,8 +5,9 @@ from math import gcd
 import pytest
 
 from convsum.arith import (_factorise, dim_spaces, divisors, euler_phi,
-                           genus, prime_factors, sigma_factored, sigma_k,
-                           sigma_k_frac, sigma_table)
+                           genus, prime_factors, sigma_factored,
+                           sigma_factored_table, sigma_k, sigma_k_frac,
+                           sigma_table)
 from conftest import sigma_by_full_scan, sigma1_sieve
 
 
@@ -73,6 +74,27 @@ def test_sigma_k_is_the_cache_of_sigma_factored():
                                        2 * 3 * 5 * 7 * 11 * 13)] == [
         (), (), ((2, 1),), ((2, 10),), ((2, 10), (3, 1)), ((999_983, 1),),
         ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1))]
+
+
+def test_sigma_factored_table_is_sigma_factored():
+    """Every limit to 60, so every square and prime power is an end point."""
+    for k in (0, 1, 2, 3):
+        for limit in range(61):
+            assert sigma_factored_table(k, limit) == [
+                sigma_factored(k, m) for m in range(limit + 1)], (k, limit)
+
+
+def test_sigma_factored_table_against_the_sieve():
+    """Two independent paths: factorization and the hyperbola sieve."""
+    for k in (1, 3):
+        assert tuple(sigma_factored_table(k, 10_000)) == sigma_table(k, 10_000)
+
+
+def test_sigma_factored_table_edges():
+    assert sigma_factored_table(1, 0) == [0]
+    for k, limit in ((-1, 10), (1, -1)):
+        with pytest.raises(ValueError, match="need k, limit >= 0"):
+            sigma_factored_table(k, limit)
 
 
 def test_sigma_against_sieve_to_10000():

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convsum import tables
+from convsum import arith, convolution, tables
 from convsum.arith import sigma_k
 from convsum.convolution import (IntegralityError, w_closed, w_closed_table,
                                  w_oracle, w_series_oracle)
 from convsum.eisenstein import EisensteinPair
 from convsum.eta import basis_rows, table_rows
+from convsum.qseries import QSeries
 from convsum.spaces import build_basis, derive_coefficients
 from conftest import (REPORTED_CONSTANT_VIOLATIONS, REPORTED_EXPANSION_COEFFS,
                       literal_w_table)
@@ -57,6 +58,31 @@ def test_w_series_oracle_leaves_the_sigma_cache_alone():
     sigma_k.cache_clear()
     w_series_oracle(1, 44, 5000)
     assert sigma_k.cache_info().currsize == 0
+
+
+def test_w_series_oracle_is_independent_of_the_sieve(monkeypatch):
+    """The oracle takes sigma by factorization: with both bindings of the
+    sieve made to raise, it still equals the literal double sum."""
+    def sieve(*args):
+        raise AssertionError("the oracle read the sigma sieve")
+
+    monkeypatch.setattr(convolution, "sigma_table", sieve)
+    monkeypatch.setattr(arith, "sigma_table", sieve)
+    assert w_series_oracle(1, 44, 2000) == literal_w_table(1, 44, 2000)
+
+
+def test_w_series_oracle_multiplies_only_the_slots_it_reads(monkeypatch):
+    """(1, 44) at 5000 reads k = 114 sums of each of its 44 classes, so
+    every product runs at precision k - 1 = 113, through QSeries.__mul__."""
+    real, precisions = QSeries.__mul__, []
+
+    def recording(self, other):
+        precisions.append((self.precision, other.precision))
+        return real(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", recording)
+    assert w_series_oracle(1, 44, 5000) == literal_w_table(1, 44, 5000)
+    assert precisions == [(113, 113)] * 44
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,9 +4,9 @@ Each fault is planted with ``monkeypatch`` in what one suite compares: a
 closed-form value, a cached eta expansion, an enumerated count, the cusp
 minor, the Eisenstein matrix or a built Eisenstein column of the
 independence check, a canonical weight, the expected condition profile,
-the dimension formula, a tabled level without its pinned dimensions or
-cusp minor, the right-hand side of the identity or a value of the direct
-convolution oracle.  The suite must then report ``ok is False``, name the
+the dimension formula, a tabled level without its pinned dimensions, cusp
+minor or non-strict rows, the right-hand side of the identity or a value
+of the direct convolution oracle.  The suite must then report ``ok is False``, name the
 fault in one line and end with its failure verdict; through the command
 line, ``verify`` must exit 1 with that line on stdout, and ``verify all``
 must still print every later suite's report.  A fault that makes a result
@@ -148,6 +148,14 @@ def level20_without_determinant_pin(monkeypatch):
             "Eisenstein matrix unit lower triangular: True")
 
 
+def level20_without_nonstrict_pin(monkeypatch):
+    """Level 20's rows tabled without its non-strict rows: every row of the
+    level fails, naming the level, the row and the missing pin."""
+    monkeypatch.setitem(tables.CUSP_EXPONENTS, 20, LEVEL20_ROWS)
+    return ("level 20 row  1 (3, 3, 0, 1, 1, 0): weight 4, leading q^1, "
+            "cusp [no NONSTRICT_ROWS pin]")
+
+
 def rhs_off_at_one_n(monkeypatch):
     real = verify.rhs_identity
 
@@ -206,6 +214,8 @@ FAULTS = [
     (dimensions_shifted_together_at_30, verify.dims, "dims: FAILED"),
     (level20_without_dims_pin, verify.dims, "dims: FAILED"),
     (level20_without_determinant_pin, verify.basis, "basis: FAILED"),
+    (level20_without_nonstrict_pin, verify.ligozat,
+     "ligozat: deviation from the expected profile"),
     (rhs_off_at_one_n, lambda: verify.identity(60), "identity: FAILED"),
     (oracle_off_by_one, lambda: verify.reps(20, 100), "reps: FAILED"),
     (level52_row_cut_short_under_a_pair, lambda: verify.closed_forms(60),
@@ -253,6 +263,24 @@ def test_verify_exits_1_on_a_planted_fault(monkeypatch, args):
             "all: FAILED"]
     else:
         assert failed == len(lines) - 1
+
+
+@pytest.mark.parametrize("plant, suite, verdict", [
+    (level20_without_dims_pin, "dims", "dims: FAILED"),
+    (level20_without_determinant_pin, "basis", "basis: FAILED"),
+    (level20_without_nonstrict_pin, "ligozat",
+     "ligozat: deviation from the expected profile"),
+], ids=["dims", "basis", "ligozat"])
+def test_unpinned_level_exits_1(monkeypatch, plant, suite, verdict):
+    """A level tabled without one of its pins fails the suite that reads
+    the pin through the command line: its line, then the verdict, on
+    stdout, exit 1, and no traceback."""
+    line = plant(monkeypatch)
+    result = run_cli("verify", suite)
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    assert line in lines and lines[-1] == verdict
+    assert result.stderr == ""
 
 
 def test_verify_exits_1_on_a_cached_expansion_fault(monkeypatch):
