@@ -22,7 +22,7 @@ print("level 44: leading 15x15 cusp minor determinant",
 solution = derive_coefficients(EisensteinPair(1, 44), basis44)
 print("pair (1,44) solved at rows", solution.solving_indices)
 print("sigma_3 coefficients (240 * X_delta):")
-for d, c in sorted(solution.sigma3_presentation().items()):
+for d, c in zip(basis44.divisors, solution.sigma3):
     print(f"  n/{d:2d}: {c}")
 print("first three cusp weights:", solution.cusp_weights[:3])
 print()
@@ -47,7 +47,7 @@ for alpha, beta in ((1, 52), (4, 13)):
     sol = derive_coefficients(EisensteinPair(alpha, beta), repaired)
     print(f"  pair ({alpha},{beta}): unique solution, e.g. cusp weight 9 "
           f"= {sol.cusp_weights[8]}, sigma_3(n/52) coefficient "
-          f"= {sol.sigma3_presentation()[52]}")
+          f"= {sol.sigma3[-1]}")
 print()
 print("demo 06 feeds these into closed forms and checks them against")
 print("brute force (the acceptance suite pushes the check to n = 1000).")

@@ -11,8 +11,7 @@ on first use: ``import convsum`` alone loads no submodule.
 from importlib import import_module
 
 _HOME = {name: module for module, names in {
-    "arith": ("dim_spaces", "divisors", "euler_phi", "genus", "sigma_k",
-              "sigma_k_frac"),
+    "arith": ("dim_spaces", "divisors", "euler_phi", "genus", "sigma_k"),
     "convolution": ("IntegralityError", "w_closed", "w_closed_table",
                     "w_oracle", "w_series_oracle"),
     "eisenstein": ("EisensteinPair", "lhs_square", "rhs_identity", "series_L",

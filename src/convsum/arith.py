@@ -93,13 +93,6 @@ def sigma_table(k: int, limit: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def sigma_k_frac(k: int, n: int, delta: int) -> int:
-    """sigma_k(n/delta) when delta | n, else 0."""
-    if delta < 1:
-        raise ValueError(f"sigma_k_frac: need delta >= 1, got {delta}")
-    return sigma_k(k, n // delta) if n % delta == 0 else 0
-
-
 def residue_class(a: int, b: int, n: int, lo: int, hi: int) -> range:
     """The l in lo..hi with b | n - a l, for a, b >= 1: one residue class
     modulo b / gcd(a, b), found by a modular inverse; none unless gcd(a, b)

@@ -216,7 +216,6 @@ def dims(args) -> None:
 def derive(args) -> None:
     """Derive the exact expansion of the squared Eisenstein combination."""
     from . import eisenstein, eta, spaces
-    from .arith import divisors
     alpha, beta = args.alpha, args.beta
     pair = eisenstein.EisensteinPair(alpha, beta)
     rows = (eta.table_rows if args.basis == "printed"
@@ -224,7 +223,7 @@ def derive(args) -> None:
     label = eta.rows_label(pair.level, rows)
     space = spaces.build_basis(pair.level, args.solve_precision, rows)
     solution = spaces.derive_coefficients(pair, space)
-    sigma3 = solution.sigma3_presentation()
+    sigma3 = dict(zip(space.divisors, solution.sigma3))
     payload = {
         "alpha": alpha,
         "beta": beta,
@@ -233,9 +232,8 @@ def derive(args) -> None:
         "solving_indices": list(solution.solving_indices),
         "sigma3_coefficients": {
             str(d): _rational_json(c) for d, c in sigma3.items()},
-        "eisenstein_weights": {
-            str(d): _rational_json(x)
-            for d, x in solution.eisenstein_weights.items()},
+        "eisenstein_weights": {  # X_delta
+            str(d): _rational_json(c / 240) for d, c in sigma3.items()},
         "cusp_weights": [_rational_json(y) for y in solution.cusp_weights],
     }
     if args.json:
@@ -244,8 +242,8 @@ def derive(args) -> None:
     print(f"pair ({alpha},{beta}), level {pair.level}, {label} rows; "
           f"solved at n in {tuple(solution.solving_indices)}")
     print("sigma3 coefficients (240 * X_delta):")
-    for d in divisors(pair.level):
-        print(f"  n/{d}: {sigma3[d]}")
+    for d, c in sigma3.items():
+        print(f"  n/{d}: {c}")
     print("cusp weights (Y_j):")
     for j, y in enumerate(solution.cusp_weights, 1):
         print(f"  {j}: {y}")

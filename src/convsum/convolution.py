@@ -113,8 +113,6 @@ def w_closed_table(pair: tuple[int, int], max_n: int,
             f"closed form for {(a, b)}: {len(s3_coeffs)} sigma_3 coefficients "
             f"for {len(ds)} divisors, {len(cusp_weights)} cusp weights for "
             f"{len(rows)} rows")
-    if max_n == 0:
-        return [0]
     den = lcm(*(c.denominator for c in (*s3_coeffs, *cusp_weights)))
     acc = [0] * (max_n + 1)
     s3 = sigma_table(3, max_n)

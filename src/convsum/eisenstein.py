@@ -16,7 +16,7 @@ from math import gcd
 from operator import add, mul
 from typing import Callable, NamedTuple
 
-from .arith import sigma_k_frac, sigma_table
+from .arith import sigma_factored_table, sigma_table
 from .qseries import QSeries
 
 
@@ -68,14 +68,15 @@ def rhs_identity(pair: EisensteinPair, w_values: Callable[[int], int],
     """The termwise expansion of the square through convolution sums.
 
     ``w_values(n)`` must return the exact convolution sum of the pair at n.
+    Its divisor sums come from one factorization table per order.
     """
     a, b = pair.alpha, pair.beta
-    coeffs = [(a - b) ** 2]
-    for n in range(1, precision + 1):
-        coeffs.append(
-            240 * a * a * sigma_k_frac(3, n, a)
-            + 240 * b * b * sigma_k_frac(3, n, b)
-            + 48 * a * (b - 6 * n) * sigma_k_frac(1, n, a)
-            + 48 * b * (a - 6 * n) * sigma_k_frac(1, n, b)
-            - 1152 * a * b * w_values(n))
+    coeffs = [(a - b) ** 2] + [-1152 * a * b * w_values(n)
+                               for n in range(1, precision + 1)]
+    s1, s3 = (sigma_factored_table(k, max(precision, 0) // a) for k in (1, 3))
+    for d, other in ((a, b), (b, a)):
+        # 240 d^2 sigma_3(n / d) + 48 d (other - 6 n) sigma(n / d) at n = d m
+        coeffs[d::d] = map(add, coeffs[d::d], [
+            240 * d * d * s3[m] + 48 * d * (other - 6 * d * m) * s1[m]
+            for m in range(1, precision // d + 1)])
     return QSeries(precision, coeffs)

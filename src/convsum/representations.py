@@ -18,7 +18,7 @@ from operator import mul
 from typing import Callable
 
 from . import convolution, tables
-from .arith import residue_class, sigma_k, sigma_k_frac
+from .arith import residue_class, sigma_k
 
 WProvider = Callable[[int, int, int], int]
 
@@ -29,7 +29,7 @@ def r4_jacobi(n: int) -> int:
         raise ValueError(f"need n >= 0, got {n}")
     if n == 0:
         return 1
-    return 8 * sigma_k(1, n) - 32 * sigma_k_frac(1, n, 4)
+    return 8 * sigma_k(1, n) - 32 * (sigma_k(1, n // 4) if n % 4 == 0 else 0)
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from . import eta
-from .arith import dim_spaces, divisors, sigma_k_frac
+from .arith import dim_spaces, divisors, sigma_factored_table
 from .eisenstein import EisensteinPair, lhs_square, series_M
 from .eta import BasisError
 from .qseries import QSeries
@@ -114,10 +114,10 @@ def verify_independence(basis: SpaceBasis) -> int:
 
     The determinant of [c_j(n)] for n = 1..dim S must be nonzero.  Each
     built Eisenstein column M(q^u) must hold 1 at q^0 and 240 sigma_3(n/u)
-    at every q^n up to the precision, with sigma_3 by factorization, not
-    from the sieve that built it; the system matrix [sigma_3(t/u)] over the
-    ascending divisors is then unit lower triangular.  Either failure
-    raises BasisError.
+    at every q^n up to the precision, with sigma_3 from one table by
+    factorization, not from the sieve that built it; the system matrix
+    [sigma_3(t/u)] over the ascending divisors is then unit lower
+    triangular.  Either failure raises BasisError.
     """
     dim_s = len(basis.cusp_part)
     if basis.precision < dim_s:
@@ -130,9 +130,11 @@ def verify_independence(basis: SpaceBasis) -> int:
     cols = [col for _, col, _ in pivots]
     odd = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:]) % 2
     det = (-1) ** odd * (pivots[-1][2][cols[-1]] if pivots else 1)
+    s3 = sigma_factored_table(3, basis.precision)
     for u, column in zip(basis.divisors, basis.eisenstein_part):
-        if column.coeffs != (1, *(240 * sigma_k_frac(3, n, u)
-                                  for n in range(1, basis.precision + 1))):
+        expected = [0] * (basis.precision + 1)
+        expected[::u] = [1] + [240 * s for s in s3[1:basis.precision // u + 1]]
+        if column.coeffs != tuple(expected):
             raise BasisError(
                 "Eisenstein system matrix is not unit lower triangular")
     return det
@@ -142,15 +144,12 @@ def verify_independence(basis: SpaceBasis) -> int:
 # coefficient derivation
 
 class CoefficientSolution(NamedTuple):
-    """Exact expansion weights of a squared Eisenstein combination."""
+    """Exact expansion weights of a squared Eisenstein combination;
+    ``solution[:2]`` has the shape of a ``tables.EXPANSION_COEFFS`` entry."""
 
-    eisenstein_weights: dict[int, Fraction]   # X_delta per divisor
-    cusp_weights: tuple[Fraction, ...]        # Y_j in basis order
+    sigma3: tuple[Fraction, ...]         # 240 X_delta over ascending delta
+    cusp_weights: tuple[Fraction, ...]   # Y_j in basis order
     solving_indices: tuple[int, ...]
-
-    def sigma3_presentation(self) -> dict[int, Fraction]:
-        """The sigma_3 coefficients 240 * X_delta, as usually displayed."""
-        return {d: 240 * x for d, x in self.eisenstein_weights.items()}
 
 
 def _solve(columns: Sequence[Sequence[int]], target: Sequence[int],
@@ -223,7 +222,7 @@ def derive_coefficients(pair: EisensteinPair,
 
     solution = [Fraction(xj, den) for xj in x]
     return CoefficientSolution(
-        eisenstein_weights=dict(zip(basis.divisors, solution[:n_eis])),
+        sigma3=tuple(240 * x for x in solution[:n_eis]),
         cusp_weights=tuple(solution[n_eis:]),
         solving_indices=used,
     )

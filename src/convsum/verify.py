@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import convolution, eta, representations, spaces, tables
-from .arith import _index, _nu2, _nu_inf, dim_spaces, sigma_k, sigma_k_frac
+from .arith import _index, _nu2, _nu_inf, dim_spaces, sigma_factored_table
 from .eisenstein import EisensteinPair, lhs_square, rhs_identity
 
 
@@ -148,9 +148,7 @@ def lemma32(solve_precision: int) -> Check:
         space = spaces.build_basis(pair.level, solve_precision)
         label = eta.rows_label(pair.level, space.cusp_rows)
         solution = spaces.derive_coefficients(pair, space)
-        got_s3 = tuple(solution.sigma3_presentation()[d]
-                       for d in space.divisors)
-        match = got_s3 == exp_s3 and solution.cusp_weights == exp_y
+        match = solution[:2] == (exp_s3, exp_y)
         kind, where = tables.REPORTED_DIVERGENCES[(a, b)]
         if kind == "inconsistent":
             note = "reported list inconsistent with the printed rows"
@@ -180,12 +178,13 @@ def closed_forms(max_n: int) -> Check:
         for pair in tables.EXPANSION_COEFFS])
 
 
-def _substitution_holds(b: int, n: int) -> bool:
+def _substitution_holds(b: int, n: int, s1: list, s1_4: list) -> bool:
     """Rescaling one summation variable by 4 turns the double sums over
-    l + b m = n into the convolution sums of (4, b) and (1, 4b)."""
+    l + b m = n into the convolution sums of (4, b) and (1, 4b).  Up to n,
+    s1 holds sigma(m) by factorization and s1_4 sigma(m/4), 0 unless 4 | m."""
     ls = range(n % b or b, n, b)  # the l in 1..n-1 with b | n - l
-    lhs4 = sum(sigma_k_frac(1, l, 4) * sigma_k(1, (n - l) // b) for l in ls)
-    lhs1 = sum(sigma_k(1, l) * sigma_k_frac(1, (n - l) // b, 4) for l in ls)
+    lhs4 = sum(s1_4[l] * s1[(n - l) // b] for l in ls)
+    lhs1 = sum(s1[l] * s1_4[(n - l) // b] for l in ls)
     return (lhs4 == convolution.w_oracle(4, b, n)
             and lhs1 == convolution.w_oracle(1, 4 * b, n))
 
@@ -195,6 +194,8 @@ def reps(max_n: int, substitution_max_n: int) -> Check:
     behind their closed forms."""
     _require_positive("max-n", max_n)
     _require_positive("substitution-max-n", substitution_max_n)
+    s1 = sigma_factored_table(1, substitution_max_n)
+    s1_4 = [0 if m % 4 else s1[m // 4] for m in range(len(s1))]
 
     def counts(a, b):
         w = representations.default_w_provider(b, max_n)
@@ -207,7 +208,7 @@ def reps(max_n: int, substitution_max_n: int) -> Check:
 
     def substitution(b):
         bad = next((n for n in range(1, substitution_max_n + 1)
-                    if not _substitution_holds(b, n)), None)
+                    if not _substitution_holds(b, n, s1, s1_4)), None)
         return bad is None, f"substitution identities for b = {b}: " + (
             f"exact for n <= {substitution_max_n}" if bad is None
             else f"fail at n = {bad}")

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's fast paths: the eta
 oracle multiplies out the literal product factor by factor with Fraction
 arithmetic, the sparse-series kernels and the series product run one
 coefficient at a time, the convolution-sum table adds the double sum one
-slice at a time, the divisor-sum oracles enumerate divisors
+slice at a time, the squared-combination expansion takes its divisor sums
+one value at a time, the divisor-sum oracles enumerate divisors
 directly, the four-square oracle visits the lattice points of the sphere,
 and the linear-algebra oracles are Gauss elimination over
 Fraction and the Leibniz determinant.  The eta-quotient chain planner is
@@ -18,6 +19,7 @@ command-line tests.
 from __future__ import annotations
 
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +32,7 @@ from unittest import mock
 import pytest
 
 from convsum import cli, eta
-from convsum.arith import sigma_k
+from convsum.arith import sigma_factored, sigma_k
 from convsum.eta import _CUBE, _EULER, _THETAS
 from convsum.qseries import QSeries
 
@@ -232,6 +234,23 @@ def literal_w_table(alpha, beta, max_n):
     return out
 
 
+def literal_sigma_quotient(k, n, delta):
+    """sigma_k(n / delta) by factorization when delta | n, else 0."""
+    return sigma_factored(k, n // delta) if n % delta == 0 else 0
+
+
+def literal_rhs_identity(pair, w_values, precision):
+    """``eisenstein.rhs_identity`` as the per-n formula, each divisor sum
+    read one value at a time."""
+    a, b = pair
+    return QSeries(precision, [(a - b) ** 2] + [
+        240 * a * a * literal_sigma_quotient(3, n, a)
+        + 240 * b * b * literal_sigma_quotient(3, n, b)
+        + 48 * a * (b - 6 * n) * literal_sigma_quotient(1, n, a)
+        + 48 * b * (a - 6 * n) * literal_sigma_quotient(1, n, b)
+        - 1152 * a * b * w_values(n) for n in range(1, precision + 1)])
+
+
 def sigma_by_full_scan(k, n):
     """Divisor power sum by scanning every candidate up to n."""
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
@@ -410,6 +429,17 @@ def fresh_expansions(monkeypatch):
     """An empty expansion cache for one test, so every expansion runs at the
     precision requested instead of being cut from an earlier, longer one."""
     monkeypatch.setattr(eta, "_EXPANSION_CACHE", {})
+
+
+@pytest.fixture
+def no_sigma_sieve(monkeypatch):
+    """Every binding of the library's sigma sieve raises for one test."""
+    def sieve(*args):
+        raise AssertionError("read the sigma sieve")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("convsum") and hasattr(module, "sigma_table"):
+            monkeypatch.setattr(module, "sigma_table", sieve)
 
 
 @pytest.fixture(scope="session")

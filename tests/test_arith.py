@@ -6,8 +6,7 @@ import pytest
 
 from convsum.arith import (_factorise, dim_spaces, divisors, euler_phi,
                            genus, prime_factors, sigma_factored,
-                           sigma_factored_table, sigma_k, sigma_k_frac,
-                           sigma_table)
+                           sigma_factored_table, sigma_k, sigma_table)
 from conftest import sigma_by_full_scan, sigma1_sieve
 
 
@@ -24,8 +23,6 @@ def test_sigma_examples():
     assert sigma_k(3, 2) == 9
     assert sigma_k(1, 0) == 0
     assert sigma_k(1, -7) == 0
-    assert sigma_k_frac(3, 10, 4) == 0
-    assert sigma_k_frac(3, 12, 4) == sigma_k(3, 3)
 
 
 def test_sigma_against_full_scan():
@@ -180,9 +177,8 @@ def test_dim_spaces_rejects_bad_weight(weight):
 
 @pytest.mark.parametrize("call, args, message", [
     (divisors, (0,), "divisors: need n >= 1, got 0"),
-    (sigma_k_frac, (1, 4, 0), "sigma_k_frac: need delta >= 1, got 0"),
     (dim_spaces, (0, 4), "level must be positive, got 0"),
-], ids=["divisors", "sigma_k_frac", "dim_spaces"])
+], ids=["divisors", "dim_spaces"])
 def test_zero_is_refused(call, args, message):
     """Each refuses 0 with its own message, before it divides by it or
     factors it."""

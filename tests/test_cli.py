@@ -408,23 +408,45 @@ def test_cli_ceilings_are_accepted():
     assert result.exit_code == 0
 
 
-def _loaded(*args) -> set[str]:
-    """Module names a fresh interpreter holds after ``import convsum`` and,
-    given args, one CLI launch on them."""
-    code = ("import sys\n"
-            "try:\n"
-            "    import convsum\n"
-            "    if sys.argv[1:]:\n"
-            "        from convsum.cli import main\n"
-            "        main(sys.argv[1:])\n"
-            "finally:\n"
-            "    print(*sorted(sys.modules), file=sys.stderr)\n")
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c code args`` in a fresh interpreter that imports convsum
+    from this tree; it must exit 0."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
     child = subprocess.run([sys.executable, "-c", code, *args], env=env,
                            capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
-    return set(child.stderr.split())
+    return child
+
+
+def _loaded(*args) -> set[str]:
+    """Module names a fresh interpreter holds after ``import convsum`` and,
+    given args, one CLI launch on them."""
+    return set(_fresh("import sys\n"
+                      "try:\n"
+                      "    import convsum\n"
+                      "    if sys.argv[1:]:\n"
+                      "        from convsum.cli import main\n"
+                      "        main(sys.argv[1:])\n"
+                      "finally:\n"
+                      "    print(*sorted(sys.modules), file=sys.stderr)\n",
+                      *args).stderr.split())
+
+
+def test_verify_all_fast_pins_the_sigma_cache_work():
+    """Work-count pin: in a fresh interpreter the seven suites at their
+    --fast values call ``sigma_k`` 696 times and leave 56 entries.  Only
+    ``w_oracle`` and ``r4_jacobi`` read it, one value each; every range of
+    sigma comes from a table, so a range read through the cache fails."""
+    child = _fresh("import contextlib, io, sys\n"
+                   "from convsum import arith\n"
+                   "from convsum.cli import main\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    main(sys.argv[1:], standalone_mode=False)\n"
+                   "info = arith.sigma_k.cache_info()\n"
+                   "print(info.hits + info.misses, info.currsize)\n",
+                   "verify", "all", "--fast")
+    assert child.stdout.split() == ["696", "56"]
 
 
 def test_each_launch_imports_only_what_its_command_runs():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convsum import arith, convolution, tables
+from convsum import tables
 from convsum.arith import sigma_k
 from convsum.convolution import (IntegralityError, w_closed, w_closed_table,
                                  w_oracle, w_series_oracle)
@@ -60,14 +60,9 @@ def test_w_series_oracle_leaves_the_sigma_cache_alone():
     assert sigma_k.cache_info().currsize == 0
 
 
-def test_w_series_oracle_is_independent_of_the_sieve(monkeypatch):
-    """The oracle takes sigma by factorization: with both bindings of the
+def test_w_series_oracle_is_independent_of_the_sieve(no_sigma_sieve):
+    """The oracle takes sigma by factorization: with every binding of the
     sieve made to raise, it still equals the literal double sum."""
-    def sieve(*args):
-        raise AssertionError("the oracle read the sigma sieve")
-
-    monkeypatch.setattr(convolution, "sigma_table", sieve)
-    monkeypatch.setattr(arith, "sigma_table", sieve)
     assert w_series_oracle(1, 44, 2000) == literal_w_table(1, 44, 2000)
 
 
@@ -137,9 +132,8 @@ def test_formula_rederivation_matches_frozen_data(pair):
     evaluated as a closed form it equals brute force."""
     basis = build_basis(pair[0] * pair[1], 120)
     solution = derive_coefficients(EisensteinPair(*pair), basis)
-    s3 = tuple(solution.sigma3_presentation()[d] for d in basis.divisors)
-    assert (s3, solution.cusp_weights) == tables.EXPANSION_COEFFS[pair]
-    expansion = (s3, solution.cusp_weights, basis.cusp_rows)
+    assert solution[:2] == tables.EXPANSION_COEFFS[pair]
+    expansion = (*solution[:2], basis.cusp_rows)
     assert w_closed_table(pair, 300, expansion) == w_series_oracle(*pair, 300)
 
 

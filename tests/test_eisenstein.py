@@ -1,12 +1,17 @@
+from math import gcd
 from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from convsum import tables, verify
 from convsum.arith import sigma_k
 from convsum.convolution import w_oracle
+from convsum.convolution import w_series_oracle
 from convsum.eisenstein import (EisensteinPair, lhs_square, rhs_identity,
                                 series_L, series_M)
+from conftest import literal_rhs_identity
 
 
 def test_pair_validation():
@@ -60,6 +65,38 @@ def test_rhs_first_coefficient():
     rhs = rhs_identity(pair, lambda n: w_oracle(1, 44, n), 4)
     assert rhs[0] == 1849
     assert rhs[1] == 240 + 48 * 38  # sigma_3(1) term plus the linear term
+
+
+def test_rhs_identity_reads_neither_the_sieve_nor_the_sigma_cache(
+        no_sigma_sieve):
+    """The divisor sums come from tables by factorization: with every
+    binding of the sieve made to raise, the expansion still equals the
+    per-n formula and leaves the cache of ``sigma_k`` as it was."""
+    pair = EisensteinPair(4, 13)
+    w = w_series_oracle(4, 13, 300)
+    before = sigma_k.cache_info()
+    assert rhs_identity(pair, w.__getitem__, 300) == literal_rhs_identity(
+        pair, w.__getitem__, 300)
+    assert sigma_k.cache_info() == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 300))
+@example(7, 11, 5)  # precision below alpha
+@example(7, 11, 9)  # alpha < precision < beta
+@example(1, 44, 300)
+@example(4, 13, 52)
+def test_rhs_identity_matches_the_per_n_formula(alpha, beta, precision):
+    """Any coprime pair, any precision, and convolution values that are not
+    those of the pair, so each term must sit at its own n."""
+    assume(alpha < beta and gcd(alpha, beta) == 1)
+    pair = EisensteinPair(alpha, beta)
+
+    def w(n):
+        return n * 7919 % 101 - 50
+
+    assert (rhs_identity(pair, w, precision)
+            == literal_rhs_identity(pair, w, precision))
 
 
 @pytest.mark.parametrize("alpha,beta", list(tables.EXPANSION_COEFFS))

@@ -13,7 +13,7 @@ import convsum
 
 
 def test_every_export_resolves_once():
-    assert len(convsum.__all__) == len(set(convsum.__all__)) == 37
+    assert len(convsum.__all__) == len(set(convsum.__all__)) == 36
     assert [name for name in convsum.__all__ if not hasattr(convsum, name)] == []
 
 

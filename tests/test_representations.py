@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convsum.arith import sigma_k_frac
 from convsum.convolution import w_oracle
 from convsum.representations import (default_w_provider, r4_enumerate,
                                      r4_jacobi, rep_count_closed,
                                      rep_count_enumerate)
-from conftest import literal_r4
+from conftest import literal_r4, literal_sigma_quotient
 
 
 def test_r4_examples():
@@ -94,7 +93,8 @@ def test_substitution_identities(b):
     rescaling one of them is checked by verify.reps."""
     for n in range(1, 160):
         both_quarters = sum(
-            sigma_k_frac(1, l, 4) * sigma_k_frac(1, (n - l) // b, 4)
+            literal_sigma_quotient(1, l, 4)
+            * literal_sigma_quotient(1, (n - l) // b, 4)
             for l in range(1, n) if (n - l) % b == 0)
         assert both_quarters == (w_oracle(1, b, n // 4) if n % 4 == 0 else 0)
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import convsum.spaces as spaces_module
 from convsum import tables
+from convsum.arith import sigma_k
 from convsum.eisenstein import EisensteinPair, lhs_square
 from convsum.eta import EtaQuotient, table_rows
 from convsum.qseries import QSeries
@@ -13,7 +14,8 @@ from convsum.spaces import (BasisError, DerivationError,
                             InconsistentSystemError, SingularSystemError,
                             SpaceBasis, _solve, build_basis,
                             derive_coefficients, verify_independence)
-from conftest import LEVEL52_DEPENDENCY, fraction_solve, literal_determinant
+from conftest import (LEVEL52_DEPENDENCY, fraction_solve, literal_determinant,
+                      literal_sigma_quotient)
 
 PRECISION = 120
 
@@ -58,23 +60,35 @@ def test_independence_certificates(basis44, basis52, basis52_repaired):
 
 def test_eisenstein_matrix_off_the_triangle_is_a_basis_error(basis44,
                                                              monkeypatch):
-    """One nonzero entry above the diagonal of [sigma_3(t/u)] fails the
+    """One sigma_3 value off by one in the table the check reads moves the
+    entries sigma_3(t/u) at t = 2u off the built matrix and fails the
     check, though the cusp minor is regular."""
-    real = spaces_module.sigma_k_frac
-    monkeypatch.setattr(
-        spaces_module, "sigma_k_frac",
-        lambda k, n, delta: 1 if (n, delta) == (1, 2) else real(k, n, delta))
+    real = spaces_module.sigma_factored_table
+
+    def off_by_one(k, limit):
+        table = real(k, limit)
+        table[2] += 1
+        return table
+
+    monkeypatch.setattr(spaces_module, "sigma_factored_table", off_by_one)
     with pytest.raises(BasisError, match="not unit lower triangular"):
         verify_independence(basis44)
+
+
+def test_independence_reads_neither_the_sieve_nor_the_sigma_cache(
+        basis44, no_sigma_sieve):
+    """The Eisenstein check takes sigma_3 from one table by factorization:
+    with every binding of the sieve made to raise, a basis built before it
+    still passes, and the cache of ``sigma_k`` is left as it was."""
+    before = sigma_k.cache_info()
+    assert verify_independence(basis44) == -396
+    assert sigma_k.cache_info() == before
 
 
 @pytest.mark.parametrize("pair", [(1, 44), (4, 11)])
 def test_derivation_level44(basis44, pair):
     solution = derive_coefficients(EisensteinPair(*pair), basis44)
-    expected_s3, expected_y = tables.EXPANSION_COEFFS[pair]
-    got_s3 = tuple(solution.sigma3_presentation()[d] for d in basis44.divisors)
-    assert got_s3 == expected_s3
-    assert solution.cusp_weights == expected_y
+    assert solution[:2] == tables.EXPANSION_COEFFS[pair]
     assert solution.solving_indices == (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
                                         12, 13, 14, 15, 16, 17, 19, 20, 22)
 
@@ -84,7 +98,7 @@ def test_derived_weights_are_fractions(basis44, basis52_repaired):
     anywhere would show up as a non-Fraction weight."""
     for pair, basis in (((4, 11), basis44), ((1, 52), basis52_repaired)):
         sol = derive_coefficients(EisensteinPair(*pair), basis)
-        weights = tuple(sol.eisenstein_weights.values()) + sol.cusp_weights
+        weights = sol.sigma3 + sol.cusp_weights
         assert all(type(w) is Fraction for w in weights)
 
 
@@ -183,7 +197,7 @@ def test_cusp_determinant_is_the_literal_one(mat):
 
 def test_derivation_spot_values(basis44):
     sol = derive_coefficients(EisensteinPair(1, 44), basis44)
-    assert sol.sigma3_presentation()[1] == Fraction(124464, 61)
+    assert sol.sigma3[0] == Fraction(124464, 61)  # at delta = 1
     assert sol.cusp_weights[0] == Fraction(1440, 61)
     sol2 = derive_coefficients(EisensteinPair(4, 11), basis44)
     assert sol2.cusp_weights[0] == Fraction(110880, 61)
@@ -192,10 +206,9 @@ def test_derivation_spot_values(basis44):
 def test_reconstruction_spot_check(basis44):
     sol = derive_coefficients(EisensteinPair(1, 44), basis44)
     lhs = lhs_square(EisensteinPair(1, 44), PRECISION)
-    from convsum.arith import sigma_k_frac
     for n in (1, 17, 44, 96, PRECISION):
-        value = sum(240 * x * sigma_k_frac(3, n, d)
-                    for d, x in sol.eisenstein_weights.items())
+        value = sum(c * literal_sigma_quotient(3, n, d)
+                    for d, c in zip(basis44.divisors, sol.sigma3))
         value += sum(y * s[n]
                      for y, s in zip(sol.cusp_weights, basis44.cusp_part))
         assert value == lhs[n]
@@ -215,8 +228,7 @@ def test_level52_printed_rows_inconsistent(basis52):
 
 def test_level52_rank_deficiency(basis52):
     """One exact dependency among the 24 printed columns, none among 23."""
-    from convsum.arith import sigma_k_frac
-    columns = [[Fraction(240 * sigma_k_frac(3, n, d))
+    columns = [[Fraction(240 * literal_sigma_quotient(3, n, d))
                 for n in range(1, PRECISION + 1)] for d in basis52.divisors]
     columns += [[s[n] for n in range(1, PRECISION + 1)]
                 for s in basis52.cusp_part]
@@ -249,12 +261,11 @@ def test_level52_dependency_certificate(basis52):
     degree bound of the weight-4 space, so it is an exact identity; the
     nonzero weight on row 7 is why swapping that row restores full rank.
     """
-    from convsum.arith import sigma_k_frac
     eis_w, cusp_w = LEVEL52_DEPENDENCY
     assert sum(eis_w) == 0  # constant terms cancel
     assert cusp_w[6] != 0
     for n in range(1, PRECISION + 1):
-        total = sum(w * sigma_k_frac(3, n, d)
+        total = sum(w * literal_sigma_quotient(3, n, d)
                     for w, d in zip(eis_w, basis52.divisors))
         total += sum(w * s[n] for w, s in zip(cusp_w, basis52.cusp_part))
         assert total == 0, f"dependency fails at n = {n}"
@@ -263,11 +274,7 @@ def test_level52_dependency_certificate(basis52):
 @pytest.mark.parametrize("pair", [(1, 52), (4, 13)])
 def test_derivation_level52_repaired(basis52_repaired, pair):
     solution = derive_coefficients(EisensteinPair(*pair), basis52_repaired)
-    expected_s3, expected_y = tables.EXPANSION_COEFFS[pair]
-    got_s3 = tuple(solution.sigma3_presentation()[d]
-                   for d in basis52_repaired.divisors)
-    assert got_s3 == expected_s3
-    assert solution.cusp_weights == expected_y
+    assert solution[:2] == tables.EXPANSION_COEFFS[pair]
 
 
 def test_repaired_solution_keeps_reported_spot_value(basis52_repaired):

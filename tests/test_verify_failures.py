@@ -71,10 +71,15 @@ def singular_certificate(monkeypatch):
 
 
 def eisenstein_matrix_off_the_triangle(monkeypatch):
-    real = spaces.sigma_k_frac
-    monkeypatch.setattr(
-        spaces, "sigma_k_frac",
-        lambda k, n, delta: 1 if (n, delta) == (1, 2) else real(k, n, delta))
+    """sigma_3(2) one too high in the table the Eisenstein check reads."""
+    real = spaces.sigma_factored_table
+
+    def off_by_one(k, limit):
+        table = real(k, limit)
+        table[2] += 1
+        return table
+
+    monkeypatch.setattr(spaces, "sigma_factored_table", off_by_one)
     return "level 44: Eisenstein system matrix is not unit lower triangular"
 
 
