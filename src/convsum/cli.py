@@ -73,9 +73,25 @@ def _add_parser(subparsers, name: str, doc: str) -> argparse.ArgumentParser:
     return parser
 
 
-def _parser(prog: str) -> argparse.ArgumentParser:
-    """The parser of every registered command.  The group precision
-    defaults to CONVSUM_PRECISION as set now, parsed as the flag would be."""
+def _command_path(args: list[str]) -> str | None:
+    """The registered command that args run, read past the group precision
+    (``--precision X`` or ``--precision=X``); None when they name none."""
+    i = 0
+    while i < len(args) and args[i].partition("=")[0] == "--precision":
+        i += 1 if "=" in args[i] else 2
+    for path in (" ".join(args[i:i + 1]), " ".join(args[i:i + 2])):
+        if path in COMMANDS:
+            return path
+    return None
+
+
+def _parser(prog: str, args: list[str]) -> argparse.ArgumentParser:
+    """The parser of the command that args run, or of every registered
+    command for a help or a missing or unknown command, whose message lists
+    them all.  The group precision defaults to CONVSUM_PRECISION as set
+    now, parsed as the flag would be."""
+    run = _command_path(args)
+    commands = COMMANDS if run is None else {run: COMMANDS[run]}
     parser = argparse.ArgumentParser(prog=prog, description=main.__doc__,
                                      add_help=False, allow_abbrev=False)
     parser.add_argument("--help", action="help",
@@ -87,7 +103,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
              f"{MAX_PRECISION}; CONVSUM_PRECISION sets it too "
              "(default: %(default)s).")
     subparsers = {"": parser.add_subparsers(metavar="COMMAND", required=True)}
-    for path, (handler, options) in COMMANDS.items():
+    for path, (handler, options) in commands.items():
         group, _, name = path.rpartition(" ")
         if group not in subparsers:
             subparsers[group] = _add_parser(
@@ -105,7 +121,8 @@ def _parser(prog: str) -> argparse.ArgumentParser:
 def main(args=None, prog_name: str = "convsum",
          standalone_mode: bool = True) -> None:
     """Exact convolution sums, eta-quotient bases, and their verification."""
-    parsed = _parser(prog_name).parse_args(args)
+    args = sys.argv[1:] if args is None else list(args)
+    parsed = _parser(prog_name, args).parse_args(args)
     try:
         if parsed.precision < 1:
             raise ValueError("precision must be positive")

@@ -7,9 +7,11 @@ part vanish because sigma(0) = 0.  ``w_oracle`` evaluates this directly,
 residue class, and
 ``w_closed_table`` evaluates the exact closed forms for the four pairs with
 alpha * beta in {44, 52} in integers for every n up to a bound, straight
-from the expansion of the squared Eisenstein combination of the pair;
-``w_closed`` reads one entry of that table.  Closed-form output is always
-checked for integrality and non-negativity before being returned.
+from the expansion of the squared Eisenstein combination of the pair,
+rewritten through frozen exact relations over eta quotients that all
+expand without a division; ``w_closed`` reads one entry of that table.
+Closed-form output is always checked for integrality and non-negativity
+before being returned.
 """
 
 from __future__ import annotations
@@ -78,6 +80,43 @@ def w_closed(pair: tuple[int, int], n: int) -> int:
     return w_closed_table(pair, n)[n]
 
 
+def _numerators(s3_coeffs, cusp_weights) -> tuple:
+    """(den, s, Y): the weights as integer numerators over the lcm den of
+    their denominators."""
+    den = lcm(*(c.denominator for c in (*s3_coeffs, *cusp_weights)))
+    return den, *([c.numerator * (den // c.denominator) for c in part]
+                  for part in (s3_coeffs, cusp_weights))
+
+
+def _division_free(level: int, s3_coeffs, cusp_weights) -> tuple:
+    """(den, s, Y, rows): an expansion over ``eta.basis_rows`` rewritten
+    over ``eta.evaluation_rows``, as integer numerators over the lcm den of
+    the rewritten weights' denominators.  The weight y of each row that a
+    relation of ``tables.DIVISION_FREE_ROWS`` replaces moves onto the
+    relation's terms: 240 y x_t / d onto the sigma_3 coefficient of t,
+    y x_j / d onto the cusp weight of row j."""
+    rows = eta.evaluation_rows(level)
+    relations = tables.DIVISION_FREE_ROWS.get(level, {})
+    # numerators over den * big, big the lcm of the relations' denominators
+    den, s3, y = _numerators(s3_coeffs, cusp_weights)
+    big = lcm(*(d for _, _, d, _ in relations.values()))
+    moved = {i: y[i - 1] * (big // d) for i, (_, _, d, _) in relations.items()}
+    s3, y = [v * big for v in s3], [v * big for v in y]
+    for i in relations:
+        y[i - 1] = 0
+    for i, (_, _, _, nums) in relations.items():
+        if len(nums) != len(s3) + len(y):
+            raise eta.BasisError(
+                f"DIVISION_FREE_ROWS[{level}][{i}]: {len(nums)} relation "
+                f"terms for an expansion of {len(s3) + len(y)}")
+        for t, x in enumerate(nums[:len(s3)]):
+            s3[t] += 240 * x * moved[i]
+        for j, x in enumerate(nums[len(s3):]):
+            y[j] += x * moved[i]
+    g = gcd(den * big, *s3, *y)
+    return den * big // g, [v // g for v in s3], [v // g for v in y], rows
+
+
 def w_closed_table(pair: tuple[int, int], max_n: int,
                    expansion=None) -> list[int]:
     """Closed-form values for n = 0..max_n (index 0 is 0 by convention).
@@ -90,11 +129,13 @@ def w_closed_table(pair: tuple[int, int], max_n: int,
 
     where s_d (over the ascending divisors d of a b) and Y_j are the
     expansion of the square of the pair over the basis with cusp rows c_j.
-    ``expansion`` is (s, Y, rows); it defaults to ``tables.EXPANSION_COEFFS``
-    over ``eta.basis_rows``, and must hold one s_d per divisor and one Y_j
-    per row.  Every term is scaled by the lcm of the expansion's
-    denominators, so the sum runs in integers from sigma_3 / sigma sieves
-    and the cusp expansions, which are read packed from the
+    ``expansion`` is (s, Y, rows), and must hold one s_d per divisor and
+    one Y_j per row.  It defaults to ``tables.EXPANSION_COEFFS``, which is
+    over ``eta.basis_rows``, rewritten through the frozen relations of
+    ``tables.DIVISION_FREE_ROWS`` over ``eta.evaluation_rows``, none of
+    which expands with a division.  Every term is scaled by the lcm of the
+    expansion's denominators, so the sum runs in integers from sigma_3 /
+    sigma sieves and the cusp expansions, which are read packed from the
     expansion cache and added in one ``qseries.combine_packed`` call; each
     scaled value must then be a non-negative multiple of 1152 a b times
     that lcm.
@@ -105,20 +146,22 @@ def w_closed_table(pair: tuple[int, int], max_n: int,
     if expansion is None:
         if (a, b) not in tables.EXPANSION_COEFFS:
             raise ValueError(f"closed form unavailable for {(a, b)}")
-        expansion = (*tables.EXPANSION_COEFFS[(a, b)], eta.basis_rows(a * b))
-    s3_coeffs, cusp_weights, rows = expansion
+        den, s3_nums, cusp_nums, rows = _division_free(
+            a * b, *tables.EXPANSION_COEFFS[(a, b)])
+    else:
+        s3_coeffs, cusp_weights, rows = expansion
+        den, s3_nums, cusp_nums = _numerators(s3_coeffs, cusp_weights)
     ds = divisors(a * b)
-    if (len(s3_coeffs), len(cusp_weights)) != (len(ds), len(rows)):
+    if (len(s3_nums), len(cusp_nums)) != (len(ds), len(rows)):
         raise ArithmeticError(
-            f"closed form for {(a, b)}: {len(s3_coeffs)} sigma_3 coefficients "
-            f"for {len(ds)} divisors, {len(cusp_weights)} cusp weights for "
+            f"closed form for {(a, b)}: {len(s3_nums)} sigma_3 coefficients "
+            f"for {len(ds)} divisors, {len(cusp_nums)} cusp weights for "
             f"{len(rows)} rows")
-    den = lcm(*(c.denominator for c in (*s3_coeffs, *cusp_weights)))
     acc = [0] * (max_n + 1)
     s3 = sigma_table(3, max_n)
     own = {a: 240 * a * a, b: 240 * b * b}
-    for d, s in zip(ds, s3_coeffs):
-        c = int((own.get(d, 0) - s) * den)
+    for d, s in zip(ds, s3_nums):
+        c = own.get(d, 0) * den - s
         acc[d::d] = map(add, acc[d::d], map(mul, s3[1:], repeat(c)))
     s1 = sigma_table(1, max_n)
     for d, other in ((a, b), (b, a)):
@@ -126,8 +169,8 @@ def w_closed_table(pair: tuple[int, int], max_n: int,
         c0, c1 = 48 * d * other * den, -288 * d * d * den
         acc[d::d] = map(add, acc[d::d], [(c0 + c1 * m) * s1[m]
                                          for m in range(1, max_n // d + 1)])
-    acc = combine_packed(acc, [(int(-y * den), *eta.expand_packed(row, max_n))
-                               for y, row in zip(cusp_weights, rows)])
+    acc = combine_packed(acc, [(-y, *eta.expand_packed(row, max_n))
+                               for y, row in zip(cusp_nums, rows)])
     scale = 1152 * a * b * den
     if any(map(mod, acc, repeat(scale))) or min(acc) < 0:
         n = next(n for n, v in enumerate(acc) if v % scale or v < 0)

@@ -5,7 +5,9 @@ integer powers of the eta function evaluated at multiples of the argument.
 After substituting the nome it expands as ``q^e`` times a product of Euler
 functions ``F(q^delta) = prod (1 - q^{delta n})``, where 24e is the
 exponent-weighted divisor sum.  Negative powers divide by F, which is well
-defined because F has constant term 1.
+defined because F has constant term 1.  The closed forms divide by none:
+they are evaluated over ``evaluation_rows``, where a division-free quotient
+stands in for each basis row that would divide.
 """
 
 from __future__ import annotations
@@ -91,8 +93,10 @@ class LigozatReport(NamedTuple):
                 and self.cond_iv and self.cond_v)
 
 
+@lru_cache(maxsize=64)
 def check_ligozat(eq: EtaQuotient) -> LigozatReport:
-    """Evaluate all membership conditions exactly."""
+    """Evaluate all membership conditions exactly; cached, as the closed
+    path checks its division-free rows on every call."""
     n = eq.level
     cond_i = sum(d * r for d, r in eq.exponents) % 24 == 0
     cond_ii = sum((n // d) * r for d, r in eq.exponents) % 24 == 0
@@ -339,6 +343,29 @@ def basis_rows(level: int) -> tuple[EtaQuotient, ...]:
     rows = list(table_rows(level))
     for i, row in tables.REPAIRED_ROWS.get(level, {}).items():
         rows[i - 1] = _embedded(f"REPAIRED_ROWS[{level}][{i}]", level, row)
+    return tuple(rows)
+
+
+def evaluation_rows(level: int) -> tuple[EtaQuotient, ...]:
+    """The cusp rows the closed forms are evaluated over: ``basis_rows``
+    with the level's ``tables.DIVISION_FREE_ROWS`` swapped in.  A swap
+    whose replaced row is no longer that basis row, or whose quotient is
+    not a weight-4 form of the level or plans a division, is a BasisError."""
+    rows = list(basis_rows(level))
+    for i, (old, new, _, _) in tables.DIVISION_FREE_ROWS.get(
+            level, {}).items():
+        name = f"DIVISION_FREE_ROWS[{level}][{i}]"
+        now = rows[i - 1].as_row() if 0 < i <= len(rows) else None
+        if now != tuple(old):
+            raise BasisError(f"{name}: basis row {i} is {now}, not {old}")
+        row = _embedded(name, level, new)
+        rep = check_ligozat(row)
+        if not rep.in_modular_space or rep.weight != 4:
+            raise BasisError(f"{name}: {new} is not a weight-4 form of "
+                             f"level {level}")
+        if _plan(row)[2]:
+            raise BasisError(f"{name}: {new} expands with a division")
+        rows[i - 1] = row
     return tuple(rows)
 
 

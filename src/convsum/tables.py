@@ -11,7 +11,10 @@ Three kinds of data live here:
 * canonical expansion coefficients (``EXPANSION_COEFFS``): the unique
   exact solutions derived by this library and cross-verified against
   brute-force convolution sums, frozen as regression values, which
-  ``convolution.w_closed_table`` evaluates as the closed forms;
+  ``convolution.w_closed_table`` evaluates as the closed forms after
+  rewriting them through the exact relations of ``DIVISION_FREE_ROWS``
+  (integer numerators over one denominator each, re-derived by ``convsum
+  verify lemma32``), so that no row of the evaluation divides;
 
 * where previously reported variants of the same coefficient lists
   disagree with the exact derivation (``REPORTED_DIVERGENCES``), which
@@ -105,6 +108,37 @@ DIMENSIONS = {1: (1, 1, 0), 44: (21, 6, 15), 52: (24, 6, 18)}
 # quotient below (strictly cuspidal, same leading exponent 7) restores full
 # rank and makes the expansion unique.
 REPAIRED_ROWS = {52: {7: (-2, 5, 1, 2, -1, 3)}}
+
+# Division-free swaps of ``eta.evaluation_rows``, by level and 1-based row.
+# The rows of ``eta.basis_rows`` keyed here have order 0 at a cusp, and no
+# plan of theta series expands them without a division by F(q^4).  Each
+# entry is (the row it replaces, a strictly cuspidal quotient that expands
+# without one, d, numerators x): the replaced row equals
+#   sum_t x_t / d M(q^t) over the ascending divisors t of the level
+#   + sum_j x_j / d (row j of the basis rows with every swap of the level),
+# an identity of weight-4 forms checked far past the Sturm bound.  The
+# closed forms are evaluated over the swapped rows; ``verify lemma32``
+# re-derives every relation.
+DIVISION_FREE_ROWS = {
+    44: {
+        7: ((0, -3, 5, 0, 5, 1), (0, 4, -2, 0, 0, 6), 878400, (
+            11, -99, 88, -11, 99, -88,
+            -17524, -120760, -411044, -615616, -554976, 381560, -193004,
+            346880, -46848, -529536, 14884, -171776, -1678720, 15616,
+            -1194624)),
+        11: ((1, -3, 4, -3, 5, 4), (0, 0, 6, 0, 4, -2), 38649600, (
+            121, -2057, 1936, -121, 2057, -1936,
+            -1212684, -6610440, -12615324, -12576576, 7824864, -30238200,
+            -13342164, -35136960, 128832, 12570624, 1183644, 7343424,
+            19968960, -433344, -60808704)),
+    },
+    52: {
+        14: ((0, 1, -1, 0, 3, 5), (0, -1, 3, 0, 5, 1), 428400, (
+            0, 1, -16, 0, -1, 16,
+            0, 600, 2640, 4560, 14160, 4980, 5760, -42240, 0, -194880,
+            23040, -86400, -5760, 32880, -840, -960, 60, -960)),
+    },
+}
 
 
 # ---------------------------------------------------------------------------

@@ -136,16 +136,25 @@ def identity(max_n: int, alpha: int | None = None,
 
 def lemma32(solve_precision: int) -> Check:
     """Re-derive all four expansions; they must reproduce the canonical
-    coefficients exactly.  Each line names how the reported list diverges."""
+    coefficients exactly.  Each line names how the reported list diverges.
+    Then re-derive each relation of ``tables.DIVISION_FREE_ROWS``, which
+    prints nothing when it reproduces the frozen one."""
     # derive_coefficients checks its residual up to twice the space dimension
     floor = 2 * max(m for m, _, _ in tables.DIMENSIONS.values())
     if solve_precision < floor:
         raise ValueError(f"lemma32 precision must be at least {floor}, "
                          f"got {solve_precision}")
 
+    bases = {}  # the pairs and the relations of a level share its basis
+
+    def basis_of(level):
+        if level not in bases:
+            bases[level] = spaces.build_basis(level, solve_precision)
+        return bases[level]
+
     def compare(a, b, exp_s3, exp_y):
         pair = EisensteinPair(a, b)
-        space = spaces.build_basis(pair.level, solve_precision)
+        space = basis_of(pair.level)
         label = eta.rows_label(pair.level, space.cusp_rows)
         solution = spaces.derive_coefficients(pair, space)
         match = solution[:2] == (exp_s3, exp_y)
@@ -156,9 +165,19 @@ def lemma32(solve_precision: int) -> Check:
             note = f"reported list diverges at one {kind} entry ({where})"
         return match, (f"pair ({a},{b}) over {label} rows: "
                        f"canonical match: {match}; {note}")
+
+    def relations(level, swaps):
+        derived = spaces.derive_relations(basis_of(level))
+        bad = [i for i, (_, _, den, nums) in swaps.items()
+               if derived[i] != (den, tuple(nums))]
+        return not bad, None if not bad else (
+            f"level {level} row {', '.join(map(str, bad))}: division-free "
+            "relation does not match its re-derivation")
     return _check("lemma32", [
-        (f"pair ({a},{b})", compare, a, b, *expected)
-        for (a, b), expected in sorted(tables.EXPANSION_COEFFS.items())])
+        *((f"pair ({a},{b})", compare, a, b, *expected)
+          for (a, b), expected in sorted(tables.EXPANSION_COEFFS.items())),
+        *((f"level {level}", relations, level, swaps)
+          for level, swaps in tables.DIVISION_FREE_ROWS.items())])
 
 
 def closed_forms(max_n: int) -> Check:

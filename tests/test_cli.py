@@ -206,6 +206,43 @@ def test_help_shows_the_docstring(path):
     assert first_line in " ".join(result.stdout.split())
 
 
+def test_the_command_path_is_read_past_the_group_precision():
+    assert cli._command_path(["eval-w", "--n", "5"]) == "eval-w"
+    assert cli._command_path(["--precision", "9", "--precision=8", "verify",
+                              "all", "--fast"]) == "verify all"
+    for args in ([], ["--help"], ["verify"], ["verify", "bogus"], ["bogus"],
+                 ["--precision"], ["--precision", "eval-w"],
+                 ["--precision9", "dims"], ["--", "dims"]):
+        assert cli._command_path(args) is None, args
+
+
+# the help of each command; each command after the group precision with an
+# unknown option; a bad value, a bad choice, an extra argument and one run
+PARSED = [
+    *((*path.split(), "--help") for path in cli.COMMANDS),
+    *(("--precision", "7", *path.split(), "--bogus") for path in cli.COMMANDS),
+    ("--precision=7", "eval-w", "--alpha", "x"),
+    ("verify", "lemma32", "--precision", "3"),
+    ("export", "tables", "--level", "7"),
+    ("dims", "--level", "44", "extra"),
+    ("eval-w", "--alpha", "1", "--beta", "44", "--n", "5"),
+]
+
+
+@pytest.mark.parametrize("args", PARSED, ids=" ".join)
+def test_one_command_parser_prints_what_the_full_parser_prints(args):
+    """A launch builds only its command's parser; its help, its usage
+    errors and its output are byte for byte those of the parser of every
+    command."""
+    env = {"COLUMNS": "80"}
+    with mock.patch.object(cli, "_add_parser", wraps=cli._add_parser) as add:
+        one = run_cli(*args, env=env)
+    assert add.call_count == len(cli._command_path(list(args)).split())
+    with mock.patch.object(cli, "_command_path", return_value=None):
+        every = run_cli(*args, env=env)
+    assert one == every
+
+
 # per command family: a library call it makes, and an argument vector
 PROBED = [
     (convolution, "w_closed",

@@ -1,15 +1,17 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convsum import tables
+from convsum import eta, tables
 from convsum.arith import sigma_k
-from convsum.convolution import (IntegralityError, w_closed, w_closed_table,
-                                 w_oracle, w_series_oracle)
+from convsum.convolution import (IntegralityError, _division_free, w_closed,
+                                 w_closed_table, w_oracle, w_series_oracle)
 from convsum.eisenstein import EisensteinPair
-from convsum.eta import basis_rows, table_rows
+from convsum.eta import basis_rows, evaluation_rows, expand, table_rows
+from convsum.representations import rep_count_closed
 from convsum.qseries import QSeries
 from convsum.spaces import build_basis, derive_coefficients
 from conftest import (REPORTED_CONSTANT_VIOLATIONS, REPORTED_EXPANSION_COEFFS,
@@ -135,6 +137,48 @@ def test_formula_rederivation_matches_frozen_data(pair):
     assert solution[:2] == tables.EXPANSION_COEFFS[pair]
     expansion = (*solution[:2], basis.cusp_rows)
     assert w_closed_table(pair, 300, expansion) == w_series_oracle(*pair, 300)
+
+
+@pytest.mark.parametrize("pair", list(tables.EXPANSION_COEFFS))
+def test_division_free_tables_equal_the_basis_row_tables(pair):
+    """The closed form rewritten over the division-free rows is the closed
+    form over the basis rows, entry for entry."""
+    expansion = (*tables.EXPANSION_COEFFS[pair], basis_rows(pair[0] * pair[1]))
+    assert w_closed_table(pair, 3000) == w_closed_table(pair, 3000, expansion)
+
+
+def test_rewritten_weights_have_smaller_denominators():
+    """The rewrite takes the lcm of the weights' denominators from 5795 to
+    305 at level 44 and from 11645 to 85 at level 52, so the closed sums
+    run on narrower slots."""
+    for pair, (s3, y) in tables.EXPANSION_COEFFS.items():
+        level = pair[0] * pair[1]
+        before = lcm(*(c.denominator for c in (*s3, *y)))
+        den, s3_new, y_new, rows = _division_free(level, s3, y)
+        after = lcm(*(Fraction(v, den).denominator for v in (*s3_new, *y_new)))
+        assert (before, den, after) == {44: (5795, 305, 305),
+                                        52: (11645, 85, 85)}[level]
+        assert Fraction(sum(s3_new), den) == sum(s3)
+        assert rows == evaluation_rows(level)
+
+
+def test_closed_path_never_divides(monkeypatch, fresh_expansions):
+    """Counter: the default closed tables, a closed point value and the
+    closed octonary counts expand every row without ``div_sparse``, which
+    the basis rows of the solves still call once for each of three rows."""
+    calls = []
+    real = eta.div_sparse
+    monkeypatch.setattr(eta, "div_sparse",
+                        lambda *args: calls.append(1) or real(*args))
+    for pair in tables.EXPANSION_COEFFS:
+        w_closed_table(pair, 500)
+    w_closed((4, 13), 700)
+    rep_count_closed(1, 11, 900)
+    assert calls == []
+    for level in tables.levels():
+        for row in basis_rows(level):
+            expand(row, 500)
+    assert len(calls) == 3
 
 
 def test_integrality_enforced():

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from convsum import eta, qseries, tables, verify
 from convsum.arith import divisors
-from convsum.eta import (_CUBE, _EULER, _THETAS, EtaQuotient, _plan,
-                         _plan_chain, basis_rows, check_ligozat, expand,
-                         table_rows)
+from convsum.eta import (_CUBE, _EULER, _THETAS, BasisError, EtaQuotient,
+                         _plan, _plan_chain, basis_rows, check_ligozat,
+                         evaluation_rows, expand, table_rows)
 from convsum.qseries import (QSeries, div_sparse, mul_packed, pack,
                              slot_width, sparse_product, unpack)
-from conftest import (literal_eta_expansion, literal_euler_product,
-                      literal_euler_quotient, literal_plan_chain, mul_lists,
-                      naive_div_sparse, naive_eta_expansion, naive_mul_sparse,
-                      partition_numbers)
+from conftest import (LEVEL20_ROWS, literal_eta_expansion,
+                      literal_euler_product, literal_euler_quotient,
+                      literal_plan_chain, mul_lists, naive_div_sparse,
+                      naive_eta_expansion, naive_mul_sparse, partition_numbers)
 
 
 def dense(terms, limit):
@@ -266,6 +266,68 @@ def test_plan_divides_only_three_basis_rows():
                         (0, 1, -1, 0, 3, 5): 1, (1, -1, 0, 3, 5, 0): 1}
 
 
+def test_evaluation_rows_swap_in_cuspidal_division_free_quotients():
+    """The evaluation rows are the basis rows with the swaps of
+    ``DIVISION_FREE_ROWS``: each swapped row is a strictly cuspidal
+    weight-4 form of its level, and no evaluation row plans a division."""
+    for level in tables.levels():
+        swaps = tables.DIVISION_FREE_ROWS[level]
+        basis, rows = basis_rows(level), evaluation_rows(level)
+        assert [i for i, (b, r) in enumerate(zip(basis, rows), 1)
+                if b != r] == list(swaps)
+        for i, (old, new, _, _) in swaps.items():
+            assert (basis[i - 1].as_row(), rows[i - 1].as_row()) == (old, new)
+            rep = check_ligozat(rows[i - 1])
+            assert rep.in_modular_space and rep.cond_v_prime
+            assert rep.weight == 4
+        assert not any(_plan(row)[2] for row in rows)
+
+
+def test_level_without_swaps_evaluates_over_its_basis_rows(monkeypatch):
+    monkeypatch.setitem(tables.CUSP_EXPONENTS, 20, LEVEL20_ROWS)
+    assert 20 not in tables.DIVISION_FREE_ROWS
+    assert evaluation_rows(20) == basis_rows(20)
+
+
+def _swap(level, i, key=None, **fields):
+    """(level, key, entry): the swap of row i with fields replaced, keyed
+    by i or by the key given."""
+    old, new, den, nums = tables.DIVISION_FREE_ROWS[level][i]
+    entry = {**dict(old=old, new=new, den=den, nums=nums), **fields}
+    return level, key or i, tuple(entry.values())
+
+
+@pytest.mark.parametrize("level, i, entry, message", [
+    (*_swap(44, 7, old=(0, -3, 5, 0, 5, 2)),
+     r"DIVISION_FREE_ROWS\[44\]\[7\]: basis row 7 is \(0, -3, 5, 0, 5, 1\), "
+     r"not \(0, -3, 5, 0, 5, 2\)"),
+    (*_swap(52, 14, key=19),
+     r"DIVISION_FREE_ROWS\[52\]\[19\]: basis row 19 is None"),
+    (*_swap(44, 11, new=(0, 0, 6, 0, 4, -1)),
+     r"DIVISION_FREE_ROWS\[44\]\[11\]: \(0, 0, 6, 0, 4, -1\) is not a "
+     "weight-4 form of level 44"),
+    (*_swap(44, 11, new=(0, -3, -3, 0, 13, 1)),
+     r"DIVISION_FREE_ROWS\[44\]\[11\]: \(0, -3, -3, 0, 13, 1\) is not a "
+     "weight-4 form of level 44"),
+    (*_swap(44, 7, new=(-2, 6, 0, 6, 2, 0)),
+     r"DIVISION_FREE_ROWS\[44\]\[7\]: \(-2, 6, 0, 6, 2, 0\) is not a "
+     "weight-4 form of level 44"),
+    (*_swap(52, 14, new=(0, 1, -1, 0, 3, 5)),
+     r"DIVISION_FREE_ROWS\[52\]\[14\]: \(0, 1, -1, 0, 3, 5\) expands with "
+     "a division"),
+    (*_swap(52, 14, new=(0, -1, 3, 0, 5)),
+     r"DIVISION_FREE_ROWS\[52\]\[14\]: row of 5 exponents"),
+], ids=["stale", "past-the-table", "weight-9/2", "not-holomorphic",
+        "weight-6", "divides", "malformed"])
+def test_bad_swap_is_a_basis_error(monkeypatch, level, i, entry, message):
+    """A relation that names a row the basis no longer holds, or whose
+    swapped row fails Ligozat or plans a division, fails where the
+    evaluation rows are built."""
+    monkeypatch.setitem(tables.DIVISION_FREE_ROWS, level, {i: entry})
+    with pytest.raises(BasisError, match=f"^{message}"):
+        evaluation_rows(level)
+
+
 @st.composite
 def chain_exponents(draw):
     """A chain d, 2d, 4d, ... of length 1-4 over an odd d, and an exponent
@@ -290,13 +352,13 @@ def test_plan_chain_matches_literal_planner(case):
 
 
 def test_each_quotient_is_planned_once(fresh_expansions):
-    """The suites that expand at several precisions plan each of the 34
-    table and basis quotients once."""
+    """The suites that expand at several precisions plan each of the 37
+    table, basis and division-free quotients once."""
     _plan.cache_clear()
     verify.basis()
     verify.lemma32(120)
     verify.closed_forms(200)
-    assert _plan.cache_info().misses == 34
+    assert _plan.cache_info().misses == 37
 
 
 def test_expand_below_leading_exponent(fresh_expansions):

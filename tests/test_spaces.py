@@ -5,17 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convsum.spaces as spaces_module
-from convsum import tables
-from convsum.arith import sigma_k
-from convsum.eisenstein import EisensteinPair, lhs_square
-from convsum.eta import EtaQuotient, table_rows
+from convsum import eta, tables
+from convsum.arith import divisors, sigma_k
+from convsum.eisenstein import EisensteinPair, lhs_square, series_M
+from convsum.eta import EtaQuotient, basis_rows, evaluation_rows, table_rows
 from convsum.qseries import QSeries
 from convsum.spaces import (BasisError, DerivationError,
                             InconsistentSystemError, SingularSystemError,
-                            SpaceBasis, _solve, build_basis,
-                            derive_coefficients, verify_independence)
-from conftest import (LEVEL52_DEPENDENCY, fraction_solve, literal_determinant,
-                      literal_sigma_quotient)
+                            SpaceBasis, _solve, _solve_all, build_basis,
+                            derive_coefficients, derive_relations,
+                            verify_independence)
+from conftest import (LEVEL20_ROWS, LEVEL52_DEPENDENCY, fraction_solve,
+                      literal_determinant, literal_sigma_quotient)
 
 PRECISION = 120
 
@@ -170,6 +171,29 @@ def test_row_reduction_solves_like_fraction_elimination(system):
         assert str(info.value).startswith(
             f"system: the coefficient constraint at q^{n} reduces to "
             f"0 = {v} over rows {used}; ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_system(), st.data())
+def test_one_reduction_solves_each_target_as_alone(system, data):
+    """Two targets solved in one reduction get the rows, numerators and
+    denominator each gets alone; if either fails alone, both together
+    fail too."""
+    columns, target = system
+    other = data.draw(st.lists(st.integers(-9, 9), min_size=len(target),
+                               max_size=len(target)))
+    alone = []
+    for t in (target, other):
+        try:
+            alone.append(_solve(columns, t, "system"))
+        except DerivationError:
+            alone.append(None)
+    if None in alone:
+        with pytest.raises(DerivationError):
+            _solve_all(columns, (target, other), "system")
+    else:
+        used, xs, den = _solve_all(columns, (target, other), "system")
+        assert [(used, x, den) for x in xs] == alone
 
 
 @st.composite
@@ -347,3 +371,62 @@ def test_independence_needs_the_cusp_dimension(basis44):
 def test_pair_level_mismatch(basis44):
     with pytest.raises(ValueError):
         derive_coefficients(EisensteinPair(1, 52), basis44)
+
+
+RELATIONS = [(level, i) for level, swaps in tables.DIVISION_FREE_ROWS.items()
+             for i in swaps]
+
+
+@pytest.mark.parametrize("level", list(tables.DIVISION_FREE_ROWS))
+def test_division_free_relations_rederive_exactly(level):
+    """At twice dim M, the least precision allowed, and at the default of
+    ``verify lemma32``, one solve over the swapped rows gives the frozen
+    numerators and denominator of every swapped row, in lowest terms."""
+    frozen = {i: (den, nums) for i, (_, _, den, nums)
+              in tables.DIVISION_FREE_ROWS[level].items()}
+    floor = 2 * tables.DIMENSIONS[level][0]
+    for precision in (floor, PRECISION):
+        assert derive_relations(build_basis(level, precision)) == frozen
+    with pytest.raises(ValueError, match=(
+            f"^precision {floor - 1} leaves no residual headroom; "
+            f"need at least {floor}$")):
+        derive_relations(build_basis(level, floor - 1))
+    with pytest.raises(ValueError, match="^relations are over the basis rows"):
+        derive_relations(build_basis(level, floor, evaluation_rows(level)))
+
+
+def test_level_without_swaps_has_no_relations(monkeypatch):
+    monkeypatch.setitem(tables.CUSP_EXPONENTS, 20, LEVEL20_ROWS)
+    assert derive_relations(build_basis(20, 60)) == {}
+
+
+@pytest.mark.parametrize("level, i", RELATIONS)
+def test_division_free_relation_holds_far_past_the_sturm_bound(level, i):
+    """The frozen numerators, summed over M(q^t) and the swapped rows
+    without any solve, give d times the replaced row at every q^n to 600."""
+    _, _, den, nums = tables.DIVISION_FREE_ROWS[level][i]
+    m = series_M(600)
+    columns = [m.dilate(t).coeffs for t in divisors(level)] + [
+        eta.expand(row, 600).coeffs for row in evaluation_rows(level)]
+    target = eta.expand(basis_rows(level)[i - 1], 600).coeffs
+    assert [sum(x * c[n] for x, c in zip(nums, columns))
+            for n in range(601)] == [den * t for t in target]
+
+
+def test_relation_residual_check_catches_a_late_coefficient(monkeypatch):
+    """The solving rows stop well below q^100: a replaced row changed there
+    is seen only by the residual check over every coefficient."""
+    real = eta.expand
+    replaced = basis_rows(44)[6]
+
+    def changed(row, precision):
+        series = real(row, precision)
+        if row != replaced:
+            return series
+        return QSeries(precision, series.coeffs[:100]
+                       + (series.coeffs[100] + 1,) + series.coeffs[101:])
+
+    monkeypatch.setattr(eta, "expand", changed)
+    with pytest.raises(DerivationError, match=(
+            r"^reconstruction residual at q\^100 for level 44 row 7$")):
+        derive_relations(build_basis(44, 120))

@@ -39,15 +39,17 @@ def cached_expansion_off_by_one(monkeypatch):
     """Coefficient 17 of the first level-44 row, cached to n = 60, is stored
     one too high, so every closed form over the row fails the integrality
     check at n = 17: W(17), which is 0 for both level-44 pairs, reads
-    -5/10736 for (1, 44) and -35/976 for (4, 11).  The (4, 11) table is the
-    one that ``closed-forms``, ``reps`` and ``eval-w`` all evaluate."""
+    -104177/3864960 for (1, 44) and -3293/351360 for (4, 11), the weights
+    of the row once the closed forms are rewritten over the division-free
+    rows.  The (4, 11) table is the one that ``closed-forms``, ``reps`` and
+    ``eval-w`` all evaluate."""
     monkeypatch.setattr(eta, "_EXPANSION_CACHE", {})
-    row = eta.basis_rows(44)[0]
+    row = eta.evaluation_rows(44)[0]
     x, w, _ = eta.expand_packed(row, 60)
     coeffs = unpack(x, 61, w)
     coeffs[17] += 1
     eta._EXPANSION_CACHE[row] = (60, *pack_narrow(coeffs))
-    return "closed form for (4, 11) evaluates to -35/976 at n = 17"
+    return "closed form for (4, 11) evaluates to -3293/351360 at n = 17"
 
 
 def enumeration_off_by_eight(monkeypatch):
@@ -201,6 +203,45 @@ def level52_row_cut_short_under_a_pair(monkeypatch):
     return "closed form (4, 13): " + level52_row_cut_short(monkeypatch)
 
 
+def _relation_numerator_raised(monkeypatch):
+    """The last numerator of the level-44 row-7 relation one too high: the
+    relation now puts 1/878400 too much weight on row 15."""
+    old, new, den, nums = tables.DIVISION_FREE_ROWS[44][7]
+    monkeypatch.setitem(tables.DIVISION_FREE_ROWS[44], 7,
+                        (old, new, den, nums[:-1] + (nums[-1] + 1,)))
+
+
+def relation_numerator_off_by_one(monkeypatch):
+    """Every closed form over the relation fails its integrality check at
+    the leading exponent 15 of row 15."""
+    _relation_numerator_raised(monkeypatch)
+    return "closed form for (4, 11) evaluates to 33378673/33379200 at n = 15"
+
+
+def relation_numerator_off_by_one_rederived(monkeypatch):
+    _relation_numerator_raised(monkeypatch)
+    return ("level 44 row 7: division-free relation does not match its "
+            "re-derivation")
+
+
+def _relation_gone_stale(monkeypatch):
+    """The level-52 relation names printed row 13 as the row it replaces,
+    as if it had been derived for another basis."""
+    _, *rest = tables.DIVISION_FREE_ROWS[52][14]
+    monkeypatch.setitem(tables.DIVISION_FREE_ROWS[52], 14,
+                        (tables.CUSP_EXPONENTS[52][12], *rest))
+    return ("DIVISION_FREE_ROWS[52][14]: basis row 14 is (0, 1, -1, 0, 3, 5), "
+            "not (2, 1, -1, -2, 3, 5)")
+
+
+def relation_gone_stale(monkeypatch):
+    return "closed form (1, 52): " + _relation_gone_stale(monkeypatch)
+
+
+def relation_gone_stale_rederived(monkeypatch):
+    return "level 52: " + _relation_gone_stale(monkeypatch)
+
+
 FAULTS = [
     (closed_value_off_by_one, lambda: verify.closed_forms(60),
      "closed-forms: FAILED"),
@@ -225,6 +266,14 @@ FAULTS = [
     (oracle_off_by_one, lambda: verify.reps(20, 100), "reps: FAILED"),
     (level52_row_cut_short_under_a_pair, lambda: verify.closed_forms(60),
      "closed-forms: FAILED"),
+    (relation_numerator_off_by_one, lambda: verify.closed_forms(60),
+     "closed-forms: FAILED"),
+    (relation_numerator_off_by_one_rederived, lambda: verify.lemma32(60),
+     "lemma32: FAILED"),
+    (relation_gone_stale, lambda: verify.closed_forms(60),
+     "closed-forms: FAILED"),
+    (relation_gone_stale_rederived, lambda: verify.lemma32(60),
+     "lemma32: FAILED"),
 ]
 
 
@@ -295,7 +344,8 @@ def test_verify_exits_1_on_a_cached_expansion_fault(monkeypatch):
     result = run_cli("verify", "closed-forms", "--max-n", "60")
     assert result.exit_code == 1
     assert result.stdout.splitlines() == [
-        "closed form for (1, 44) evaluates to -5/10736 at n = 17", line,
+        "closed form for (1, 44) evaluates to -104177/3864960 at n = 17",
+        line,
         "closed form (1, 52): equals brute force for n <= 60",
         "closed form (4, 13): equals brute force for n <= 60",
         "closed-forms: FAILED"]
@@ -321,6 +371,29 @@ def test_integrality_error_exits_1(monkeypatch):
     assert result.exit_code == 1
     assert line in result.stderr and result.stdout == ""
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("plant, suite", [
+    (relation_numerator_off_by_one, "closed-forms"),
+    (relation_numerator_off_by_one_rederived, "lemma32"),
+    (relation_gone_stale, "closed-forms"),
+    (relation_gone_stale_rederived, "lemma32"),
+], ids=["closed-forms", "lemma32", "closed-forms-stale", "lemma32-stale"])
+def test_verify_exits_1_on_a_division_free_relation_fault(monkeypatch, plant,
+                                                          suite):
+    """A frozen relation that is wrong or names a row the basis no longer
+    holds fails both the suite that evaluates it and the one that
+    re-derives it, on one line naming the pair or the level; ``lemma32``
+    prints its pair lines as before."""
+    line = plant(monkeypatch)
+    result = run_cli("verify", suite, "--max-n" if suite == "closed-forms"
+                     else "--precision", "60")
+    assert result.exit_code == 1 and result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert line in lines and lines[-1] == f"{suite}: FAILED"
+    if suite == "lemma32":
+        assert len(lines) == 6
+        assert all("canonical match: True" in x for x in lines[:4])
 
 
 def test_verify_all_exits_1_on_a_substitution_fault(monkeypatch):
@@ -476,8 +549,9 @@ def test_malformed_row_names_every_item_over_it(monkeypatch):
         f"closed form (1, 52): {reason}", f"closed form (4, 13): {reason}",
         "closed-forms: FAILED")
     lemma = verify.lemma32(60).lines
-    assert lemma[1::2] == (f"pair (1,52): {reason}", f"pair (4,13): {reason}")
-    assert lemma[-1] == "lemma32: FAILED"
+    assert lemma[1:4:2] == (f"pair (1,52): {reason}",
+                            f"pair (4,13): {reason}")
+    assert lemma[4:] == (f"level 52: {reason}", "lemma32: FAILED")
     assert verify.reps(20, 20).lines[:2] == (
         "octonary counts (1,11): closed equals enumeration for n <= 20",
         f"octonary counts (1,13): {reason}")
@@ -498,12 +572,13 @@ def test_repaired_row_malformed_is_a_failed_result_check(monkeypatch):
 
 def test_lemma32_reports_every_pair_after_a_failed_derivation(monkeypatch):
     """With the repaired row set back, both level-52 derivations fail their
-    own check; ``lemma32`` still compares every pair, in table order, and
-    returns its report instead of raising."""
+    own check, and so does the level-52 division-free relation over the
+    printed rows; ``lemma32`` still compares every pair, in table order,
+    then the relation, and returns its report instead of raising."""
     line = repaired_row_set_back(monkeypatch)
     check = verify.lemma32(120)
     assert check.ok is False
-    assert [x.split()[1] for x in check.lines[:-1]] == [
+    assert [x.split()[1] for x in check.lines[:-2]] == [
         f"({a},{b})" for a, b in sorted(tables.EXPANSION_COEFFS)]
     assert check.lines[0] == (
         "pair (1,44) over printed rows: canonical match: True; reported list "
@@ -515,7 +590,10 @@ def test_lemma32_reports_every_pair_after_a_failed_derivation(monkeypatch):
     assert check.lines[3].startswith(
         "pair (4,13) at level 52: the coefficient constraint at q^22 "
         "reduces to 0 = -916992/41 over rows (0, 1, 2, ")
-    assert check.lines[4] == "lemma32: FAILED"
+    assert check.lines[4].startswith(
+        "level 52 row 14: the coefficient constraint at q^22 reduces to "
+        "0 = 16/165 over rows (0, 1, 2, ")
+    assert check.lines[5] == "lemma32: FAILED"
     result = run_cli("verify", "lemma32")
     assert result.exit_code == 1
     assert tuple(result.stdout.splitlines()) == check.lines
