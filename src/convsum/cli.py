@@ -224,9 +224,9 @@ def dims(args) -> None:
 
 @_command("derive", _option("--alpha"), _option("--beta"),
           _option("--basis", choices=["auto", "printed"], default="auto",
-                  help="Cusp rows: 'auto' the rows of the closed forms (the "
-                       "dependent level-52 row repaired), 'printed' as "
-                       "printed."),
+                  help="Cusp rows: 'auto' the rows of the canonical "
+                       "expansions (the printed rows, level-52 row 7 "
+                       "repaired), 'printed' as printed."),
           _option("--precision", dest="solve_precision", metavar="PRECISION",
                   default=120),
           _option("--json", action="store_true"))

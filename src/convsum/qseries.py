@@ -10,7 +10,9 @@ beyond the smaller operand precision, so every coefficient returned is the
 true one.  This module is the only one that packs, multiplies, divides or
 combines integer series; :mod:`convsum.eta` plans its expansions, calls
 :func:`sparse_product` and :func:`div_sparse`, and caches each expansion
-packed by :func:`pack_narrow`.
+packed by :func:`pack_narrow`.  Division runs the plain coefficient
+recurrence: only the rows of the solves divide, at their precisions, and
+the closed forms are evaluated over rows that do not.
 
 Products run on Kronecker-packed ints (D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): n
@@ -39,9 +41,8 @@ accumulator, and the sum is unpacked once.
 from __future__ import annotations
 
 import struct
-from itertools import repeat
 from math import isqrt
-from operator import add, index, mul, sub
+from operator import index
 
 
 def slot_width(bound: int) -> int:
@@ -167,38 +168,18 @@ def sparse_product(factors, limit: int) -> list[int]:
 
 def div_sparse(dense: list[int], terms, limit: int) -> list[int]:
     """dense divided by the sparse series of (exponent, coefficient) terms,
-    whose constant term must be (0, 1).
-
-    The quotient is filled in blocks of length max(smallest exponent,
-    isqrt(limit + 1)).  A lag at least the block length reads only entries
-    of earlier blocks, which are final, so it updates the whole block with
-    one slice operation; only the shorter lags run element by element.
-    """
+    whose constant term must be (0, 1), up to q^limit: by the coefficient
+    recurrence out[i] = dense[i] - sum c out[i - e] over the lags e > 0,
+    which the terms list in ascending order."""
     lags = [(e, c) for e, c in terms if 0 < e <= limit]
     out = dense[:limit + 1]
-    if not lags:
-        return out
-    block = max(lags[0][0], isqrt(limit + 1))
-    short = [(e, c) for e, c in lags if e < block]
-    long = [(e, c) for e, c in lags if e >= block]
-    for lo in range(0, limit + 1, block):
-        hi = min(lo + block, limit + 1)
-        for e, c in long:
-            if e >= hi:
+    for i in range(limit + 1):
+        acc = out[i]
+        for e, c in lags:
+            if e > i:
                 break
-            start = max(lo, e)
-            lag = out[start - e:hi - e]
-            out[start:hi] = map(add if c < 0 else sub, out[start:hi],
-                                lag if c in (1, -1)
-                                else map(mul, lag, repeat(abs(c))))
-        if short:
-            for i in range(lo, hi):
-                acc = out[i]
-                for e, c in short:
-                    if e > i:
-                        break
-                    acc -= c * out[i - e]
-                out[i] = acc
+            acc -= c * out[i - e]
+        out[i] = acc
     return out
 
 

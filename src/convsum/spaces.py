@@ -8,10 +8,9 @@ determinant from its last pivot, and ``derive_coefficients`` expresses the
 squared Eisenstein combination of a pair over the basis with it, scanning
 coefficient constraints greedily from n = 0 upward until the system reaches
 full rank and re-verifying the solution in integers against every
-available coefficient.  ``derive_relations`` solves the same way for the
-basis rows that ``tables.DIVISION_FREE_ROWS`` swaps, over the rows the
-closed forms are evaluated over, which re-derives its relations.
-Rationals appear only in the returned weights.
+available coefficient.  The same residual check, with no solve, is how
+``verify lemma32`` checks the relations of ``tables.DIVISION_FREE_ROWS``
+past the Sturm bound.  Rationals appear only in the returned weights.
 
 For level 52 the embedded table rows together with the Eisenstein series
 satisfy a linear relation and the squared combination lies outside their
@@ -26,11 +25,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import islice, repeat
-from math import gcd
 from operator import add, mul
 from typing import NamedTuple
 
-from . import eta, tables
+from . import eta
 from .arith import dim_spaces, divisors, sigma_factored_table
 from .eisenstein import EisensteinPair, lhs_square, series_M
 from .eta import BasisError
@@ -160,44 +158,29 @@ def _solve(columns: Sequence[Sequence[int]], target: Sequence[int],
            where: str) -> tuple[tuple[int, ...], list[int], int]:
     """Solve sum x_j columns[j] = target over greedy rows n = 0, 1, ...;
     returns the solving rows, the numerators of x and their denominator."""
-    used, (x,), den = _solve_all(columns, (target,), where)
-    return used, x, den
-
-
-def _solve_all(columns: Sequence[Sequence[int]],
-               targets: Sequence[Sequence[int]],
-               where: str) -> tuple[tuple[int, ...], list[list[int]], int]:
-    """``_solve`` for several targets of one length in one reduction: the
-    rows are chosen by the columns alone, so each target gets the solution
-    it would get alone, its numerators over the one denominator."""
     m = len(columns)
-    rows = ([c[n] for c in columns] + [t[n] for t in targets]
-            for n in range(len(targets[0])))
+    rows = ([c[n] for c in columns] + [target[n]] for n in range(len(target)))
     pivots: list[tuple[int, Sequence[int]]] = []
     used: list[int] = []
     den = 1
     for n, col, r in islice(_row_reduce(rows), m):
-        if col >= m:
+        if col == m:
             raise InconsistentSystemError(
                 f"{where}: the coefficient constraint at q^{n} reduces to "
-                f"0 = {Fraction(r[col], den)} over rows {tuple(used)}; the "
+                f"0 = {Fraction(r[m], den)} over rows {tuple(used)}; the "
                 "squared combination is not in the span of this basis")
         pivots.append((col, r))
         used.append(n)
         den = r[col]
     if len(pivots) < m:
         raise SingularSystemError(
-            f"rank {len(pivots)} of {m} after scanning "
-            f"n <= {len(targets[0]) - 1} "
+            f"rank {len(pivots)} of {m} after scanning n <= {len(target) - 1} "
             f"(rows used: {tuple(used)})")
     # a pivot row is zero at earlier pivots' columns: solve from the last up
-    xs = []
-    for k in range(m, m + len(targets)):
-        x = [0] * m
-        for col, r in reversed(pivots):
-            x[col] = (den * r[k] - sum(map(mul, r, x))) // r[col]
-        xs.append(x)
-    return tuple(used), xs, den
+    x = [0] * m
+    for col, r in reversed(pivots):
+        x[col] = (den * r[m] - sum(map(mul, r, x))) // r[col]
+    return tuple(used), x, den
 
 
 def _check_residual(columns: Sequence[Sequence[int]], x: Sequence[int],
@@ -249,36 +232,3 @@ def derive_coefficients(pair: EisensteinPair,
         cusp_weights=tuple(solution[n_eis:]),
         solving_indices=used,
     )
-
-
-def derive_relations(
-        basis: SpaceBasis) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """i -> (d, x) for each row i that ``tables.DIVISION_FREE_ROWS`` swaps
-    at the level of a basis over ``eta.basis_rows``: row i over the
-    Eisenstein series and ``eta.evaluation_rows``, the numerators x over
-    their lowest denominator d > 0, as the table stores them.  One
-    reduction solves every row, each checked at every coefficient of the
-    basis, which needs the headroom of a derivation."""
-    level, precision = basis.level, basis.precision
-    swaps = tables.DIVISION_FREE_ROWS.get(level, {})
-    if basis.cusp_rows != eta.basis_rows(level):
-        raise ValueError(f"relations are over the basis rows of level {level}")
-    if precision < 2 * basis.dimension:
-        raise ValueError(
-            f"precision {precision} leaves no residual headroom; "
-            f"need at least {2 * basis.dimension}")
-    if not swaps:
-        return {}
-    rows, cusp = eta.evaluation_rows(level), list(basis.cusp_part)
-    for i in swaps:
-        cusp[i - 1] = eta.expand(rows[i - 1], precision)
-    columns = [s.coeffs for s in (*basis.eisenstein_part, *cusp)]
-    targets = [basis.cusp_part[i - 1].coeffs for i in swaps]
-    _, xs, den = _solve_all(columns, targets,
-                            f"level {level} row {', '.join(map(str, swaps))}")
-    out = {}
-    for i, target, x in zip(swaps, targets, xs):
-        _check_residual(columns, x, den, target, f"level {level} row {i}")
-        g = gcd(den, *x) if den > 0 else -gcd(den, *x)
-        out[i] = den // g, tuple(v // g for v in x)
-    return out

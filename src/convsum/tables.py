@@ -13,8 +13,9 @@ Three kinds of data live here:
   brute-force convolution sums, frozen as regression values, which
   ``convolution.w_closed_table`` evaluates as the closed forms after
   rewriting them through the exact relations of ``DIVISION_FREE_ROWS``
-  (integer numerators over one denominator each, re-derived by ``convsum
-  verify lemma32``), so that no row of the evaluation divides;
+  (integer numerators over one denominator each, checked past the Sturm
+  bound by ``convsum verify lemma32``), so that no row of the evaluation
+  divides;
 
 * where previously reported variants of the same coefficient lists
   disagree with the exact derivation (``REPORTED_DIVERGENCES``), which
@@ -118,7 +119,8 @@ REPAIRED_ROWS = {52: {7: (-2, 5, 1, 2, -1, 3)}}
 #   + sum_j x_j / d (row j of the basis rows with every swap of the level),
 # an identity of weight-4 forms checked far past the Sturm bound.  The
 # closed forms are evaluated over the swapped rows; ``verify lemma32``
-# re-derives every relation.
+# checks every relation past the Sturm bound, at every coefficient of its
+# basis.
 DIVISION_FREE_ROWS = {
     44: {
         7: ((0, -3, 5, 0, 5, 1), (0, 4, -2, 0, 0, 6), 878400, (

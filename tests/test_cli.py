@@ -486,6 +486,44 @@ def test_verify_all_fast_pins_the_sigma_cache_work():
     assert child.stdout.split() == ["696", "56"]
 
 
+def _fast_suite_calls(target: str, record: str) -> list[str]:
+    """``record``, an expression in the call's ``args``, for each call of
+    ``convsum.<target>`` while a fresh interpreter runs ``verify all
+    --fast``, in call order."""
+    module, name = target.split(".")
+    child = _fresh("import contextlib, io, sys\n"
+                   f"from convsum import {module} as mod\n"
+                   "from convsum.cli import main\n"
+                   f"real, seen = mod.{name}, []\n"
+                   "def counted(*args):\n"
+                   f"    seen.append({record})\n"
+                   "    return real(*args)\n"
+                   f"mod.{name} = counted\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    main(sys.argv[1:], standalone_mode=False)\n"
+                   "print(*seen)\n",
+                   "verify", "all", "--fast")
+    return child.stdout.split()
+
+
+def test_verify_all_fast_pins_the_row_reductions():
+    """Work-count pin: the seven suites at their --fast values reduce rows
+    six times, for the two independence certificates and the four pair
+    solves; the division-free relations are checked without one."""
+    assert _fast_suite_calls("spaces._row_reduce",
+                             "sys._getframe(1).f_code.co_name") == [
+        "verify_independence"] * 2 + ["_solve"] * 4
+
+
+def test_verify_all_fast_pins_the_divisions():
+    """Work-count pin: the seven suites at their --fast values divide seven
+    times, each to its limit in q^g: the four printed rows that divide, at
+    48 for the certificates, then the three of them that ``eta.basis_rows``
+    keeps, at 120 for ``lemma32``; the closed forms never divide."""
+    assert _fast_suite_calls("eta.div_sparse", "args[2]") == [
+        "20", "37", "41", "17", "56", "109", "53"]
+
+
 def test_each_launch_imports_only_what_its_command_runs():
     bare = _loaded()
     assert not {m for m in bare if m.startswith("convsum.")}

@@ -107,9 +107,8 @@ def packed_step(dense, terms, limit):
 @given(kernel_case())
 @example(([2 ** 62, -2 ** 62, 3], _CUBE.terms(1, 2), 2))
 def test_sparse_kernels_match_naive(case):
-    """The packed step and the slice division against the per-coefficient
-    oracles, on narrow, 8-byte and wider slots, across block sizes and on both
-    sides of the short/long-lag split."""
+    """The packed step and the division against the per-coefficient
+    oracles, on narrow, 8-byte and wider slots."""
     dense, terms, limit = case
     assert packed_step(dense, terms, limit) == naive_mul_sparse(
         dense, terms, limit)

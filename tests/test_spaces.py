@@ -5,17 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convsum.spaces as spaces_module
-from convsum import eta, tables
-from convsum.arith import divisors, sigma_k
+from convsum import eta, tables, verify
+from convsum.arith import _index, divisors, sigma_k
 from convsum.eisenstein import EisensteinPair, lhs_square, series_M
 from convsum.eta import EtaQuotient, basis_rows, evaluation_rows, table_rows
 from convsum.qseries import QSeries
 from convsum.spaces import (BasisError, DerivationError,
                             InconsistentSystemError, SingularSystemError,
-                            SpaceBasis, _solve, _solve_all, build_basis,
-                            derive_coefficients, derive_relations,
-                            verify_independence)
-from conftest import (LEVEL20_ROWS, LEVEL52_DEPENDENCY, fraction_solve,
+                            SpaceBasis, _solve, build_basis,
+                            derive_coefficients, verify_independence)
+from conftest import (LEVEL52_DEPENDENCY, fraction_solve,
                       literal_determinant, literal_sigma_quotient)
 
 PRECISION = 120
@@ -171,29 +170,6 @@ def test_row_reduction_solves_like_fraction_elimination(system):
         assert str(info.value).startswith(
             f"system: the coefficient constraint at q^{n} reduces to "
             f"0 = {v} over rows {used}; ")
-
-
-@settings(max_examples=300, deadline=None)
-@given(integer_system(), st.data())
-def test_one_reduction_solves_each_target_as_alone(system, data):
-    """Two targets solved in one reduction get the rows, numerators and
-    denominator each gets alone; if either fails alone, both together
-    fail too."""
-    columns, target = system
-    other = data.draw(st.lists(st.integers(-9, 9), min_size=len(target),
-                               max_size=len(target)))
-    alone = []
-    for t in (target, other):
-        try:
-            alone.append(_solve(columns, t, "system"))
-        except DerivationError:
-            alone.append(None)
-    if None in alone:
-        with pytest.raises(DerivationError):
-            _solve_all(columns, (target, other), "system")
-    else:
-        used, xs, den = _solve_all(columns, (target, other), "system")
-        assert [(used, x, den) for x in xs] == alone
 
 
 @st.composite
@@ -377,29 +353,6 @@ RELATIONS = [(level, i) for level, swaps in tables.DIVISION_FREE_ROWS.items()
              for i in swaps]
 
 
-@pytest.mark.parametrize("level", list(tables.DIVISION_FREE_ROWS))
-def test_division_free_relations_rederive_exactly(level):
-    """At twice dim M, the least precision allowed, and at the default of
-    ``verify lemma32``, one solve over the swapped rows gives the frozen
-    numerators and denominator of every swapped row, in lowest terms."""
-    frozen = {i: (den, nums) for i, (_, _, den, nums)
-              in tables.DIVISION_FREE_ROWS[level].items()}
-    floor = 2 * tables.DIMENSIONS[level][0]
-    for precision in (floor, PRECISION):
-        assert derive_relations(build_basis(level, precision)) == frozen
-    with pytest.raises(ValueError, match=(
-            f"^precision {floor - 1} leaves no residual headroom; "
-            f"need at least {floor}$")):
-        derive_relations(build_basis(level, floor - 1))
-    with pytest.raises(ValueError, match="^relations are over the basis rows"):
-        derive_relations(build_basis(level, floor, evaluation_rows(level)))
-
-
-def test_level_without_swaps_has_no_relations(monkeypatch):
-    monkeypatch.setitem(tables.CUSP_EXPONENTS, 20, LEVEL20_ROWS)
-    assert derive_relations(build_basis(20, 60)) == {}
-
-
 @pytest.mark.parametrize("level, i", RELATIONS)
 def test_division_free_relation_holds_far_past_the_sturm_bound(level, i):
     """The frozen numerators, summed over M(q^t) and the swapped rows
@@ -413,9 +366,28 @@ def test_division_free_relation_holds_far_past_the_sturm_bound(level, i):
             for n in range(601)] == [den * t for t in target]
 
 
+def test_lemma32_checks_the_relations_past_the_sturm_bound():
+    """The least precision of ``lemma32``, 2 max dim M = 48, is past the
+    Sturm bound 4 mu / 12 of weight 4 at every level, 24 at 44 and 28 at
+    52, so a relation of weight-4 forms that holds there holds exactly.
+    At that floor every relation holds and prints no line."""
+    floor = 2 * max(m for m, _, _ in tables.DIMENSIONS.values())
+    sturm = {level: Fraction(4 * _index(level), 12)
+             for level in tables.levels()}
+    assert (floor, sturm) == (48, {44: 24, 52: 28})
+    assert all(floor > bound for bound in sturm.values())
+    with pytest.raises(ValueError, match=(
+            "^lemma32 precision must be at least 48, got 47$")):
+        verify.lemma32(47)
+    check = verify.lemma32(48)
+    assert check.ok is True
+    assert [x.split()[0] for x in check.lines] == ["pair"] * 4 + ["lemma32:"]
+
+
 def test_relation_residual_check_catches_a_late_coefficient(monkeypatch):
-    """The solving rows stop well below q^100: a replaced row changed there
-    is seen only by the residual check over every coefficient."""
+    """``lemma32`` checks each relation at every coefficient of its basis,
+    not only up to the Sturm bound: a replaced row changed at q^100 fails
+    the relation there, and each pair over that row its own residual."""
     real = eta.expand
     replaced = basis_rows(44)[6]
 
@@ -427,6 +399,10 @@ def test_relation_residual_check_catches_a_late_coefficient(monkeypatch):
                        + (series.coeffs[100] + 1,) + series.coeffs[101:])
 
     monkeypatch.setattr(eta, "expand", changed)
-    with pytest.raises(DerivationError, match=(
-            r"^reconstruction residual at q\^100 for level 44 row 7$")):
-        derive_relations(build_basis(44, 120))
+    check = verify.lemma32(120)
+    assert check.ok is False
+    assert check.lines[0::2] == (
+        "reconstruction residual at q^100 for pair (1,44)",
+        "reconstruction residual at q^100 for pair (4,11)",
+        "reconstruction residual at q^100 for level 44 row 7")
+    assert check.lines[-1] == "lemma32: FAILED"
