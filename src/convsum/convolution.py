@@ -24,7 +24,7 @@ from operator import add, mod, mul
 from . import eta, tables
 from .arith import (divisors, residue_class, sigma_factored_table, sigma_k,
                     sigma_table)
-from .qseries import QSeries, combine_packed
+from .qseries import combine_packed, dense_product
 
 
 class IntegralityError(ArithmeticError):
@@ -65,12 +65,12 @@ def w_series_oracle(alpha: int, beta: int, max_n: int) -> list[int]:
     if k == 1:
         return out
     sig = sigma_factored_table(1, m // a)
-    other = QSeries(k - 1, sig[:k])
+    other, packs = sig[:k], {}
     for r in range(min(b, m // a + 1)):  # a r <= m
         own, band = sig[r::b], [0] * k
         band[:a * len(own):a] = own
         ns = range(g * a * r, max_n + 1, g * b)
-        product = (QSeries(k - 1, band) * other).coeffs
+        product = dense_product(band, other, k, packs)
         out[ns.start::ns.step] = product[:len(ns)]
     return out
 

@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 
 from . import tables
 from .arith import divisors, prime_factors
-from .qseries import QSeries, div_sparse, pack_narrow, sparse_product, unpack
+from .qseries import (QSeries, div_sparse, pack_narrow, place_narrow,
+                      sparse_product, unpack)
 
 
 class BasisError(ArithmeticError):
@@ -139,8 +140,10 @@ def check_ligozat(eq: EtaQuotient) -> LigozatReport:
 #    exponents, and cubes and single F cover the non-negative rest; of the
 #    plans, the one with the fewest divisions left, then the fewest terms.
 #    Each quotient is planned once per process.
-# 2. Multiply the steps with qseries.sparse_product, on one packed int.
-# 3. Divide by any single F the plan left, with qseries.div_sparse.
+# 2. Multiply the steps, their term lists built once per process, with
+#    qseries.sparse_product on one packed int; qseries.place_narrow packs
+#    it for the cache.
+# 3. Divide by any single F the plan left, with qseries.div_sparse, first.
 #
 # The literal product and the per-coefficient kernels are kept in the test
 # suite as independent oracles.
@@ -266,16 +269,29 @@ def _plan(eq: EtaQuotient):
     return g, tuple(steps), tuple(divs)
 
 
-# best-precision expansion per quotient as (precision, x, w, max|c|): the
-# coefficients packed by qseries.pack_narrow on precision + 1 slots of w
-# bytes; truncated views are served from it, so repeated requests at mixed
-# precisions expand only once
+# step (factor, d) -> (limit, terms) to the longest limit yet; <= 64 keys
+_TERMS: dict[tuple[_Factor, int], tuple[int, list[tuple[int, int]]]] = {}
+
+
+def _terms(factor: _Factor, d: int, limit: int) -> list[tuple[int, int]]:
+    """factor.terms(d, limit), cut from the longest list built for it."""
+    built, terms = _TERMS.get((factor, d), (-1, None))
+    if built < limit:
+        if len(_TERMS) >= 64:
+            _TERMS.clear()
+        _TERMS[factor, d] = limit, (terms := factor.terms(d, limit))
+    return [t for t in terms if t[0] <= limit]
+
+
+# best-precision expansion per quotient as (precision, x, w, max|c|), as
+# qseries.pack_narrow packs it on precision + 1 slots of w bytes; truncated
+# views are served from it, so mixed precisions expand only once
 _EXPANSION_CACHE: dict[EtaQuotient, tuple[int, int, int, int]] = {}
 
 
 def expand_packed(eq: EtaQuotient, precision: int) -> tuple[int, int, int]:
-    """(x, w, top): the cached expansion, to the precision or beyond,
-    packed on w-byte slots whose absolute values are at most top."""
+    """(x, w, top): the cached expansion, to the precision or beyond, one
+    int from its first factor on; top = max|c| and w = slot_width(top)."""
     cached = _EXPANSION_CACHE.get(eq)
     if cached is None or cached[0] < precision:
         e24 = sum(d * r for d, r in eq.exponents)
@@ -286,16 +302,19 @@ def expand_packed(eq: EtaQuotient, precision: int) -> tuple[int, int, int]:
         e = e24 // 24
         if e < 0:
             raise ValueError(f"negative leading exponent {e}")
-        dense = [0] * (precision + 1)
+        prod, w, g = 0, 1, 1  # no coefficient below q^e
         if precision >= e:
             # the planned product, a series in x = q^g, below x^(limit + 1)
             g, steps, divs = _plan(eq)
             limit = (precision - e) // g
-            prod = sparse_product([f.terms(d, limit) for f, d in steps], limit)
-            for d in divs:
-                prod = div_sparse(prod, _EULER.terms(d, limit), limit)
-            dense[e::g] = prod
-        cached = _EXPANSION_CACHE[eq] = (precision, *pack_narrow(dense))
+            prod, w = sparse_product([_terms(*s, limit) for s in steps], limit)
+            if divs:
+                dense = unpack(prod, limit + 1, w)
+                for d in divs:
+                    dense = div_sparse(dense, _terms(_EULER, d, limit), limit)
+                prod, w, _ = pack_narrow(dense)
+        entry = place_narrow(prod, w, e, g, precision)
+        cached = _EXPANSION_CACHE[eq] = (precision, *entry)
     return cached[1:]
 
 

@@ -8,34 +8,27 @@ so coefficients are Python ints; rationals appear only inside the linear
 solve of :mod:`convsum.spaces`.  An operation never reports a coefficient
 beyond the smaller operand precision, so every coefficient returned is the
 true one.  This module is the only one that packs, multiplies, divides or
-combines integer series; :mod:`convsum.eta` plans its expansions, calls
-:func:`sparse_product` and :func:`div_sparse`, and caches each expansion
-packed by :func:`pack_narrow`.  Division runs the plain coefficient
-recurrence: only the rows of the solves divide, at their precisions, and
-the closed forms are evaluated over rows that do not.
+combines integer series; :mod:`convsum.eta` plans its expansions and calls
+:func:`sparse_product`, :func:`place_narrow` and, for the rows of the
+solves only, :func:`div_sparse`, the plain coefficient recurrence.
 
 Products run on Kronecker-packed ints (D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): n
 coefficients c_k become the one int sum c_k 2^(Bk) with B = 8w bits per
 w-byte slot.  Modulo 2^(Bn) this maps series truncated below q^n to
-integers as a ring homomorphism, so the packed product is the product
-packed, and only the result must fit its slots: exact by construction once
-an a-priori bound puts every coefficient below 2^(B-1), on the narrowest
-slots that allow it.  A dense product is bounded by min(nonzero a, nonzero
-b) max|a| max|b|; each step of a sparse product, sum c (X << e B), by the
-smaller of two bounds on the product so far: the product of the absolute
-coefficient sums multiplied in so far, and Cauchy-Schwarz over a running
-bound on its sum of squares.  Packing and
-unpacking add 2^(B-1) to every slot, so every digit is non-negative, and
-make one struct pass at 8 bytes and strided byte copies up to 8 bytes.
-
-A stored series is packed on the narrowest slots its largest coefficient
-needs (:func:`pack_narrow`), w bytes per coefficient instead of the about 36
-of a list of ints.  :func:`combine_packed` adds sum m_j x_j over such packed
-series to a dense list: the triangle inequality bounds every slot of the
-result by max|dense| + sum |m_j| max|x_j|, so on the slots that bound needs
-each term is re-slotted in bytes, multiplied and added to one packed
-accumulator, and the sum is unpacked once.
+integers as a ring homomorphism, so only the result must fit its slots:
+exact by construction once an a-priori bound puts every coefficient below
+2^(B-1), on the narrowest slots that allow it.  A dense product is bounded
+by min(nonzero a, nonzero b) max|a| max|b|; each Horner step of a sparse
+product by the smaller of the product of the absolute coefficient sums
+multiplied in so far and Cauchy-Schwarz over a running bound on its sum
+of squares.  A sparse product stays packed from its first factor, written
+into slot bytes, to :func:`place_narrow`, which re-slots it on the
+narrowest slots of its exact largest coefficient, as :func:`pack_narrow`
+packs a list: w bytes per coefficient instead of the about 36 of a list.
+:func:`combine_packed` adds sum m_j x_j over packed series to a dense
+list on the slots that max|dense| + sum |m_j| max|x_j| needs, with each
+term's slots biased to be unsigned, and unpacks the sum once.
 """
 
 from __future__ import annotations
@@ -105,42 +98,77 @@ def pack_narrow(coeffs) -> tuple[int, int, int]:
     return pack(coeffs, w), w, top
 
 
+def dense_product(a, b, n: int, packs=None) -> list[int]:
+    """The first n coefficients of a b, one big-int product of the packed
+    int sequences; packs, a dict, keeps b packed by slot width.  A slot of
+    the product sums at most min(nonzero a, nonzero b) nonzero products;
+    the bound with each factor at least 1 covers the operands too."""
+    nonzero = max(1, min(len(a) - a.count(0), len(b) - b.count(0)))
+    w = slot_width(nonzero * max(1, *map(abs, a)) * max(1, *map(abs, b)))
+    x, packs = pack(a, w), {} if packs is None else packs
+    if w not in packs:
+        packs[w] = x if b is a else pack(b, w)  # a square: the squaring path
+    return unpack(x * packs[w], n, w)
+
+
+def place_narrow(x: int, w: int, e: int, g: int,
+                 precision: int) -> tuple[int, int, int]:
+    """pack_narrow of the series to q^precision with the slots of x on w
+    bytes at q^e, q^(e+g), ... and 0 elsewhere, in bytes: the exact top
+    from one pass, then the slots re-slotted and copied into place."""
+    n = len(range(e, precision + 1, g))
+    top = max(map(abs, unpack(x, n, w)), default=0)
+    data = _resized(_slots(x, n, w), n, w, v := slot_width(top))
+    out = bytearray((precision + 1) * v)
+    for i in range(v):
+        out[e * v + i::g * v] = data[i::v]
+    return _joined(out, precision + 1, v), v, top
+
+
 def combine_packed(dense: list[int], terms) -> list[int]:
     """dense plus sum m x over the terms (m, x, w, top), each x a series on
     w-byte slots whose absolute values are at most top, of which the first
-    len(dense) are read; terms with m = 0 are skipped."""
+    len(dense) are read; terms with m = 0 are skipped.  Each term's slots,
+    biased by 2^(8w-1), are zero-extended and read as one int; sum m
+    2^(8w-1) is subtracted from every slot once, at the end."""
     n = len(dense)
     terms = [t for t in terms if t[0]]
     bound = max(map(abs, dense), default=0) + sum(abs(m) * top
                                                   for m, _, _, top in terms)
-    v = slot_width(bound)
-    acc = pack(dense, v)
+    v = max([slot_width(bound)] + [w for _, _, w, _ in terms])
+    acc, bias = pack(dense, v), 0
     for m, x, w, _ in terms:
-        acc += m * _joined(_resized(_slots(x, n, w), n, w, v), n, v)
+        off = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+        data = ((x + off) & ((1 << 8 * w * n) - 1)).to_bytes(n * w, "little")
+        wide = bytearray(n * v)
+        for i in range(w):
+            wide[i::v] = data[i::w]
+        acc += m * int.from_bytes(wide, "little")
+        bias += m << 8 * w - 1
+    acc -= bias * int.from_bytes((b"\x01" + bytes(v - 1)) * n, "little")
     return unpack(acc, n, v)
 
 
 def mul_packed(x: int, terms, n: int, w: int) -> int:
-    """x times the sparse series of (exponent, coefficient) terms, modulo
-    2^(8wn), i.e. on n slots of w bytes: one shift-add per term."""
+    """x times the sparse series of ascending (exponent, coefficient)
+    terms modulo 2^(8wn), i.e. on n slots of w bytes: Horner from the
+    highest exponent, one shift, cut to n slots, and add per term."""
     bits = 8 * w
-    acc = 0
-    for e, c in terms:
-        y = x << e * bits
-        if c == 1:
-            acc += y
-        elif c == -1:
-            acc -= y
-        else:
-            acc += c * y
-    return acc & ((1 << bits * n) - 1)
+    mask = (1 << bits * n) - 1
+    acc, last = 0, terms[-1][0] if terms else 0
+    for e, c in reversed(terms):
+        acc = (acc << (last - e) * bits) & mask
+        acc = acc + x if c == 1 else acc - x if c == -1 else acc + c * x
+        last = e
+    return (acc << last * bits) & mask
 
 
-def sparse_product(factors, limit: int) -> list[int]:
-    """The product of the sparse series in factors, each a list of
-    (exponent, coefficient) terms up to q^limit: the longest packed, the
-    others shift-added, each on the narrowest slots for the running bound,
-    and the packed int re-slotted wider, in bytes, when the bound grows.
+def sparse_product(factors, limit: int) -> tuple[int, int]:
+    """(x, w): the product of the sparse series in factors, each a list of
+    ascending (exponent, coefficient) terms up to q^limit, on limit + 1
+    slots of w bytes: the longest written into its slots, the others
+    shift-added on the narrowest slots for the running bound, re-slotted
+    wider, in bytes, when the bound grows.
 
     Two integer bounds run over the product x so far: top >= max|x| and
     sq >= ||x||_2^2.  A factor t makes top the smaller of top ||t||_1 and
@@ -148,13 +176,13 @@ def sparse_product(factors, limit: int) -> list[int]:
     smaller of sq ||t||_1^2 (Young's inequality) and n top^2."""
     n = limit + 1
     first, *rest = sorted(factors, key=len, reverse=True) or [[(0, 1)]]
-    dense = [0] * n
-    for e, c in first:
-        dense[e] = c
     top = max(abs(c) for _, c in first)
     sq = sum(c * c for _, c in first)
     w = slot_width(top)
-    x = pack(dense, w)
+    data = bytearray(n * w)
+    for e, c in first:
+        data[e * w:e * w + w] = c.to_bytes(w, "little", signed=True)
+    x = _joined(data, n, w)
     for terms in rest:
         l1 = sum(abs(c) for _, c in terms)
         top = min(top * l1, isqrt(sq * sum(c * c for _, c in terms)))
@@ -163,7 +191,7 @@ def sparse_product(factors, limit: int) -> list[int]:
             x = _joined(_resized(_slots(x, n, w), n, w, wider), n, wider)
             w = wider
         x = mul_packed(x, terms, n, w)
-    return unpack(x, n, w)
+    return x, w
 
 
 def div_sparse(dense: list[int], terms, limit: int) -> list[int]:
@@ -227,16 +255,9 @@ class QSeries:
         return self.coeffs[n]
 
     def __mul__(self, other: QSeries) -> QSeries:
-        """One big-int product of the packed operands.  A slot of the full
-        product sums at most min(nonzero a, nonzero b) nonzero products; the
-        bound with each factor at least 1 covers the operands too."""
         p = min(self.precision, other.precision)
-        a, b = self.coeffs[:p + 1], other.coeffs[:p + 1]
-        nonzero = max(1, min(len(a) - a.count(0), len(b) - b.count(0)))
-        w = slot_width(nonzero * max(1, *map(abs, a)) * max(1, *map(abs, b)))
-        x = pack(a, w)
-        y = x if b is a else pack(b, w)  # a square takes the squaring path
-        return QSeries(p, unpack(x * y, p + 1, w))
+        return QSeries(p, dense_product(self.coeffs[:p + 1],
+                                        other.coeffs[:p + 1], p + 1))
 
     def dilate(self, t: int) -> QSeries:
         """Substitute q -> q^t, keeping the precision."""

@@ -92,7 +92,7 @@ def test_traced_child_runs_every_hook(tmp_path):
     """``tracer.py OUT RUN -- ARGS`` as the traced benchmark runs it: the
     command's stdout is the untraced one, the hooks that read series
     coefficients, the expansion cache and the W provider record their
-    spans, the series oracle's product is a child span of the oracle, and
+    spans, the squaring's product is a child span of ``lhs_square``, and
     each run closes with the cache counters."""
     out = tmp_path / "spans.jsonl"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -108,10 +108,10 @@ def test_traced_child_runs_every_hook(tmp_path):
     assert {"eta.expand", "qseries.mul", "qseries.construct",
             "representations.default_w_provider",
             "spaces.derive_coefficients"} <= names
-    oracles = {r["id"] for r in records if r["run"] == "0"
-               and r.get("name") == "convolution.w_series_oracle"}
-    assert any(r.get("name") == "qseries.mul" and r["parent"] in oracles
-               for r in records if r["run"] == "0")
+    squares = {r["id"] for r in records if r["run"] == "1"
+               and r.get("name") == "eisenstein.lhs_square"}
+    assert any(r.get("name") == "qseries.mul" and r["parent"] in squares
+               for r in records if r["run"] == "1")
     closing = {r["run"]: r for r in records if "caches" in r}
     assert set(closing) == {"0", "1"}
     assert "r4" in closing["0"]["caches"]

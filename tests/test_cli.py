@@ -524,6 +524,27 @@ def test_verify_all_fast_pins_the_divisions():
         "20", "37", "41", "17", "56", "109", "53"]
 
 
+def test_verify_all_fast_pins_the_expansion_work():
+    """Work-count pin: the seven suites at their --fast values make 102
+    sparse products with 2242 shift-add terms in all, counting every factor
+    but the longest, which is written into the slots, and leave the 37
+    table, basis and division-free quotients in the expansion cache."""
+    child = _fresh("import contextlib, io, sys\n"
+                   "from convsum import eta\n"
+                   "from convsum.cli import main\n"
+                   "real, seen = eta.sparse_product, []\n"
+                   "def counted(factors, limit):\n"
+                   "    rest = sorted(factors, key=len, reverse=True)[1:]\n"
+                   "    seen.append(sum(map(len, rest)))\n"
+                   "    return real(factors, limit)\n"
+                   "eta.sparse_product = counted\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    main(sys.argv[1:], standalone_mode=False)\n"
+                   "print(len(seen), sum(seen), len(eta._EXPANSION_CACHE))\n",
+                   "verify", "all", "--fast")
+    assert child.stdout.split() == ["102", "2242", "37"]
+
+
 def test_each_launch_imports_only_what_its_command_runs():
     bare = _loaded()
     assert not {m for m in bare if m.startswith("convsum.")}

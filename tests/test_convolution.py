@@ -5,14 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convsum import eta, tables
+from convsum import convolution, eta, qseries, tables
 from convsum.arith import sigma_k
 from convsum.convolution import (IntegralityError, _division_free, w_closed,
                                  w_closed_table, w_oracle, w_series_oracle)
 from convsum.eisenstein import EisensteinPair
 from convsum.eta import basis_rows, evaluation_rows, expand, table_rows
 from convsum.representations import rep_count_closed
-from convsum.qseries import QSeries
 from convsum.spaces import build_basis, derive_coefficients
 from conftest import (REPORTED_CONSTANT_VIOLATIONS, REPORTED_EXPANSION_COEFFS,
                       literal_w_table)
@@ -70,16 +69,28 @@ def test_w_series_oracle_is_independent_of_the_sieve(no_sigma_sieve):
 
 def test_w_series_oracle_multiplies_only_the_slots_it_reads(monkeypatch):
     """(1, 44) at 5000 reads k = 114 sums of each of its 44 classes, so
-    every product runs at precision k - 1 = 113, through QSeries.__mul__."""
-    real, precisions = QSeries.__mul__, []
+    every product runs on k slots, through ``qseries.dense_product``; the
+    shared operand sigma[:k] is packed once per slot width, not per
+    class."""
+    real, sizes, shared = convolution.dense_product, [], []
+    real_pack, packed = qseries.pack, []
 
-    def recording(self, other):
-        precisions.append((self.precision, other.precision))
-        return real(self, other)
+    def recording(a, b, n, packs):
+        sizes.append((len(a), len(b), n))
+        shared.append(packs)
+        return real(a, b, n, packs)
 
-    monkeypatch.setattr(QSeries, "__mul__", recording)
+    def counting(coeffs, w):
+        packed.append(w)
+        return real_pack(coeffs, w)
+
+    monkeypatch.setattr(convolution, "dense_product", recording)
+    monkeypatch.setattr(qseries, "pack", counting)
     assert w_series_oracle(1, 44, 5000) == literal_w_table(1, 44, 5000)
-    assert precisions == [(113, 113)] * 44
+    assert sizes == [(114, 114, 114)] * 44
+    packs = shared[0]
+    assert all(p is packs for p in shared) and packs
+    assert len(packed) == 44 + len(packs)
 
 
 @settings(max_examples=150, deadline=None)

@@ -116,6 +116,23 @@ def test_sparse_kernels_match_naive(case):
         dense, terms, limit)
 
 
+@pytest.mark.parametrize("terms", [
+    _THETAS[0].terms(1, 40), _THETAS[0].terms(3, 40), [(0, 1)], [(0, -5)],
+    [(7, 2)], [(0, 1), (40, -1)], []],
+    ids=["phi", "phi-dilated", "one", "lone-at-0", "lone-at-7", "edge",
+         "none"])
+def test_horner_step_matches_naive(terms):
+    """The Horner shift-adds against the per-coefficient product: phi(-q)
+    with its coefficients -2 and 2, a lone term at q^0 and beyond it, a
+    term at the last slot, and no terms, which gives 0."""
+    limit = 40
+    dense = [(-1) ** i * (i * i + 3) for i in range(limit + 1)]
+    n, l1 = limit + 1, sum(abs(c) for _, c in terms)
+    w = slot_width(max(map(abs, dense)) * max(1, l1))
+    product = unpack(mul_packed(pack(dense, w), terms, n, w), n, w)
+    assert product == naive_mul_sparse(dense, terms, limit)
+
+
 def test_packed_step_slot_widths():
     """A bound of 2^(8w-1) - 1 takes w-byte slots and 2^(8w-1) takes w + 1,
     for w = 1..9.  Steps whose product reaches a bound just below and just
@@ -156,21 +173,26 @@ def test_sparse_product_matches_naive(case):
     expected = [1] + [0] * limit
     for terms in factors:
         expected = naive_mul_sparse(expected, terms, limit)
-    assert sparse_product(factors, limit) == expected
+    x, w = sparse_product(factors, limit)
+    assert unpack(x, limit + 1, w) == expected
 
 
 def slot_widths(monkeypatch, factors, limit):
-    """The product, and the slot widths of its first pack and of each
+    """The product as a list, and the slot widths of the first factor's
+    packing (the first call of ``qseries._joined``, which reads the slot
+    bytes the first factor's terms were written into) and of each
     shift-add step."""
-    widths = []
-    for name in ("pack", "mul_packed"):
+    widths, first = [], []
+    for name, seen in (("_joined", first), ("mul_packed", widths)):
         real = getattr(qseries, name)
 
-        def recording(*args, real=real):
-            widths.append(args[-1])
+        def recording(*args, real=real, seen=seen):
+            seen.append(args[-1])
             return real(*args)
         monkeypatch.setattr(qseries, name, recording)
-    return sparse_product(factors, limit), widths
+    x, w = sparse_product(factors, limit)
+    assert widths[-1:] in ([], [w])
+    return unpack(x, limit + 1, w), first[:1] + widths
 
 
 def test_sparse_product_slot_widths(monkeypatch):
@@ -197,6 +219,27 @@ def test_sparse_product_bound_is_tight(monkeypatch, k, width):
     assert product == naive_mul_sparse(dense(ones, limit), ones, limit)
     assert product[k - 1] == max(product) == k
     assert widths == [1, width]
+
+
+def test_term_lists_are_cut_from_one_list_per_step(monkeypatch):
+    """Every step's terms, asked at a growing, a shrinking and a repeated
+    limit, equal a fresh ``terms``; a step is built again only when its
+    limit grows, and the cache, cleared when full, keeps at most 64
+    steps."""
+    real, built = eta._Factor.terms, []
+
+    def counting(factor, d, limit):
+        built.append(limit)
+        return real(factor, d, limit)
+    monkeypatch.setattr(eta, "_TERMS", {})
+    monkeypatch.setattr(eta._Factor, "terms", counting)
+    for factor in FACTORS:
+        for limit in (30, 200, 7, 200, 0):
+            assert eta._terms(factor, 2, limit) == real(factor, 2, limit)
+    assert built == [30, 200] * len(FACTORS)
+    for d in range(1, 100):
+        assert eta._terms(_EULER, d, 50) == real(_EULER, d, 50)
+        assert len(eta._TERMS) <= 64
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from convsum.arith import sigma_k
 from convsum.qseries import (QSeries, combine_packed, pack, pack_narrow,
-                             slot_width, unpack)
+                             place_narrow, slot_width, unpack)
 from conftest import naive_series_mul
 
 
@@ -116,6 +116,41 @@ def test_pack_narrow_round_trips_on_the_narrowest_slots(coeffs):
                 pack(coeffs, w - 1)
 
 
+@st.composite
+def placements(draw):
+    """(coeffs, w, e, g, precision): the coefficients a product places at
+    q^e, q^(e+g), ... up to q^precision, on w-byte slots at least as wide
+    as they need, with up to two slots beyond that the kernel must not
+    read; precision may lie below e."""
+    e, g = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    precision = draw(st.integers(0, 30))
+    n = len(range(e, precision + 1, g)) + draw(st.integers(0, 2))
+    coeffs = draw(st.lists(st.integers(-2 ** 70, 2 ** 70) | st.integers(
+        -300, 300), min_size=n, max_size=n))
+    w = slot_width(max(map(abs, coeffs), default=0)) + draw(st.integers(0, 3))
+    return coeffs, w, e, g, precision
+
+
+@settings(max_examples=200, deadline=None)
+@given(placements())
+# the most negative 1-byte value takes 2 bytes, as pack_narrow packs it,
+# also when it arrives on 1-byte slots
+@example(([5, -128, 3], 3, 2, 3, 8))
+@example(([-128, 1], 1, 1, 2, 3))
+# the largest 3-byte value stays on 3 of its 5 bytes
+@example(([2 ** 23 - 1, -7], 5, 3, 2, 5))
+@example(([4], 1, 3, 2, 3))  # precision = e
+@example(([9, 9], 2, 5, 2, 3))  # precision < e: nothing placed
+def test_place_narrow_packs_as_pack_narrow(case):
+    """The bytes path packs the placed series exactly as pack_narrow packs
+    the literal list: the same int, width and top."""
+    coeffs, w, e, g, precision = case
+    dense = [0] * (precision + 1)
+    dense[e::g] = coeffs[:len(range(e, precision + 1, g))]
+    assert place_narrow(pack(coeffs, w), w, e, g,
+                        precision) == pack_narrow(dense)
+
+
 weights = st.sampled_from((0, 1, -1, 2 ** 40, -2 ** 40)) | st.integers(
     -2 ** 40, 2 ** 40)
 
@@ -143,6 +178,10 @@ def packed_combinations(draw):
 @example(([2 ** 62, -2 ** 62], [(1, [2 ** 62, 1 - 2 ** 62], 8)]))
 # a 9-byte term with m = 0 beside a result that needs 1 byte
 @example(([3, -1], [(0, [2 ** 70, -2 ** 70], 9), (-2, [1, 1], 1)]))
+# terms on slots wider than the result needs, one with m < 0
+@example(([3, -1], [(2, [5, -7, 2 ** 70], 9), (-1, [-2, 60], 4)]))
+# m < 0 on the most negative and the largest slot values of a byte
+@example(([0, 0], [(-3, [-128, 127], 1)]))
 def test_combine_packed_matches_list_fold(case):
     dense, terms = case
     expected = list(dense)
