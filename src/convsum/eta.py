@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple
 
 from . import tables
 from .arith import divisors, prime_factors
-from .qseries import (QSeries, div_sparse, pack_narrow, place_narrow,
-                      sparse_product, unpack)
+from .qseries import (QSeries, _joined, _slots, div_sparse, pack_narrow,
+                      slot_bound, sparse_product, unpack)
 
 
 class BasisError(ArithmeticError):
@@ -141,8 +141,8 @@ def check_ligozat(eq: EtaQuotient) -> LigozatReport:
 #    plans, the one with the fewest divisions left, then the fewest terms.
 #    Each quotient is planned once per process.
 # 2. Multiply the steps, their term lists built once per process, with
-#    qseries.sparse_product on one packed int; qseries.place_narrow packs
-#    it for the cache.
+#    qseries.sparse_product on one packed int, and cache its slot bytes as
+#    they are, to be placed at q^e, q^(e+g), ... where they are read.
 # 3. Divide by any single F the plan left, with qseries.div_sparse, first.
 #
 # The literal product and the per-coefficient kernels are kept in the test
@@ -283,15 +283,16 @@ def _terms(factor: _Factor, d: int, limit: int) -> list[tuple[int, int]]:
     return [t for t in terms if t[0] <= limit]
 
 
-# best-precision expansion per quotient as (precision, x, w, max|c|), as
-# qseries.pack_narrow packs it on precision + 1 slots of w bytes; truncated
-# views are served from it, so mixed precisions expand only once
-_EXPANSION_CACHE: dict[EtaQuotient, tuple[int, int, int, int]] = {}
+# best-precision expansion per quotient as (precision, data, w, top, e, g),
+# the precision first, where the benchmark tracer reads it; truncated views
+# are served from it, so mixed precisions expand only once
+_EXPANSION_CACHE: dict[EtaQuotient, tuple] = {}
 
 
-def expand_packed(eq: EtaQuotient, precision: int) -> tuple[int, int, int]:
-    """(x, w, top): the cached expansion, to the precision or beyond, one
-    int from its first factor on; top = max|c| and w = slot_width(top)."""
+def expand_packed(eq: EtaQuotient, precision: int) -> tuple:
+    """(data, w, top, e, g): the cached expansion, to the precision or
+    beyond, as the signed w-byte slots data of its coefficients at q^e,
+    q^(e+g), ..., with top = qseries.slot_bound(data, w)."""
     cached = _EXPANSION_CACHE.get(eq)
     if cached is None or cached[0] < precision:
         e24 = sum(d * r for d, r in eq.exponents)
@@ -302,7 +303,7 @@ def expand_packed(eq: EtaQuotient, precision: int) -> tuple[int, int, int]:
         e = e24 // 24
         if e < 0:
             raise ValueError(f"negative leading exponent {e}")
-        prod, w, g = 0, 1, 1  # no coefficient below q^e
+        data, w, g = b"", 1, 1  # no coefficient below q^e
         if precision >= e:
             # the planned product, a series in x = q^g, below x^(limit + 1)
             g, steps, divs = _plan(eq)
@@ -313,8 +314,9 @@ def expand_packed(eq: EtaQuotient, precision: int) -> tuple[int, int, int]:
                 for d in divs:
                     dense = div_sparse(dense, _terms(_EULER, d, limit), limit)
                 prod, w, _ = pack_narrow(dense)
-        entry = place_narrow(prod, w, e, g, precision)
-        cached = _EXPANSION_CACHE[eq] = (precision, *entry)
+            data = _slots(prod, limit + 1, w)
+        cached = _EXPANSION_CACHE[eq] = (precision, data, w,
+                                         slot_bound(data, w), e, g)
     return cached[1:]
 
 
@@ -324,8 +326,10 @@ def expand(eq: EtaQuotient, precision: int) -> QSeries:
     Requires an integral, non-negative leading exponent; the first nonzero
     coefficient is then 1 at that exponent.
     """
-    x, w, _ = expand_packed(eq, precision)
-    return QSeries(precision, unpack(x, precision + 1, w))
+    data, w, _, e, g = expand_packed(eq, precision)
+    out, n = [0] * (precision + 1), len(range(e, precision + 1, g))
+    out[e::g] = unpack(_joined(data[:n * w], n, w), n, w)
+    return QSeries(precision, out)
 
 
 def _embedded(name: str, level: int, row) -> EtaQuotient:

@@ -9,7 +9,7 @@ solve of :mod:`convsum.spaces`.  An operation never reports a coefficient
 beyond the smaller operand precision, so every coefficient returned is the
 true one.  This module is the only one that packs, multiplies, divides or
 combines integer series; :mod:`convsum.eta` plans its expansions and calls
-:func:`sparse_product`, :func:`place_narrow` and, for the rows of the
+:func:`sparse_product`, :func:`slot_bound` and, for the rows of the
 solves only, :func:`div_sparse`, the plain coefficient recurrence.
 
 Products run on Kronecker-packed ints (D. Harvey, "Faster polynomial
@@ -22,13 +22,12 @@ exact by construction once an a-priori bound puts every coefficient below
 by min(nonzero a, nonzero b) max|a| max|b|; each Horner step of a sparse
 product by the smaller of the product of the absolute coefficient sums
 multiplied in so far and Cauchy-Schwarz over a running bound on its sum
-of squares.  A sparse product stays packed from its first factor, written
-into slot bytes, to :func:`place_narrow`, which re-slots it on the
-narrowest slots of its exact largest coefficient, as :func:`pack_narrow`
-packs a list: w bytes per coefficient instead of the about 36 of a list.
-:func:`combine_packed` adds sum m_j x_j over packed series to a dense
-list on the slots that max|dense| + sum |m_j| max|x_j| needs, with each
-term's slots biased to be unsigned, and unpacks the sum once.
+of squares.  A sparse product stays packed from its first factor to its
+slot bytes, w per coefficient instead of the about 36 of a list, whose
+largest coefficient :func:`slot_bound` bounds within 2x from the bytes.
+:func:`combine_packed` adds sum m_j c_j over such bytes, placed at q^e,
+q^(e+g), ..., to a dense list on the slots that max|dense| +
+sum |m_j| top_j needs, every slot biased to be unsigned, and unpacks once.
 """
 
 from __future__ import annotations
@@ -36,6 +35,9 @@ from __future__ import annotations
 import struct
 from math import isqrt
 from operator import index
+
+_SIGN = bytes(128) + b"\xff" * 128  # a slot's top byte -> its sign byte
+_FLIP = bytes(range(128, 256)) + bytes(range(128))  # a byte XOR 0x80
 
 
 def slot_width(bound: int) -> int:
@@ -58,7 +60,7 @@ def _joined(data, n: int, w: int) -> int:
 
 def _resized(data, n: int, w: int, v: int) -> bytearray:
     """n signed w-byte slots, cut or sign-extended to v bytes each."""
-    sign = data[w - 1::w].translate(bytes(128) + b"\xff" * 128)
+    sign = data[w - 1::w].translate(_SIGN)
     out = bytearray(n * v)
     for i in range(v):
         out[i::v] = data[i::w] if i < w else sign
@@ -111,41 +113,43 @@ def dense_product(a, b, n: int, packs=None) -> list[int]:
     return unpack(x * packs[w], n, w)
 
 
-def place_narrow(x: int, w: int, e: int, g: int,
-                 precision: int) -> tuple[int, int, int]:
-    """pack_narrow of the series to q^precision with the slots of x on w
-    bytes at q^e, q^(e+g), ... and 0 elsewhere, in bytes: the exact top
-    from one pass, then the slots re-slotted and copied into place."""
-    n = len(range(e, precision + 1, g))
-    top = max(map(abs, unpack(x, n, w)), default=0)
-    data = _resized(_slots(x, n, w), n, w, v := slot_width(top))
-    out = bytearray((precision + 1) * v)
-    for i in range(v):
-        out[e * v + i::g * v] = data[i::v]
-    return _joined(out, precision + 1, v), v, top
+def slot_bound(data, w: int) -> int:
+    """A power of two in [max|c|, 2 max|c|] over the signed w-byte slots c
+    of data (1 if every c is 0 or -1): XOR with its sign byte makes each c
+    c or -c - 1, whose largest has the bit length of the largest byte in
+    the highest byte column where that is nonzero."""
+    sign = data[w - 1::w].translate(_SIGN)
+    for i in reversed(range(w)):
+        if (column := data[i::w]) != sign:
+            xor = (int.from_bytes(column, "little")
+                   ^ int.from_bytes(sign, "little"))
+            high = max(xor.to_bytes(len(sign), "little"))
+            return 1 << 8 * i + high.bit_length()
+    return 1
 
 
 def combine_packed(dense: list[int], terms) -> list[int]:
-    """dense plus sum m x over the terms (m, x, w, top), each x a series on
-    w-byte slots whose absolute values are at most top, of which the first
-    len(dense) are read; terms with m = 0 are skipped.  Each term's slots,
-    biased by 2^(8w-1), are zero-extended and read as one int; sum m
-    2^(8w-1) is subtracted from every slot once, at the end."""
+    """dense plus sum m c over the terms (m, data, w, top, e, g), skipping
+    m = 0: c has the signed w-byte slots of data, |c| <= top, at q^e,
+    q^(e+g), ... below q^len(dense).  Each is cut or sign-extended onto the
+    sum's v-byte slots in strided byte copies, its top bit flipped so that
+    every slot reads as c + 2^(8v-1), as an empty one does; sum m times the
+    empty slots is subtracted once, at the end."""
     n = len(dense)
     terms = [t for t in terms if t[0]]
-    bound = max(map(abs, dense), default=0) + sum(abs(m) * top
-                                                  for m, _, _, top in terms)
-    v = max([slot_width(bound)] + [w for _, _, w, _ in terms])
-    acc, bias = pack(dense, v), 0
-    for m, x, w, _ in terms:
-        off = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
-        data = ((x + off) & ((1 << 8 * w * n) - 1)).to_bytes(n * w, "little")
-        wide = bytearray(n * v)
-        for i in range(w):
-            wide[i::v] = data[i::w]
+    bound = max(map(abs, dense), default=0) + sum(abs(t[0]) * t[3]
+                                                  for t in terms)
+    v = slot_width(bound)
+    acc, empty = pack(dense, v), (bytes(v - 1) + b"\x80") * n
+    for m, data, w, _, e, g in terms:
+        end, wide = len(range(e, n, g)) * w, bytearray(empty)
+        sign = data[w - 1:end:w].translate(_SIGN)
+        for i in range(v):
+            column = data[i:end:w] if i < w else sign
+            wide[e * v + i::g * v] = (column.translate(_FLIP) if i == v - 1
+                                      else column)
         acc += m * int.from_bytes(wide, "little")
-        bias += m << 8 * w - 1
-    acc -= bias * int.from_bytes((b"\x01" + bytes(v - 1)) * n, "little")
+    acc -= sum(t[0] for t in terms) * int.from_bytes(empty, "little")
     return unpack(acc, n, v)
 
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import convolution, eta, representations, spaces, tables
+from . import convolution, eta, tables
 from .arith import _index, _nu2, _nu_inf, dim_spaces, sigma_factored_table
-from .eisenstein import EisensteinPair, lhs_square, rhs_identity
 
 
 class Check(NamedTuple):
@@ -83,6 +82,8 @@ def ligozat(level: int | str = "all") -> Check:
 
 def basis() -> Check:
     """Independence certificates for both levels."""
+    from . import spaces
+
     def compare(level):
         space = spaces.build_basis(level, 48, eta.table_rows(level))
         det = spaces.verify_independence(space)
@@ -121,17 +122,19 @@ def identity(max_n: int, alpha: int | None = None,
     if (alpha is None) != (beta is None):
         raise ValueError("--alpha and --beta must be given together")
     _require_positive("max-n", max_n)
+    from . import eisenstein
     pairs = tables.EXPANSION_COEFFS if alpha is None else ((alpha, beta),)
 
     def compare(pair):
         w = convolution.w_series_oracle(pair.alpha, pair.beta, max_n)
-        exact = lhs_square(pair, max_n) == rhs_identity(
+        exact = eisenstein.lhs_square(pair, max_n) == eisenstein.rhs_identity(
             pair, lambda n: w[n], max_n)
         return exact, f"identity ({pair.alpha},{pair.beta}): " + (
             f"exact for all n <= {max_n}" if exact
             else f"MISMATCH within n <= {max_n}")
     return _check("identity", [(f"identity ({a},{b})", compare,
-                                EisensteinPair(a, b)) for a, b in pairs])
+                                eisenstein.EisensteinPair(a, b))
+                               for a, b in pairs])
 
 
 def lemma32(solve_precision: int) -> Check:
@@ -146,6 +149,7 @@ def lemma32(solve_precision: int) -> Check:
     if solve_precision < floor:
         raise ValueError(f"lemma32 precision must be at least {floor}, "
                          f"got {solve_precision}")
+    from . import eisenstein, spaces
 
     bases = {}  # the pairs and the relations of a level share its basis
 
@@ -155,7 +159,7 @@ def lemma32(solve_precision: int) -> Check:
         return bases[level]
 
     def compare(a, b, exp_s3, exp_y):
-        pair = EisensteinPair(a, b)
+        pair = eisenstein.EisensteinPair(a, b)
         space = basis_of(pair.level)
         label = eta.rows_label(pair.level, space.cusp_rows)
         solution = spaces.derive_coefficients(pair, space)
@@ -218,6 +222,7 @@ def reps(max_n: int, substitution_max_n: int) -> Check:
     behind their closed forms."""
     _require_positive("max-n", max_n)
     _require_positive("substitution-max-n", substitution_max_n)
+    from . import representations
     s1 = sigma_factored_table(1, substitution_max_n)
     s1_4 = [0 if m % 4 else s1[m // 4] for m in range(len(s1))]
 

@@ -545,6 +545,27 @@ def test_verify_all_fast_pins_the_expansion_work():
     assert child.stdout.split() == ["102", "2242", "37"]
 
 
+def test_closed_forms_unpack_only_the_sums():
+    """Work-count pin: a fresh ``verify closed-forms --max-n 200`` unpacks
+    no expansion in ``eta`` and one sum per pair in ``combine_packed``;
+    every other unpack is a product of the series oracle."""
+    child = _fresh("import collections, contextlib, io, sys\n"
+                   "from convsum import eta, qseries\n"
+                   "from convsum.cli import main\n"
+                   "seen = collections.Counter()\n"
+                   "def counted(x, n, w, real=qseries.unpack):\n"
+                   "    seen[sys._getframe(1).f_code.co_name] += 1\n"
+                   "    return real(x, n, w)\n"
+                   "eta.unpack = qseries.unpack = counted\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    main(sys.argv[1:], standalone_mode=False)\n"
+                   "print(*(f'{k}={v}' for k, v in seen.items()))\n",
+                   "verify", "closed-forms", "--max-n", "200")
+    seen = dict(item.split("=") for item in child.stdout.split())
+    assert seen.pop("combine_packed") == "4"
+    assert set(seen) == {"dense_product"}
+
+
 def test_each_launch_imports_only_what_its_command_runs():
     bare = _loaded()
     assert not {m for m in bare if m.startswith("convsum.")}
@@ -557,10 +578,13 @@ def test_each_launch_imports_only_what_its_command_runs():
         "convsum.representations", "json", "csv"}
     counts = _loaded("rep-count", "--a", "1", "--b", "11", "--n", "120")
     assert not counts & {"convsum.spaces", "convsum.verify"}
+    checked = _loaded("verify", "closed-forms", "--max-n", "60")
+    assert "convsum.verify" in checked and not checked & {
+        "convsum.spaces", "convsum.eisenstein", "convsum.representations"}
     derive = _loaded("derive", "--alpha", "1", "--beta", "44",
                      "--precision", "60", "--json")
     suites = _loaded("verify", "all", "--fast")
-    for loaded in (bare, dims, closed, counts, derive, suites):
+    for loaded in (bare, dims, closed, counts, checked, derive, suites):
         assert not loaded & {"click", "dataclasses", "inspect"}
 
 

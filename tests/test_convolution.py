@@ -244,3 +244,19 @@ def test_reported_level52_expansions_violate_constant_term():
         assert got != required
         exact_s3 = tables.EXPANSION_COEFFS[pair][0]
         assert sum(exact_s3) / 240 == required
+
+
+def test_closed_sums_keep_their_slot_widths(fresh_expansions, monkeypatch):
+    """Work-count pin: at P = 5000 the four closed-form sums run on 7-byte
+    slots, as they do over the exact largest coefficient of each row: the
+    bounds read from the slot bytes, within 2x of it, widen no sum."""
+    widths, real = [], qseries.unpack
+
+    def recorded(x, n, w):
+        widths.append(w)
+        return real(x, n, w)
+
+    monkeypatch.setattr(qseries, "unpack", recorded)
+    for pair in tables.EXPANSION_COEFFS:
+        w_closed_table(pair, 5000)
+    assert widths == [7, 7, 7, 7]

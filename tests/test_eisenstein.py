@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convsum import tables, verify
+from convsum import eisenstein, tables, verify
 from convsum.arith import sigma_k
 from convsum.convolution import w_oracle
 from convsum.convolution import w_series_oracle
@@ -112,7 +112,7 @@ def test_identity_against_brute_force(alpha, beta):
 def test_identity_needs_both_or_neither_of_the_pair(monkeypatch, half):
     """Half a pair is refused before any work starts."""
     for name in ("lhs_square", "rhs_identity", "EisensteinPair"):
-        monkeypatch.setattr(verify, name, mock.Mock(
+        monkeypatch.setattr(eisenstein, name, mock.Mock(
             side_effect=AssertionError("work started")))
     with pytest.raises(ValueError,
                        match="^--alpha and --beta must be given together$"):

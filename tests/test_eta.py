@@ -405,29 +405,55 @@ def test_each_quotient_is_planned_once(fresh_expansions):
 
 def test_expand_below_leading_exponent(fresh_expansions):
     """A precision below the leading exponent gives precision + 1 zeros,
-    and the cache never holds more slots than its precision + 1."""
+    the cache entry holds its precision first, and it never holds more
+    slots than the exponents e, e + g, ... up to that precision."""
     (i, _), = tables.REPAIRED_ROWS[52].items()
     row = basis_rows(52)[i - 1]
     for precision in (1, 3, 6, 7):
         coeffs = expand(row, precision).coeffs
         assert coeffs == (0,) * precision + (precision == 7,)
-        cached_precision, x, w, _ = eta._EXPANSION_CACHE[row]
-        assert cached_precision == precision
-        assert pack(unpack(x, precision + 1, w), w) == x
+        cached_precision, data, w, _, e, g = eta._EXPANSION_CACHE[row]
+        assert (cached_precision, e) == (precision, 7)
+        assert len(data) == len(range(e, precision + 1, g)) * w
     assert expand(row, 3).coeffs == (0,) * 4
+
+
+def literal_slots(data, w):
+    """The signed little-endian w-byte slots of data, one at a time."""
+    return [int.from_bytes(data[i:i + w], "little", signed=True)
+            for i in range(0, len(data), w)]
 
 
 def test_expansion_cache_holds_narrow_packed_ints(fresh_expansions):
     """Guard on the cache layout: after the closed-form suite every entry
-    of the 33 basis rows is one int on the slots its largest coefficient
-    needs, at most 4 bytes at P = 2000."""
+    of the 33 evaluation rows is the slot bytes of its product, at most 6
+    bytes wide at P = 2000, one slot per exponent e, e + g, ..., with a
+    power-of-two bound within 2x of the largest coefficient."""
     verify.closed_forms(2000)
     assert len(eta._EXPANSION_CACHE) == 33
-    for precision, x, w, top in eta._EXPANSION_CACHE.values():
-        coeffs = unpack(x, precision + 1, w)
-        assert type(x) is int and precision == 2000
-        assert top == max(map(abs, coeffs)) and w == slot_width(top) <= 4
-        assert pack(coeffs, w) == x
+    for precision, data, w, top, e, g in eta._EXPANSION_CACHE.values():
+        coeffs = literal_slots(data, w)
+        exact = max(map(abs, coeffs))
+        assert type(data) is bytes and precision == 2000 and w <= 6
+        assert len(coeffs) == len(range(e, precision + 1, g))
+        assert top & (top - 1) == 0 and exact <= top <= 2 * exact
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_row(), st.integers(1, 60), st.integers(0, 60))
+def test_expand_places_the_cached_slots(row, high, cut):
+    """expand of a cached entry, at its precision or below, is the literal
+    placement of the entry's slots at q^e, q^(e+g), ... and 0 elsewhere."""
+    eta._EXPANSION_CACHE.pop(row, None)
+    eta.expand_packed(row, high)
+    cached = eta._EXPANSION_CACHE[row]
+    for precision in {high, max(1, high - cut)}:
+        placed = [0] * (precision + 1)
+        _, data, w, _, e, g = cached
+        for n, c in zip(range(e, precision + 1, g), literal_slots(data, w)):
+            placed[n] = c
+        assert expand(row, precision).coeffs == tuple(placed)
+        assert eta._EXPANSION_CACHE[row] is cached
 
 
 def test_quotient_construction():

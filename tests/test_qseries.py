@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from convsum.arith import sigma_k
 from convsum.qseries import (QSeries, combine_packed, pack, pack_narrow,
-                             place_narrow, slot_width, unpack)
+                             slot_bound, slot_width, unpack)
 from conftest import naive_series_mul
 
 
@@ -116,39 +116,39 @@ def test_pack_narrow_round_trips_on_the_narrowest_slots(coeffs):
                 pack(coeffs, w - 1)
 
 
+def slot_bytes(coeffs, w):
+    """The literal signed little-endian w-byte slots of coeffs."""
+    return b"".join(c.to_bytes(w, "little", signed=True) for c in coeffs)
+
+
 @st.composite
-def placements(draw):
-    """(coeffs, w, e, g, precision): the coefficients a product places at
-    q^e, q^(e+g), ... up to q^precision, on w-byte slots at least as wide
-    as they need, with up to two slots beyond that the kernel must not
-    read; precision may lie below e."""
-    e, g = draw(st.integers(0, 6)), draw(st.integers(1, 4))
-    precision = draw(st.integers(0, 30))
-    n = len(range(e, precision + 1, g)) + draw(st.integers(0, 2))
-    coeffs = draw(st.lists(st.integers(-2 ** 70, 2 ** 70) | st.integers(
-        -300, 300), min_size=n, max_size=n))
-    w = slot_width(max(map(abs, coeffs), default=0)) + draw(st.integers(0, 3))
-    return coeffs, w, e, g, precision
+def slotted(draw):
+    """(coeffs, w): coefficients that fit w-byte slots, w from 1 to 8."""
+    w = draw(st.integers(1, 8))
+    top = 2 ** (8 * w - 1)
+    return draw(st.lists(st.integers(-top, top - 1) | st.integers(-2, 1),
+                         max_size=12)), w
 
 
 @settings(max_examples=200, deadline=None)
-@given(placements())
-# the most negative 1-byte value takes 2 bytes, as pack_narrow packs it,
-# also when it arrives on 1-byte slots
-@example(([5, -128, 3], 3, 2, 3, 8))
-@example(([-128, 1], 1, 1, 2, 3))
-# the largest 3-byte value stays on 3 of its 5 bytes
-@example(([2 ** 23 - 1, -7], 5, 3, 2, 5))
-@example(([4], 1, 3, 2, 3))  # precision = e
-@example(([9, 9], 2, 5, 2, 3))  # precision < e: nothing placed
-def test_place_narrow_packs_as_pack_narrow(case):
-    """The bytes path packs the placed series exactly as pack_narrow packs
-    the literal list: the same int, width and top."""
-    coeffs, w, e, g, precision = case
-    dense = [0] * (precision + 1)
-    dense[e::g] = coeffs[:len(range(e, precision + 1, g))]
-    assert place_narrow(pack(coeffs, w), w, e, g,
-                        precision) == pack_narrow(dense)
+@given(slotted())
+# the extremes of 1- and 8-byte slots, -1 and 0 alone, and no slot at all
+@example(([-128, 3], 1))
+@example(([127, -1], 1))
+@example(([-2 ** 63], 8))
+@example(([2 ** 63 - 1, 0], 8))
+@example(([-1, -1, 0], 3))
+@example(([0, 0], 2))
+@example(([], 4))
+def test_slot_bound_is_a_power_of_two_within_twice_the_max(case):
+    """The bound read from the bytes is a power of two at least max|c|
+    and at most 2 max|c|, and it is 1 just when every c is 0 or -1."""
+    coeffs, w = case
+    top, exact = slot_bound(slot_bytes(coeffs, w), w), max(map(abs, coeffs),
+                                                           default=0)
+    assert top > 0 and top & (top - 1) == 0
+    assert exact <= top <= max(1, 2 * exact)
+    assert (top == 1) == (set(coeffs) <= {0, -1})
 
 
 weights = st.sampled_from((0, 1, -1, 2 ** 40, -2 ** 40)) | st.integers(
@@ -157,39 +157,45 @@ weights = st.sampled_from((0, 1, -1, 2 ** 40, -2 ** 40)) | st.integers(
 
 @st.composite
 def packed_combinations(draw):
-    """A dense list of n coefficients and up to four terms (m, coeffs, w):
-    coeffs on w-byte slots, w from 1 to 9 whatever their magnitude, with up
-    to three slots beyond n that the kernel must not read."""
+    """A dense list of n coefficients and up to four terms (m, coeffs, w, e,
+    g): coeffs placed at q^e, q^(e+g), ... on w-byte slots, w from 1 to 9
+    whatever their magnitude, with up to three slots beyond n that the
+    kernel must not read; e may lie at or beyond n."""
     n = draw(st.integers(1, 12))
     dense = draw(st.lists(coefficients, min_size=n, max_size=n))
     terms = []
     for _ in range(draw(st.integers(0, 4))):
-        w = draw(st.integers(1, 9))
+        w, e, g = draw(st.integers(1, 9)), draw(st.integers(0, 14)), draw(
+            st.integers(1, 4))
         top = 2 ** (8 * w - 1) - 1
-        size = n + draw(st.integers(0, 3))
+        size = len(range(e, n, g)) + draw(st.integers(0, 3))
         terms.append((draw(weights), draw(st.lists(
-            st.integers(-top, top), min_size=size, max_size=size)), w))
+            st.integers(-top, top), min_size=size, max_size=size)), w, e, g))
     return dense, terms
 
 
 @settings(max_examples=200, deadline=None)
 @given(packed_combinations())
 # the bound 2^63 crosses from 8 to 9 bytes, so the sum unpacks slot by slot
-@example(([2 ** 62, -2 ** 62], [(1, [2 ** 62, 1 - 2 ** 62], 8)]))
+@example(([2 ** 62, -2 ** 62], [(1, [2 ** 62, 1 - 2 ** 62], 8, 0, 1)]))
 # a 9-byte term with m = 0 beside a result that needs 1 byte
-@example(([3, -1], [(0, [2 ** 70, -2 ** 70], 9), (-2, [1, 1], 1)]))
-# terms on slots wider than the result needs, one with m < 0
-@example(([3, -1], [(2, [5, -7, 2 ** 70], 9), (-1, [-2, 60], 4)]))
+@example(([3, -1], [(0, [2 ** 70, -2 ** 70], 9, 0, 1), (-2, [1, 1], 1, 0, 1)]))
+# terms on slots wider than the result needs, one with m < 0, and placed
+@example(([3, -1, 0], [(2, [5, 2 ** 70], 9, 1, 1), (-1, [-2, 60], 4, 0, 2)]))
 # m < 0 on the most negative and the largest slot values of a byte
-@example(([0, 0], [(-3, [-128, 127], 1)]))
+@example(([0, 0], [(-3, [-128, 127], 1, 0, 1)]))
+# a term starting at or beyond the last coefficient, and at g = 4
+@example(([1, 2, 3], [(5, [7], 2, 3, 1), (1, [-1, 9], 1, 2, 4)]))
+@example(([1] * 9, [(-1, [-128, 127, 1], 1, 0, 4)]))
 def test_combine_packed_matches_list_fold(case):
     dense, terms = case
     expected = list(dense)
-    for m, coeffs, _ in terms:
-        expected = [a + m * c for a, c in zip(expected, coeffs)]
-    packed = [(m, pack(coeffs, w), w, max(map(abs, coeffs)))
-              for m, coeffs, w in terms]
-    assert combine_packed(list(dense), packed) == expected
+    for m, coeffs, _, e, g in terms:
+        for k, c in zip(range(e, len(dense), g), coeffs):
+            expected[k] += m * c
+    placed = [(m, slot_bytes(coeffs, w), w, max(map(abs, coeffs), default=0),
+               e, g) for m, coeffs, w, e, g in terms]
+    assert combine_packed(list(dense), placed) == expected
 
 
 def test_mul_gives_convolution_sums():
