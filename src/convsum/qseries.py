@@ -137,8 +137,8 @@ def combine_packed(dense: list[int], terms) -> list[int]:
     empty slots is subtracted once, at the end."""
     n = len(dense)
     terms = [t for t in terms if t[0]]
-    bound = max(map(abs, dense), default=0) + sum(abs(t[0]) * t[3]
-                                                  for t in terms)
+    bound = max(map(abs, dense), default=0) + sum(
+        abs(m) * top for m, _, _, top, _, _ in terms)
     v = slot_width(bound)
     acc, empty = pack(dense, v), (bytes(v - 1) + b"\x80") * n
     for m, data, w, _, e, g in terms:
@@ -149,7 +149,7 @@ def combine_packed(dense: list[int], terms) -> list[int]:
             wide[e * v + i::g * v] = (column.translate(_FLIP) if i == v - 1
                                       else column)
         acc += m * int.from_bytes(wide, "little")
-    acc -= sum(t[0] for t in terms) * int.from_bytes(empty, "little")
+    acc -= sum(m for m, *_ in terms) * int.from_bytes(empty, "little")
     return unpack(acc, n, v)
 
 

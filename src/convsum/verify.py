@@ -7,7 +7,9 @@ independent oracle or pinned data.  It returns a :class:`Check` whose
 these checks.  A bad argument raises ``ValueError`` before any work starts.
 A suite is a list of comparisons, and :func:`_check` runs every one: a
 failed result check, an ``ArithmeticError``, is the failing line of its
-comparison, so a suite names every failing item and raises none.
+comparison, so a suite names every failing item and raises none.  A
+suite imports the modules only it uses when it runs, so that a launch of
+one suite does not load (or compile) the others' modules.
 """
 
 from __future__ import annotations
