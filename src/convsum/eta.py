@@ -20,8 +20,7 @@ from typing import Callable, NamedTuple
 
 from . import tables
 from .arith import divisors, prime_factors
-from .qseries import (QSeries, _joined, _slots, div_sparse, pack_narrow,
-                      slot_bound, sparse_product, unpack)
+from .qseries import QSeries, sparse_product, unpack
 
 
 class BasisError(ArithmeticError):
@@ -140,10 +139,10 @@ def check_ligozat(eq: EtaQuotient) -> LigozatReport:
 #    exponents, and cubes and single F cover the non-negative rest; of the
 #    plans, the one with the fewest divisions left, then the fewest terms.
 #    Each quotient is planned once per process.
-# 2. Multiply the steps, their term lists built once per process, with
-#    qseries.sparse_product on one packed int, and cache its slot bytes as
-#    they are, to be placed at q^e, q^(e+g), ... where they are read.
-# 3. Divide by any single F the plan left, with qseries.div_sparse, first.
+# 2. Multiply the steps, their term lists built once per process, and divide
+#    by any single F the plan left, in one qseries.sparse_product call.
+# 3. Cache the slot bytes it returns as they are, read with qseries.unpack
+#    where they are placed, at q^e, q^(e+g), ...
 #
 # The literal product and the per-coefficient kernels are kept in the test
 # suite as independent oracles.
@@ -291,8 +290,8 @@ _EXPANSION_CACHE: dict[EtaQuotient, tuple] = {}
 
 def expand_packed(eq: EtaQuotient, precision: int) -> tuple:
     """(data, w, top, e, g): the cached expansion, to the precision or
-    beyond, as the signed w-byte slots data of its coefficients at q^e,
-    q^(e+g), ..., with top = qseries.slot_bound(data, w)."""
+    beyond, as the record (data, w, top) of qseries.sparse_product for its
+    coefficients at q^e, q^(e+g), ..."""
     cached = _EXPANSION_CACHE.get(eq)
     if cached is None or cached[0] < precision:
         e24 = sum(d * r for d, r in eq.exponents)
@@ -303,20 +302,15 @@ def expand_packed(eq: EtaQuotient, precision: int) -> tuple:
         e = e24 // 24
         if e < 0:
             raise ValueError(f"negative leading exponent {e}")
-        data, w, g = b"", 1, 1  # no coefficient below q^e
+        data, w, top, g = b"", 1, 1, 1  # no coefficient below q^e
         if precision >= e:
-            # the planned product, a series in x = q^g, below x^(limit + 1)
+            # the planned quotient, a series in x = q^g, below x^(limit + 1)
             g, steps, divs = _plan(eq)
             limit = (precision - e) // g
-            prod, w = sparse_product([_terms(*s, limit) for s in steps], limit)
-            if divs:
-                dense = unpack(prod, limit + 1, w)
-                for d in divs:
-                    dense = div_sparse(dense, _terms(_EULER, d, limit), limit)
-                prod, w, _ = pack_narrow(dense)
-            data = _slots(prod, limit + 1, w)
-        cached = _EXPANSION_CACHE[eq] = (precision, data, w,
-                                         slot_bound(data, w), e, g)
+            data, w, top = sparse_product(
+                [_terms(*s, limit) for s in steps],
+                [_terms(_EULER, d, limit) for d in divs], limit)
+        cached = _EXPANSION_CACHE[eq] = (precision, data, w, top, e, g)
     return cached[1:]
 
 
@@ -327,8 +321,8 @@ def expand(eq: EtaQuotient, precision: int) -> QSeries:
     coefficient is then 1 at that exponent.
     """
     data, w, _, e, g = expand_packed(eq, precision)
-    out, n = [0] * (precision + 1), len(range(e, precision + 1, g))
-    out[e::g] = unpack(_joined(data[:n * w], n, w), n, w)
+    out = [0] * (precision + 1)
+    out[e::g] = unpack(data, len(range(e, precision + 1, g)), w)
     return QSeries(precision, out)
 
 

@@ -8,9 +8,10 @@ so coefficients are Python ints; rationals appear only inside the linear
 solve of :mod:`convsum.spaces`.  An operation never reports a coefficient
 beyond the smaller operand precision, so every coefficient returned is the
 true one.  This module is the only one that packs, multiplies, divides or
-combines integer series; :mod:`convsum.eta` plans its expansions and calls
-:func:`sparse_product`, :func:`slot_bound` and, for the rows of the
-solves only, :func:`div_sparse`, the plain coefficient recurrence.
+combines integer series, and so the one that lays out a packed row;
+:mod:`convsum.eta` plans its expansions, makes each with one call of
+:func:`sparse_product`, which divides with :func:`div_sparse` too, and
+reads it with :func:`unpack`.
 
 Products run on Kronecker-packed ints (D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): n
@@ -25,6 +26,8 @@ multiplied in so far and Cauchy-Schwarz over a running bound on its sum
 of squares.  A sparse product stays packed from its first factor to its
 slot bytes, w per coefficient instead of the about 36 of a list, whose
 largest coefficient :func:`slot_bound` bounds within 2x from the bytes.
+Rows pass as slot bytes, made by :func:`pack` and read by :func:`unpack`;
+only the kernels that multiply or add join them into ints.
 :func:`combine_packed` adds sum m_j c_j over such bytes, placed at q^e,
 q^(e+g), ..., to a dense list on the slots that max|dense| +
 sum |m_j| top_j needs, every slot biased to be unsigned, and unpacks once.
@@ -67,12 +70,11 @@ def _resized(data, n: int, w: int, v: int) -> bytearray:
     return out
 
 
-def pack(coeffs, w: int) -> int:
-    """coeffs as one int of w-byte slots; OverflowError if one does not fit."""
+def pack(coeffs, w: int) -> bytes:
+    """coeffs on signed w-byte slots; OverflowError if one does not fit."""
     n = len(coeffs)
     if w > 8:
-        return _joined(b"".join(c.to_bytes(w, "little", signed=True)
-                                for c in coeffs), n, w)
+        return b"".join(c.to_bytes(w, "little", signed=True) for c in coeffs)
     try:
         wide = struct.pack(f"<{n}q", *coeffs)
     except struct.error as exc:
@@ -80,24 +82,15 @@ def pack(coeffs, w: int) -> int:
     data = _resized(wide, n, 8, w)
     if _resized(data, n, w, 8) != wide:
         raise OverflowError(f"a coefficient exceeds {w} bytes")
-    return _joined(data, n, w)
+    return bytes(data)
 
 
-def unpack(x: int, n: int, w: int) -> list[int]:
-    """The first n slots of x, or of any int congruent to it mod 2^(8wn)."""
-    data = _slots(x, n, w)
+def unpack(data, n: int, w: int) -> list[int]:
+    """The first n signed w-byte slots of data."""
     if w > 8:
         return [int.from_bytes(data[i:i + w], "little", signed=True)
                 for i in range(0, n * w, w)]
-    return list(struct.unpack(f"<{n}q", _resized(data, n, w, 8)))
-
-
-def pack_narrow(coeffs) -> tuple[int, int, int]:
-    """(x, w, top): coeffs packed as x on the narrowest w-byte slots that
-    hold top, their largest absolute value."""
-    top = max(map(abs, coeffs), default=0)
-    w = slot_width(top)
-    return pack(coeffs, w), w, top
+    return list(struct.unpack(f"<{n}q", _resized(data[:n * w], n, w, 8)))
 
 
 def dense_product(a, b, n: int, packs=None) -> list[int]:
@@ -107,10 +100,10 @@ def dense_product(a, b, n: int, packs=None) -> list[int]:
     the bound with each factor at least 1 covers the operands too."""
     nonzero = max(1, min(len(a) - a.count(0), len(b) - b.count(0)))
     w = slot_width(nonzero * max(1, *map(abs, a)) * max(1, *map(abs, b)))
-    x, packs = pack(a, w), {} if packs is None else packs
-    if w not in packs:
-        packs[w] = x if b is a else pack(b, w)  # a square: the squaring path
-    return unpack(x * packs[w], n, w)
+    x, packs = _joined(pack(a, w), len(a), w), {} if packs is None else packs
+    if w not in packs:  # b is a: a square, the squaring path
+        packs[w] = x if b is a else _joined(pack(b, w), len(b), w)
+    return unpack(_slots(x * packs[w], n, w), n, w)
 
 
 def slot_bound(data, w: int) -> int:
@@ -129,18 +122,17 @@ def slot_bound(data, w: int) -> int:
 
 
 def combine_packed(dense: list[int], terms) -> list[int]:
-    """dense plus sum m c over the terms (m, data, w, top, e, g), skipping
-    m = 0: c has the signed w-byte slots of data, |c| <= top, at q^e,
-    q^(e+g), ... below q^len(dense).  Each is cut or sign-extended onto the
-    sum's v-byte slots in strided byte copies, its top bit flipped so that
-    every slot reads as c + 2^(8v-1), as an empty one does; sum m times the
-    empty slots is subtracted once, at the end."""
+    """dense plus sum m c over the terms (m, data, w, top, e, g): c has the
+    signed w-byte slots of data, |c| <= top, at q^e, q^(e+g), ... below
+    q^len(dense).  Each is cut or sign-extended onto the sum's v-byte slots
+    in strided byte copies, its top bit flipped so that every slot reads as
+    c + 2^(8v-1), as an empty one does; sum m times the empty slots is
+    subtracted once, at the end."""
     n = len(dense)
-    terms = [t for t in terms if t[0]]
     bound = max(map(abs, dense), default=0) + sum(
         abs(m) * top for m, _, _, top, _, _ in terms)
     v = slot_width(bound)
-    acc, empty = pack(dense, v), (bytes(v - 1) + b"\x80") * n
+    acc, empty = _joined(pack(dense, v), n, v), (bytes(v - 1) + b"\x80") * n
     for m, data, w, _, e, g in terms:
         end, wide = len(range(e, n, g)) * w, bytearray(empty)
         sign = data[w - 1:end:w].translate(_SIGN)
@@ -150,7 +142,7 @@ def combine_packed(dense: list[int], terms) -> list[int]:
                                       else column)
         acc += m * int.from_bytes(wide, "little")
     acc -= sum(m for m, *_ in terms) * int.from_bytes(empty, "little")
-    return unpack(acc, n, v)
+    return unpack(_slots(acc, n, v), n, v)
 
 
 def mul_packed(x: int, terms, n: int, w: int) -> int:
@@ -167,12 +159,15 @@ def mul_packed(x: int, terms, n: int, w: int) -> int:
     return (acc << last * bits) & mask
 
 
-def sparse_product(factors, limit: int) -> tuple[int, int]:
-    """(x, w): the product of the sparse series in factors, each a list of
-    ascending (exponent, coefficient) terms up to q^limit, on limit + 1
-    slots of w bytes: the longest written into its slots, the others
-    shift-added on the narrowest slots for the running bound, re-slotted
-    wider, in bytes, when the bound grows.
+def sparse_product(factors, denominators,
+                   limit: int) -> tuple[bytes, int, int]:
+    """(data, w, top): the sparse series in factors multiplied, then
+    divided by each in denominators, all lists of ascending (exponent,
+    coefficient) terms up to q^limit, as limit + 1 signed w-byte slots with
+    top = slot_bound(data, w).  The longest factor is written into its
+    slots, the others shift-added on the narrowest slots for the running
+    bound, re-slotted wider, in bytes, when the bound grows; a quotient is
+    divided by div_sparse and re-packed on the slots of its exact max.
 
     Two integer bounds run over the product x so far: top >= max|x| and
     sq >= ||x||_2^2.  A factor t makes top the smaller of top ||t||_1 and
@@ -195,7 +190,14 @@ def sparse_product(factors, limit: int) -> tuple[int, int]:
             x = _joined(_resized(_slots(x, n, w), n, w, wider), n, wider)
             w = wider
         x = mul_packed(x, terms, n, w)
-    return x, w
+    data = _slots(x, n, w)
+    if denominators:
+        dense = unpack(data, n, w)
+        for terms in denominators:
+            dense = div_sparse(dense, terms, limit)
+        w = slot_width(max(map(abs, dense)))
+        data = pack(dense, w)
+    return data, w, slot_bound(data, w)
 
 
 def div_sparse(dense: list[int], terms, limit: int) -> list[int]:

@@ -520,7 +520,7 @@ def test_verify_all_fast_pins_the_divisions():
     times, each to its limit in q^g: the four printed rows that divide, at
     48 for the certificates, then the three of them that ``eta.basis_rows``
     keeps, at 120 for ``lemma32``; the closed forms never divide."""
-    assert _fast_suite_calls("eta.div_sparse", "args[2]") == [
+    assert _fast_suite_calls("qseries.div_sparse", "args[2]") == [
         "20", "37", "41", "17", "56", "109", "53"]
 
 
@@ -533,10 +533,10 @@ def test_verify_all_fast_pins_the_expansion_work():
                    "from convsum import eta\n"
                    "from convsum.cli import main\n"
                    "real, seen = eta.sparse_product, []\n"
-                   "def counted(factors, limit):\n"
+                   "def counted(factors, denominators, limit):\n"
                    "    rest = sorted(factors, key=len, reverse=True)[1:]\n"
                    "    seen.append(sum(map(len, rest)))\n"
-                   "    return real(factors, limit)\n"
+                   "    return real(factors, denominators, limit)\n"
                    "eta.sparse_product = counted\n"
                    "with contextlib.redirect_stdout(io.StringIO()):\n"
                    "    main(sys.argv[1:], standalone_mode=False)\n"
@@ -553,9 +553,9 @@ def test_closed_forms_unpack_only_the_sums():
                    "from convsum import eta, qseries\n"
                    "from convsum.cli import main\n"
                    "seen = collections.Counter()\n"
-                   "def counted(x, n, w, real=qseries.unpack):\n"
+                   "def counted(data, n, w, real=qseries.unpack):\n"
                    "    seen[sys._getframe(1).f_code.co_name] += 1\n"
-                   "    return real(x, n, w)\n"
+                   "    return real(data, n, w)\n"
                    "eta.unpack = qseries.unpack = counted\n"
                    "with contextlib.redirect_stdout(io.StringIO()):\n"
                    "    main(sys.argv[1:], standalone_mode=False)\n"

@@ -10,8 +10,9 @@ from convsum.arith import divisors
 from convsum.eta import (_CUBE, _EULER, _THETAS, BasisError, EtaQuotient,
                          _plan, _plan_chain, basis_rows, check_ligozat,
                          evaluation_rows, expand, table_rows)
-from convsum.qseries import (QSeries, div_sparse, mul_packed, pack,
-                             slot_width, sparse_product, unpack)
+from convsum.qseries import (QSeries, _joined, _slots, div_sparse,
+                             mul_packed, pack, slot_bound, slot_width,
+                             sparse_product, unpack)
 from conftest import (LEVEL20_ROWS, literal_eta_expansion,
                       literal_euler_product, literal_euler_quotient,
                       literal_plan_chain, mul_lists, naive_div_sparse,
@@ -95,12 +96,18 @@ def kernel_case(draw):
     return dense, terms, limit
 
 
+def step(dense, terms, n, w):
+    """mul_packed on the int of dense's w-byte slots, read back as a list."""
+    return unpack(_slots(mul_packed(_joined(pack(dense, w), n, w), terms, n,
+                                    w), n, w), n, w)
+
+
 def packed_step(dense, terms, limit):
     """One packed multiplication step, from a list and back, with the slot
     width from the bound max |dense| * sum |c|."""
     n = limit + 1
     w = slot_width(max(map(abs, dense)) * sum(abs(c) for _, c in terms))
-    return unpack(mul_packed(pack(dense, w), terms, n, w), n, w)
+    return step(dense, terms, n, w)
 
 
 @settings(max_examples=80, deadline=None)
@@ -129,8 +136,7 @@ def test_horner_step_matches_naive(terms):
     dense = [(-1) ** i * (i * i + 3) for i in range(limit + 1)]
     n, l1 = limit + 1, sum(abs(c) for _, c in terms)
     w = slot_width(max(map(abs, dense)) * max(1, l1))
-    product = unpack(mul_packed(pack(dense, w), terms, n, w), n, w)
-    assert product == naive_mul_sparse(dense, terms, limit)
+    assert step(dense, terms, n, w) == naive_mul_sparse(dense, terms, limit)
 
 
 def test_packed_step_slot_widths():
@@ -173,8 +179,34 @@ def test_sparse_product_matches_naive(case):
     expected = [1] + [0] * limit
     for terms in factors:
         expected = naive_mul_sparse(expected, terms, limit)
-    x, w = sparse_product(factors, limit)
-    assert unpack(x, limit + 1, w) == expected
+    data, w, _ = sparse_product(factors, [], limit)
+    assert unpack(data, limit + 1, w) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 200).flatmap(lambda limit: st.tuples(
+    st.just(limit), *[st.lists(st.tuples(st.sampled_from(FACTORS),
+                                         st.integers(1, 60)), max_size=3)] * 2)))
+@example((200, [(_CUBE, 1)], [(_EULER, 1)] * 3))
+@example((40, [], [(_THETAS[4], 2)]))
+def test_sparse_product_divides_onto_the_narrowest_slots(case):
+    """The quotient of 0-3 factors by 0-3 denominators equals the literal
+    product divided one denominator at a time; a quotient sits on the slots
+    of its exact largest coefficient, and the bound is read from its
+    bytes."""
+    limit, steps, divs = case
+    factors = [f.terms(d, limit) for f, d in steps]
+    denominators = [f.terms(d, limit) for f, d in divs]
+    expected = [1] + [0] * limit
+    for terms in factors:
+        expected = naive_mul_sparse(expected, terms, limit)
+    for terms in denominators:
+        expected = naive_div_sparse(expected, terms, limit)
+    data, w, top = sparse_product(factors, denominators, limit)
+    assert unpack(data, limit + 1, w) == expected
+    assert type(data) is bytes and top == slot_bound(data, w)
+    if denominators:
+        assert w == slot_width(max(map(abs, expected)))
 
 
 def slot_widths(monkeypatch, factors, limit):
@@ -190,9 +222,9 @@ def slot_widths(monkeypatch, factors, limit):
             seen.append(args[-1])
             return real(*args)
         monkeypatch.setattr(qseries, name, recording)
-    x, w = sparse_product(factors, limit)
+    data, w, _ = sparse_product(factors, [], limit)
     assert widths[-1:] in ([], [w])
-    return unpack(x, limit + 1, w), first[:1] + widths
+    return unpack(data, limit + 1, w), first[:1] + widths
 
 
 def test_sparse_product_slot_widths(monkeypatch):
@@ -437,6 +469,22 @@ def test_expansion_cache_holds_narrow_packed_ints(fresh_expansions):
         assert type(data) is bytes and precision == 2000 and w <= 6
         assert len(coeffs) == len(range(e, precision + 1, g))
         assert top & (top - 1) == 0 and exact <= top <= 2 * exact
+
+
+@pytest.mark.parametrize("precision", [120, 1000])
+def test_dividing_rows_are_cached_on_their_narrowest_slots(precision,
+                                                           fresh_expansions):
+    """The three basis rows that divide, 44#7, 44#11 and 52#14, are cached
+    on the slot width of their exact largest coefficient, not of the bound
+    of the product they were divided out of."""
+    dividing = [(level, i) for level in tables.levels()
+                for i, row in enumerate(basis_rows(level), 1) if _plan(row)[2]]
+    assert dividing == [(44, 7), (44, 11), (52, 14)]
+    for level, i in dividing:
+        data, w, top, _, _ = eta.expand_packed(basis_rows(level)[i - 1],
+                                               precision)
+        exact = max(map(abs, literal_slots(data, w)))
+        assert w == slot_width(exact) and exact <= top <= 2 * exact
 
 
 @settings(max_examples=40, deadline=None)

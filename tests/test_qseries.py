@@ -1,15 +1,18 @@
+import ast
 import copy
 import pickle
 from fractions import Fraction
 from operator import sub
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import convsum
 from convsum.arith import sigma_k
-from convsum.qseries import (QSeries, combine_packed, pack, pack_narrow,
-                             slot_bound, slot_width, unpack)
+from convsum.qseries import (QSeries, combine_packed, pack, slot_bound,
+                             unpack)
 from conftest import naive_series_mul
 
 
@@ -82,38 +85,45 @@ def test_mul_examples():
 
 
 def test_pack_round_trips_the_slot_range_and_refuses_beyond_it():
-    """At every width the extremes of a w-byte slot survive packing, and one
-    more in either direction raises instead of wrapping into a neighbour."""
+    """At every width the extremes of a w-byte slot survive packing, a
+    prefix of the slots reads alone, and one more in either direction
+    raises instead of wrapping into a neighbour."""
     for w in range(1, 10):
         top = 2 ** (8 * w - 1)
         fits = [top - 1, -(top - 1), -top, 0, 1, -1, top - 1]
-        assert unpack(pack(fits, w), len(fits), w) == fits
+        data = pack(fits, w)
+        assert type(data) is bytes and len(data) == len(fits) * w
+        assert unpack(data, len(fits), w) == fits
+        assert unpack(data, 3, w) == fits[:3]
         for bad in (top, -top - 1):
             for coeffs in ([bad], [1, bad, -1]):
                 with pytest.raises(OverflowError):
                     pack(coeffs, w)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=12))
-@example([127])
-@example([128, -5])
-@example([-128])
-@example([2 ** 63, -1])
-def test_pack_narrow_round_trips_on_the_narrowest_slots(coeffs):
-    """pack_narrow reports the largest magnitude and its slot width, and
-    one byte less refuses every coefficient list but those whose only
-    magnitude beyond it is the most negative slot value."""
-    x, w, top = pack_narrow(coeffs)
-    assert top == max(map(abs, coeffs), default=0) and w == slot_width(top)
-    assert unpack(x, len(coeffs), w) == coeffs
-    if w > 1:
-        edge = 2 ** (8 * w - 9)  # -edge fits w - 1 bytes, edge does not
-        if top == edge and edge not in coeffs:
-            assert unpack(pack(coeffs, w - 1), len(coeffs), w - 1) == coeffs
-        else:
-            with pytest.raises(OverflowError):
-                pack(coeffs, w - 1)
+def qseries_imports():
+    """module name -> the names each other module of the package imports
+    from convsum.qseries."""
+    imported = {}
+    for path in Path(convsum.__file__).parent.glob("*.py"):
+        if path.stem == "qseries":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                    "qseries", "convsum.qseries"):
+                imported.setdefault(path.stem, set()).update(
+                    alias.name for alias in node.names)
+    return imported
+
+
+def test_only_qseries_handles_packed_rows():
+    """The packed-row layout is decided in one module: no other module
+    imports a private name of qseries, and eta, which plans expansions,
+    makes each with sparse_product and reads it with unpack."""
+    imported = qseries_imports()
+    assert {(module, name) for module, names in imported.items()
+            for name in names if name.startswith("_")} == set()
+    assert imported["eta"] == {"QSeries", "sparse_product", "unpack"}
 
 
 def slot_bytes(coeffs, w):
