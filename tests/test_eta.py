@@ -164,36 +164,26 @@ def test_packed_step_slot_widths():
         assert product[limit] == top * total
 
 
+def steps_up_to(n):
+    """Up to n multiplication steps (factor, d)."""
+    return st.lists(st.tuples(st.sampled_from(FACTORS), st.integers(1, 60)),
+                    max_size=n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 300).flatmap(lambda limit: st.tuples(
-    st.just(limit), st.lists(st.tuples(st.sampled_from(FACTORS),
-                                       st.integers(1, 60)), max_size=6))))
-@example((300, [(_THETAS[4], 1)] * 6 + [(_CUBE, 1)]))
-def test_sparse_product_matches_naive(case):
-    """The packed product of 0-6 factors against the literal product,
-    folded over 1 one factor at a time.  The example's running bound
-    re-slots six times, from 1 byte up to 9 at its last factor, so the
-    result is unpacked slot by slot (``test_sparse_product_slot_widths``)."""
-    limit, steps = case
-    factors = [f.terms(d, limit) for f, d in steps]
-    expected = [1] + [0] * limit
-    for terms in factors:
-        expected = naive_mul_sparse(expected, terms, limit)
-    data, w, _ = sparse_product(factors, [], limit)
-    assert unpack(data, limit + 1, w) == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 200).flatmap(lambda limit: st.tuples(
-    st.just(limit), *[st.lists(st.tuples(st.sampled_from(FACTORS),
-                                         st.integers(1, 60)), max_size=3)] * 2)))
+    st.just(limit), steps_up_to(6), steps_up_to(3))))
+@example((300, [(_THETAS[4], 1)] * 6 + [(_CUBE, 1)], []))
 @example((200, [(_CUBE, 1)], [(_EULER, 1)] * 3))
 @example((40, [], [(_THETAS[4], 2)]))
-def test_sparse_product_divides_onto_the_narrowest_slots(case):
-    """The quotient of 0-3 factors by 0-3 denominators equals the literal
-    product divided one denominator at a time; a quotient sits on the slots
-    of its exact largest coefficient, and the bound is read from its
-    bytes."""
+def test_sparse_product_matches_naive(case):
+    """The packed product of 0-6 factors divided by 0-3 denominators
+    against the literal product, folded over 1 one factor at a time, then
+    divided one denominator at a time.  The bound is read from the bytes,
+    and a quotient sits on the slots of its exact largest coefficient.  The
+    first example's running bound re-slots six times, from 1 byte up to 9
+    at its last factor, so the result is unpacked slot by slot
+    (``test_sparse_product_slot_widths``)."""
     limit, steps, divs = case
     factors = [f.terms(d, limit) for f, d in steps]
     denominators = [f.terms(d, limit) for f, d in divs]
