@@ -16,15 +16,20 @@ reads it with :func:`unpack`.
 Products run on Kronecker-packed ints (D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): n
 coefficients c_k become the one int sum c_k 2^(Bk) with B = 8w bits per
-w-byte slot.  Modulo 2^(Bn) this maps series truncated below q^n to
-integers as a ring homomorphism, so only the result must fit its slots:
-exact by construction once an a-priori bound puts every coefficient below
-2^(B-1), on the narrowest slots that allow it.  A dense product is bounded
-by min(nonzero a, nonzero b) max|a| max|b|; each Horner step of a sparse
-product by the smaller of the product of the absolute coefficient sums
-multiplied in so far and Cauchy-Schwarz over a running bound on its sum
-of squares.  A sparse product stays packed from its first factor to its
-slot bytes, w per coefficient instead of the about 36 of a list, whose
+w-byte slot.  Sums, multiples and products of such ints are exact on the
+slots while every coefficient of the result stays below 2^(B-1) in size,
+which an a-priori bound proves before each step runs, on the narrowest
+slots that allow it.  A dense product is bounded by min(nonzero a,
+nonzero b) max|a| max|b|, and its first n slots are read.  A sparse
+product keeps its slots in reversed order, slot j holding the
+coefficient of q^(limit-j), so a term c q^e is the exact shifted sum
+c (x >> Be) plus c when the slots the shift drops are negative: the
+shift cuts each term to the slots it feeds.  Each factor is bounded by
+the smaller of the product of the absolute coefficient sums multiplied
+in so far and Cauchy-Schwarz over a running bound on its sum of
+squares.  A sparse product stays packed from its first factor to its
+slot bytes, put back in ascending order by w strided byte copies, w per
+coefficient instead of the about 36 of a list, whose
 largest coefficient :func:`slot_bound` bounds within 2x from the bytes.
 Rows pass as slot bytes, made by :func:`pack` and read by :func:`unpack`;
 only the kernels that multiply or add join them into ints.
@@ -73,11 +78,12 @@ def _resized(data, n: int, w: int, v: int) -> bytearray:
 def pack(coeffs, w: int) -> bytes:
     """coeffs on signed w-byte slots; OverflowError if one does not fit."""
     n = len(coeffs)
-    if w > 8:
-        return b"".join(c.to_bytes(w, "little", signed=True) for c in coeffs)
     try:
+        if w > 8:
+            return b"".join(c.to_bytes(w, "little", signed=True)
+                            for c in coeffs)
         wide = struct.pack(f"<{n}q", *coeffs)
-    except struct.error as exc:
+    except (OverflowError, struct.error) as exc:
         raise OverflowError(f"a coefficient exceeds {w} bytes") from exc
     data = _resized(wide, n, 8, w)
     if _resized(data, n, w, 8) != wide:
@@ -147,16 +153,25 @@ def combine_packed(dense: list[int], terms) -> list[int]:
 
 def mul_packed(x: int, terms, n: int, w: int) -> int:
     """x times the sparse series of ascending (exponent, coefficient)
-    terms modulo 2^(8wn), i.e. on n slots of w bytes: Horner from the
-    highest exponent, one shift, cut to n slots, and add per term."""
-    bits = 8 * w
-    mask = (1 << bits * n) - 1
-    acc, last = 0, terms[-1][0] if terms else 0
+    terms, both on n w-byte slots in reversed order: slot j holds the
+    coefficient of q^(n-1-j), so q^e x is x >> 8we, which drops the slots
+    past q^(n-1) (a term past q^(n-1) adds nothing).  The shift floors, so a term is 1 too low
+    exactly when the slots it drops are negative, which, with every slot
+    of x below 2^(8w-1) in size, is when bit 8we - 1 of x is set; those
+    terms' coefficients are added once.  The terms are added from the
+    highest exponent, the shortest int, down."""
+    bits, raw = 8 * w, x.to_bytes(n * w, "little", signed=True)
+    acc = sum(c for e, c in terms if 0 < e < n and raw[e * w - 1] > 127)
     for e, c in reversed(terms):
-        acc = (acc << (last - e) * bits) & mask
-        acc = acc + x if c == 1 else acc - x if c == -1 else acc + c * x
-        last = e
-    return (acc << last * bits) & mask
+        if e >= n:
+            continue
+        if c == 1:
+            acc += x >> bits * e
+        elif c == -1:
+            acc -= x >> bits * e
+        else:
+            acc += c * (x >> bits * e)
+    return acc
 
 
 def sparse_product(factors, denominators,
@@ -165,9 +180,11 @@ def sparse_product(factors, denominators,
     divided by each in denominators, all lists of ascending (exponent,
     coefficient) terms up to q^limit, as limit + 1 signed w-byte slots with
     top = slot_bound(data, w).  The longest factor is written into its
-    slots, the others shift-added on the narrowest slots for the running
-    bound, re-slotted wider, in bytes, when the bound grows; a quotient is
-    divided by div_sparse and re-packed on the slots of its exact max.
+    slots in reversed order, the others multiplied in by mul_packed on the
+    narrowest slots for the running bound, re-slotted wider, in bytes,
+    when the bound grows; the slots are read once, back in ascending
+    order.  A quotient is divided by div_sparse and re-packed on the slots
+    of its exact max.
 
     Two integer bounds run over the product x so far: top >= max|x| and
     sq >= ||x||_2^2.  A factor t makes top the smaller of top ||t||_1 and
@@ -179,8 +196,14 @@ def sparse_product(factors, denominators,
     sq = sum(c * c for _, c in first)
     w = slot_width(top)
     data = bytearray(n * w)
-    for e, c in first:
-        data[e * w:e * w + w] = c.to_bytes(w, "little", signed=True)
+    try:
+        for e, c in first:
+            if e > limit:
+                break
+            j = (limit - e) * w
+            data[j:j + w] = c.to_bytes(w, "little", signed=True)
+    except OverflowError as exc:
+        raise OverflowError(f"a coefficient exceeds {w} bytes") from exc
     x = _joined(data, n, w)
     for terms in rest:
         l1 = sum(abs(c) for _, c in terms)
@@ -190,7 +213,10 @@ def sparse_product(factors, denominators,
             x = _joined(_resized(_slots(x, n, w), n, w, wider), n, wider)
             w = wider
         x = mul_packed(x, terms, n, w)
-    data = _slots(x, n, w)
+    rev, data = _slots(x, n, w), bytearray(n * w)
+    for i in range(w):
+        data[i::w] = rev[(n - 1) * w + i::-w]
+    data = bytes(data)
     if denominators:
         dense = unpack(data, n, w)
         for terms in denominators:

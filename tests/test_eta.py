@@ -97,9 +97,10 @@ def kernel_case(draw):
 
 
 def step(dense, terms, n, w):
-    """mul_packed on the int of dense's w-byte slots, read back as a list."""
-    return unpack(_slots(mul_packed(_joined(pack(dense, w), n, w), terms, n,
-                                    w), n, w), n, w)
+    """mul_packed on the int of dense's w-byte slots in reversed order
+    (slot j holds the coefficient of q^(n-1-j)), read back ascending."""
+    x = _joined(pack(dense[::-1], w), n, w)
+    return unpack(_slots(mul_packed(x, terms, n, w), n, w), n, w)[::-1]
 
 
 def packed_step(dense, terms, limit):
@@ -110,9 +111,31 @@ def packed_step(dense, terms, limit):
     return step(dense, terms, n, w)
 
 
+# Steps whose shifts drop negative slots, so that the floor of x >> 8we
+# is 1 too low and the correction counts: on 1, 8 and 9-byte slots, a
+# negative slot just below the shift (q^3 under the shift by 2), and on
+# 1 byte a negative slot under a zero one (q^2 under q^4 and q^3, both
+# dropped by the shift by 3); a lone term at q^0, which drops nothing;
+# and a lone term at q^limit, which keeps one slot.
+FLOOR_CASES = [
+    ([0, 0, 0, -1, 0], [(0, 1), (2, -1)], 4),
+    ([5, 2 ** 60, -7, -2 ** 60, 0], [(0, 1), (2, -1)], 4),
+    ([1, -3, 2 ** 62, -2 ** 62, 0], [(0, 1), (2, -2)], 4),
+    ([1, 2, -1, 0, 0], [(0, 1), (1, 1), (3, -1)], 4),
+    ([-3, 1, -4, 1, -5], [(0, 1)], 4),
+    ([-3, 1, -4, 1, -5], [(0, 1), (4, -1)], 4),
+]
+
+
 @settings(max_examples=80, deadline=None)
 @given(kernel_case())
 @example(([2 ** 62, -2 ** 62, 3], _CUBE.terms(1, 2), 2))
+@example(FLOOR_CASES[0])
+@example(FLOOR_CASES[1])
+@example(FLOOR_CASES[2])
+@example(FLOOR_CASES[3])
+@example(FLOOR_CASES[4])
+@example(FLOOR_CASES[5])
 def test_sparse_kernels_match_naive(case):
     """The packed step and the division against the per-coefficient
     oracles, on narrow, 8-byte and wider slots."""
@@ -125,13 +148,15 @@ def test_sparse_kernels_match_naive(case):
 
 @pytest.mark.parametrize("terms", [
     _THETAS[0].terms(1, 40), _THETAS[0].terms(3, 40), [(0, 1)], [(0, -5)],
-    [(7, 2)], [(0, 1), (40, -1)], []],
-    ids=["phi", "phi-dilated", "one", "lone-at-0", "lone-at-7", "edge",
-         "none"])
-def test_horner_step_matches_naive(terms):
-    """The Horner shift-adds against the per-coefficient product: phi(-q)
-    with its coefficients -2 and 2, a lone term at q^0 and beyond it, a
-    term at the last slot, and no terms, which gives 0."""
+    [(7, 2)], [(40, 3)], [(0, 1), (40, -1)], []],
+    ids=["phi", "phi-dilated", "one", "lone-at-0", "lone-at-7",
+         "lone-at-limit", "edge", "none"])
+def test_shifted_sum_step_matches_naive(terms):
+    """The shifted sums against the per-coefficient product, on slots of
+    alternating sign, so that most shifts drop a negative slot: phi(-q)
+    with its coefficients -2 and 2, a lone term at q^0, beyond it and at
+    the last slot, a term at the last slot, and no terms, which gives
+    0."""
     limit = 40
     dense = [(-1) ** i * (i * i + 3) for i in range(limit + 1)]
     n, l1 = limit + 1, sum(abs(c) for _, c in terms)
@@ -197,6 +222,24 @@ def test_sparse_product_matches_naive(case):
     assert type(data) is bytes and top == slot_bound(data, w)
     if denominators:
         assert w == slot_width(max(map(abs, expected)))
+
+
+@pytest.mark.parametrize("limit", [0, 5, 40])
+def test_sparse_product_drops_terms_past_the_limit(limit):
+    """Factors listed past q^limit, as the first (longest) factor and as
+    later ones, give the product of the factors cut at q^limit (on slots
+    that may be wider, as the bounds count every term).  The longest
+    factor, -1 + q + q^2 + ..., makes the packed product negative, so that
+    a shift past every slot would leave -1."""
+    factors = [f.terms(d, limit + 12) for f, d in
+               [(_THETAS[0], 1), (_EULER, 2), (_CUBE, 1)]]
+    factors.append([(0, -1)] + [(e, 1) for e in range(1, limit + 20)])
+    expected = [1] + [0] * limit
+    for terms in factors:
+        expected = naive_mul_sparse(
+            expected, [(e, c) for e, c in terms if e <= limit], limit)
+    data, w, _ = sparse_product(factors, [], limit)
+    assert unpack(data, limit + 1, w) == expected
 
 
 def slot_widths(monkeypatch, factors, limit):
@@ -266,6 +309,12 @@ def test_term_lists_are_cut_from_one_list_per_step(monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(kernel_case())
+@example(FLOOR_CASES[0])
+@example(FLOOR_CASES[1])
+@example(FLOOR_CASES[2])
+@example(FLOOR_CASES[3])
+@example(FLOOR_CASES[4])
+@example(FLOOR_CASES[5])
 def test_sparse_division_inverts_multiplication(case):
     dense, terms, limit = case
     assert div_sparse(packed_step(dense, terms, limit), terms,

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import convsum
+from convsum import qseries
 from convsum.arith import sigma_k
 from convsum.qseries import (QSeries, combine_packed, pack, slot_bound,
                              unpack)
@@ -87,7 +88,7 @@ def test_mul_examples():
 def test_pack_round_trips_the_slot_range_and_refuses_beyond_it():
     """At every width the extremes of a w-byte slot survive packing, a
     prefix of the slots reads alone, and one more in either direction
-    raises instead of wrapping into a neighbour."""
+    raises, naming the width, instead of wrapping into a neighbour."""
     for w in range(1, 10):
         top = 2 ** (8 * w - 1)
         fits = [top - 1, -(top - 1), -top, 0, 1, -1, top - 1]
@@ -97,8 +98,24 @@ def test_pack_round_trips_the_slot_range_and_refuses_beyond_it():
         assert unpack(data, 3, w) == fits[:3]
         for bad in (top, -top - 1):
             for coeffs in ([bad], [1, bad, -1]):
-                with pytest.raises(OverflowError):
+                with pytest.raises(OverflowError,
+                                   match=f"^a coefficient exceeds {w} bytes$"):
                     pack(coeffs, w)
+
+
+@pytest.mark.parametrize("c, w", [(128, 1), (2 ** 71, 9)])
+def test_overflow_names_the_slot_width(monkeypatch, c, w):
+    """A coefficient one byte too wide raises the same OverflowError on
+    the struct path (w <= 8) and the to_bytes path (w > 8) of pack, and
+    where sparse_product writes its first factor on slots that a
+    slot_width patched one byte short chose."""
+    message = f"^a coefficient exceeds {w} bytes$"
+    with pytest.raises(OverflowError, match=message):
+        pack([c], w)
+    real = qseries.slot_width
+    monkeypatch.setattr(qseries, "slot_width", lambda bound: real(bound) - 1)
+    with pytest.raises(OverflowError, match=message):
+        qseries.sparse_product([[(0, 1), (2, c)]], [], 3)
 
 
 def qseries_imports():
