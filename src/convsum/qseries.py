@@ -155,11 +155,11 @@ def mul_packed(x: int, terms, n: int, w: int) -> int:
     """x times the sparse series of ascending (exponent, coefficient)
     terms, both on n w-byte slots in reversed order: slot j holds the
     coefficient of q^(n-1-j), so q^e x is x >> 8we, which drops the slots
-    past q^(n-1) (a term past q^(n-1) adds nothing).  The shift floors, so a term is 1 too low
-    exactly when the slots it drops are negative, which, with every slot
-    of x below 2^(8w-1) in size, is when bit 8we - 1 of x is set; those
-    terms' coefficients are added once.  The terms are added from the
-    highest exponent, the shortest int, down."""
+    past q^(n-1); a term past q^(n-1) adds nothing.  The shift floors, so
+    a term is 1 too low exactly when the slots it drops are negative,
+    which, with every slot of x below 2^(8w-1) in size, is when bit
+    8we - 1 of x is set; those terms' coefficients are added once.  The
+    terms are added from the highest exponent, the shortest int, down."""
     bits, raw = 8 * w, x.to_bytes(n * w, "little", signed=True)
     acc = sum(c for e, c in terms if 0 < e < n and raw[e * w - 1] > 127)
     for e, c in reversed(terms):

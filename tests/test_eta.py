@@ -154,9 +154,8 @@ def test_sparse_kernels_match_naive(case):
 def test_shifted_sum_step_matches_naive(terms):
     """The shifted sums against the per-coefficient product, on slots of
     alternating sign, so that most shifts drop a negative slot: phi(-q)
-    with its coefficients -2 and 2, a lone term at q^0, beyond it and at
-    the last slot, a term at the last slot, and no terms, which gives
-    0."""
+    with its coefficients -2 and 2, one, lone terms at q^0, q^7 and the
+    last slot, 1 - q^limit, and no terms, which gives 0."""
     limit = 40
     dense = [(-1) ** i * (i * i + 3) for i in range(limit + 1)]
     n, l1 = limit + 1, sum(abs(c) for _, c in terms)
