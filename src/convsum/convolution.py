@@ -89,21 +89,17 @@ def _numerators(s3_coeffs, cusp_weights) -> tuple:
 
 
 def _division_free(level: int, s3_coeffs, cusp_weights) -> tuple:
-    """(den, s, Y, rows): an expansion over ``eta.basis_rows`` rewritten
-    over ``eta.evaluation_rows``, as integer numerators over the lcm den of
-    the rewritten weights' denominators.  The weight y of each row that a
-    relation of ``tables.DIVISION_FREE_ROWS`` replaces moves onto the
-    relation's terms: 240 y x_t / d onto the sigma_3 coefficient of t,
-    y x_j / d onto the cusp weight of row j."""
+    """(s, Y, rows): an expansion over ``eta.basis_rows`` rewritten over
+    ``eta.evaluation_rows``.  The weight y of each row that a relation of
+    ``tables.DIVISION_FREE_ROWS`` replaces moves onto the relation's terms:
+    240 y x_t / d onto the sigma_3 coefficient of t, y x_j / d onto the
+    cusp weight of row j."""
     rows = eta.evaluation_rows(level)
     relations = tables.DIVISION_FREE_ROWS.get(level, {})
-    # numerators over den * big, big the lcm of the relations' denominators
-    den, s3, y = _numerators(s3_coeffs, cusp_weights)
-    big = lcm(*(d for _, _, d, _ in relations.values()))
-    moved = {i: y[i - 1] * (big // d) for i, (_, _, d, _) in relations.items()}
-    s3, y = [v * big for v in s3], [v * big for v in y]
+    s3, y = list(s3_coeffs), list(cusp_weights)
+    moved = {i: y[i - 1] / d for i, (_, _, d, _) in relations.items()}
     for i in relations:
-        y[i - 1] = 0
+        y[i - 1] = Fraction(0)
     for i, (_, _, _, nums) in relations.items():
         if len(nums) != len(s3) + len(y):
             raise eta.BasisError(
@@ -113,8 +109,7 @@ def _division_free(level: int, s3_coeffs, cusp_weights) -> tuple:
             s3[t] += 240 * x * moved[i]
         for j, x in enumerate(nums[len(s3):]):
             y[j] += x * moved[i]
-    g = gcd(den * big, *s3, *y)
-    return den * big // g, [v // g for v in s3], [v // g for v in y], rows
+    return s3, y, rows
 
 
 def w_closed_table(pair: tuple[int, int], max_n: int,
@@ -146,11 +141,9 @@ def w_closed_table(pair: tuple[int, int], max_n: int,
     if expansion is None:
         if (a, b) not in tables.EXPANSION_COEFFS:
             raise ValueError(f"closed form unavailable for {(a, b)}")
-        den, s3_nums, cusp_nums, rows = _division_free(
-            a * b, *tables.EXPANSION_COEFFS[(a, b)])
-    else:
-        s3_coeffs, cusp_weights, rows = expansion
-        den, s3_nums, cusp_nums = _numerators(s3_coeffs, cusp_weights)
+        expansion = _division_free(a * b, *tables.EXPANSION_COEFFS[(a, b)])
+    s3_coeffs, cusp_weights, rows = expansion
+    den, s3_nums, cusp_nums = _numerators(s3_coeffs, cusp_weights)
     ds = divisors(a * b)
     if (len(s3_nums), len(cusp_nums)) != (len(ds), len(rows)):
         raise ArithmeticError(

@@ -282,16 +282,16 @@ def _terms(factor: _Factor, d: int, limit: int) -> list[tuple[int, int]]:
     return [t for t in terms if t[0] <= limit]
 
 
-# best-precision expansion per quotient as (precision, data, w, top, e, g),
-# the precision first, where the benchmark tracer reads it; truncated views
-# are served from it, so mixed precisions expand only once
+# best-precision expansion per quotient as (precision, data, w, e, g), the
+# precision first, where the benchmark tracer reads it; truncated views are
+# served from it, so mixed precisions expand only once
 _EXPANSION_CACHE: dict[EtaQuotient, tuple] = {}
 
 
 def expand_packed(eq: EtaQuotient, precision: int) -> tuple:
-    """(data, w, top, e, g): the cached expansion, to the precision or
-    beyond, as the record (data, w, top) of qseries.sparse_product for its
-    coefficients at q^e, q^(e+g), ..."""
+    """(data, w, e, g): the cached expansion, to the precision or beyond,
+    as the record (data, w) of qseries.sparse_product for its coefficients
+    at q^e, q^(e+g), ..."""
     cached = _EXPANSION_CACHE.get(eq)
     if cached is None or cached[0] < precision:
         e24 = sum(d * r for d, r in eq.exponents)
@@ -302,15 +302,15 @@ def expand_packed(eq: EtaQuotient, precision: int) -> tuple:
         e = e24 // 24
         if e < 0:
             raise ValueError(f"negative leading exponent {e}")
-        data, w, top, g = b"", 1, 1, 1  # no coefficient below q^e
+        data, w, g = b"", 1, 1  # no coefficient below q^e
         if precision >= e:
             # the planned quotient, a series in x = q^g, below x^(limit + 1)
             g, steps, divs = _plan(eq)
             limit = (precision - e) // g
-            data, w, top = sparse_product(
+            data, w = sparse_product(
                 [_terms(*s, limit) for s in steps],
                 [_terms(_EULER, d, limit) for d in divs], limit)
-        cached = _EXPANSION_CACHE[eq] = (precision, data, w, top, e, g)
+        cached = _EXPANSION_CACHE[eq] = (precision, data, w, e, g)
     return cached[1:]
 
 
@@ -320,7 +320,7 @@ def expand(eq: EtaQuotient, precision: int) -> QSeries:
     Requires an integral, non-negative leading exponent; the first nonzero
     coefficient is then 1 at that exponent.
     """
-    data, w, _, e, g = expand_packed(eq, precision)
+    data, w, e, g = expand_packed(eq, precision)
     out = [0] * (precision + 1)
     out[e::g] = unpack(data, len(range(e, precision + 1, g)), w)
     return QSeries(precision, out)

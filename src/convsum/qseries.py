@@ -28,14 +28,16 @@ shift cuts each term to the slots it feeds.  Each factor is bounded by
 the smaller of the product of the absolute coefficient sums multiplied
 in so far and Cauchy-Schwarz over a running bound on its sum of
 squares.  A sparse product stays packed from its first factor to its
-slot bytes, put back in ascending order by w strided byte copies, w per
-coefficient instead of the about 36 of a list, whose
-largest coefficient :func:`slot_bound` bounds within 2x from the bytes.
-Rows pass as slot bytes, made by :func:`pack` and read by :func:`unpack`;
-only the kernels that multiply or add join them into ints.
-:func:`combine_packed` adds sum m_j c_j over such bytes, placed at q^e,
-q^(e+g), ..., to a dense list on the slots that max|dense| +
-sum |m_j| top_j needs, every slot biased to be unsigned, and unpacks once.
+slot bytes, the record (data, w), which carries no bound.  Rows pass as
+slot bytes, made by :func:`pack` and read by :func:`unpack`; only the
+kernels that multiply or add join them into ints.  Slots change width,
+order or place by one strided byte copy per byte column, w per
+coefficient instead of the about 36 of a list.  :func:`combine_packed`
+adds sum m_j c_j over such rows, placed at q^e, q^(e+g), ..., to a dense
+list on the slots that max|dense| + sum |m_j| top_j needs, top_j the
+:func:`slot_bound` of the slots of c_j it reads (a power of two within 2x
+of their largest, read from the bytes); every slot is biased to be
+unsigned, and the sum is unpacked once.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from math import isqrt
 from operator import index
 
 _SIGN = bytes(128) + b"\xff" * 128  # a slot's top byte -> its sign byte
-_FLIP = bytes(range(128, 256)) + bytes(range(128))  # a byte XOR 0x80
+_BITS = bytes(b.bit_length() for b in range(256))  # a byte -> its bit length
 
 
 def slot_width(bound: int) -> int:
@@ -53,25 +55,34 @@ def slot_width(bound: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
+def _offset(n: int, w: int) -> int:
+    """The int whose n w-byte slots each hold 2^(8w-1): XOR with it flips
+    a slot between signed and biased to be unsigned."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
 def _slots(x: int, n: int, w: int) -> bytes:
     """The first n w-byte slots of x as signed little-endian bytes."""
-    off = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    off = _offset(n, w)
     return (((x + off) & ((1 << 8 * w * n) - 1)) ^ off).to_bytes(
         n * w, "little")
 
 
 def _joined(data, n: int, w: int) -> int:
     """The int whose n w-byte slots hold the signed bytes data."""
-    off = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    off = _offset(n, w)
     return (int.from_bytes(data, "little") ^ off) - off
 
 
-def _resized(data, n: int, w: int, v: int) -> bytearray:
-    """n signed w-byte slots, cut or sign-extended to v bytes each."""
-    sign = data[w - 1::w].translate(_SIGN)
-    out = bytearray(n * v)
+def _copy(data, n: int, w: int, v: int, size: int | None = None,
+          start: int = 0, step: int = 1) -> bytearray:
+    """size (default n) zero v-byte slots, onto whose slots start,
+    start + step, ... the first n signed w-byte slots of data are written,
+    cut or sign-extended to v bytes: one strided byte copy per column."""
+    out = bytearray((n if size is None else size) * v)
+    sign = data[w - 1:n * w:w].translate(_SIGN)
     for i in range(v):
-        out[i::v] = data[i::w] if i < w else sign
+        out[start * v + i::step * v] = data[i:n * w:w] if i < w else sign
     return out
 
 
@@ -85,8 +96,8 @@ def pack(coeffs, w: int) -> bytes:
         wide = struct.pack(f"<{n}q", *coeffs)
     except (OverflowError, struct.error) as exc:
         raise OverflowError(f"a coefficient exceeds {w} bytes") from exc
-    data = _resized(wide, n, 8, w)
-    if _resized(data, n, w, 8) != wide:
+    data = _copy(wide, n, 8, w)
+    if _copy(data, n, w, 8) != wide:
         raise OverflowError(f"a coefficient exceeds {w} bytes")
     return bytes(data)
 
@@ -96,7 +107,7 @@ def unpack(data, n: int, w: int) -> list[int]:
     if w > 8:
         return [int.from_bytes(data[i:i + w], "little", signed=True)
                 for i in range(0, n * w, w)]
-    return list(struct.unpack(f"<{n}q", _resized(data[:n * w], n, w, 8)))
+    return list(struct.unpack(f"<{n}q", _copy(data, n, w, 8)))
 
 
 def dense_product(a, b, n: int, packs=None) -> list[int]:
@@ -116,38 +127,36 @@ def slot_bound(data, w: int) -> int:
     """A power of two in [max|c|, 2 max|c|] over the signed w-byte slots c
     of data (1 if every c is 0 or -1): XOR with its sign byte makes each c
     c or -c - 1, whose largest has the bit length of the largest byte in
-    the highest byte column where that is nonzero."""
+    the highest byte column where that is nonzero, found by membership in
+    the column's bytes mapped to their bit lengths."""
     sign = data[w - 1::w].translate(_SIGN)
     for i in reversed(range(w)):
         if (column := data[i::w]) != sign:
             xor = (int.from_bytes(column, "little")
                    ^ int.from_bytes(sign, "little"))
-            high = max(xor.to_bytes(len(sign), "little"))
-            return 1 << 8 * i + high.bit_length()
+            bits = xor.to_bytes(len(sign), "little").translate(_BITS)
+            return 1 << 8 * i + next(b for b in range(8, 0, -1) if b in bits)
     return 1
 
 
 def combine_packed(dense: list[int], terms) -> list[int]:
-    """dense plus sum m c over the terms (m, data, w, top, e, g): c has the
-    signed w-byte slots of data, |c| <= top, at q^e, q^(e+g), ... below
-    q^len(dense).  Each is cut or sign-extended onto the sum's v-byte slots
-    in strided byte copies, its top bit flipped so that every slot reads as
-    c + 2^(8v-1), as an empty one does; sum m times the empty slots is
-    subtracted once, at the end."""
+    """dense plus sum m c over the terms (m, data, w, e, g): c has the
+    signed w-byte slots of data, placed at q^e, q^(e+g), ... below
+    q^len(dense); only the slots placed there are read.  The sum runs on
+    the v-byte slots that max|dense| + sum |m| slot_bound(read slots)
+    needs.  Each term is copied onto zero v-byte slots and biased by
+    XOR, so that every slot reads as c + 2^(8v-1), as an empty one does;
+    sum m times the bias is subtracted once, at the end."""
     n = len(dense)
-    bound = max(map(abs, dense), default=0) + sum(
-        abs(m) * top for m, _, _, top, _, _ in terms)
-    v = slot_width(bound)
-    acc, empty = _joined(pack(dense, v), n, v), (bytes(v - 1) + b"\x80") * n
-    for m, data, w, _, e, g in terms:
-        end, wide = len(range(e, n, g)) * w, bytearray(empty)
-        sign = data[w - 1:end:w].translate(_SIGN)
-        for i in range(v):
-            column = data[i:end:w] if i < w else sign
-            wide[e * v + i::g * v] = (column.translate(_FLIP) if i == v - 1
-                                      else column)
-        acc += m * int.from_bytes(wide, "little")
-    acc -= sum(m for m, *_ in terms) * int.from_bytes(empty, "little")
+    reads = [len(range(e, n, g)) for *_, e, g in terms]
+    v = slot_width(max(map(abs, dense), default=0) + sum(
+        abs(m) * slot_bound(data[:k * w], w)
+        for (m, data, w, _, _), k in zip(terms, reads)))
+    acc, off = _joined(pack(dense, v), n, v), _offset(n, v)
+    for (m, data, w, e, g), k in zip(terms, reads):
+        wide = _copy(data, k, w, v, n, e, g)
+        acc += m * (int.from_bytes(wide, "little") ^ off)
+    acc -= sum(m for m, *_ in terms) * off
     return unpack(_slots(acc, n, v), n, v)
 
 
@@ -175,16 +184,15 @@ def mul_packed(x: int, terms, n: int, w: int) -> int:
 
 
 def sparse_product(factors, denominators,
-                   limit: int) -> tuple[bytes, int, int]:
-    """(data, w, top): the sparse series in factors multiplied, then
-    divided by each in denominators, all lists of ascending (exponent,
-    coefficient) terms up to q^limit, as limit + 1 signed w-byte slots with
-    top = slot_bound(data, w).  The longest factor is written into its
-    slots in reversed order, the others multiplied in by mul_packed on the
-    narrowest slots for the running bound, re-slotted wider, in bytes,
-    when the bound grows; the slots are read once, back in ascending
-    order.  A quotient is divided by div_sparse and re-packed on the slots
-    of its exact max.
+                   limit: int) -> tuple[bytes, int]:
+    """(data, w): the sparse series in factors multiplied, then divided by
+    each in denominators, all lists of ascending (exponent, coefficient)
+    terms up to q^limit, as limit + 1 signed w-byte slots.  The longest
+    factor is written into its slots in reversed order, the others
+    multiplied in by mul_packed on the narrowest slots for the running
+    bound, re-slotted wider, in bytes, when the bound grows; the slots are
+    read once, back in ascending order.  A quotient is divided by
+    div_sparse and re-packed on the slots of its exact max.
 
     Two integer bounds run over the product x so far: top >= max|x| and
     sq >= ||x||_2^2.  A factor t makes top the smaller of top ||t||_1 and
@@ -210,20 +218,17 @@ def sparse_product(factors, denominators,
         top = min(top * l1, isqrt(sq * sum(c * c for _, c in terms)))
         sq = min(sq * l1 * l1, n * top * top)
         if (wider := slot_width(top)) > w:
-            x = _joined(_resized(_slots(x, n, w), n, w, wider), n, wider)
+            x = _joined(_copy(_slots(x, n, w), n, w, wider), n, wider)
             w = wider
         x = mul_packed(x, terms, n, w)
-    rev, data = _slots(x, n, w), bytearray(n * w)
-    for i in range(w):
-        data[i::w] = rev[(n - 1) * w + i::-w]
-    data = bytes(data)
+    data = bytes(_copy(_slots(x, n, w), n, w, w, n, n - 1, -1))
     if denominators:
         dense = unpack(data, n, w)
         for terms in denominators:
             dense = div_sparse(dense, terms, limit)
         w = slot_width(max(map(abs, dense)))
         data = pack(dense, w)
-    return data, w, slot_bound(data, w)
+    return data, w
 
 
 def div_sparse(dense: list[int], terms, limit: int) -> list[int]:

@@ -165,11 +165,10 @@ def test_rewritten_weights_have_smaller_denominators():
     for pair, (s3, y) in tables.EXPANSION_COEFFS.items():
         level = pair[0] * pair[1]
         before = lcm(*(c.denominator for c in (*s3, *y)))
-        den, s3_new, y_new, rows = _division_free(level, s3, y)
-        after = lcm(*(Fraction(v, den).denominator for v in (*s3_new, *y_new)))
-        assert (before, den, after) == {44: (5795, 305, 305),
-                                        52: (11645, 85, 85)}[level]
-        assert Fraction(sum(s3_new), den) == sum(s3)
+        s3_new, y_new, rows = _division_free(level, s3, y)
+        after = lcm(*(c.denominator for c in (*s3_new, *y_new)))
+        assert (before, after) == {44: (5795, 305), 52: (11645, 85)}[level]
+        assert sum(s3_new) == sum(s3)
         assert rows == evaluation_rows(level)
 
 
@@ -246,10 +245,9 @@ def test_reported_level52_expansions_violate_constant_term():
         assert sum(exact_s3) / 240 == required
 
 
-def test_closed_sums_keep_their_slot_widths(fresh_expansions, monkeypatch):
-    """Work-count pin: at P = 5000 the four closed-form sums run on 7-byte
-    slots, as they do over the exact largest coefficient of each row: the
-    bounds read from the slot bytes, within 2x of it, widen no sum."""
+def sum_widths(monkeypatch, max_n):
+    """The slot width of each of the four closed-form sums at max_n, read
+    where ``combine_packed`` unpacks the sum."""
     widths, real = [], qseries.unpack
 
     def recorded(x, n, w):
@@ -258,5 +256,24 @@ def test_closed_sums_keep_their_slot_widths(fresh_expansions, monkeypatch):
 
     monkeypatch.setattr(qseries, "unpack", recorded)
     for pair in tables.EXPANSION_COEFFS:
-        w_closed_table(pair, 5000)
-    assert widths == [7, 7, 7, 7]
+        w_closed_table(pair, max_n)
+    monkeypatch.setattr(qseries, "unpack", real)
+    return widths
+
+
+def test_closed_sums_keep_their_slot_widths(fresh_expansions, monkeypatch):
+    """Work-count pin: at P = 5000 the four closed-form sums run on 7-byte
+    slots, as they do over the exact largest coefficient of each row: the
+    bounds read from the slot bytes, within 2x of it, widen no sum."""
+    assert sum_widths(monkeypatch, 5000) == [7, 7, 7, 7]
+
+
+def test_closed_sum_widths_do_not_depend_on_the_cache(fresh_expansions,
+                                                      monkeypatch):
+    """A sum is bounded over the slots it reads, so after the rows are
+    cached to 5000 the sums at 100 run on the widths of a fresh process,
+    not on widths for the whole cached rows."""
+    fresh = sum_widths(monkeypatch, 100)
+    assert fresh == [5, 5, 5, 5]
+    sum_widths(monkeypatch, 5000)
+    assert sum_widths(monkeypatch, 100) == fresh

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import gcd, prod
 
@@ -11,8 +12,8 @@ from convsum.eta import (_CUBE, _EULER, _THETAS, BasisError, EtaQuotient,
                          _plan, _plan_chain, basis_rows, check_ligozat,
                          evaluation_rows, expand, table_rows)
 from convsum.qseries import (QSeries, _joined, _slots, div_sparse,
-                             mul_packed, pack, slot_bound, slot_width,
-                             sparse_product, unpack)
+                             mul_packed, pack, slot_width, sparse_product,
+                             unpack)
 from conftest import (LEVEL20_ROWS, literal_eta_expansion,
                       literal_euler_product, literal_euler_quotient,
                       literal_plan_chain, mul_lists, naive_div_sparse,
@@ -203,11 +204,11 @@ def steps_up_to(n):
 def test_sparse_product_matches_naive(case):
     """The packed product of 0-6 factors divided by 0-3 denominators
     against the literal product, folded over 1 one factor at a time, then
-    divided one denominator at a time.  The bound is read from the bytes,
-    and a quotient sits on the slots of its exact largest coefficient.  The
-    first example's running bound re-slots six times, from 1 byte up to 9
-    at its last factor, so the result is unpacked slot by slot
-    (``test_sparse_product_slot_widths``)."""
+    divided one denominator at a time.  The record is (data, w), one slot
+    per coefficient, and a quotient sits on the slots of its exact largest
+    coefficient.  The first example's running bound re-slots six times,
+    from 1 byte up to 9 at its last factor, so the result is unpacked slot
+    by slot (``test_sparse_product_slot_widths``)."""
     limit, steps, divs = case
     factors = [f.terms(d, limit) for f, d in steps]
     denominators = [f.terms(d, limit) for f, d in divs]
@@ -216,9 +217,9 @@ def test_sparse_product_matches_naive(case):
         expected = naive_mul_sparse(expected, terms, limit)
     for terms in denominators:
         expected = naive_div_sparse(expected, terms, limit)
-    data, w, top = sparse_product(factors, denominators, limit)
+    data, w = sparse_product(factors, denominators, limit)
     assert unpack(data, limit + 1, w) == expected
-    assert type(data) is bytes and top == slot_bound(data, w)
+    assert type(data) is bytes and len(data) == (limit + 1) * w
     if denominators:
         assert w == slot_width(max(map(abs, expected)))
 
@@ -237,7 +238,7 @@ def test_sparse_product_drops_terms_past_the_limit(limit):
     for terms in factors:
         expected = naive_mul_sparse(
             expected, [(e, c) for e, c in terms if e <= limit], limit)
-    data, w, _ = sparse_product(factors, [], limit)
+    data, w = sparse_product(factors, [], limit)
     assert unpack(data, limit + 1, w) == expected
 
 
@@ -254,7 +255,7 @@ def slot_widths(monkeypatch, factors, limit):
             seen.append(args[-1])
             return real(*args)
         monkeypatch.setattr(qseries, name, recording)
-    data, w, _ = sparse_product(factors, [], limit)
+    data, w = sparse_product(factors, [], limit)
     assert widths[-1:] in ([], [w])
     return unpack(data, limit + 1, w), first[:1] + widths
 
@@ -482,7 +483,7 @@ def test_expand_below_leading_exponent(fresh_expansions):
     for precision in (1, 3, 6, 7):
         coeffs = expand(row, precision).coeffs
         assert coeffs == (0,) * precision + (precision == 7,)
-        cached_precision, data, w, _, e, g = eta._EXPANSION_CACHE[row]
+        cached_precision, data, w, e, g = eta._EXPANSION_CACHE[row]
         assert (cached_precision, e) == (precision, 7)
         assert len(data) == len(range(e, precision + 1, g)) * w
     assert expand(row, 3).coeffs == (0,) * 4
@@ -497,16 +498,34 @@ def literal_slots(data, w):
 def test_expansion_cache_holds_narrow_packed_ints(fresh_expansions):
     """Guard on the cache layout: after the closed-form suite every entry
     of the 33 evaluation rows is the slot bytes of its product, at most 6
-    bytes wide at P = 2000, one slot per exponent e, e + g, ..., with a
-    power-of-two bound within 2x of the largest coefficient."""
+    bytes wide at P = 2000, one slot per exponent e, e + g, ..., and no
+    bound: qseries reads that from the bytes."""
     verify.closed_forms(2000)
     assert len(eta._EXPANSION_CACHE) == 33
-    for precision, data, w, top, e, g in eta._EXPANSION_CACHE.values():
+    for precision, data, w, e, g in eta._EXPANSION_CACHE.values():
         coeffs = literal_slots(data, w)
-        exact = max(map(abs, coeffs))
         assert type(data) is bytes and precision == 2000 and w <= 6
         assert len(coeffs) == len(range(e, precision + 1, g))
-        assert top & (top - 1) == 0 and exact <= top <= 2 * exact
+
+
+@pytest.mark.parametrize("precision, digest", [
+    (1000, "20fec8c71638ccd8265d9341178d9aa85a60a25281620e44f4c0b9525675079f"),
+    (5000, "bd9b0d80e68577a2952998b362f670a2b0b88b339242b94b2440bf306172f4be"),
+])
+def test_cached_slot_bytes_are_pinned(precision, digest, fresh_expansions):
+    """Pin: the SHA-256 of the slot width, byte count and slot bytes of
+    each of the 37 table, basis and division-free quotients, in that order
+    level by level, each expanded to the precision; a change to a cached
+    byte or width fails it."""
+    rows = dict.fromkeys(row for level in tables.levels() for rows in (
+        table_rows(level), basis_rows(level), evaluation_rows(level))
+        for row in rows)
+    assert len(rows) == 37
+    h = hashlib.sha256()
+    for row in rows:
+        data, w, _, _ = eta.expand_packed(row, precision)
+        h.update(bytes([w]) + len(data).to_bytes(8, "little") + data)
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("precision", [120, 1000])
@@ -519,10 +538,9 @@ def test_dividing_rows_are_cached_on_their_narrowest_slots(precision,
                 for i, row in enumerate(basis_rows(level), 1) if _plan(row)[2]]
     assert dividing == [(44, 7), (44, 11), (52, 14)]
     for level, i in dividing:
-        data, w, top, _, _ = eta.expand_packed(basis_rows(level)[i - 1],
-                                               precision)
-        exact = max(map(abs, literal_slots(data, w)))
-        assert w == slot_width(exact) and exact <= top <= 2 * exact
+        data, w, _, _ = eta.expand_packed(basis_rows(level)[i - 1],
+                                          precision)
+        assert w == slot_width(max(map(abs, literal_slots(data, w))))
 
 
 @settings(max_examples=40, deadline=None)
@@ -535,7 +553,7 @@ def test_expand_places_the_cached_slots(row, high, cut):
     cached = eta._EXPANSION_CACHE[row]
     for precision in {high, max(1, high - cut)}:
         placed = [0] * (precision + 1)
-        _, data, w, _, e, g = cached
+        _, data, w, e, g = cached
         for n, c in zip(range(e, precision + 1, g), literal_slots(data, w)):
             placed[n] = c
         assert expand(row, precision).coeffs == tuple(placed)

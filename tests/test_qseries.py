@@ -135,11 +135,13 @@ def qseries_imports():
 
 def test_only_qseries_handles_packed_rows():
     """The packed-row layout is decided in one module: no other module
-    imports a private name of qseries, and eta, which plans expansions,
-    makes each with sparse_product and reads it with unpack."""
+    imports a private name of qseries or bounds a row with slot_bound, and
+    eta, which plans expansions, makes each with sparse_product and reads
+    it with unpack."""
     imported = qseries_imports()
     assert {(module, name) for module, names in imported.items()
-            for name in names if name.startswith("_")} == set()
+            for name in names if name.startswith("_")
+            or name == "slot_bound"} == set()
     assert imported["eta"] == {"QSeries", "sparse_product", "unpack"}
 
 
@@ -214,14 +216,18 @@ def packed_combinations(draw):
 # a term starting at or beyond the last coefficient, and at g = 4
 @example(([1, 2, 3], [(5, [7], 2, 3, 1), (1, [-1, 9], 1, 2, 4)]))
 @example(([1] * 9, [(-1, [-128, 127, 1], 1, 0, 4)]))
+# small slots read, and past them unread slots at the extremes of 2 and 9
+# bytes, which the sum's 1-byte slots could not hold
+@example(([5, -3, 0], [(3, [2, -2, 2 ** 15 - 1, -2 ** 15], 2, 1, 1),
+                       (-1, [1, -1, -2 ** 71, 2 ** 71 - 1], 9, 0, 2)]))
 def test_combine_packed_matches_list_fold(case):
     dense, terms = case
     expected = list(dense)
     for m, coeffs, _, e, g in terms:
         for k, c in zip(range(e, len(dense), g), coeffs):
             expected[k] += m * c
-    placed = [(m, slot_bytes(coeffs, w), w, max(map(abs, coeffs), default=0),
-               e, g) for m, coeffs, w, e, g in terms]
+    placed = [(m, slot_bytes(coeffs, w), w, e, g)
+              for m, coeffs, w, e, g in terms]
     assert combine_packed(list(dense), placed) == expected
 
 

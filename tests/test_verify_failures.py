@@ -19,7 +19,7 @@ import pytest
 
 from convsum import (convolution, eisenstein, eta, representations, spaces,
                      tables, verify)
-from convsum.qseries import QSeries, slot_bound
+from convsum.qseries import QSeries
 from conftest import LEVEL20_ROWS, run_cli
 
 
@@ -46,12 +46,12 @@ def cached_expansion_off_by_one(monkeypatch):
     ``eval-w`` all evaluate."""
     monkeypatch.setattr(eta, "_EXPANSION_CACHE", {})
     row = eta.evaluation_rows(44)[0]
-    data, w, _, e, g = eta.expand_packed(row, 60)
+    data, w, e, g = eta.expand_packed(row, 60)
     assert (17 - e) % g == 0
     at = (17 - e) // g * w
     c = int.from_bytes(data[at:at + w], "little", signed=True) + 1
     data = data[:at] + c.to_bytes(w, "little", signed=True) + data[at + w:]
-    eta._EXPANSION_CACHE[row] = (60, data, w, slot_bound(data, w), e, g)
+    eta._EXPANSION_CACHE[row] = (60, data, w, e, g)
     return "closed form for (4, 11) evaluates to -3293/351360 at n = 17"
 
 
