@@ -511,7 +511,7 @@ def test_expansion_cache_holds_narrow_packed_ints(fresh_expansions):
 @pytest.mark.parametrize("precision, digest", [
     (1000, "20fec8c71638ccd8265d9341178d9aa85a60a25281620e44f4c0b9525675079f"),
     (5000, "bd9b0d80e68577a2952998b362f670a2b0b88b339242b94b2440bf306172f4be"),
-])
+], ids=["1000", "5000"])
 def test_cached_slot_bytes_are_pinned(precision, digest, fresh_expansions):
     """Pin: the SHA-256 of the slot width, byte count and slot bytes of
     each of the 37 table, basis and division-free quotients, in that order
