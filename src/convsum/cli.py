@@ -290,7 +290,7 @@ def export_tables(args) -> None:
 # ---------------------------------------------------------------------------
 # verification commands: one table of the suites in verify.py
 
-# the verify commands in the order ``verify all`` runs them, each named for
+# the verify commands in the order ``verify all`` prints them, each named for
 # its suite in verify.py: its help, and its options, each with its --fast value
 VERIFY = {
     "ligozat": (
@@ -319,10 +319,14 @@ VERIFY = {
 }
 
 
-def _echo(suite: str, header: bool = False, **options) -> bool:
-    """Run a suite of verify.py, print its report; return its ok."""
+def _run(suite: str, **options):
+    """The ``Check`` of a suite of verify.py, run on the options."""
     from . import verify as suites
-    check = getattr(suites, suite.replace("-", "_"))(**options)
+    return getattr(suites, suite.replace("-", "_"))(**options)
+
+
+def _echo(check, header: bool = False) -> bool:
+    """Print a suite's report; return its ok."""
     if header:
         print(f"== {check.name} ==")
     for line in check.lines:
@@ -333,8 +337,9 @@ def _echo(suite: str, header: bool = False, **options) -> bool:
 def _suite_command(name: str, doc: str, options: tuple) -> tuple:
     """(handler, options) of the command that runs the suite of a row."""
     def handler(args) -> bool:
-        return _echo(name, **{kwargs["dest"]: getattr(args, kwargs["dest"])
-                              for (_, kwargs), _ in options})
+        return _echo(_run(name, **{
+            kwargs["dest"]: getattr(args, kwargs["dest"])
+            for (_, kwargs), _ in options}))
     handler.__doc__ = doc
     return handler, tuple(option for option, _ in options)
 
@@ -355,13 +360,18 @@ def _runs(fast: bool) -> dict[str, dict]:
     "Reduced ranges (closed forms to n = {0[closed-forms][max_n]}, reps to "
     "n = {0[reps][max_n]}).".format(_runs(fast=True)))))
 def verify_all(args) -> bool:
-    """Run every verification suite in order; exit 1 at the end if any
-    of them failed."""
+    """Run every verification suite; print their reports in order and exit
+    1 at the end if any of them failed."""
     runs = _runs(args.fast)
-    check_max_n(args.precision, max(options.get(dest, 0) for dest in CAPPED
-                                    for options in runs.values()))
-    passed = all([_echo(name, header=True, **options)  # runs each
-                  for name, options in runs.items()])
+    reach = {name: max(options.get(dest, 0) for dest in CAPPED)
+             for name, options in runs.items()}
+    check_max_n(args.precision, max(reach.values()))
+    # the longest ranges first (a stable sort), so that every later suite
+    # reads a prefix of the expansions an earlier one cached
+    checks = {name: _run(name, **runs[name])
+              for name in sorted(runs, key=reach.get, reverse=True)}
+    passed = all([_echo(checks[name], header=True)  # prints each
+                  for name in runs])
     print(f"all: {'ok' if passed else 'FAILED'}")
     return passed
 

@@ -198,8 +198,8 @@ def closed_forms(max_n: int) -> Check:
     def compare(pair):
         closed = convolution.w_closed_table(pair, max_n)
         oracle = convolution.w_series_oracle(*pair, max_n)
-        first = next((n for n in range(max_n + 1) if closed[n] != oracle[n]),
-                     None)
+        first = None if closed == oracle else next(
+            (n for n in range(max_n + 1) if closed[n] != oracle[n]), None)
         return first is None, f"closed form {pair}: " + (
             f"equals brute force for n <= {max_n}" if first is None
             else f"diverges at n = {first}")

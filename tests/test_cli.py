@@ -508,25 +508,27 @@ def _fast_suite_calls(target: str, record: str) -> list[str]:
 
 def test_verify_all_fast_pins_the_row_reductions():
     """Work-count pin: the seven suites at their --fast values reduce rows
-    six times, for the two independence certificates and the four pair
-    solves; the division-free relations are checked without one."""
+    six times, for the four pair solves of ``lemma32`` and then the two
+    independence certificates of ``basis``, which runs after it; the
+    division-free relations are checked without one."""
     assert _fast_suite_calls("spaces._row_reduce",
                              "sys._getframe(1).f_code.co_name") == [
-        "verify_independence"] * 2 + ["_solve"] * 4
+        "_solve"] * 4 + ["verify_independence"] * 2
 
 
 def test_verify_all_fast_pins_the_divisions():
-    """Work-count pin: the seven suites at their --fast values divide seven
-    times, each to its limit in q^g: the four printed rows that divide, at
-    48 for the certificates, then the three of them that ``eta.basis_rows``
-    keeps, at 120 for ``lemma32``; the closed forms never divide."""
+    """Work-count pin: the seven suites at their --fast values divide four
+    times, each to its limit in q^g: the four printed rows that divide, once
+    each at 120, the three that ``eta.basis_rows`` keeps for the bases of
+    ``lemma32`` and then the fourth for its division-free relations; the
+    certificates, at 48, read prefixes, and the closed forms never divide."""
     assert _fast_suite_calls("qseries.div_sparse", "args[2]") == [
-        "20", "37", "41", "17", "56", "109", "53"]
+        "56", "109", "53", "41"]
 
 
 def test_verify_all_fast_pins_the_expansion_work():
-    """Work-count pin: the seven suites at their --fast values make 102
-    sparse products with 2242 shift-add terms in all, counting every factor
+    """Work-count pin: the seven suites at their --fast values make 37
+    sparse products with 1045 shift-add terms in all, counting every factor
     but the longest, which is written into the slots, and leave the 37
     table, basis and division-free quotients in the expansion cache."""
     child = _fresh("import contextlib, io, sys\n"
@@ -542,7 +544,27 @@ def test_verify_all_fast_pins_the_expansion_work():
                    "    main(sys.argv[1:], standalone_mode=False)\n"
                    "print(len(seen), sum(seen), len(eta._EXPANSION_CACHE))\n",
                    "verify", "all", "--fast")
-    assert child.stdout.split() == ["102", "2242", "37"]
+    assert child.stdout.split() == ["37", "1045", "37"]
+
+
+@pytest.mark.parametrize("args", [("verify", "all"),
+                                  ("verify", "all", "--fast")], ids=" ".join)
+def test_verify_all_expands_each_quotient_once(args):
+    """``verify all`` runs its longest ranges first, so each suite after the
+    first reads a prefix of the expansions already cached: a fresh
+    interpreter makes one sparse product per quotient it leaves cached."""
+    child = _fresh("import contextlib, io, sys\n"
+                   "from convsum import eta\n"
+                   "from convsum.cli import main\n"
+                   "real, seen = eta.sparse_product, []\n"
+                   "def counted(*args):\n"
+                   "    seen.append(args)\n"
+                   "    return real(*args)\n"
+                   "eta.sparse_product = counted\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    main(sys.argv[1:], standalone_mode=False)\n"
+                   "print(len(seen), len(eta._EXPANSION_CACHE))\n", *args)
+    assert child.stdout.split() == ["37", "37"]
 
 
 def test_closed_forms_unpack_only_the_sums():
@@ -695,19 +717,30 @@ def _recorded_suites(monkeypatch, *args) -> list[tuple]:
 
 
 def test_verify_ranges_are_pinned(monkeypatch):
+    """``verify all`` passes each suite its defaults or its --fast values,
+    and runs the suites by the largest capped value each is given, the
+    largest first; ties keep the table order."""
     pair = {"alpha": None, "beta": None}
-    assert _recorded_suites(monkeypatch, "verify", "all") == [
-        ("ligozat", {"level": "all"}), ("basis", {}), ("dims", {}),
-        ("identity", {**pair, "max_n": 300}),
-        ("lemma32", {"solve_precision": 120}),
-        ("closed_forms", {"max_n": 1000}),
-        ("reps", {"max_n": 100, "substitution_max_n": 300})]
-    assert _recorded_suites(monkeypatch, "verify", "all", "--fast") == [
-        ("ligozat", {"level": "all"}), ("basis", {}), ("dims", {}),
-        ("identity", {**pair, "max_n": 120}),
-        ("lemma32", {"solve_precision": 120}),
-        ("closed_forms", {"max_n": 200}),
-        ("reps", {"max_n": 40, "substitution_max_n": 100})]
+    calls = _recorded_suites(monkeypatch, "verify", "all")
+    assert dict(calls) == {
+        "ligozat": {"level": "all"}, "basis": {}, "dims": {},
+        "identity": {**pair, "max_n": 300},
+        "lemma32": {"solve_precision": 120},
+        "closed_forms": {"max_n": 1000},
+        "reps": {"max_n": 100, "substitution_max_n": 300}}
+    assert [name for name, _ in calls] == [
+        "closed_forms", "identity", "reps", "lemma32", "ligozat", "basis",
+        "dims"]
+    calls = _recorded_suites(monkeypatch, "verify", "all", "--fast")
+    assert dict(calls) == {
+        "ligozat": {"level": "all"}, "basis": {}, "dims": {},
+        "identity": {**pair, "max_n": 120},
+        "lemma32": {"solve_precision": 120},
+        "closed_forms": {"max_n": 200},
+        "reps": {"max_n": 40, "substitution_max_n": 100}}
+    assert [name for name, _ in calls] == [
+        "closed_forms", "identity", "lemma32", "reps", "ligozat", "basis",
+        "dims"]
     assert _recorded_suites(monkeypatch, "verify", "identity") == [
         ("identity", {**pair, "max_n": 300})]
     monkeypatch.undo()
