@@ -19,12 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, mod, mul
+from operator import mod
 
 from . import eta, tables
 from .arith import (divisors, residue_class, sigma_factored_table, sigma_k,
                     sigma_table)
-from .qseries import combine_packed, dense_product
+from .qseries import combine_packed, dense_product, pack, slot_width
 
 
 class IntegralityError(ArithmeticError):
@@ -129,9 +129,10 @@ def w_closed_table(pair: tuple[int, int], max_n: int,
     over ``eta.basis_rows``, rewritten through the frozen relations of
     ``tables.DIVISION_FREE_ROWS`` over ``eta.evaluation_rows``, none of
     which expands with a division.  Every term is scaled by the lcm of the
-    expansion's denominators, so the sum runs in integers from sigma_3 /
-    sigma sieves and the cusp expansions, which are read packed from the
-    expansion cache and added in one ``qseries.combine_packed`` call; each
+    expansion's denominators, so the sum runs in integers: one
+    ``qseries.combine_packed`` call adds the sieved sigma_3(m), sigma(m)
+    and m sigma(m), each packed once and placed at q^0, q^d, q^(2d), ...,
+    and the cusp expansions, read packed from the expansion cache.  Each
     scaled value must then be a non-negative multiple of 1152 a b times
     that lcm.
     """
@@ -150,20 +151,19 @@ def w_closed_table(pair: tuple[int, int], max_n: int,
             f"closed form for {(a, b)}: {len(s3_nums)} sigma_3 coefficients "
             f"for {len(ds)} divisors, {len(cusp_nums)} cusp weights for "
             f"{len(rows)} rows")
-    acc = [0] * (max_n + 1)
-    s3 = sigma_table(3, max_n)
+    sig = sigma_table(1, max_n)
+    s3, s1, ms1 = [(pack(t, w), w) for t in (
+        sigma_table(3, max_n), sig, [m * s for m, s in enumerate(sig)])
+        for w in [slot_width(max(t))]]
     own = {a: 240 * a * a, b: 240 * b * b}
-    for d, s in zip(ds, s3_nums):
-        c = own.get(d, 0) * den - s
-        acc[d::d] = map(add, acc[d::d], map(mul, s3[1:], repeat(c)))
-    s1 = sigma_table(1, max_n)
-    for d, other in ((a, b), (b, a)):
-        # 48 d (other - 6 n) sigma(n / d) at n = d m
-        c0, c1 = 48 * d * other * den, -288 * d * d * den
-        acc[d::d] = map(add, acc[d::d], [(c0 + c1 * m) * s1[m]
-                                         for m in range(1, max_n // d + 1)])
-    acc = combine_packed(acc, [(-y, *eta.expand_packed(row, max_n))
-                               for y, row in zip(cusp_nums, rows)])
+    terms = [(own.get(d, 0) * den - s, *s3, 0, d)
+             for d, s in zip(ds, s3_nums)]
+    for d, other in ((a, b), (b, a)):  # n = d m: 48 d (other - 6 d m) sigma(m)
+        terms += [(48 * d * other * den, *s1, 0, d),
+                  (-288 * d * d * den, *ms1, 0, d)]
+    acc = combine_packed(max_n + 1, terms + [
+        (-y, *eta.expand_packed(row, max_n))
+        for y, row in zip(cusp_nums, rows)])
     scale = 1152 * a * b * den
     if any(map(mod, acc, repeat(scale))) or min(acc) < 0:
         n = next(n for n, v in enumerate(acc) if v % scale or v < 0)

@@ -11,7 +11,8 @@ true one.  This module is the only one that packs, multiplies, divides or
 combines integer series, and so the one that lays out a packed row;
 :mod:`convsum.eta` plans its expansions, makes each with one call of
 :func:`sparse_product`, which divides with :func:`div_sparse` too, and
-reads it with :func:`unpack`.
+reads it with :func:`unpack`; :mod:`convsum.convolution` adds every term
+of a closed form, sigma tables too, in one :func:`combine_packed` call.
 
 Products run on Kronecker-packed ints (D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): n
@@ -33,11 +34,11 @@ slot bytes, made by :func:`pack` and read by :func:`unpack`; only the
 kernels that multiply or add join them into ints.  Slots change width,
 order or place by one strided byte copy per byte column, w per
 coefficient instead of the about 36 of a list.  :func:`combine_packed`
-adds sum m_j c_j over such rows, placed at q^e, q^(e+g), ..., to a dense
-list on the slots that max|dense| + sum |m_j| top_j needs, top_j the
-:func:`slot_bound` of the slots of c_j it reads (a power of two within 2x
-of their largest, read from the bytes); every slot is biased to be
-unsigned, and the sum is unpacked once.
+adds sum m_j c_j over such rows, each placed at q^e, q^(e+g), ..., on the
+slots that sum |m_j| top_j needs, top_j the :func:`slot_bound` of the
+slots of c_j it reads (a power of two within 2x of their largest, read
+from the bytes); every slot is biased to be unsigned, and the sum is
+unpacked once.
 """
 
 from __future__ import annotations
@@ -139,20 +140,18 @@ def slot_bound(data, w: int) -> int:
     return 1
 
 
-def combine_packed(dense: list[int], terms) -> list[int]:
-    """dense plus sum m c over the terms (m, data, w, e, g): c has the
-    signed w-byte slots of data, placed at q^e, q^(e+g), ... below
-    q^len(dense); only the slots placed there are read.  The sum runs on
-    the v-byte slots that max|dense| + sum |m| slot_bound(read slots)
-    needs.  Each term is copied onto zero v-byte slots and biased by
-    XOR, so that every slot reads as c + 2^(8v-1), as an empty one does;
-    sum m times the bias is subtracted once, at the end."""
-    n = len(dense)
+def combine_packed(n: int, terms) -> list[int]:
+    """The first n coefficients of sum m c over the terms (m, data, w, e,
+    g): c has the signed w-byte slots of data, placed at q^e, q^(e+g), ...
+    below q^n; only the slots placed there are read.  The sum runs on the
+    v-byte slots that sum |m| slot_bound(read slots) needs.  Each term is
+    copied onto zero v-byte slots and biased by XOR, so that every slot
+    reads as c + 2^(8v-1), as an empty one does; sum m times the bias is
+    subtracted once, at the end."""
     reads = [len(range(e, n, g)) for *_, e, g in terms]
-    v = slot_width(max(map(abs, dense), default=0) + sum(
-        abs(m) * slot_bound(data[:k * w], w)
-        for (m, data, w, _, _), k in zip(terms, reads)))
-    acc, off = _joined(pack(dense, v), n, v), _offset(n, v)
+    v = slot_width(sum(abs(m) * slot_bound(data[:k * w], w)
+                       for (m, data, w, _, _), k in zip(terms, reads)))
+    acc, off = 0, _offset(n, v)
     for (m, data, w, e, g), k in zip(terms, reads):
         wide = _copy(data, k, w, v, n, e, g)
         acc += m * (int.from_bytes(wide, "little") ^ off)

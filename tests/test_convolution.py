@@ -277,3 +277,20 @@ def test_closed_sum_widths_do_not_depend_on_the_cache(fresh_expansions,
     assert fresh == [5, 5, 5, 5]
     sum_widths(monkeypatch, 5000)
     assert sum_widths(monkeypatch, 100) == fresh
+
+
+def test_each_closed_table_is_one_placed_sum(monkeypatch):
+    """Work-count pin: a closed table makes one ``combine_packed`` call,
+    whose terms are the sigma_3 table once per divisor of a b, the sigma
+    and m sigma(m) tables once each for a and b, and the cusp rows: 6 + 4 +
+    15 = 25 at level 44 and 6 + 4 + 18 = 28 at level 52."""
+    counts, real = [], convolution.combine_packed
+
+    def counted(n, terms):
+        counts.append(len(terms))
+        return real(n, terms)
+
+    monkeypatch.setattr(convolution, "combine_packed", counted)
+    for pair in ((1, 44), (4, 11), (1, 52), (4, 13)):
+        assert w_closed_table(pair, 60) == w_series_oracle(*pair, 60)
+    assert counts == [25, 25, 28, 28]

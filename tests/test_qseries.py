@@ -137,12 +137,15 @@ def test_only_qseries_handles_packed_rows():
     """The packed-row layout is decided in one module: no other module
     imports a private name of qseries or bounds a row with slot_bound, and
     eta, which plans expansions, makes each with sparse_product and reads
-    it with unpack."""
+    it with unpack.  convolution packs its sigma tables only with pack on
+    slot_width and sums each closed form with combine_packed."""
     imported = qseries_imports()
     assert {(module, name) for module, names in imported.items()
             for name in names if name.startswith("_")
             or name == "slot_bound"} == set()
     assert imported["eta"] == {"QSeries", "sparse_product", "unpack"}
+    assert imported["convolution"] == {"combine_packed", "dense_product",
+                                       "pack", "slot_width"}
 
 
 def slot_bytes(coeffs, w):
@@ -186,49 +189,58 @@ weights = st.sampled_from((0, 1, -1, 2 ** 40, -2 ** 40)) | st.integers(
 
 @st.composite
 def packed_combinations(draw):
-    """A dense list of n coefficients and up to four terms (m, coeffs, w, e,
-    g): coeffs placed at q^e, q^(e+g), ... on w-byte slots, w from 1 to 9
-    whatever their magnitude, with up to three slots beyond n that the
-    kernel must not read; e may lie at or beyond n."""
-    n = draw(st.integers(1, 12))
-    dense = draw(st.lists(coefficients, min_size=n, max_size=n))
-    terms = []
-    for _ in range(draw(st.integers(0, 4))):
+    """n and up to five terms (m, coeffs, w, e, g): coeffs placed at q^e,
+    q^(e+g), ... on w-byte slots, w from 1 to 9 whatever their magnitude,
+    with up to three slots beyond n that the kernel must not read; e may
+    lie at or beyond n."""
+    n, terms = draw(st.integers(1, 12)), []
+    for _ in range(draw(st.integers(0, 5))):
         w, e, g = draw(st.integers(1, 9)), draw(st.integers(0, 14)), draw(
             st.integers(1, 4))
         top = 2 ** (8 * w - 1) - 1
         size = len(range(e, n, g)) + draw(st.integers(0, 3))
         terms.append((draw(weights), draw(st.lists(
             st.integers(-top, top), min_size=size, max_size=size)), w, e, g))
-    return dense, terms
+    return n, terms
 
 
 @settings(max_examples=200, deadline=None)
 @given(packed_combinations())
 # the bound 2^63 crosses from 8 to 9 bytes, so the sum unpacks slot by slot
-@example(([2 ** 62, -2 ** 62], [(1, [2 ** 62, 1 - 2 ** 62], 8, 0, 1)]))
+@example((2, [(1, [2 ** 62, -2 ** 62], 8, 0, 1),
+              (1, [2 ** 62, 1 - 2 ** 62], 8, 0, 1)]))
 # a 9-byte term with m = 0 beside a result that needs 1 byte
-@example(([3, -1], [(0, [2 ** 70, -2 ** 70], 9, 0, 1), (-2, [1, 1], 1, 0, 1)]))
+@example((2, [(1, [3, -1], 1, 0, 1), (0, [2 ** 70, -2 ** 70], 9, 0, 1),
+              (-2, [1, 1], 1, 0, 1)]))
 # terms on slots wider than the result needs, one with m < 0, and placed
-@example(([3, -1, 0], [(2, [5, 2 ** 70], 9, 1, 1), (-1, [-2, 60], 4, 0, 2)]))
+@example((3, [(1, [3, -1, 0], 1, 0, 1), (2, [5, 2 ** 70], 9, 1, 1),
+              (-1, [-2, 60], 4, 0, 2)]))
 # m < 0 on the most negative and the largest slot values of a byte
-@example(([0, 0], [(-3, [-128, 127], 1, 0, 1)]))
+@example((2, [(1, [0, 0], 1, 0, 1), (-3, [-128, 127], 1, 0, 1)]))
 # a term starting at or beyond the last coefficient, and at g = 4
-@example(([1, 2, 3], [(5, [7], 2, 3, 1), (1, [-1, 9], 1, 2, 4)]))
-@example(([1] * 9, [(-1, [-128, 127, 1], 1, 0, 4)]))
+@example((3, [(1, [1, 2, 3], 1, 0, 1), (5, [7], 2, 3, 1),
+              (1, [-1, 9], 1, 2, 4)]))
+@example((9, [(1, [1] * 9, 1, 0, 1), (-1, [-128, 127, 1], 1, 0, 4)]))
 # small slots read, and past them unread slots at the extremes of 2 and 9
 # bytes, which the sum's 1-byte slots could not hold
-@example(([5, -3, 0], [(3, [2, -2, 2 ** 15 - 1, -2 ** 15], 2, 1, 1),
-                       (-1, [1, -1, -2 ** 71, 2 ** 71 - 1], 9, 0, 2)]))
+@example((3, [(1, [5, -3, 0], 1, 0, 1),
+              (3, [2, -2, 2 ** 15 - 1, -2 ** 15], 2, 1, 1),
+              (-1, [1, -1, -2 ** 71, 2 ** 71 - 1], 9, 0, 2)]))
+# sigma(0..10), a dilated table: placed from q^0 at g = 4, it reads only
+# sigma(0), sigma(1) and sigma(2) of its 11 slots
+@example((9, [(-7, [0, 1, 3, 4, 7, 6, 12, 8, 15, 13, 18], 1, 0, 4)]))
+# no term at all gives n zeros; n = 1 reads one slot of each term
+@example((5, []))
+@example((1, [(2, [-5, 9], 1, 0, 1), (1, [7], 1, 1, 1)]))
 def test_combine_packed_matches_list_fold(case):
-    dense, terms = case
-    expected = list(dense)
+    n, terms = case
+    expected = [0] * n
     for m, coeffs, _, e, g in terms:
-        for k, c in zip(range(e, len(dense), g), coeffs):
+        for k, c in zip(range(e, n, g), coeffs):
             expected[k] += m * c
     placed = [(m, slot_bytes(coeffs, w), w, e, g)
               for m, coeffs, w, e, g in terms]
-    assert combine_packed(list(dense), placed) == expected
+    assert combine_packed(n, placed) == expected
 
 
 def test_mul_gives_convolution_sums():
